@@ -7,7 +7,6 @@ validate both ingredients and the fused estimator against the variance
 lower bound.
 """
 
-from ._kernels import active_backend, available_backends
 from .channel import (
     ChannelParams,
     estimate_distance_rss,
@@ -55,7 +54,6 @@ from .errors import (
 from .fusion import (
     FuseResult,
     FusionInput,
-    SolverSettings,
     fuse_mle,
     log_likelihood,
     score,
@@ -92,9 +90,6 @@ __all__ = [
     "RangefuseError",
     "RmseReport",
     "RmseRow",
-    "SolverSettings",
-    "active_backend",
-    "available_backends",
     "build_fd_model",
     "conn_error_sigma",
     "conn_estimate_pdf",

@@ -3,8 +3,8 @@
 Subcommands: fd-table (tabulate and save the common-neighborhood model),
 simulate (Monte Carlo RMSE report), crlb (variance lower-bound curve),
 estimate (one pair from an RSS reading and neighbor counts), dataset
-(evaluate measured deployments). Exit codes: 0 success, 2 usage or
-configuration error, 3 numeric failure.
+(evaluate measured deployments). Exit codes: 0 success, 2 usage,
+configuration or file error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .connectivity import (
 )
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
-from .fusion import SolverSettings
 from .dataset import evaluate_pairs, load_measurements
 from .pipeline import estimate_pair
 from .simulator import ExperimentConfig, mu_to_lambda, run_experiment
@@ -58,14 +57,6 @@ def _add_model_arguments(parser):
                         help="directory for content-hashed f(d) model reuse")
 
 
-def _add_solver_arguments(parser):
-    parser.add_argument("--xi", type=float, default=None,
-                        help="Newton step convergence threshold (default 1e-8 * d_th)")
-    parser.add_argument("--max-iter", type=int, default=50, help="Newton iteration cap")
-    parser.add_argument("--fallback-grid", type=int, default=4096,
-                        help="grid size of the fallback maximizer (>= 100)")
-
-
 def _resolve_channel(args) -> ChannelParams:
     base = None
     if args.config:
@@ -84,12 +75,6 @@ def _resolve_channel(args) -> ChannelParams:
                 f"channel parameter {name} missing: supply {flag} or a config file"
             )
     return ChannelParams(**values)
-
-
-def _resolve_solver(args) -> SolverSettings:
-    return SolverSettings(
-        xi=args.xi, max_iter=args.max_iter, fallback_grid=args.fallback_grid
-    )
 
 
 def _model_cache_key(params: ChannelParams, n_knots: int, quad_tol: float) -> str:
@@ -180,7 +165,6 @@ def _cmd_simulate(args) -> int:
     n_knots, quad_tol = _model_settings(args)
     cfg = ExperimentConfig(
         channel=params,
-        solver=_resolve_solver(args),
         n_knots=n_knots,
         quad_tol=quad_tol,
         **experiment,
@@ -232,8 +216,7 @@ def _cmd_estimate(args) -> int:
         raise ConfigurationError(str(exc)) from exc
     model = _resolve_model(args, params)
     result = estimate_pair(
-        params, model, args.rss, counts,
-        intensity=args.intensity, solver=_resolve_solver(args),
+        params, model, args.rss, counts, intensity=args.intensity
     )
     for note in result.notes:
         print(f"warning: {note}", file=sys.stderr)
@@ -269,8 +252,7 @@ def _cmd_dataset(args) -> int:
         raise ConfigurationError("no pairs requested")
     model = _resolve_model(args, params)
     results = evaluate_pairs(
-        ms, pairs, model=model, intensity=args.intensity,
-        solver=_resolve_solver(args),
+        ms, pairs, model=model, intensity=args.intensity
     )
     lines = ["pair,d_true,err_rss,err_conn,err_fused"]
     for row in results:
@@ -304,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo RMSE experiment")
     _add_channel_arguments(p_sim)
     _add_model_arguments(p_sim)
-    _add_solver_arguments(p_sim)
     p_sim.add_argument("--mu", type=float, default=None,
                        help="expected neighbor count per node")
     p_sim.add_argument("--trials", type=int, default=None)
@@ -329,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate one pair's distance")
     _add_channel_arguments(p_est)
     _add_model_arguments(p_est)
-    _add_solver_arguments(p_est)
     p_est.add_argument("--rss", type=float, required=True, help="measured RSS, dBm")
     p_est.add_argument("--m", type=int, required=True, help="common neighbors")
     p_est.add_argument("--p", type=int, required=True, help="neighbors of A only")
@@ -341,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_data = sub.add_parser("dataset", help="evaluate a measured deployment")
     _add_channel_arguments(p_data)
     _add_model_arguments(p_data)
-    _add_solver_arguments(p_data)
     p_data.add_argument("--input", required=True, help="measurement file")
     p_data.add_argument("--pairs", required=True,
                         help="comma-separated id pairs, e.g. 24-25,15-23")
@@ -357,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

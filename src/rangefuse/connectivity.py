@@ -485,6 +485,8 @@ def save_fd_model(model: FdModel, path) -> None:
 def load_fd_model(path) -> FdModel:
     """Read a model written by save_fd_model; raises ConfigurationError on damage."""
     path = Path(path)
+    if not path.is_file():
+        raise ConfigurationError(f"f(d) model file not found: {path}")
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != _FD_HEADER:
         raise ConfigurationError(f"{path}: not a '{_FD_HEADER}' file")

@@ -17,7 +17,6 @@ import numpy as np
 from .channel import ChannelParams, mean_rss
 from .connectivity import FdModel, NeighborCounts, build_fd_model
 from .errors import ConfigurationError
-from .fusion import SolverSettings
 from .pipeline import PairEstimate, estimate_pair
 from .simulator import Deployment
 
@@ -178,7 +177,6 @@ def evaluate_pairs(
     pairs,
     model: FdModel | None = None,
     intensity: float | None = None,
-    solver: SolverSettings | None = None,
     trust_coords: bool = True,
 ) -> tuple:
     """Run all three estimators on the requested pairs.
@@ -210,7 +208,7 @@ def evaluate_pairs(
             continue
         counts = neighbor_counts_for_pair(ms, i, j)
         est: PairEstimate = estimate_pair(
-            ms.channel, model, rss, counts, intensity=intensity, solver=solver
+            ms.channel, model, rss, counts, intensity=intensity
         )
         err = (
             lambda value: None

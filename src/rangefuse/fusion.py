@@ -4,10 +4,17 @@ The two estimates carry complementary error laws: the RSS estimate is
 lognormal around the true distance (multiplicative error), the
 connectivity estimate is approximately normal around it (additive error).
 Treating them as independent observations of the same distance, the
-fused estimate maximizes their joint log-likelihood on (0, d_th] via
-Newton-Raphson on the stationarity function, with a grid-plus-golden
-fallback whenever Newton leaves the domain, lands on the wrong stationary
-point, or fails to converge.
+fused estimate maximizes their joint log-likelihood on (0, d_th].
+
+With A = 1/(sigma_r^2 ln^2 10) and B = 1/sigma_c^2 the stationarity
+function is s(d) = A ln(x1/d) + B d (x2 - d), d times the derivative of
+the log-likelihood. Its turning points solve 2B d^2 - B x2 d + A = 0, so
+there are at most two and both are known in closed form. Between them s
+is monotone, and s > 0 on (0, d0] with d0 = min(x1/e, sqrt(A/B)) / 2.
+Splitting (0, d_th] at the turning points therefore leaves at most two
+segments where s falls from + to -, each bracketing one local maximum;
+Brent's method solves each, and the global maximum is the best of those
+roots and the boundary d_th.
 """
 
 from __future__ import annotations
@@ -17,15 +24,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 
-from . import _kernels
 from .channel import LN10
 
-_SCAN_POINTS = 256
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-NEWTON_CONVERGED = "newton_converged"
-FALLBACK_GRID = "fallback_grid"
+INTERIOR = "interior"
 BOUNDARY_CLAMPED = "boundary_clamped"
 
 
@@ -57,27 +60,6 @@ class FusionInput:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Newton/fallback tuning.
-
-    xi is the step-size convergence threshold (defaults to 1e-8 * d_th at
-    solve time); fallback_grid sets the fallback scan resolution.
-    """
-
-    xi: float | None = None
-    max_iter: int = 50
-    fallback_grid: int = 4096
-
-    def __post_init__(self):
-        if self.xi is not None and not self.xi > 0.0:
-            raise ValueError(f"xi must be positive, got {self.xi!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.fallback_grid < 100:
-            raise ValueError(f"fallback_grid must be >= 100, got {self.fallback_grid!r}")
-
-
 class FuseResult(NamedTuple):
     d_hat: float
     status: str
@@ -89,7 +71,7 @@ def log_likelihood(inp: FusionInput, d):
     if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise ValueError(f"d must be positive and finite, got {d!r}")
     const = -math.log(2.0 * math.pi * inp.sigma_r * inp.sigma_c * inp.x1 * LN10)
-    t = np.log10(inp.x1 / d)
+    t = math.log10(inp.x1) - np.log10(d)
     out = (
         const
         - t * t / (2.0 * inp.sigma_r**2)
@@ -107,126 +89,50 @@ def score(inp: FusionInput, d):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise ValueError(f"d must be positive and finite, got {d!r}")
-    out = np.log10(inp.x1 / d) / (inp.sigma_r**2 * LN10) + d * (inp.x2 - d) / (
-        inp.sigma_c**2
-    )
+    t = math.log10(inp.x1) - np.log10(d)
+    out = t / (inp.sigma_r**2 * LN10) + d * (inp.x2 - d) / inp.sigma_c**2
     return out if out.ndim else float(out)
 
 
-def _score_derivative(inp: FusionInput, d: float) -> float:
-    return -1.0 / (inp.sigma_r**2 * LN10 * LN10 * d) + (inp.x2 - 2.0 * d) / (
-        inp.sigma_c**2
-    )
-
-
-def _penalty(inp: FusionInput, half_inv_sr2: float, half_inv_sc2: float, d: float) -> float:
-    t = math.log10(inp.x1 / d)
-    return t * t * half_inv_sr2 + (inp.x2 - d) ** 2 * half_inv_sc2
-
-
-def _newton(inp: FusionInput, eps: float, xi: float, max_iter: int):
-    """Newton-Raphson from the midpoint seed; None when any safeguard trips."""
-    d = 0.5 * (inp.x1 + inp.x2)
-    if not eps < d <= inp.d_th:
-        return None
-    for _ in range(max_iter):
-        f_val = float(score(inp, d))
-        f_prime = _score_derivative(inp, d)
-        if f_prime == 0.0 or not math.isfinite(f_prime):
-            return None
-        d_next = d - f_val / f_prime
-        if not math.isfinite(d_next) or not eps < d_next <= inp.d_th:
-            return None
-        if abs(d_next - d) < xi:
-            # reject roots where the likelihood is not locally concave
-            if _score_derivative(inp, d_next) >= 0.0:
-                return None
-            return d_next
-        d = d_next
-    return None
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return c if fc < fd else d
-
-
-def fuse_mle(inp: FusionInput, settings: SolverSettings | None = None) -> FuseResult:
+def fuse_mle(inp: FusionInput) -> FuseResult:
     """Maximize the joint log-likelihood over (0, d_th].
 
-    Deterministic and total: when Newton converges to the best candidate
-    its root is returned; otherwise a dense grid scan refined by golden
-    section locates the global maximum, and the boundary d_th is always
-    kept as a candidate. The status reports which route produced the
-    result.
+    Deterministic and total. The candidates are the roots of s in every
+    segment between turning points where s falls from + to -, plus d_th;
+    the one with the lowest penalty wins. The status is BOUNDARY_CLAMPED
+    when the winner lies within 1e-9 * d_th of d_th, INTERIOR otherwise.
     """
-    if settings is None:
-        settings = SolverSettings()
-    eps = 1e-9 * inp.d_th
-    xi = settings.xi if settings.xi is not None else 1e-8 * inp.d_th
-    half_inv_sr2 = 1.0 / (2.0 * inp.sigma_r**2)
-    half_inv_sc2 = 1.0 / (2.0 * inp.sigma_c**2)
+    x1, x2, d_th = inp.x1, inp.x2, inp.d_th
+    a = 1.0 / (inp.sigma_r * LN10) ** 2
+    b = 1.0 / inp.sigma_c**2
+    ln_x1 = math.log(x1)
 
-    def pen(d):
-        return _penalty(inp, half_inv_sr2, half_inv_sc2, d)
+    def s(d):
+        return a * (ln_x1 - math.log(d)) + b * d * (x2 - d)
 
-    newton_root = _newton(inp, eps, xi, settings.max_iter)
-    _, scan_pen = _kernels.penalty_grid_min(
-        inp.x1, inp.x2, half_inv_sr2, half_inv_sc2, eps, inp.d_th, _SCAN_POINTS
-    )
+    edges = [0.5 * min(x1 / math.e, math.sqrt(a / b))]
+    disc = x2 * x2 - 8.0 * a / b
+    if disc > 0.0:
+        far = 0.25 * (x2 + math.sqrt(disc))
+        # the product of the two turning points is A / (2B)
+        edges += [t for t in (a / (2.0 * b * far), far) if t < d_th]
+    edges.append(d_th)
+    edges[0] = min(edges[0], edges[1])
 
-    if newton_root is not None and pen(newton_root) <= scan_pen + 1e-9 * (
-        1.0 + abs(scan_pen)
-    ):
-        winner, route = newton_root, NEWTON_CONVERGED
-    else:
-        grid_d, _ = _kernels.penalty_grid_min(
-            inp.x1, inp.x2, half_inv_sr2, half_inv_sc2, eps, inp.d_th,
-            settings.fallback_grid,
-        )
-        step = (inp.d_th - eps) / (settings.fallback_grid - 1)
-        refined = _golden_min(
-            pen, max(eps, grid_d - step), min(inp.d_th, grid_d + step),
-            1e-12 * inp.d_th,
-        )
-        candidates = [(pen(refined), refined), (pen(inp.d_th), inp.d_th)]
-        if newton_root is not None:
-            candidates.append((pen(newton_root), newton_root))
-        _, winner = min(candidates)
-        route = NEWTON_CONVERGED if winner == newton_root else FALLBACK_GRID
+    candidates = [d_th]
+    for lo, hi in zip(edges, edges[1:]):
+        if s(lo) > 0.0 >= s(hi):
+            candidates.append(brentq(s, lo, hi, xtol=1e-15 * d_th))
 
-    if inp.d_th - winner <= 1e-9 * inp.d_th:
-        return FuseResult(float(inp.d_th), BOUNDARY_CLAMPED)
+    log10_x1 = math.log10(x1)
+    half_inv_sr2 = 0.5 / inp.sigma_r**2
+    half_inv_sc2 = 0.5 * b
 
-    # polish the interior optimum so the stationarity residual is tiny
-    d = winner
-    best_pen = pen(d)
-    for _ in range(8):
-        f_prime = _score_derivative(inp, d)
-        if f_prime == 0.0 or not math.isfinite(f_prime):
-            break
-        d_next = d - float(score(inp, d)) / f_prime
-        if not math.isfinite(d_next) or not eps < d_next <= inp.d_th:
-            break
-        next_pen = pen(d_next)
-        if next_pen > best_pen + 1e-12 * (1.0 + abs(best_pen)):
-            break
-        moved = abs(d_next - d)
-        d, best_pen = d_next, next_pen
-        if moved < 1e-15 * inp.d_th:
-            break
-    if inp.d_th - d <= 1e-9 * inp.d_th:
-        return FuseResult(float(inp.d_th), BOUNDARY_CLAMPED)
-    return FuseResult(float(d), route)
+    def penalty(d):
+        t = log10_x1 - math.log10(d)
+        return t * t * half_inv_sr2 + (x2 - d) ** 2 * half_inv_sc2
+
+    winner = min(candidates, key=penalty)
+    if d_th - winner <= 1e-9 * d_th:
+        return FuseResult(float(d_th), BOUNDARY_CLAMPED)
+    return FuseResult(float(winner), INTERIOR)

@@ -21,7 +21,7 @@ from .connectivity import (
     estimate_intensity,
 )
 from .crlb import crlb_distance
-from .fusion import FusionInput, SolverSettings, fuse_mle
+from .fusion import FusionInput, fuse_mle
 
 RSS_ONLY = "rss_only"
 CONNECTIVITY_ONLY = "connectivity_only"
@@ -48,7 +48,6 @@ def estimate_pair(
     rss_dbm: float | None,
     counts: NeighborCounts,
     intensity: float | None = None,
-    solver: SolverSettings | None = None,
 ) -> PairEstimate:
     """Estimate one pair's distance from its RSS reading and neighbor counts.
 
@@ -79,9 +78,7 @@ def estimate_pair(
         sigma_c = conn_error_sigma(model, lam, plug)
 
     if rss_usable and lam is not None and params.sigma_db > 0.0:
-        result = fuse_mle(
-            FusionInput(d_rss, d_conn, params.sigma_r, sigma_c, d_th), solver
-        )
+        result = fuse_mle(FusionInput(d_rss, d_conn, params.sigma_r, sigma_c, d_th))
         d_fused, status = result.d_hat, result.status
     elif rss_usable:
         d_fused, status = min(d_rss, d_th), RSS_ONLY

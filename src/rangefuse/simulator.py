@@ -6,18 +6,17 @@ every node to both endpoints, collects the neighbor counts, samples one
 RSS reading for the pair, and runs all three estimators. Per-trial random
 streams are derived from the master seed and the (distance, trial) index,
 so results do not depend on execution order and are reproducible bit for
-bit under a fixed seed and kernel backend.
+bit under a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _kernels
 from .channel import (
     LN10,
     ChannelParams,
@@ -35,7 +34,7 @@ from .connectivity import (
 )
 from .crlb import crlb_distance
 from .errors import ConfigurationError
-from .fusion import FusionInput, SolverSettings, fuse_mle
+from .fusion import FusionInput, fuse_mle
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +70,6 @@ class ExperimentConfig:
     margin: float = 1.5
     n_knots: int = 64
     quad_tol: float = 1e-6
-    solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
         if not self.mu > 0.0:
@@ -182,9 +180,14 @@ def realize_neighbors(
     spread = params.sigma_r * LN10
     reff_a = r * np.exp(spread * rng.standard_normal(n))
     reff_b = r * np.exp(spread * rng.standard_normal(n))
-    m, p, q = _kernels.count_neighbors(
-        dep.nodes, float(a[0]), float(a[1]), float(b[0]), float(b[1]), reff_a, reff_b
-    )
+    xy = dep.nodes
+    da2 = (xy[:, 0] - float(a[0])) ** 2 + (xy[:, 1] - float(a[1])) ** 2
+    db2 = (xy[:, 0] - float(b[0])) ** 2 + (xy[:, 1] - float(b[1])) ** 2
+    link_a = da2 <= reff_a * reff_a
+    link_b = db2 <= reff_b * reff_b
+    m = int(np.count_nonzero(link_a & link_b))
+    p = int(np.count_nonzero(link_a)) - m
+    q = int(np.count_nonzero(link_b)) - m
     return NeighborCounts(m, p, q)
 
 
@@ -240,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseR
                 plug = min(max(d_conn, plug_floor), d_th)
                 sigma_c = conn_error_sigma(model, intensity, plug)
                 d_fused = fuse_mle(
-                    FusionInput(d_rss, d_conn, sigma_r, sigma_c, d_th), cfg.solver
+                    FusionInput(d_rss, d_conn, sigma_r, sigma_c, d_th)
                 ).d_hat
             sq_rss += (d_rss - d) ** 2
             sq_conn += (d_conn - d) ** 2

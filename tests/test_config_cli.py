@@ -256,3 +256,20 @@ class TestUsageErrors:
     def test_missing_channel_is_config_error(self, tmp_path):
         code = main(["fd-table", "--output", str(tmp_path / "x.fd")])
         assert code == 2
+
+    def test_missing_fd_table_is_config_error(self, cfg_path, tmp_path, capsys):
+        code = main(["simulate", "--config", str(cfg_path),
+                     "--fd-table", str(tmp_path / "absent.fd"),
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_output_in_missing_directory_is_file_error(self, cfg_path, tmp_path, capsys):
+        code = main(["fd-table", "--config", str(cfg_path), "--n-knots", "8",
+                     "--quad-tol", "1e-4",
+                     "--output", str(tmp_path / "absent" / "x.fd")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

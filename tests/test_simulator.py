@@ -104,6 +104,50 @@ class TestRealizeNeighbors:
         assert mean_m + mean_p == pytest.approx(mu, rel=0.02)
 
 
+def _counts_by_sets(xy, a, b, reff_a, reff_b):
+    near_a = set()
+    near_b = set()
+    for i in range(len(xy)):
+        if math.dist(xy[i], a) <= reff_a[i]:
+            near_a.add(i)
+        if math.dist(xy[i], b) <= reff_b[i]:
+            near_b.add(i)
+    return (
+        len(near_a & near_b),
+        len(near_a - near_b),
+        len(near_b - near_a),
+    )
+
+
+class TestCountNeighbors:
+    """realize_neighbors against set arithmetic on the same link radii."""
+
+    def test_against_set_arithmetic(self):
+        rng = np.random.default_rng(11)
+        side = 2.0 * rf.threshold_distance(PARAMS_44) + 20.0
+        a, b = (side / 2.0 - 10.0, side / 2.0), (side / 2.0 + 10.0, side / 2.0)
+        r = rf.pseudo_range(PARAMS_44)
+        spread = PARAMS_44.sigma_r * math.log(10.0)
+        for seed in range(40):
+            n = int(rng.integers(0, 200))
+            xy = rng.random((n, 2)) * side
+            dep = rf.Deployment(side=side, intensity=0.01, nodes=xy)
+            got = rf.realize_neighbors(dep, PARAMS_44, a, b, np.random.default_rng(seed))
+            # the same stream: one radius draw per node for a, then for b
+            draws = np.random.default_rng(seed)
+            reff_a = r * np.exp(spread * draws.standard_normal(n))
+            reff_b = r * np.exp(spread * draws.standard_normal(n))
+            expected = _counts_by_sets(xy, a, b, reff_a, reff_b)
+            assert (got.m, got.p, got.q) == expected
+
+    def test_empty_deployment(self):
+        dep = rf.Deployment(side=200.0, intensity=0.01, nodes=np.zeros((0, 2)))
+        counts = rf.realize_neighbors(
+            dep, PARAMS_44, (95.0, 100.0), (105.0, 100.0), np.random.default_rng(1)
+        )
+        assert (counts.m, counts.p, counts.q) == (0, 0, 0)
+
+
 class TestExperimentConfig:
     def test_validation(self):
         good = dict(channel=PARAMS_44, mu=20.0, distances=(5.0,), trials=1, seed=0)
