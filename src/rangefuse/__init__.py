@@ -58,7 +58,7 @@ from .fusion import (
     log_likelihood,
     score,
 )
-from .pipeline import PairEstimate, estimate_pair
+from .pipeline import PairEstimate, estimate_pair, estimate_pairs
 from .simulator import (
     Deployment,
     ExperimentConfig,
@@ -99,6 +99,7 @@ __all__ = [
     "estimate_distance_rss",
     "estimate_intensity",
     "estimate_pair",
+    "estimate_pairs",
     "eval_fd",
     "evaluate_pairs",
     "fd_slope",

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +123,14 @@ def _resolve_model(args, params: ChannelParams):
         if path.is_file():
             return load_fd_model(path)
         model = build_fd_model(params, n_knots, quad_tol)
-        save_fd_model(model, path)
+        # write beside the target, then rename: readers never see a torn file
+        handle, partial = tempfile.mkstemp(dir=cache, prefix=path.name, suffix=".tmp")
+        os.close(handle)
+        try:
+            save_fd_model(model, partial)
+            os.replace(partial, path)
+        finally:
+            Path(partial).unlink(missing_ok=True)
         return model
     return build_fd_model(params, n_knots, quad_tol)
 
@@ -142,16 +151,9 @@ def _cmd_simulate(args) -> int:
     experiment = {}
     if args.config:
         _, experiment = load_config(args.config)
-    if args.mu is not None:
-        experiment["mu"] = args.mu
-    if args.trials is not None:
-        experiment["trials"] = args.trials
-    if args.seed is not None:
-        experiment["seed"] = args.seed
-    if args.distances is not None:
-        experiment["distances"] = parse_distances(args.distances)
-    if args.margin is not None:
-        experiment["margin"] = args.margin
+    flags = {"mu": args.mu, "trials": args.trials, "seed": args.seed, "margin": args.margin,
+             "distances": None if args.distances is None else parse_distances(args.distances)}
+    experiment.update({key: value for key, value in flags.items() if value is not None})
     experiment.setdefault("trials", 10000)
     experiment.setdefault("seed", 0)
     missing = [key for key in ("mu", "distances") if key not in experiment]
@@ -331,10 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Fail before any work when an output file's directory is missing or read-only."""
+    for path in filter(None, (getattr(args, "output", None), getattr(args, "json", None))):
+        folder = Path(path).resolve().parent
+        if not (folder.is_dir() and os.access(folder, os.W_OK)):
+            raise ConfigurationError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .channel import LN10, ChannelParams, link_probability, pseudo_range
+from .config import channel_from_mapping, channel_to_mapping
 from .errors import ConfigurationError, ModelConstructionError, NumericError
 
 # Link probabilities below this are treated as zero when truncating
@@ -344,65 +345,68 @@ def build_fd_model(params: ChannelParams, n_knots: int = 64,
     )
 
 
-def _segment_index(model: FdModel, d: float) -> int:
-    """Segment containing d; an exact knot hit resolves to the left segment."""
-    i = int(np.searchsorted(model.knots_d, d, side="left")) - 1
-    return min(max(i, 0), model.slopes.size - 1)
-
-
-def fd_slope(model: FdModel, d) -> float:
-    """Slope of the segment containing d (left segment at knots)."""
-    d = float(d)
-    if d < 0.0 or d > model.d_th:
+def _segments(model: FdModel, d) -> tuple:
+    """Validated d, its first knot at or above, and its segment (the left one at knots)."""
+    d = np.asarray(d, dtype=float)
+    if not np.all((d >= 0.0) & (d <= model.d_th)):
         raise ValueError(f"d must lie in [0, d_th], got {d!r}")
-    return float(model.slopes[_segment_index(model, d)])
+    hit = np.searchsorted(model.knots_d, d, side="left")
+    return d, hit, np.clip(hit - 1, 0, model.slopes.size - 1)
 
 
-def eval_fd(model: FdModel, d) -> float:
-    """Piecewise-linear value of f at d in [0, d_th]; exact at knots."""
-    d = float(d)
-    if d < 0.0 or d > model.d_th or not math.isfinite(d):
-        raise ValueError(f"d must lie in [0, d_th], got {d!r}")
-    hit = int(np.searchsorted(model.knots_d, d, side="left"))
-    if hit < model.knots_d.size and model.knots_d[hit] == d:
-        return float(model.knots_f[hit])
-    i = _segment_index(model, d)
-    return float(model.knots_f[i] + model.slopes[i] * (d - model.knots_d[i]))
+def fd_slope(model: FdModel, d):
+    """Slope of the segment containing d (left segment at knots); takes arrays."""
+    out = model.slopes[_segments(model, d)[2]]
+    return out if out.ndim else float(out)
 
 
-def invert_fd(model: FdModel, value) -> float:
-    """Distance whose tabulated f equals value, clamped to [0, d_th].
+def eval_fd(model: FdModel, d):
+    """Piecewise-linear value of f at d in [0, d_th]; exact at knots; takes arrays."""
+    d, hit, i = _segments(model, d)
+    k = np.minimum(hit, model.n_knots - 1)
+    out = model.knots_f[i] + model.slopes[i] * (d - model.knots_d[i])
+    out = np.where(model.knots_d[k] == d, model.knots_f[k], out)
+    return out if out.ndim else float(out)
+
+
+def invert_fd(model: FdModel, value):
+    """Distance whose tabulated f equals value, clamped to [0, d_th]; takes arrays.
 
     Values at or above f(0) map to 0; values at or below f(d_th) map to
-    d_th; anything between is inverted on the containing affine segment.
+    d_th; anything between is inverted on the containing affine segment,
+    exactly at knots.
     """
-    value = float(value)
-    if math.isnan(value):
+    value = np.asarray(value, dtype=float)
+    if np.any(np.isnan(value)):
         raise ValueError("value must not be NaN")
-    if value >= model.knots_f[0]:
-        return 0.0
-    if value <= model.knots_f[-1]:
-        return float(model.d_th)
-    ascending = model.knots_f[::-1]
-    pos = int(np.searchsorted(ascending, value, side="left"))
-    if pos < ascending.size and ascending[pos] == value:
-        return float(model.knots_d[model.knots_f.size - 1 - pos])
-    i = model.knots_f.size - 1 - pos
-    return float(model.knots_d[i] + (value - model.knots_f[i]) / model.slopes[i])
+    last = model.n_knots - 1
+    # position in the ascending (reversed) knot values
+    pos = np.searchsorted(model.knots_f[::-1], value, side="left")
+    i = np.clip(last - pos, 0, last - 1)
+    out = model.knots_d[i] + (value - model.knots_f[i]) / model.slopes[i]
+    k = last - np.minimum(pos, last)
+    out = np.where(model.knots_f[k] == value, model.knots_d[k], out)
+    out = np.where(value <= model.knots_f[-1], model.d_th, out)
+    out = np.where(value >= model.knots_f[0], 0.0, out)
+    return out if out.ndim else float(out)
+
+
+def invert_counts(model: FdModel, m, p, q):
+    """Distance estimates from arrays of neighbor counts via the overlap ratio.
+
+    All-zero counts give 0; otherwise the ratio 2M/(2M+P+Q) scales the
+    mass S and invert_fd maps it back to a distance in [0, d_th].
+    """
+    m = np.asarray(m, dtype=float)
+    total = 2.0 * m + p + q
+    rho = np.divide(2.0 * m, total, out=np.zeros_like(total), where=total > 0)
+    out = np.where(total > 0, invert_fd(model, rho * model.s_mass), 0.0)
+    return out if out.ndim else float(out)
 
 
 def estimate_distance_conn(model: FdModel, counts: NeighborCounts) -> float:
-    """Distance estimate from neighbor counts via the overlap ratio.
-
-    All-zero counts return 0; otherwise the ratio 2M/(2M+P+Q) scales the
-    mass S and the tabulated f is inverted, which clamps to d_th when the
-    scaled mass falls below f(d_th) and to 0 when it exceeds f(0).
-    """
-    m, p, q = counts.m, counts.p, counts.q
-    if m == 0 and p == 0 and q == 0:
-        return 0.0
-    rho = 2.0 * m / (2.0 * m + p + q)
-    return invert_fd(model, rho * model.s_mass)
+    """One pair's connectivity distance estimate (see invert_counts)."""
+    return invert_counts(model, counts.m, counts.p, counts.q)
 
 
 def estimate_intensity(counts: NeighborCounts, s_mass: float) -> float:
@@ -417,7 +421,7 @@ def estimate_intensity(counts: NeighborCounts, s_mass: float) -> float:
     return (2.0 * counts.m + counts.p + counts.q) / (2.0 * s_mass)
 
 
-def conn_error_sigma(model: FdModel, intensity: float, d_plugin) -> float:
+def conn_error_sigma(model: FdModel, intensity, d_plugin):
     """Standard deviation of the connectivity estimate's error near d_plugin.
 
     With M ~ Poi(lambda f) and P, Q ~ Poi(lambda (S - f)), the delta method
@@ -429,22 +433,25 @@ def conn_error_sigma(model: FdModel, intensity: float, d_plugin) -> float:
     (left segment at knots) scales it to sigma_c = S sqrt(Var(rho)) / |f'|.
     sigma_c^2 equals the connectivity-only Cramer-Rao bound, the inverse
     of the Schur complement of the count information over (d, intensity),
-    so the overlap-ratio estimator is asymptotically efficient.
+    so the overlap-ratio estimator is asymptotically efficient. Both
+    arguments may be arrays of one shape.
     """
-    if not intensity > 0.0:
+    intensity = np.asarray(intensity, dtype=float)
+    if not np.all(intensity > 0.0):
         raise ValueError(f"intensity must be positive, got {intensity!r}")
-    d_plugin = float(d_plugin)
-    if not 0.0 < d_plugin <= model.d_th:
+    d_plugin = np.asarray(d_plugin, dtype=float)
+    if not np.all((d_plugin > 0.0) & (d_plugin <= model.d_th)):
         raise ValueError(f"d_plugin must lie in (0, d_th], got {d_plugin!r}")
     f_val = eval_fd(model, d_plugin)
     s = model.s_mass
-    if not 0.0 < f_val < s:
+    if not np.all((f_val > 0.0) & (f_val < s)):
         raise ValueError(
             f"f({d_plugin!r})={f_val!r} is outside (0, S={s!r}); degenerate model"
         )
     slope = fd_slope(model, d_plugin)
     var_rho = f_val * (s - f_val) * (2.0 * s - f_val) / (2.0 * intensity * s**4)
-    return s * math.sqrt(var_rho) / abs(slope)
+    out = s * np.sqrt(var_rho) / np.abs(slope)
+    return out if out.ndim else float(out)
 
 
 def conn_estimate_pdf(model: FdModel, intensity: float, d_true, x):
@@ -463,22 +470,11 @@ _FD_PARAM_KEYS = ("p_ref_dbm", "alpha", "sigma_db", "rss_threshold_dbm", "d0_m")
 
 def save_fd_model(model: FdModel, path) -> None:
     """Write the model to a versioned flat text file (full float precision)."""
-    lines = [_FD_HEADER]
-    values = {
-        "p_ref_dbm": model.params.p_ref_dbm,
-        "alpha": model.params.alpha,
-        "sigma_db": model.params.sigma_db,
-        "rss_threshold_dbm": model.params.rss_threshold_dbm,
-        "d0_m": model.params.d0,
-    }
-    for key in _FD_PARAM_KEYS:
-        lines.append(f"{key} = {values[key]!r}")
-    lines.append(f"s_mass = {model.s_mass!r}")
-    lines.append(f"d_th = {model.d_th!r}")
-    lines.append(f"n_knots = {model.n_knots}")
-    lines.append("knots:")
-    for d, f_val in zip(model.knots_d, model.knots_f):
-        lines.append(f"{float(d)!r}, {float(f_val)!r}")
+    params = channel_to_mapping(model.params)
+    lines = [_FD_HEADER, *(f"{key} = {params[key]}" for key in _FD_PARAM_KEYS)]
+    lines += [f"s_mass = {model.s_mass!r}", f"d_th = {model.d_th!r}",
+              f"n_knots = {model.n_knots}", "knots:"]
+    lines += [f"{float(d)!r}, {float(f_val)!r}" for d, f_val in zip(model.knots_d, model.knots_f)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -516,13 +512,7 @@ def load_fd_model(path) -> FdModel:
         raise ConfigurationError(
             f"{path}: expected {int(fields['n_knots'])} knots, found {len(knots)}"
         )
-    params = ChannelParams(
-        p_ref_dbm=fields["p_ref_dbm"],
-        alpha=fields["alpha"],
-        sigma_db=fields["sigma_db"],
-        rss_threshold_dbm=fields["rss_threshold_dbm"],
-        d0=fields["d0_m"],
-    )
+    params = channel_from_mapping(fields)
     knots_arr = np.asarray(knots, dtype=float)
     try:
         return FdModel(

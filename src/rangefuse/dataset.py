@@ -4,6 +4,11 @@ The file format is a plain-text table with two sections introduced by the
 marker lines '# nodes' (id, x, y per line) and '# rss' (id_i, id_j,
 mean dBm per line); other '#' lines are comments. The RSS map is treated
 as symmetric: when both directions of a pair appear, their mean is used.
+
+Evaluation thresholds the map once into per-node neighbor lists, counts
+the common and exclusive neighbors of every requested pair from them, and
+runs the pairs through the shared estimation pipeline as one batch; a
+reading below the link threshold counts as no reading there.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, mean_rss
+from .channel import ChannelParams, estimate_distance_rss, mean_rss
 from .connectivity import FdModel, NeighborCounts, build_fd_model
 from .errors import ConfigurationError
-from .pipeline import PairEstimate, estimate_pair
+from .pipeline import estimate_pairs
 from .simulator import Deployment
 
 
@@ -51,14 +56,13 @@ class MeasurementSet:
     def ids(self) -> tuple:
         return tuple(node_id for node_id, _, _ in self.nodes)
 
-    def position(self, node_id: int) -> tuple:
-        for nid, x, y in self.nodes:
-            if nid == node_id:
-                return (x, y)
-        raise KeyError(node_id)
-
     def pair_rss(self, i: int, j: int):
         return self.rss.get(_pair_key(i, j))
+
+
+# each section's row form and the type of its second field; the first is
+# an id and the third a float in both
+_ROW_FORMS = {"nodes": ("'id, x, y'", float), "rss": ("'id_i, id_j, rss_dbm'", int)}
 
 
 def load_measurements(path, channel: ChannelParams) -> MeasurementSet:
@@ -77,48 +81,39 @@ def load_measurements(path, channel: ChannelParams) -> MeasurementSet:
             continue
         if line.startswith("#"):
             marker = line[1:].strip().lower()
-            if marker == "nodes":
-                section = "nodes"
-            elif marker == "rss":
-                section = "rss"
+            if marker in _ROW_FORMS:
+                section = marker
             continue
         if section is None:
             raise ConfigurationError(
                 f"{path}:{lineno}: data before any '# nodes' or '# rss' marker"
             )
-        parts = [item.strip() for item in line.split(",")]
+        form, second_kind = _ROW_FORMS[section]
+        parts = line.split(",")
+        try:
+            if len(parts) != 3:
+                raise ValueError
+            first, second, value = int(parts[0]), second_kind(parts[1]), float(parts[2])
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected {form}, got {line!r}"
+            ) from None
         if section == "nodes":
-            try:
-                node_id, x, y = int(parts[0]), float(parts[1]), float(parts[2])
-                if len(parts) != 3:
-                    raise ValueError
-            except (ValueError, IndexError):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'id, x, y', got {line!r}"
-                ) from None
-            if node_id in node_ids:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate node id {node_id}")
-            node_ids.add(node_id)
-            nodes.append((node_id, x, y))
-        else:
-            try:
-                i, j, value = int(parts[0]), int(parts[1]), float(parts[2])
-                if len(parts) != 3:
-                    raise ValueError
-            except (ValueError, IndexError):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'id_i, id_j, rss_dbm', got {line!r}"
-                ) from None
-            if i == j:
-                raise ConfigurationError(f"{path}:{lineno}: node {i} linked to itself")
-            if i not in node_ids or j not in node_ids:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: RSS entry references unknown node "
-                    f"{i if i not in node_ids else j}"
-                )
-            key = _pair_key(i, j)
-            rss_sums[key] = rss_sums.get(key, 0.0) + value
-            rss_counts[key] = rss_counts.get(key, 0) + 1
+            if first in node_ids:
+                raise ConfigurationError(f"{path}:{lineno}: duplicate node id {first}")
+            node_ids.add(first)
+            nodes.append((first, second, value))
+            continue
+        if first == second:
+            raise ConfigurationError(f"{path}:{lineno}: node {first} linked to itself")
+        if first not in node_ids or second not in node_ids:
+            raise ConfigurationError(
+                f"{path}:{lineno}: RSS entry references unknown node "
+                f"{first if first not in node_ids else second}"
+            )
+        key = _pair_key(first, second)
+        rss_sums[key] = rss_sums.get(key, 0.0) + value
+        rss_counts[key] = rss_counts.get(key, 0) + 1
     rss = {key: rss_sums[key] / rss_counts[key] for key in rss_sums}
     return MeasurementSet(nodes=tuple(nodes), rss=rss, channel=channel)
 
@@ -134,41 +129,60 @@ def save_measurements(ms: MeasurementSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _adjacency(ms: MeasurementSet) -> tuple:
+    """Row of each node id, and every row's thresholded neighbors in CSR form.
+
+    Memory grows with the links, not with the square of the node count.
+    """
+    rows = {node_id: k for k, (node_id, _, _) in enumerate(ms.nodes)}
+    threshold = ms.channel.rss_threshold_dbm
+    linked = [key for key, value in ms.rss.items() if value >= threshold]
+    ends = np.fromiter((rows[node] for key in linked for node in key), dtype=np.int32,
+                       count=2 * len(linked)).reshape(-1, 2)
+    source, target = np.concatenate([ends, ends[:, ::-1]]).T
+    start = np.concatenate([[0], np.cumsum(np.bincount(source, minlength=len(rows)))])
+    return rows, (start, target[np.argsort(source)])
+
+
+def _counts(adjacency: tuple, a, b) -> tuple:
+    """Common and exclusive neighbor counts of row pairs (a, b), endpoints excluded."""
+    start, neighbors = adjacency
+    near = np.zeros(start.size - 1, dtype=bool)
+    m, direct = np.zeros(len(a), dtype=int), np.zeros(len(a), dtype=int)
+    for k, (i, j) in enumerate(zip(a, b)):
+        around_i = neighbors[start[i]:start[i + 1]]
+        near[around_i] = True
+        m[k] = np.count_nonzero(near[neighbors[start[j]:start[j + 1]]])
+        direct[k] = near[j]
+        near[around_i] = False
+    degree = np.diff(start)
+    return m, degree[a] - m - direct, degree[b] - m - direct
+
+
 def neighbor_counts_for_pair(ms: MeasurementSet, i: int, j: int) -> NeighborCounts:
     """Counts of common/exclusive neighbors of i and j after thresholding.
 
     A third node is a neighbor when its RSS entry exists and reaches the
-    channel threshold; the endpoints themselves are excluded.
+    channel threshold; the endpoints themselves are excluded. Builds the
+    neighbor lists; evaluate_pairs builds them once for all of its pairs.
     """
-    threshold = ms.channel.rss_threshold_dbm
-    common = exclusive_i = exclusive_j = 0
-    for node_id, _, _ in ms.nodes:
-        if node_id == i or node_id == j:
-            continue
-        value_i = ms.pair_rss(node_id, i)
-        value_j = ms.pair_rss(node_id, j)
-        near_i = value_i is not None and value_i >= threshold
-        near_j = value_j is not None and value_j >= threshold
-        if near_i and near_j:
-            common += 1
-        elif near_i:
-            exclusive_i += 1
-        elif near_j:
-            exclusive_j += 1
-    return NeighborCounts(common, exclusive_i, exclusive_j)
+    rows, adjacency = _adjacency(ms)
+    if i not in rows or j not in rows:
+        raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
+    return NeighborCounts(*(int(v[0]) for v in _counts(adjacency, [rows[i]], [rows[j]])))
 
 
 @dataclass(frozen=True)
 class PairEvaluation:
     pair: tuple
-    d_true: float | None
-    d_rss: float | None
-    d_conn: float | None
-    d_fused: float | None
-    err_rss: float | None
-    err_conn: float | None
-    err_fused: float | None
-    status: str
+    d_true: float
+    d_rss: float | None = None
+    d_conn: float | None = None
+    d_fused: float | None = None
+    err_rss: float | None = None
+    err_conn: float | None = None
+    err_fused: float | None = None
+    status: str = "error"
     error: str | None = None
 
 
@@ -177,57 +191,37 @@ def evaluate_pairs(
     pairs,
     model: FdModel | None = None,
     intensity: float | None = None,
-    trust_coords: bool = True,
 ) -> tuple:
     """Run all three estimators on the requested pairs.
 
     Pairs without an RSS entry produce an error row and the run continues;
-    unknown ids are a configuration error. Errors against the coordinate
-    distances are reported when trust_coords is set.
+    unknown ids are a configuration error. Errors are taken against the
+    coordinate distances.
     """
+    pairs = [tuple(pair) for pair in pairs]
+    rows, adjacency = _adjacency(ms)
+    for i, j in pairs:
+        if i not in rows or j not in rows:
+            raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
     if model is None:
         model = build_fd_model(ms.channel)
-    known = set(ms.ids)
+    measured = [pair for pair in pairs if ms.pair_rss(*pair) is not None]
+    rss = np.array([ms.pair_rss(*pair) for pair in measured], dtype=float)
+    d_rss = estimate_distance_rss(ms.channel, rss)
+    usable = np.where(rss >= ms.channel.rss_threshold_dbm, d_rss, np.nan)
+    a, b = (np.array([rows[pair[end]] for pair in measured], dtype=np.intp) for end in (0, 1))
+    est = estimate_pairs(ms.channel, model, usable, *_counts(adjacency, a, b), intensity)
+    batch = zip(*(v.tolist() for v in (d_rss, est.d_conn, est.d_fused, est.status)))
     results = []
     for i, j in pairs:
-        if i not in known or j not in known:
-            raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
-        d_true = None
-        if trust_coords:
-            (xi, yi), (xj, yj) = ms.position(i), ms.position(j)
-            d_true = math.hypot(xi - xj, yi - yj)
-        rss = ms.pair_rss(i, j)
-        if rss is None:
-            results.append(
-                PairEvaluation(
-                    pair=(i, j), d_true=d_true, d_rss=None, d_conn=None,
-                    d_fused=None, err_rss=None, err_conn=None, err_fused=None,
-                    status="error", error="no RSS measurement for this pair",
-                )
-            )
+        (_, xi, yi), (_, xj, yj) = ms.nodes[rows[i]], ms.nodes[rows[j]]
+        d_true = math.hypot(xi - xj, yi - yj)
+        if ms.pair_rss(i, j) is None:
+            results.append(PairEvaluation((i, j), d_true, error="no RSS measurement for this pair"))
             continue
-        counts = neighbor_counts_for_pair(ms, i, j)
-        est: PairEstimate = estimate_pair(
-            ms.channel, model, rss, counts, intensity=intensity
-        )
-        err = (
-            lambda value: None
-            if value is None or d_true is None
-            else abs(value - d_true)
-        )
-        results.append(
-            PairEvaluation(
-                pair=(i, j),
-                d_true=d_true,
-                d_rss=est.d_rss,
-                d_conn=est.d_conn,
-                d_fused=est.d_fused,
-                err_rss=err(est.d_rss),
-                err_conn=err(est.d_conn),
-                err_fused=err(est.d_fused),
-                status=est.status,
-            )
-        )
+        *values, status = next(batch)
+        errors = (abs(v - d_true) for v in values)
+        results.append(PairEvaluation((i, j), d_true, *values, *errors, status))
     return tuple(results)
 
 

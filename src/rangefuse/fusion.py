@@ -13,8 +13,9 @@ there are at most two and both are known in closed form. Between them s
 is monotone, and s > 0 on (0, d0] with d0 = min(x1/e, sqrt(A/B)) / 2.
 Splitting (0, d_th] at the turning points therefore leaves at most two
 segments where s falls from + to -, each bracketing one local maximum;
-Brent's method solves each, and the global maximum is the best of those
-roots and the boundary d_th.
+bisection solves each to adjacent doubles, and the global maximum is the
+best of those roots and the boundary d_th. fuse_arrays does this for
+whole arrays of pairs at once; fuse_mle is its one-pair form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import LN10
 
@@ -94,45 +94,65 @@ def score(inp: FusionInput, d):
     return out if out.ndim else float(out)
 
 
-def fuse_mle(inp: FusionInput) -> FuseResult:
-    """Maximize the joint log-likelihood over (0, d_th].
+def fuse_arrays(x1, x2, sigma_r, sigma_c, d_th: float):
+    """Maximize the joint log-likelihood over (0, d_th] for arrays of pairs.
 
-    Deterministic and total. The candidates are the roots of s in every
-    segment between turning points where s falls from + to -, plus d_th;
-    the one with the lowest penalty wins. The status is BOUNDARY_CLAMPED
-    when the winner lies within 1e-9 * d_th of d_th, INTERIOR otherwise.
+    Arguments broadcast against each other and must obey the FusionInput
+    ranges; only x1, the one taken from raw readings, is checked here.
+    Deterministic and total. The candidates are the roots of s in the
+    segments (d0, near) and (far, d_th) where s falls from + to - there,
+    plus d_th; the one with the lowest penalty wins, ties going to d_th.
+    Returns (d_hat, status); the status is BOUNDARY_CLAMPED where the
+    winner lies within 1e-9 * d_th of d_th, INTERIOR elsewhere.
     """
-    x1, x2, d_th = inp.x1, inp.x2, inp.d_th
-    a = 1.0 / (inp.sigma_r * LN10) ** 2
-    b = 1.0 / inp.sigma_c**2
-    ln_x1 = math.log(x1)
+    x1, x2, sigma_r, sigma_c = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x1, x2, sigma_r, sigma_c))
+    )
+    if not np.all((x1 > 0.0) & (x1 < math.inf)):
+        raise ValueError(f"x1 must be positive and finite, got {x1!r}")
+    a = 1.0 / (sigma_r * LN10) ** 2
+    b = 1.0 / sigma_c**2
+    ln_x1 = np.log(x1)
 
     def s(d):
-        return a * (ln_x1 - math.log(d)) + b * d * (x2 - d)
+        return a * (ln_x1 - np.log(d)) + b * d * (x2 - d)
 
-    edges = [0.5 * min(x1 / math.e, math.sqrt(a / b))]
     disc = x2 * x2 - 8.0 * a / b
-    if disc > 0.0:
-        far = 0.25 * (x2 + math.sqrt(disc))
-        # the product of the two turning points is A / (2B)
-        edges += [t for t in (a / (2.0 * b * far), far) if t < d_th]
-    edges.append(d_th)
-    edges[0] = min(edges[0], edges[1])
+    far = 0.25 * (x2 + np.sqrt(np.abs(disc)))
+    # the product of the two turning points is A / (2B); turning points
+    # that are complex or beyond d_th collapse onto d_th
+    near, far = (
+        np.where((disc > 0.0) & (t < d_th), t, d_th) for t in (a / (2.0 * b * far), far)
+    )
+    # the floor keeps d0 positive where x1 / e underflows
+    d0 = np.maximum(0.5 * np.minimum(x1 / math.e, np.sqrt(a / b)), 5e-324)
+    top = np.full(x1.shape, float(d_th))
+    # row 0 is the segment (d0, near), row 1 the segment (far, d_th); s > 0
+    # at d0 by construction, so only the far segment's start is checked
+    lo = np.stack([np.minimum(d0, near), far])
+    hi = np.stack([near, top])
+    rises = s(lo) > 0.0
+    rises[0] = True
+    usable = rises & (lo < hi) & (s(hi) <= 0.0)
+    lo = np.where(usable, lo, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            break
+        rising = s(mid) > 0.0
+        lo = np.where(open_ & rising, mid, lo)
+        hi = np.where(open_ & ~rising, mid, hi)
 
-    candidates = [d_th]
-    for lo, hi in zip(edges, edges[1:]):
-        if s(lo) > 0.0 >= s(hi):
-            candidates.append(brentq(s, lo, hi, xtol=1e-15 * d_th))
+    cand = np.concatenate([top[None], np.where(usable, lo, top)])
+    t = np.log10(x1) - np.log10(cand)
+    penalty = t * t * (0.5 / sigma_r**2) + (x2 - cand) ** 2 * (0.5 * b)
+    winner = np.take_along_axis(cand, np.argmin(penalty, axis=0)[None], axis=0)[0]
+    clamped = d_th - winner <= 1e-9 * d_th
+    return np.where(clamped, float(d_th), winner), np.where(clamped, BOUNDARY_CLAMPED, INTERIOR)
 
-    log10_x1 = math.log10(x1)
-    half_inv_sr2 = 0.5 / inp.sigma_r**2
-    half_inv_sc2 = 0.5 * b
 
-    def penalty(d):
-        t = log10_x1 - math.log10(d)
-        return t * t * half_inv_sr2 + (x2 - d) ** 2 * half_inv_sc2
-
-    winner = min(candidates, key=penalty)
-    if d_th - winner <= 1e-9 * d_th:
-        return FuseResult(float(d_th), BOUNDARY_CLAMPED)
-    return FuseResult(float(winner), INTERIOR)
+def fuse_mle(inp: FusionInput) -> FuseResult:
+    """Maximize the joint log-likelihood of one pair over (0, d_th] (see fuse_arrays)."""
+    d_hat, status = fuse_arrays(inp.x1, inp.x2, inp.sigma_r, inp.sigma_c, inp.d_th)
+    return FuseResult(float(d_hat), str(status))

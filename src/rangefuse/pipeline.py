@@ -1,31 +1,73 @@
-"""Single-pair estimation pipeline shared by the CLI and dataset evaluation.
+"""Estimation pipeline shared by the simulator, dataset evaluation and the CLI.
 
-Wires one RSS reading and one set of neighbor counts through all three
-estimators, handling the degenerate cases field data produces: readings
-below the link threshold (RSS carries no information), all-zero counts
-with no supplied intensity (connectivity carries none), and noise-free
-channels (the RSS estimate is exact).
+estimate_pairs wires arrays of RSS range estimates and neighbor counts
+through the connectivity estimator, its error scale and the ML fusion,
+handling the degenerate cases field data produces: no usable RSS reading
+(a NaN range estimate; callers decide which readings to drop), no
+connectivity information (zero intensity, the default for all-zero counts
+without a supplied intensity), and noise-free channels (the RSS estimate
+is exact). estimate_pair is its one-pair form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .channel import ChannelParams, estimate_distance_rss
-from .connectivity import (
-    FdModel,
-    NeighborCounts,
-    conn_error_sigma,
-    estimate_distance_conn,
-    estimate_intensity,
-)
+from .connectivity import FdModel, NeighborCounts, conn_error_sigma, invert_counts
 from .crlb import crlb_distance
-from .fusion import FusionInput, fuse_mle
+from .fusion import fuse_arrays
 
 RSS_ONLY = "rss_only"
 CONNECTIVITY_ONLY = "connectivity_only"
 NO_INFORMATION = "no_information"
+
+
+class PairEstimates(NamedTuple):
+    """Per-pair arrays; sigma_c is NaN where connectivity is unusable."""
+
+    d_conn: np.ndarray
+    d_fused: np.ndarray
+    sigma_c: np.ndarray
+    intensity: np.ndarray
+    status: np.ndarray
+
+
+def estimate_pairs(params: ChannelParams, model: FdModel, d_rss, m, p, q,
+                   intensity=None) -> PairEstimates:
+    """Estimate the distances of many pairs from RSS ranges and neighbor counts.
+
+    d_rss holds the RSS range estimates, NaN where a pair has no usable
+    reading. intensity (scalar or per pair) defaults to the moment
+    estimate (2M+P+Q)/(2S) from the counts; a zero intensity means no
+    connectivity information. sigma_c is plugged in at the connectivity
+    estimate clamped to [1e-9 d_th, d_th]. Where one source is unusable,
+    or the channel is noise-free, the fused estimate falls back to the
+    other source, mirroring how the likelihood behaves as the
+    corresponding error scale grows without bound.
+    """
+    d_th = model.d_th
+    d_rss = np.asarray(d_rss, dtype=float)
+    d_conn = invert_counts(model, m, p, q)
+    if intensity is None:
+        intensity = (2.0 * np.asarray(m) + p + q) / (2.0 * model.s_mass)
+    lam = np.broadcast_to(np.asarray(intensity, dtype=float), d_conn.shape)
+    rss, conn = ~np.isnan(d_rss), lam > 0.0
+
+    sigma_c = np.full(d_conn.shape, math.nan)
+    plug = np.clip(d_conn[conn], 1e-9 * d_th, d_th)
+    sigma_c[conn] = conn_error_sigma(model, lam[conn], plug)
+
+    d_fused = np.where(rss, np.fmin(d_rss, d_th), np.where(conn, d_conn, 0.0))
+    status = np.where(rss, RSS_ONLY, np.where(conn, CONNECTIVITY_ONLY, NO_INFORMATION))
+    fuse = rss & conn & (params.sigma_db > 0.0)
+    d_fused[fuse], status[fuse] = fuse_arrays(d_rss[fuse], d_conn[fuse], params.sigma_r,
+                                              sigma_c[fuse], d_th)
+    return PairEstimates(d_conn, d_fused, sigma_c, lam, status)
 
 
 @dataclass(frozen=True)
@@ -51,60 +93,30 @@ def estimate_pair(
 ) -> PairEstimate:
     """Estimate one pair's distance from its RSS reading and neighbor counts.
 
-    intensity defaults to the moment estimate from the counts themselves.
-    The fused estimate falls back to the single usable source when the
-    other is degenerate, mirroring how the likelihood behaves as the
-    corresponding error scale grows without bound.
+    The one-pair form of estimate_pairs: a reading below the link
+    threshold is treated as uninformative. Also reports the bound at the
+    fused estimate.
     """
-    d_th = model.d_th
-    notes = []
-    d_conn = estimate_distance_conn(model, counts)
-    lam = intensity if intensity is not None else estimate_intensity(counts, model.s_mass)
-    if lam <= 0.0:
-        lam = None
-        notes.append("all-zero counts: no intensity estimate, connectivity unusable")
-
-    d_rss = None
-    rss_usable = False
-    if rss_dbm is not None:
-        d_rss = estimate_distance_rss(params, rss_dbm)
-        rss_usable = rss_dbm >= params.rss_threshold_dbm
-        if not rss_usable:
-            notes.append("RSS below the link threshold: treated as uninformative")
-
-    sigma_c = None
-    if lam is not None:
-        plug = min(max(d_conn, 1e-9 * d_th), d_th)
-        sigma_c = conn_error_sigma(model, lam, plug)
-
-    if rss_usable and lam is not None and params.sigma_db > 0.0:
-        result = fuse_mle(FusionInput(d_rss, d_conn, params.sigma_r, sigma_c, d_th))
-        d_fused, status = result.d_hat, result.status
-    elif rss_usable:
-        d_fused, status = min(d_rss, d_th), RSS_ONLY
-        if params.sigma_db > 0.0:
-            notes.append("connectivity error scale unbounded: kept the RSS estimate")
-        else:
-            notes.append("noise-free channel: the RSS estimate is exact")
-    elif lam is not None:
-        d_fused, status = d_conn, CONNECTIVITY_ONLY
-        if d_conn == 0.0:
-            notes.append("zero connectivity estimate with no usable RSS")
-    else:
-        d_fused, status = 0.0, NO_INFORMATION
+    d_rss = None if rss_dbm is None else estimate_distance_rss(params, rss_dbm)
+    usable = rss_dbm is not None and rss_dbm >= params.rss_threshold_dbm
+    est = estimate_pairs(params, model, [d_rss if usable else math.nan],
+                         [counts.m], [counts.p], [counts.q], intensity)
+    d_conn, d_fused, sigma_c, lam = (float(v[0]) for v in est[:4])
+    status, conn = str(est.status[0]), lam > 0.0
+    notes = [text for applies, text in (
+        (not conn, "all-zero counts: no intensity estimate, connectivity unusable"),
+        (d_rss is not None and not usable,
+         "RSS below the link threshold: treated as uninformative"),
+        (status == RSS_ONLY, "noise-free channel: the RSS estimate is exact"
+         if params.sigma_db == 0.0 else "connectivity error scale unbounded: kept the RSS estimate"),
+        (status == CONNECTIVITY_ONLY and d_conn == 0.0,
+         "zero connectivity estimate with no usable RSS"),
+    ) if applies]
 
     sqrt_crlb = None
-    if lam is not None and params.sigma_db > 0.0 and d_fused > 0.0:
-        interior = min(max(d_fused, 1e-9 * d_th), math.nextafter(d_th, 0.0))
-        sqrt_crlb = math.sqrt(crlb_distance(params, model, lam, interior))
+    if conn and params.sigma_db > 0.0 and d_fused > 0.0:
+        point = min(max(d_fused, 1e-9 * model.d_th), math.nextafter(model.d_th, 0.0))
+        sqrt_crlb = math.sqrt(crlb_distance(params, model, lam, point))
 
-    return PairEstimate(
-        d_rss=d_rss,
-        d_conn=d_conn,
-        d_fused=d_fused,
-        sigma_c=sigma_c,
-        sqrt_crlb=sqrt_crlb,
-        intensity=lam,
-        status=status,
-        notes=tuple(notes),
-    )
+    return PairEstimate(d_rss, d_conn, d_fused, sigma_c if conn else None, sqrt_crlb,
+                        lam if conn else None, status, tuple(notes))

@@ -2,11 +2,14 @@
 
 Each trial drops a fresh Poisson field of nodes in a square region with
 the probed pair conditioned at the center, realizes shadowed links from
-every node to both endpoints, collects the neighbor counts, samples one
-RSS reading for the pair, and runs all three estimators. Per-trial random
-streams are derived from the master seed and the (distance, trial) index,
-so results do not depend on execution order and are reproducible bit for
-bit under a fixed seed.
+every node to both endpoints, collects the neighbor counts, and samples
+one RSS reading for the pair. Per-trial random streams are derived from
+the master seed and the (distance, trial) index, so results do not
+depend on execution order and are reproducible bit for bit under a fixed
+seed. The trials of one distance then go through the shared estimation
+pipeline as one batch. Every reading is kept, also those below the link
+threshold: the RSS error law and the bound assume the unconditioned
+reading.
 """
 
 from __future__ import annotations
@@ -24,17 +27,10 @@ from .channel import (
     pseudo_range,
     sample_rss,
 )
-from .connectivity import (
-    FdModel,
-    NeighborCounts,
-    build_fd_model,
-    conn_error_sigma,
-    estimate_distance_conn,
-    threshold_distance,
-)
+from .connectivity import FdModel, NeighborCounts, build_fd_model, threshold_distance
 from .crlb import crlb_distance
 from .errors import ConfigurationError
-from .fusion import FusionInput, fuse_mle
+from .pipeline import estimate_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +136,9 @@ def deploy_poisson(side: float, intensity: float, rng) -> Deployment:
     """Drop a Poisson number of nodes uniformly on the square region.
 
     rng may be a numpy Generator or an integer seed; draw order is the
-    node count first, then the (n, 2) position block.
+    node count first, then the (n, 2) position block. Deployment checks
+    side and intensity.
     """
-    if not side > 0.0:
-        raise ValueError(f"side must be positive, got {side!r}")
-    if not intensity > 0.0:
-        raise ValueError(f"intensity must be positive, got {intensity!r}")
     seed = None
     if not isinstance(rng, np.random.Generator):
         seed = int(rng)
@@ -191,10 +184,6 @@ def realize_neighbors(
     return NeighborCounts(m, p, q)
 
 
-def _trial_rng(seed: int, distance_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((seed, distance_index, trial))
-
-
 def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseReport:
     """Run the full RMSE protocol and report all three estimators per distance.
 
@@ -215,47 +204,27 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseR
             )
     intensity = mu_to_lambda(cfg.mu, model.s_mass)
     side = (2.0 * cfg.margin + 1.0) * d_th
-    sigma_r = params.sigma_r
-    plug_floor = 1e-9 * d_th
 
     rows = []
     for i_d, d in enumerate(cfg.distances):
         a = ((side - d) / 2.0, side / 2.0)
         b = ((side + d) / 2.0, side / 2.0)
-        if params.sigma_db == 0.0:
-            sqrt_crlb = 0.0
-        else:
-            # the bound needs an interior point; at the boundary probe use
-            # the same segment evaluated just inside the cutoff
-            d_bound = min(d, math.nextafter(d_th, 0.0))
-            sqrt_crlb = math.sqrt(crlb_distance(params, model, intensity, d_bound))
-        sq_rss = sq_conn = sq_fused = 0.0
+        # the bound needs an interior point; at the boundary probe use the
+        # same segment evaluated just inside the cutoff
+        d_bound = min(d, math.nextafter(d_th, 0.0))
+        sqrt_crlb = 0.0 if params.sigma_db == 0.0 else math.sqrt(
+            crlb_distance(params, model, intensity, d_bound))
+        counts = np.empty((3, cfg.trials), dtype=np.int64)
+        obs = np.empty(cfg.trials)
         for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, i_d, trial)
+            rng = np.random.default_rng((cfg.seed, i_d, trial))
             dep = deploy_poisson(side, intensity, rng)
-            counts = realize_neighbors(dep, params, a, b, rng)
-            obs = sample_rss(params, d, rng)
-            d_rss = estimate_distance_rss(params, obs)
-            d_conn = estimate_distance_conn(model, counts)
-            if params.sigma_db == 0.0:
-                d_fused = min(d_rss, d_th)
-            else:
-                plug = min(max(d_conn, plug_floor), d_th)
-                sigma_c = conn_error_sigma(model, intensity, plug)
-                d_fused = fuse_mle(
-                    FusionInput(d_rss, d_conn, sigma_r, sigma_c, d_th)
-                ).d_hat
-            sq_rss += (d_rss - d) ** 2
-            sq_conn += (d_conn - d) ** 2
-            sq_fused += (d_fused - d) ** 2
-        rows.append(
-            RmseRow(
-                d_true=d,
-                rmse_rss=math.sqrt(sq_rss / cfg.trials),
-                rmse_conn=math.sqrt(sq_conn / cfg.trials),
-                rmse_fused=math.sqrt(sq_fused / cfg.trials),
-                sqrt_crlb=sqrt_crlb,
-                trials=cfg.trials,
-            )
-        )
+            c = realize_neighbors(dep, params, a, b, rng)
+            counts[:, trial] = (c.m, c.p, c.q)
+            obs[trial] = sample_rss(params, d, rng)
+        d_rss = estimate_distance_rss(params, obs)
+        est = estimate_pairs(params, model, d_rss, *counts, intensity=intensity)
+        errors = np.stack([d_rss, est.d_conn, est.d_fused]) - d
+        rmse = np.sqrt(np.mean(errors * errors, axis=1))
+        rows.append(RmseRow(d, *(float(v) for v in rmse), sqrt_crlb, cfg.trials))
     return RmseReport(rows=tuple(rows))

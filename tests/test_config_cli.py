@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,3 +274,78 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _never(*args, **kwargs):
+    pytest.fail("the command started its work before checking its output paths")
+
+
+class TestOutputPrecheck:
+    """An output in a missing directory fails before any work starts."""
+
+    @pytest.mark.parametrize("flag", ["--output", "--json"])
+    def test_simulate_fails_before_running(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                           flag):
+        monkeypatch.setattr("rangefuse.cli.run_experiment", _never)
+        monkeypatch.setattr("rangefuse.cli.build_fd_model", _never)
+        paths = {"--output": tmp_path / "ok.csv", "--json": tmp_path / "ok.json"}
+        paths[flag] = tmp_path / "absent" / "x"
+        code = main(["simulate", "--config", str(cfg_path), "--trials", "2000",
+                     "--output", str(paths["--output"]), "--json", str(paths["--json"])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.parametrize("command", [
+        ["dataset", "--input", "IN", "--pairs", "1-2"],
+        ["crlb", "--mu", "20"],
+        ["fd-table"],
+    ])
+    def test_other_commands(self, cfg_path, tmp_path, capsys, monkeypatch, command):
+        for name in ("build_fd_model", "load_measurements", "evaluate_pairs"):
+            monkeypatch.setattr(f"rangefuse.cli.{name}", _never)
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
+        argv = [str(meas) if token == "IN" else token for token in command]
+        code = main(argv + ["--config", str(cfg_path),
+                            "--output", str(tmp_path / "absent" / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestModelCacheAtomic:
+    def test_failed_save_leaves_no_cache_file(self, cfg_path, tmp_path, monkeypatch):
+        def save_half(model, path):
+            Path(path).write_text("fdmodel v1\np_ref_dbm = -37.47\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("rangefuse.cli.save_fd_model", save_half)
+        cache = tmp_path / "cache"
+        code = main(["simulate", "--config", str(cfg_path), "--trials", "2",
+                     "--n-knots", "8", "--quad-tol", "1e-3", "--cache-dir", str(cache),
+                     "--output", str(tmp_path / "a.csv")])
+        assert code == 2
+        assert list(cache.iterdir()) == []
+
+    def test_cache_file_is_a_complete_model(self, cfg_path, tmp_path):
+        cache = tmp_path / "cache"
+        assert main(["crlb", "--config", str(cfg_path), "--mu", "20", "--n-knots", "8",
+                     "--quad-tol", "1e-3", "--cache-dir", str(cache),
+                     "--output", str(tmp_path / "c.csv")]) == 0
+        (cached,) = cache.iterdir()
+        assert cached.name.startswith("fd_") and cached.suffix == ".txt"
+        assert rf.load_fd_model(cached).n_knots == 8
+
+
+class TestEstimateExtremeReading:
+    def test_subnormal_rss_estimate(self, cfg_path, capsys):
+        # 12900 dBm maps to the smallest subnormal distance, 5e-324 m
+        code = main(["estimate", "--config", str(cfg_path), "--n-knots", "16",
+                     "--quad-tol", "1e-4", "--rss", "12900",
+                     "--m", "5", "--p", "8", "--q", "7"])
+        assert code == 0
+        out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert float(out["d_rss"]) == 5e-324
+        assert 0.0 < float(out["d_fused"]) <= rf.threshold_distance(PARAMS_44)

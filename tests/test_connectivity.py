@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +410,105 @@ class TestModelSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(rf.ConfigurationError, match=":13"):
             rf.load_fd_model(path)
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _channels(draw):
+    p_ref = draw(st.floats(min_value=-100.0, max_value=0.0))
+    return rf.ChannelParams(
+        p_ref_dbm=p_ref,
+        alpha=draw(st.floats(min_value=0.5, max_value=8.0)),
+        sigma_db=draw(st.floats(min_value=0.0, max_value=12.0)),
+        rss_threshold_dbm=p_ref - draw(st.floats(min_value=0.1, max_value=100.0)),
+        d0=draw(st.floats(min_value=0.1, max_value=10.0)),
+    )
+
+
+@st.composite
+def _fd_models(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    steps = draw(st.lists(_POSITIVE, min_size=n - 1, max_size=n - 1))
+    drops = draw(st.lists(_POSITIVE, min_size=n - 1, max_size=n - 1))
+    knots_d = np.concatenate([[0.0], np.cumsum(steps)])
+    knots_f = draw(_POSITIVE) + np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
+    return rf.FdModel(
+        s_mass=float(knots_f[0]) * draw(st.floats(min_value=1.0, max_value=10.0)),
+        d_th=float(knots_d[-1]),
+        knots_d=knots_d,
+        knots_f=knots_f,
+        params=draw(_channels()),
+    )
+
+
+class TestModelRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(model=_fd_models())
+    def test_save_load_is_exact(self, model):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "model.fd"
+            rf.save_fd_model(model, path)
+            loaded = rf.load_fd_model(path)
+        assert loaded.params == model.params
+        assert (loaded.s_mass, loaded.d_th) == (model.s_mass, model.d_th)
+        assert np.array_equal(loaded.knots_d, model.knots_d)
+        assert np.array_equal(loaded.knots_f, model.knots_f)
+
+
+class TestArrayForms:
+    """The array forms keep the scalar conventions element by element."""
+
+    def _distances(self, model):
+        mids = 0.5 * (model.knots_d[:-1] + model.knots_d[1:])
+        return np.concatenate([model.knots_d, mids, [1e-9 * model.d_th]])
+
+    def test_eval_fd_and_slope(self, model44):
+        d = self._distances(model44)
+        assert list(rf.eval_fd(model44, d)) == [rf.eval_fd(model44, float(x)) for x in d]
+        assert list(rf.fd_slope(model44, d)) == [rf.fd_slope(model44, float(x)) for x in d]
+        # exact at knots, left segment at interior knots
+        n = model44.n_knots
+        assert np.array_equal(rf.eval_fd(model44, model44.knots_d), model44.knots_f)
+        assert np.array_equal(rf.fd_slope(model44, model44.knots_d[1:]),
+                              model44.slopes[np.arange(n - 1)])
+
+    def test_invert_fd(self, model44):
+        values = np.concatenate([
+            model44.knots_f, 0.5 * (model44.knots_f[:-1] + model44.knots_f[1:]),
+            [0.0, 2.0 * model44.s_mass],
+        ])
+        got = rf.invert_fd(model44, values)
+        assert list(got) == [rf.invert_fd(model44, float(v)) for v in values]
+        assert np.array_equal(got[:model44.n_knots], model44.knots_d)
+        with pytest.raises(ValueError):
+            rf.invert_fd(model44, np.array([1.0, math.nan]))
+
+    def test_conn_error_sigma(self, model44):
+        d = self._distances(model44)[1:]
+        lam = np.linspace(0.001, 0.01, d.size)
+        got = rf.conn_error_sigma(model44, lam, d)
+        assert list(got) == [
+            rf.conn_error_sigma(model44, float(a), float(x)) for a, x in zip(lam, d)
+        ]
+        with pytest.raises(ValueError):
+            rf.conn_error_sigma(model44, lam, np.append(d[1:], 0.0))
+
+    def test_invert_counts(self, model44):
+        m, p, q = np.array([0, 5, 0, 3]), np.array([0, 2, 4, 9]), np.array([0, 1, 3, 0])
+        got = rf.connectivity.invert_counts(model44, m, p, q)
+        assert list(got) == [
+            rf.estimate_distance_conn(model44, rf.NeighborCounts(*c)) for c in zip(m, p, q)
+        ]
+        assert got[0] == 0.0 and got[2] == model44.d_th
+
+    def test_out_of_range_rejected(self, model44):
+        for fn in (rf.eval_fd, rf.fd_slope):
+            with pytest.raises(ValueError):
+                fn(model44, np.array([1.0, -0.5]))
+            with pytest.raises(ValueError):
+                fn(model44, np.array([model44.d_th * 1.01]))
 
 
 class TestEstimateIntensity:

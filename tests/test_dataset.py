@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rangefuse as rf
 from conftest import PARAMS_FIELD
@@ -88,12 +92,38 @@ class TestSaveMeasurements:
         assert path.read_bytes() == second.read_bytes()
 
 
+@st.composite
+def _measurement_sets(draw):
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12, unique=True))
+    coordinate = st.floats(allow_nan=False, allow_infinity=False)
+    nodes = tuple((node_id, draw(coordinate), draw(coordinate)) for node_id in ids)
+    keys = [(i, j) for i in ids for j in ids if i < j]
+    linked = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    reading = st.floats(min_value=-200.0, max_value=50.0)
+    rss = {key: draw(reading) for key in linked}
+    return rf.MeasurementSet(nodes=nodes, rss=rss, channel=PARAMS_FIELD)
+
+
+class TestMeasurementRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(ms=_measurement_sets())
+    def test_save_load_is_exact(self, ms):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "meas.txt"
+            rf.save_measurements(ms, path)
+            assert rf.load_measurements(path, PARAMS_FIELD) == ms
+
+
 class TestNeighborCounts:
     def test_counts_from_fixture(self, fixture_set):
         # neighbors of 1: {2, 3}; neighbors of 2: {1, 3, 4}; common third
         # nodes of (1, 2): {3}; exclusive: none for 1, {4} for 2
         counts = rf.neighbor_counts_for_pair(fixture_set, 1, 2)
         assert (counts.m, counts.p, counts.q) == (1, 0, 1)
+
+    def test_unknown_id_rejected(self, fixture_set):
+        with pytest.raises(rf.ConfigurationError):
+            rf.neighbor_counts_for_pair(fixture_set, 1, 99)
 
     def test_threshold_consistency(self, tmp_path):
         # a below-threshold entry contributes no link anywhere
@@ -135,6 +165,29 @@ class TestEvaluatePairs:
     def test_below_threshold_rss_goes_connectivity_only(self, fixture_set, model_field):
         rows = rf.evaluate_pairs(fixture_set, [(1, 5)], model=model_field)
         assert rows[0].status == "connectivity_only"
+        # the reading is still reported, only kept out of the fusion
+        assert rows[0].d_rss == rf.estimate_distance_rss(PARAMS_FIELD, -60.0)
+        assert rows[0].d_fused == rows[0].d_conn
+
+    def test_batch_counts_match_set_arithmetic(self, model_field):
+        rng = np.random.default_rng(62)
+        dep = rf.deploy_poisson(3.0 * model_field.d_th, 14.0 / model_field.s_mass, rng)
+        ms = rf.synthesize_measurements(dep, PARAMS_FIELD, rng)
+        near = {node: set() for node in ms.ids}
+        for i, j in ms.rss:
+            near[i].add(j)
+            near[j].add(i)
+        ids = ms.ids
+        pairs = sorted(ms.rss)[:60] + [(ids[k], ids[-1 - k]) for k in range(20)]
+        rows = rf.evaluate_pairs(ms, pairs, model=model_field)
+        assert [row.pair for row in rows] == pairs
+        measured = [row for row in rows if row.error is None]
+        assert 60 <= len(measured) < len(rows)
+        for row in measured:
+            i, j = row.pair
+            a, b = near[i] - {j}, near[j] - {i}
+            counts = rf.NeighborCounts(len(a & b), len(a - b), len(b - a))
+            assert row.d_conn == rf.estimate_distance_conn(model_field, counts)
 
 
 class TestSynthesizedFixtures:

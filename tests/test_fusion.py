@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rangefuse as rf
@@ -148,6 +148,40 @@ class TestFuseMle:
         inp = _inp(x1=4.2, x2=17.0, sigma_r=0.2, sigma_c=3.0)
         assert rf.fuse_mle(inp) == rf.fuse_mle(inp)
 
+    @pytest.mark.parametrize("x2", [0.0, 3.0, 40.0])
+    def test_smallest_subnormal_rss_estimate(self, x2):
+        # x1 / e underflows to 0 here; the estimate must stay in (0, d_th]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = rf.fuse_mle(_inp(x1=5e-324, x2=x2))
+        assert 0.0 < result.d_hat <= 40.0
+        # the RSS term dominates by hundreds of decades: the peak sits at x1
+        assert result.d_hat < 1e-300
+
+
+class TestFuseArrays:
+    def test_batch_matches_one_pair_calls(self):
+        rng = np.random.default_rng(43)
+        n = 300
+        x1 = 40.0 * 10.0 ** rng.uniform(-1.3, 0.25, n)
+        x2 = rng.uniform(0.0, 40.0, n)
+        sigma_r = rng.uniform(0.05, 0.35, n)
+        sigma_c = 40.0 * rng.uniform(0.03, 0.4, n)
+        d_hat, status = rf.fusion.fuse_arrays(x1, x2, sigma_r, sigma_c, 40.0)
+        for k in range(n):
+            one = rf.fuse_mle(_inp(x1[k], x2[k], sigma_r[k], sigma_c[k]))
+            assert (d_hat[k], status[k]) == (one.d_hat, one.status)
+        assert {BOUNDARY_CLAMPED, INTERIOR} == set(status)
+
+    def test_empty_batch(self):
+        d_hat, status = rf.fusion.fuse_arrays([], [], 0.1, [], 40.0)
+        assert d_hat.shape == status.shape == (0,)
+
+    @pytest.mark.parametrize("x1", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_rss_estimate(self, x1):
+        with pytest.raises(ValueError):
+            rf.fusion.fuse_arrays([5.0, x1], [5.0, 5.0], 0.1, [2.0, 2.0], 40.0)
+
 
 class TestFuseInvariants:
     @settings(max_examples=60, deadline=None)
@@ -157,6 +191,8 @@ class TestFuseInvariants:
         sigma_r=st.floats(min_value=0.03, max_value=0.4),
         sigma_c=st.floats(min_value=0.3, max_value=12.0),
     )
+    @example(x1=5e-324, x2=0.0, sigma_r=0.1, sigma_c=2.0)
+    @example(x1=5e-324, x2=40.0, sigma_r=0.03, sigma_c=12.0)
     def test_result_in_domain_and_beats_seeds(self, x1, x2, sigma_r, sigma_c):
         inp = _inp(x1=x1, x2=x2, sigma_r=sigma_r, sigma_c=sigma_c, d_th=40.0)
         result = rf.fuse_mle(inp)

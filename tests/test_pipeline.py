@@ -1,0 +1,96 @@
+import math
+
+import numpy as np
+import pytest
+
+import rangefuse as rf
+from rangefuse.pipeline import CONNECTIVITY_ONLY, NO_INFORMATION, RSS_ONLY
+from conftest import PARAMS_44, PARAMS_DISK
+
+NAN = math.nan
+
+
+def _arrays(*rows):
+    d_rss, m, p, q = (np.array(column) for column in zip(*rows))
+    return d_rss, m, p, q
+
+
+class TestEstimatePairs:
+    def test_statuses(self, model44):
+        d_rss, m, p, q = _arrays(
+            (20.0, 6, 9, 11),   # both sources
+            (NAN, 6, 9, 11),    # no usable reading
+            (20.0, 0, 0, 0),    # no connectivity information
+            (NAN, 0, 0, 0),     # neither
+        )
+        est = rf.estimate_pairs(PARAMS_44, model44, d_rss, m, p, q)
+        assert est.status[0] in ("interior", "boundary_clamped")
+        assert list(est.status[1:]) == [CONNECTIVITY_ONLY, RSS_ONLY, NO_INFORMATION]
+        assert est.d_fused[1] == est.d_conn[1]
+        assert est.d_fused[2] == 20.0
+        assert est.d_fused[3] == 0.0
+        assert np.isnan(est.sigma_c[2:]).all() and (est.intensity[2:] == 0.0).all()
+
+    def test_supplied_intensity_fuses_zero_counts(self, model44):
+        lam = rf.mu_to_lambda(20.0, model44.s_mass)
+        est = rf.estimate_pairs(PARAMS_44, model44, [3.0], [0], [0], [0], intensity=lam)
+        assert est.d_conn[0] == 0.0
+        assert est.status[0] == "interior"
+        plug = 1e-9 * model44.d_th
+        assert est.sigma_c[0] == rf.conn_error_sigma(model44, lam, plug)
+
+    def test_zero_intensity_means_no_connectivity(self, model44):
+        est = rf.estimate_pairs(PARAMS_44, model44, [20.0], [6], [9], [11], intensity=0.0)
+        assert est.status[0] == RSS_ONLY
+
+    def test_noise_free_channel_keeps_rss(self):
+        model = rf.build_fd_model(PARAMS_DISK, n_knots=16, quad_tol=1e-4)
+        d_rss = np.array([3.0, 2.0 * model.d_th])
+        est = rf.estimate_pairs(PARAMS_DISK, model, d_rss, [4, 4], [2, 2], [2, 2])
+        assert list(est.d_fused) == [3.0, model.d_th]
+        assert list(est.status) == [RSS_ONLY, RSS_ONLY]
+
+    def test_sigma_c_plugged_in_at_clamped_connectivity_estimate(self, model44):
+        rng = np.random.default_rng(5)
+        m, p, q = (rng.integers(0, 12, 200) for _ in range(3))
+        est = rf.estimate_pairs(PARAMS_44, model44, np.full(200, NAN), m, p, q)
+        conn = est.intensity > 0.0
+        plug = np.clip(est.d_conn[conn], 1e-9 * model44.d_th, model44.d_th)
+        expected = [
+            rf.conn_error_sigma(model44, lam, d) for lam, d in zip(est.intensity[conn], plug)
+        ]
+        assert list(est.sigma_c[conn]) == expected
+
+    def test_one_pair_wrapper_agrees(self, model44):
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            rss = float(rng.uniform(-120.0, -60.0))
+            counts = rf.NeighborCounts(*(int(v) for v in rng.integers(0, 10, 3)))
+            one = rf.estimate_pair(PARAMS_44, model44, rss, counts)
+            usable = rss >= PARAMS_44.rss_threshold_dbm
+            d_rss = rf.estimate_distance_rss(PARAMS_44, rss) if usable else NAN
+            many = rf.estimate_pairs(
+                PARAMS_44, model44, [d_rss], [counts.m], [counts.p], [counts.q]
+            )
+            assert (one.d_conn, one.d_fused, one.status) == (
+                many.d_conn[0], many.d_fused[0], many.status[0]
+            )
+
+    def test_rejects_degenerate_rss_estimate(self, model44):
+        with pytest.raises(ValueError):
+            rf.estimate_pairs(PARAMS_44, model44, [0.0], [6], [9], [11])
+
+
+class TestEstimatePair:
+    def test_notes(self, model44):
+        below = rf.estimate_pair(PARAMS_44, model44, -140.0, rf.NeighborCounts(0, 0, 0))
+        assert below.status == NO_INFORMATION
+        assert below.sigma_c is None and below.intensity is None
+        assert len(below.notes) == 2
+
+    def test_bound_at_fused_estimate(self, model44):
+        est = rf.estimate_pair(PARAMS_44, model44, -85.0, rf.NeighborCounts(6, 9, 11))
+        lam = rf.estimate_intensity(rf.NeighborCounts(6, 9, 11), model44.s_mass)
+        expected = math.sqrt(rf.crlb_distance(PARAMS_44, model44, lam, est.d_fused))
+        assert est.sqrt_crlb == expected
+        assert est.notes == ()

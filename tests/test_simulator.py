@@ -247,3 +247,50 @@ class TestRmseReport:
         payload = json.loads(json_path.read_text())
         assert payload["columns"] == list(rf.simulator.CSV_COLUMNS)
         assert len(payload["rows"]) == 3
+
+
+def _per_trial_oracle(cfg, model):
+    """The simulator's former per-trial estimation loop, kept as an oracle."""
+    params, d_th = cfg.channel, model.d_th
+    intensity = rf.mu_to_lambda(cfg.mu, model.s_mass)
+    side = (2.0 * cfg.margin + 1.0) * d_th
+    rows = []
+    for i_d, d in enumerate(cfg.distances):
+        a = ((side - d) / 2.0, side / 2.0)
+        b = ((side + d) / 2.0, side / 2.0)
+        sq_rss = sq_conn = sq_fused = 0.0
+        for trial in range(cfg.trials):
+            rng = np.random.default_rng((cfg.seed, i_d, trial))
+            dep = rf.deploy_poisson(side, intensity, rng)
+            counts = rf.realize_neighbors(dep, params, a, b, rng)
+            obs = rf.sample_rss(params, d, rng)
+            d_rss = rf.estimate_distance_rss(params, obs)
+            d_conn = rf.estimate_distance_conn(model, counts)
+            plug = min(max(d_conn, 1e-9 * d_th), d_th)
+            sigma_c = rf.conn_error_sigma(model, intensity, plug)
+            d_fused = rf.fuse_mle(
+                rf.FusionInput(d_rss, d_conn, params.sigma_r, sigma_c, d_th)
+            ).d_hat
+            sq_rss += (d_rss - d) ** 2
+            sq_conn += (d_conn - d) ** 2
+            sq_fused += (d_fused - d) ** 2
+        rows.append(
+            [math.sqrt(sq / cfg.trials) for sq in (sq_rss, sq_conn, sq_fused)]
+        )
+    return rows
+
+
+class TestBatchedEstimation:
+    """run_experiment's batched estimation against the per-trial loop."""
+
+    def test_matches_per_trial_loop(self, model44):
+        cfg = rf.ExperimentConfig(
+            channel=PARAMS_44, mu=20.0, trials=50, seed=2024,
+            distances=tuple(f * model44.d_th for f in (0.2, 0.55, 0.9)),
+        )
+        report = rf.run_experiment(cfg, model=model44)
+        oracle = _per_trial_oracle(cfg, model44)
+        for row, expected, d in zip(report.rows, oracle, cfg.distances):
+            assert (row.d_true, row.trials) == (d, cfg.trials)
+            got = [row.rmse_rss, row.rmse_conn, row.rmse_fused]
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
