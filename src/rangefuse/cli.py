@@ -14,13 +14,12 @@ import hashlib
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ChannelParams
-from .config import experiment_from_mapping, load_config, parse_distances
+from .config import atomic_output, load_config, parse_distances
 from .connectivity import (
     NeighborCounts,
     build_fd_model,
@@ -59,10 +58,12 @@ def _add_model_arguments(parser):
                         help="directory for content-hashed f(d) model reuse")
 
 
-def _resolve_channel(args) -> ChannelParams:
-    base = None
-    if args.config:
-        base, _ = load_config(args.config)
+def _resolve_channel(args) -> tuple:
+    """Channel parameters and the experiment settings, reading --config once.
+
+    Channel flags beat the config file's [channel] section.
+    """
+    base, experiment = load_config(args.config) if args.config else (None, {})
     values = {}
     for name, flag, _ in _CHANNEL_FLAGS:
         override = getattr(args, flag.lstrip("-").replace("-", "_"))
@@ -76,7 +77,7 @@ def _resolve_channel(args) -> ChannelParams:
             raise ConfigurationError(
                 f"channel parameter {name} missing: supply {flag} or a config file"
             )
-    return ChannelParams(**values)
+    return ChannelParams(**values), experiment
 
 
 def _model_cache_key(params: ChannelParams, n_knots: int, quad_tol: float) -> str:
@@ -87,19 +88,13 @@ def _model_cache_key(params: ChannelParams, n_knots: int, quad_tol: float) -> st
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _model_settings(args) -> tuple:
+def _model_settings(args, experiment: dict) -> tuple:
     """Model tabulation settings: CLI flags beat the config file beat defaults."""
     n_knots, quad_tol = args.n_knots, args.quad_tol
-    if args.config and (n_knots is None or quad_tol is None):
-        _, experiment = load_config(args.config)
-        if n_knots is None:
-            n_knots = experiment.get("n_knots")
-        if quad_tol is None:
-            quad_tol = experiment.get("quad_tol")
     if n_knots is None:
-        n_knots = 64
+        n_knots = experiment.get("n_knots", 64)
     if quad_tol is None:
-        quad_tol = 1e-6
+        quad_tol = experiment.get("quad_tol", 1e-6)
     if n_knots < 8:
         raise ConfigurationError(f"--n-knots must be >= 8, got {n_knots}")
     if not quad_tol > 0.0:
@@ -107,8 +102,8 @@ def _model_settings(args) -> tuple:
     return n_knots, quad_tol
 
 
-def _resolve_model(args, params: ChannelParams):
-    n_knots, quad_tol = _model_settings(args)
+def _resolve_model(args, params: ChannelParams, experiment: dict):
+    n_knots, quad_tol = _model_settings(args, experiment)
     if args.fd_table:
         model = load_fd_model(args.fd_table)
         if model.params != params:
@@ -123,21 +118,16 @@ def _resolve_model(args, params: ChannelParams):
         if path.is_file():
             return load_fd_model(path)
         model = build_fd_model(params, n_knots, quad_tol)
-        # write beside the target, then rename: readers never see a torn file
-        handle, partial = tempfile.mkstemp(dir=cache, prefix=path.name, suffix=".tmp")
-        os.close(handle)
-        try:
+        # a cache entry appears whole or not at all, however the save fails
+        with atomic_output(path) as partial:
             save_fd_model(model, partial)
-            os.replace(partial, path)
-        finally:
-            Path(partial).unlink(missing_ok=True)
         return model
     return build_fd_model(params, n_knots, quad_tol)
 
 
 def _cmd_fd_table(args) -> int:
-    params = _resolve_channel(args)
-    n_knots, quad_tol = _model_settings(args)
+    params, experiment = _resolve_channel(args)
+    n_knots, quad_tol = _model_settings(args, experiment)
     model = build_fd_model(params, n_knots, quad_tol)
     save_fd_model(model, args.output)
     print(f"s_mass = {model.s_mass!r}")
@@ -147,31 +137,28 @@ def _cmd_fd_table(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    params = _resolve_channel(args)
-    experiment = {}
-    if args.config:
-        _, experiment = load_config(args.config)
+    params, experiment = _resolve_channel(args)
+    n_knots, quad_tol = _model_settings(args, experiment)
+    settings = {key: value for key, value in experiment.items()
+                if key not in ("n_knots", "quad_tol")}
     flags = {"mu": args.mu, "trials": args.trials, "seed": args.seed, "margin": args.margin,
              "distances": None if args.distances is None else parse_distances(args.distances)}
-    experiment.update({key: value for key, value in flags.items() if value is not None})
-    experiment.setdefault("trials", 10000)
-    experiment.setdefault("seed", 0)
-    missing = [key for key in ("mu", "distances") if key not in experiment]
+    settings.update({key: value for key, value in flags.items() if value is not None})
+    settings.setdefault("trials", 10000)
+    settings.setdefault("seed", 0)
+    missing = [key for key in ("mu", "distances") if key not in settings]
     if missing:
         raise ConfigurationError(
             f"experiment settings missing: {', '.join(missing)} "
             "(supply flags or an [experiment] config section)"
         )
-    experiment.pop("n_knots", None)
-    experiment.pop("quad_tol", None)
-    n_knots, quad_tol = _model_settings(args)
     cfg = ExperimentConfig(
         channel=params,
         n_knots=n_knots,
         quad_tol=quad_tol,
-        **experiment,
+        **settings,
     )
-    model = _resolve_model(args, params)
+    model = _resolve_model(args, params, experiment)
     report = run_experiment(cfg, model=model)
     report.write_csv(args.output)
     if args.json:
@@ -180,10 +167,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
-    params = _resolve_channel(args)
+    params, experiment = _resolve_channel(args)
     if params.sigma_db == 0.0:
         raise ConfigurationError("the bound is undefined for sigma_db = 0")
-    model = _resolve_model(args, params)
+    model = _resolve_model(args, params, experiment)
     if args.intensity is not None:
         intensity = args.intensity
     elif args.mu is not None:
@@ -203,20 +190,20 @@ def _cmd_crlb(args) -> int:
     for d in distances:
         variance = crlb_distance(params, model, intensity, d)
         lines.append(f"{float(d)!r},{variance!r},{math.sqrt(variance)!r}")
-    with open(args.output, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with atomic_output(args.output) as partial:
+        partial.write_text("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    params = _resolve_channel(args)
+    params, experiment = _resolve_channel(args)
     if not math.isfinite(args.rss):
         raise ConfigurationError(f"--rss must be finite, got {args.rss!r}")
     try:
         counts = NeighborCounts(args.m, args.p, args.q)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
-    model = _resolve_model(args, params)
+    model = _resolve_model(args, params, experiment)
     result = estimate_pair(
         params, model, args.rss, counts, intensity=args.intensity
     )
@@ -235,7 +222,7 @@ def _format_optional(value) -> str:
 
 
 def _cmd_dataset(args) -> int:
-    params = _resolve_channel(args)
+    params, experiment = _resolve_channel(args)
     ms = load_measurements(args.input, params)
     pairs = []
     for token in args.pairs.split(","):
@@ -252,7 +239,7 @@ def _cmd_dataset(args) -> int:
             ) from exc
     if not pairs:
         raise ConfigurationError("no pairs requested")
-    model = _resolve_model(args, params)
+    model = _resolve_model(args, params, experiment)
     results = evaluate_pairs(
         ms, pairs, model=model, intensity=args.intensity
     )
@@ -266,8 +253,8 @@ def _cmd_dataset(args) -> int:
             f"{_format_optional(row.err_rss)},{_format_optional(row.err_conn)},"
             f"{_format_optional(row.err_fused)}"
         )
-    with open(args.output, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with atomic_output(args.output) as partial:
+        partial.write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -351,7 +338,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,8 +1,15 @@
-"""Flat key-value configuration files with [channel] and [experiment] sections."""
+"""Flat key-value configuration files with [channel] and [experiment] sections.
+
+Also holds atomic_output, the write-then-rename step every output file of
+the package goes through.
+"""
 
 from __future__ import annotations
 
 import configparser
+import os
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from .channel import ChannelParams
@@ -10,6 +17,30 @@ from .errors import ConfigurationError
 
 CHANNEL_KEYS = ("p_ref_dbm", "d0_m", "alpha", "sigma_db", "rss_threshold_dbm")
 EXPERIMENT_KEYS = ("mu", "distances", "trials", "seed", "margin", "n_knots", "quad_tol")
+
+
+@contextmanager
+def atomic_output(path):
+    """Yield a temporary path beside path, then os.replace it onto path.
+
+    The temporary file lives in the target's directory, so the rename is
+    atomic: readers see the old file or the whole new one, never a torn
+    one. If the body raises, the target stays absent or unchanged and the
+    temporary file is removed. The new file gets the mode a plain open()
+    would give it under the process umask.
+    """
+    path = Path(path)
+    handle, partial = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    os.close(handle)
+    partial = Path(partial)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        partial.chmod(0o666 & ~umask)
+        yield partial
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def channel_to_mapping(params: ChannelParams) -> dict:
@@ -103,5 +134,5 @@ def write_config(path, params: ChannelParams, experiment: dict | None = None) ->
     parser["channel"] = channel_to_mapping(params)
     if experiment:
         parser["experiment"] = {key: str(value) for key, value in experiment.items()}
-    with open(path, "w", newline="\n") as handle:
+    with atomic_output(path) as partial, open(partial, "w", newline="\n") as handle:
         parser.write(handle)

@@ -8,6 +8,12 @@ disks; under a probabilistic channel both quantities become integrals of
 the link probability over the plane. The estimator observes the counts
 (M, P, Q) of common and exclusive neighbors, forms the overlap ratio
 2M/(2M+P+Q), and inverts a tabulated piecewise-linear model of f.
+
+Each knot of that table is one generic_f call: a fixed Gauss-Legendre
+panel rule in polar coordinates around the pair midpoint, evaluated for
+all radial nodes at once as arrays and refined by doubling until two
+levels agree within quad_tol (no tighter than the rounding floor
+QUAD_TOL_FLOOR).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .channel import LN10, ChannelParams, link_probability, pseudo_range
-from .config import channel_from_mapping, channel_to_mapping
+from .config import atomic_output, channel_from_mapping, channel_to_mapping
 from .errors import ConfigurationError, ModelConstructionError, NumericError
 
 # Link probabilities below this are treated as zero when truncating
@@ -183,78 +189,114 @@ def generic_s(params: ChannelParams, quad_tol: float = 1e-6) -> float:
     return 2.0 * math.pi * value
 
 
-def _angular_overlap(g, d, rho, n_uniform, r_edges):
-    """Integral over [0, pi] of g(dist to A) * g(dist to B) at radius rho.
+def _angular_overlap(g, d, rho, n_half, r_edges):
+    """Integral over [0, pi] of g(dist to A) * g(dist to B) at each radius of array rho.
 
     A and B sit at (-d/2, 0) and (d/2, 0); the field point at angle theta
-    lies at distance sqrt(rho^2 + d^2/4 +- rho d cos(theta)) from them.
-    Panels are uniform in angle plus edges at the angles where either
-    distance crosses a link transition radius, which keeps the rule
-    accurate when the link probability is nearly a step.
+    lies at distance sqrt(rho^2 + d^2/4 +- rho d cos(theta)) from them. The
+    integrand is symmetric about pi/2, so the rule covers [0, pi/2] and
+    doubles. Each row has n_half uniform panels plus one edge per link
+    transition radius r_t, at arccos|c| with c = (r_t^2 - rho^2 - d^2/4) /
+    (rho d), where the distance to A or B crosses r_t; that keeps the rule
+    accurate when the link probability is nearly a step. Edges that do not
+    exist (|c| >= 1) sit at 0, so every row has the same panel count and a
+    zero-width panel adds nothing. Each panel gets 10-point Gauss-Legendre.
     """
-    edges = [np.linspace(0.0, math.pi, n_uniform + 1)]
-    if d > 0.0 and rho > 0.0:
-        base = rho * rho + d * d / 4.0
-        for r_t in r_edges:
-            c = (r_t * r_t - base) / (rho * d)
-            if -1.0 < c < 1.0:
-                theta = math.acos(c)
-                edges.append((theta, math.pi - theta))
-    edges = np.unique(np.concatenate([np.atleast_1d(np.asarray(e)) for e in edges]))
-    widths = np.diff(edges)
-    theta = edges[:-1, None] + widths[:, None] * _GL_NODES[None, :]
-    weights = widths[:, None] * _GL_WEIGHTS[None, :]
     base = rho * rho + d * d / 4.0
-    cross = rho * d * np.cos(theta)
-    ra = np.sqrt(np.maximum(base + cross, 0.0))
-    rb = np.sqrt(np.maximum(base - cross, 0.0))
-    return float(np.sum(g(ra) * g(rb) * weights))
+    uniform = np.broadcast_to(np.linspace(0.0, 0.5 * math.pi, n_half + 1),
+                              (rho.size, n_half + 1))
+    if d > 0.0:
+        c = (np.square(r_edges)[None, :] - base[:, None]) / (rho * d)[:, None]
+        crossing = np.arccos(np.minimum(np.abs(c), 1.0))
+    else:
+        crossing = np.zeros((rho.size, len(r_edges)))
+    edges = np.sort(np.concatenate([uniform, crossing], axis=1), axis=1)
+    widths = np.diff(edges, axis=1)[:, :, None]
+    cross = (rho * d)[:, None, None] * np.cos(edges[:, :-1, None] + widths * _GL_NODES)
+    ra = np.sqrt(base[:, None, None] + cross)
+    rb = np.sqrt(np.maximum(base[:, None, None] - cross, 0.0))
+    return 2.0 * np.sum(g(ra) * g(rb) * widths * _GL_WEIGHTS, axis=(1, 2))
 
 
-def _generic_f_once(params, d, n_uniform, quad_tol):
-    g = _link_prob_fn(params)
+def _radial_breaks(params: ChannelParams, d: float, r_outer: float) -> np.ndarray:
+    """Radii in (0, r_outer) where the angular integral has a kink.
+
+    These are where a link transition circle (or the truncation circle)
+    around A or B touches the pair axis, |r_t - d/2| and r_t + d/2, and
+    where A's transition circle r_i crosses B's r_j, at radius
+    sqrt((r_i^2 + r_j^2)/2 - d^2/4) from the midpoint: there two angle
+    edges meet.
+    """
     r_edges = _transition_radii(params)
-    r_outer = d / 2.0 + truncation_radius(params)
     breaks = set()
-    for r_t in list(r_edges) + [truncation_radius(params)]:
-        for candidate in (abs(r_t - d / 2.0), r_t + d / 2.0):
-            if 0.0 < candidate < r_outer:
-                breaks.add(candidate)
+    for r_t in (*r_edges, truncation_radius(params)):
+        breaks.update((abs(r_t - d / 2.0), r_t + d / 2.0))
+    for i, r_i in enumerate(r_edges):
+        for r_j in r_edges[i:]:
+            if r_j - r_i <= d <= r_i + r_j:
+                breaks.add(math.sqrt(0.5 * (r_i * r_i + r_j * r_j) - d * d / 4.0))
+    return np.array(sorted(x for x in breaks if 0.0 < x < r_outer))
 
-    def radial(rho):
-        return 2.0 * rho * _angular_overlap(g, d, rho, n_uniform, r_edges)
 
-    try:
-        value, abserr, info, *message = integrate.quad(
-            radial,
-            0.0,
-            r_outer,
-            points=sorted(breaks),
-            epsabs=0.0,
-            epsrel=0.5 * quad_tol,
-            limit=300,
-            full_output=True,
-        )
-    except ValueError as exc:
-        raise NumericError(
-            f"common-neighborhood quadrature rejected: {exc} (d={d!r})"
-        ) from exc
-    if message:
-        raise NumericError(
-            f"common-neighborhood quadrature did not converge: {message[0]} "
-            f"(d={d!r}, params={params}, abserr={abserr:g})"
-        )
-    return value
+def _radial_rule(breaks: np.ndarray, n_radial: int):
+    """Nodes and weights on [0, r_outer] split at breaks, n_radial GL panels each.
+
+    Each interval [a, b] is mapped by the smoothstep rho = a + (b - a)(3t^2 -
+    2t^3), whose zero slope at both ends removes the square-root kinks the
+    angular integral has at the breaks.
+    """
+    t = ((np.arange(n_radial)[:, None] + _GL_NODES) / n_radial).ravel()
+    w_t = np.tile(_GL_WEIGHTS / n_radial, n_radial)
+    lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
+    rho = lo + width * (t * t * (3.0 - 2.0 * t))
+    weights = width * (6.0 * t * (1.0 - t) * w_t)
+    return rho.ravel(), weights.ravel()
+
+
+# Values per temporary array in _panel_rule_f (64 KB of float64): the radial
+# nodes go through _angular_overlap in chunks of that many angle points,
+# about 40 nodes at 16 angle panels.
+_CHUNK_POINTS = 1 << 13
+
+
+def _panel_rule_f(params, d, n_half, n_radial):
+    """f(d) by the panel rule with n_half angle and n_radial radial panels per interval."""
+    g = _link_prob_fn(params)
+    r_edges = np.array(_transition_radii(params))
+    r_outer = d / 2.0 + truncation_radius(params)
+    breaks = np.concatenate([[0.0], _radial_breaks(params, d, r_outer), [r_outer]])
+    rho, weights = _radial_rule(breaks, n_radial)
+    step = max(1, _CHUNK_POINTS // (10 * (n_half + len(r_edges))))
+    total = 0.0
+    for lo in range(0, rho.size, step):
+        chunk = rho[lo:lo + step]
+        inner = _angular_overlap(g, d, chunk, n_half, r_edges)
+        total += float(np.dot(weights[lo:lo + step], 2.0 * chunk * inner))
+    return total
+
+
+# Rounding floor for quad_tol. One level sums 1e4 to 1e6 float64 terms, so
+# its rounding error reaches about 1e-13 relative; below that, two levels
+# agree or disagree by rounding alone and the check means nothing.
+QUAD_TOL_FLOOR = 1e-12
+# Last refinement level: 512 angle panels on [0, pi/2], 64 radial panels.
+_MAX_HALF_PANELS = 512
 
 
 def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
     """Expected common-neighbor mass per unit intensity at separation d.
 
-    2-D integral of the product of the two link probabilities, evaluated in
-    polar coordinates around the pair midpoint: adaptively in radius, with
-    angle panels doubled until two successive refinements agree within
+    2-D integral of the product of the two link probabilities, in polar
+    coordinates around the pair midpoint, by a fixed panel rule evaluated
+    as arrays: 10-point Gauss-Legendre panels in angle (_angular_overlap)
+    and in radius between the kink radii of _radial_breaks, which include
+    the crossings of A's and B's transition circles (_radial_rule). The
+    rule starts at 8 angle panels on [0, pi/2] and 1 radial panel per
+    interval and doubles both until two successive levels agree within
     quad_tol relative. Raises NumericError when that self-consistency check
-    cannot be met. Reduces to unit_disk_f when sigma_db = 0.
+    is not met by 512 angle panels, and for any quad_tol below the rounding
+    floor QUAD_TOL_FLOOR = 1e-12, where rounding would decide the check.
+    Reduces to unit_disk_f when sigma_db = 0.
     """
     d = float(d)
     if d < 0.0 or not math.isfinite(d):
@@ -264,19 +306,23 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
     if params.sigma_db == 0.0:
         r = pseudo_range(params)
         return unit_disk_f(r, d) if d <= 2.0 * r else 0.0
+    if quad_tol < QUAD_TOL_FLOOR:
+        raise NumericError(
+            f"quad_tol={quad_tol:g} is below the rounding floor {QUAD_TOL_FLOOR:g} "
+            "of the common-neighborhood rule"
+        )
     floor = 1e-15 * math.pi * pseudo_range(params) ** 2
-    n_uniform = 16
-    previous = _generic_f_once(params, d, n_uniform, quad_tol)
-    while n_uniform <= 4096:
-        n_uniform *= 2
-        current = _generic_f_once(params, d, n_uniform, quad_tol)
+    n_half, n_radial = 8, 1
+    current = _panel_rule_f(params, d, n_half, n_radial)
+    while n_half < _MAX_HALF_PANELS:
+        n_half, n_radial = 2 * n_half, 2 * n_radial
+        previous, current = current, _panel_rule_f(params, d, n_half, n_radial)
         if abs(current - previous) <= quad_tol * max(abs(current), floor):
             return current
-        previous = current
     raise NumericError(
-        "angle refinement for the common-neighborhood integral did not "
+        "panel refinement for the common-neighborhood integral did not "
         f"converge to quad_tol={quad_tol:g} at d={d!r} "
-        f"(last change {abs(current - previous):g} at {n_uniform} panels)"
+        f"(last change {abs(current - previous):g} at {n_half} angle panels)"
     )
 
 
@@ -469,13 +515,14 @@ _FD_PARAM_KEYS = ("p_ref_dbm", "alpha", "sigma_db", "rss_threshold_dbm", "d0_m")
 
 
 def save_fd_model(model: FdModel, path) -> None:
-    """Write the model to a versioned flat text file (full float precision)."""
+    """Write the model to a versioned flat text file (full float precision), atomically."""
     params = channel_to_mapping(model.params)
     lines = [_FD_HEADER, *(f"{key} = {params[key]}" for key in _FD_PARAM_KEYS)]
     lines += [f"s_mass = {model.s_mass!r}", f"d_th = {model.d_th!r}",
               f"n_knots = {model.n_knots}", "knots:"]
     lines += [f"{float(d)!r}, {float(f_val)!r}" for d, f_val in zip(model.knots_d, model.knots_f)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_output(path) as partial:
+        partial.write_text("\n".join(lines) + "\n")
 
 
 def load_fd_model(path) -> FdModel:

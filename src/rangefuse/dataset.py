@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, estimate_distance_rss, mean_rss
+from .config import atomic_output
 from .connectivity import FdModel, NeighborCounts, build_fd_model
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
@@ -126,7 +127,8 @@ def save_measurements(ms: MeasurementSet, path) -> None:
     lines.append("# rss")
     for (i, j) in sorted(ms.rss):
         lines.append(f"{i}, {j}, {ms.rss[(i, j)]!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_output(path) as partial:
+        partial.write_text("\n".join(lines) + "\n")
 
 
 def _adjacency(ms: MeasurementSet) -> tuple:

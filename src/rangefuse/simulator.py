@@ -27,6 +27,7 @@ from .channel import (
     pseudo_range,
     sample_rss,
 )
+from .config import atomic_output
 from .connectivity import FdModel, NeighborCounts, build_fd_model, threshold_distance
 from .crlb import crlb_distance
 from .errors import ConfigurationError
@@ -111,16 +112,15 @@ class RmseReport:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as handle:
-            handle.write(self.to_csv_text())
+        with atomic_output(path) as partial:
+            partial.write_text(self.to_csv_text())
 
     def to_dict(self) -> dict:
         return {"columns": list(CSV_COLUMNS), "rows": [asdict(r) for r in self.rows]}
 
     def write_json(self, path) -> None:
-        with open(path, "w", newline="\n") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
+        with atomic_output(path) as partial:
+            partial.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def mu_to_lambda(mu: float, s_mass: float) -> float:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,17 @@ class TestFdTableCommand:
                      "--output", str(tmp_path / "x.fd")])
         assert code == 2
 
+    def test_tolerance_below_rounding_floor_is_numeric_error(self, cfg_path, tmp_path,
+                                                             capsys):
+        out = tmp_path / "x.fd"
+        code = main(["fd-table", "--config", str(cfg_path), "--quad-tol", "1e-15",
+                     "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rounding floor" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_noise_free_run_zeroes_rss_column(self, tmp_path):
@@ -140,6 +153,18 @@ class TestSimulateCommand:
                      "--sigma-db", "4", "--rss-threshold-dbm", "-100",
                      "--output", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_config_parsed_once(self, cfg_path, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return config.load_config(path)
+
+        monkeypatch.setattr("rangefuse.cli.load_config", counting_load)
+        assert main(["simulate", "--config", str(cfg_path), "--n-knots", "8",
+                     "--quad-tol", "1e-3", "--output", str(tmp_path / "r.csv")]) == 0
+        assert calls == [str(cfg_path)]
 
     def test_model_cache_reused(self, cfg_path, tmp_path):
         cache = tmp_path / "cache"
@@ -349,3 +374,86 @@ class TestEstimateExtremeReading:
         out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
         assert float(out["d_rss"]) == 5e-324
         assert 0.0 < float(out["d_fused"]) <= rf.threshold_distance(PARAMS_44)
+
+
+def _half_write(monkeypatch):
+    """Make every Path.write_text write half its text, then fail like a full disk."""
+    original = Path.write_text
+
+    def half_write(self, text, *args, **kwargs):
+        original(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_write)
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failure_leaves_target_unchanged_or_absent(self, tmp_path, existing):
+        target = tmp_path / "out.txt"
+        if existing:
+            target.write_text("old\n")
+        with pytest.raises(OSError, match="disk full"):
+            with config.atomic_output(target) as partial:
+                partial.write_text("half a")
+                raise OSError("disk full")
+        assert list(tmp_path.iterdir()) == ([target] if existing else [])
+        if existing:
+            assert target.read_text() == "old\n"
+
+    def test_success_replaces_with_umask_mode(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        previous = os.umask(0o027)
+        try:
+            with config.atomic_output(target) as partial:
+                partial.write_text("new\n")
+        finally:
+            os.umask(previous)
+        assert target.read_text() == "new\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_library_writers_leave_no_torn_file(self, tmp_path, monkeypatch):
+        model = rf.build_fd_model(rf.ChannelParams(
+            p_ref_dbm=-37.47, alpha=4.0, sigma_db=0.0, rss_threshold_dbm=-77.47), n_knots=8)
+        row = rf.RmseRow(d_true=1.0, rmse_rss=0.1, rmse_conn=0.2, rmse_fused=0.1,
+                         sqrt_crlb=0.1, trials=3)
+        report = rf.RmseReport(rows=(row,))
+        meas = rf.MeasurementSet(nodes=((1, 0.0, 0.0), (2, 3.0, 4.0)),
+                                 rss={(1, 2): -48.0}, channel=PARAMS_FIELD)
+        writers = {
+            "model.fd": lambda path: rf.save_fd_model(model, path),
+            "report.csv": report.write_csv,
+            "report.json": report.write_json,
+            "meas.txt": lambda path: rf.save_measurements(meas, path),
+        }
+        for name in writers:
+            (tmp_path / name).write_text("old\n")
+        _half_write(monkeypatch)
+        for name, write in writers.items():
+            with pytest.raises(OSError, match="disk full"):
+                write(tmp_path / name)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
+        for name in writers:
+            assert (tmp_path / name).read_text() == "old\n"
+
+    @pytest.mark.parametrize("command", [
+        ["crlb", "--mu", "20"],
+        ["dataset", "--input", "IN", "--pairs", "1-2"],
+        ["fd-table"],
+    ])
+    def test_cli_outputs_leave_no_torn_file(self, cfg_path, tmp_path, monkeypatch, capsys,
+                                            command):
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
+        out = tmp_path / "out" / "x.csv"
+        out.parent.mkdir()
+        _half_write(monkeypatch)
+        argv = [str(meas) if token == "IN" else token for token in command]
+        code = main(argv + ["--config", str(cfg_path), "--n-knots", "8",
+                            "--quad-tol", "1e-3", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(out.parent.iterdir()) == []

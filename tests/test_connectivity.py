@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import rangefuse as rf
-from conftest import PARAMS_44, PARAMS_DISK, PARAMS_SHARP
+from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP
 
 LN10 = math.log(10.0)
 
@@ -143,6 +143,16 @@ class TestGenericF:
         with pytest.raises(rf.NumericError):
             rf.generic_f(PARAMS_44, 30.0, quad_tol=1e-15)
 
+    def test_rounding_floor_is_reachable(self):
+        floor = rf.connectivity.QUAD_TOL_FLOOR
+        value = rf.generic_f(PARAMS_44, 30.0, quad_tol=floor)
+        assert value == pytest.approx(_adaptive_f(PARAMS_44, 30.0), rel=1e-10)
+
+    def test_levels_that_never_agree_raise(self, monkeypatch):
+        monkeypatch.setattr(rf.connectivity, "_MAX_HALF_PANELS", 16)
+        with pytest.raises(rf.NumericError, match="did not converge"):
+            rf.generic_f(PARAMS_SHARP, 7.0, quad_tol=1e-10)
+
 
 class TestThresholdDistance:
     def test_matches_tail_inverse(self):
@@ -160,6 +170,96 @@ class TestThresholdDistance:
         assert rf.threshold_distance(PARAMS_DISK) == pytest.approx(
             rf.pseudo_range(PARAMS_DISK), rel=1e-12
         )
+
+
+def _adaptive_f(params, d, quad_tol=1e-10):
+    """Nested adaptive quadrature of f(d), an oracle independent of the panel rule.
+
+    scipy's adaptive quad in radius (split where a link transition circle
+    touches the pair axis) around a 10-point Gauss-Legendre angle rule over
+    [0, pi] with edges at the transition crossings; the angle panels double
+    from 16 until two results agree within quad_tol relative.
+    """
+    r = rf.pseudo_range(params)
+    halfwidth = 6.0 * params.sigma_db / (10.0 * params.alpha)
+    r_edges = (r * 10.0 ** -halfwidth, r, r * 10.0 ** halfwidth)
+    r_max = rf.connectivity.truncation_radius(params)
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+
+    def g(u):
+        return rf.link_probability(params, np.maximum(u, 1e-300))
+
+    def angular(rho, n_uniform):
+        base = rho * rho + d * d / 4.0
+        edges = [np.linspace(0.0, math.pi, n_uniform + 1)]
+        for r_t in r_edges:
+            c = (r_t * r_t - base) / (rho * d) if d > 0.0 and rho > 0.0 else 2.0
+            if -1.0 < c < 1.0:
+                edges.append([math.acos(c), math.pi - math.acos(c)])
+        edges = np.unique(np.concatenate(edges))
+        widths = np.diff(edges)[:, None]
+        cross = rho * d * np.cos(edges[:-1, None] + widths * nodes)
+        ra = np.sqrt(np.maximum(base + cross, 0.0))
+        rb = np.sqrt(np.maximum(base - cross, 0.0))
+        return float(np.sum(g(ra) * g(rb) * widths * weights))
+
+    r_outer = d / 2.0 + r_max
+    breaks = sorted({x for r_t in (*r_edges, r_max) for x in (abs(r_t - d / 2.0), r_t + d / 2.0)
+                     if 0.0 < x < r_outer})
+
+    def radial(n_uniform):
+        value, _, _, *message = integrate.quad(
+            lambda rho: 2.0 * rho * angular(rho, n_uniform), 0.0, r_outer,
+            points=breaks, epsabs=0.0, epsrel=0.5 * quad_tol, limit=300, full_output=True)
+        assert not message, message
+        return value
+
+    n_uniform = 16
+    previous = radial(n_uniform)
+    while True:
+        n_uniform *= 2
+        current = radial(n_uniform)
+        if abs(current - previous) <= quad_tol * abs(current):
+            return current
+        assert n_uniform < 8192, "oracle did not converge"
+        previous = current
+
+
+REF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "ref"
+
+
+@pytest.fixture(scope="module")
+def model_sharp():
+    return rf.build_fd_model(PARAMS_SHARP)
+
+
+class TestPanelRuleAccuracy:
+    """The default 64-knot, 1e-6 tables against references and an adaptive oracle."""
+
+    @pytest.mark.parametrize("fixture, name", [
+        ("model44", "p44"), ("model_field", "field"), ("model_sharp", "sharp"),
+    ])
+    def test_within_quad_tol_of_reference_table(self, request, fixture, name):
+        model = request.getfixturevalue(fixture)
+        ref = rf.load_fd_model(REF_DIR / f"fd_{name}_64_1e-06.txt")
+        assert model.params == ref.params
+        np.testing.assert_array_equal(model.knots_d, ref.knots_d)
+        gap = np.abs(model.knots_f - ref.knots_f) / ref.knots_f
+        assert gap.max() <= 1e-6
+        assert model.s_mass == pytest.approx(ref.s_mass, rel=1e-6)
+
+    @pytest.mark.parametrize("fixture, params, knots", [
+        ("model44", PARAMS_44, (0, 20, 63)),
+        ("model_field", PARAMS_FIELD, (0, 16, 40)),
+        # the reference table is 6e-7 off the oracle at sharp knot 10
+        ("model_sharp", PARAMS_SHARP, (0, 10, 40)),
+    ])
+    def test_knots_match_adaptive_oracle(self, request, fixture, params, knots):
+        model = request.getfixturevalue(fixture)
+        for k in knots:
+            oracle = _adaptive_f(params, float(model.knots_d[k]))
+            assert model.knots_f[k] == pytest.approx(oracle, rel=1e-8), k
 
 
 class TestBuildFdModel:
