@@ -13,7 +13,6 @@ from .channel import (
     link_probability,
     mean_rss,
     pseudo_range,
-    rss_estimate_pdf,
     sample_rss,
 )
 from .connectivity import (
@@ -21,13 +20,9 @@ from .connectivity import (
     NeighborCounts,
     build_fd_model,
     conn_error_sigma,
-    conn_estimate_pdf,
-    estimate_distance_conn,
-    estimate_intensity,
     eval_fd,
     fd_slope,
     generic_f,
-    generic_f_derivative,
     generic_s,
     invert_fd,
     load_fd_model,
@@ -41,7 +36,6 @@ from .dataset import (
     PairEvaluation,
     evaluate_pairs,
     load_measurements,
-    neighbor_counts_for_pair,
     save_measurements,
     synthesize_measurements,
 )
@@ -50,13 +44,6 @@ from .errors import (
     ModelConstructionError,
     NumericError,
     RangefuseError,
-)
-from .fusion import (
-    FuseResult,
-    FusionInput,
-    fuse_mle,
-    log_likelihood,
-    score,
 )
 from .pipeline import PairEstimate, estimate_pair, estimate_pairs
 from .simulator import (
@@ -79,8 +66,6 @@ __all__ = [
     "ExperimentConfig",
     "FdModel",
     "FisherInfo",
-    "FuseResult",
-    "FusionInput",
     "MeasurementSet",
     "ModelConstructionError",
     "NeighborCounts",
@@ -92,39 +77,30 @@ __all__ = [
     "RmseRow",
     "build_fd_model",
     "conn_error_sigma",
-    "conn_estimate_pdf",
     "crlb_distance",
     "deploy_poisson",
-    "estimate_distance_conn",
     "estimate_distance_rss",
-    "estimate_intensity",
     "estimate_pair",
     "estimate_pairs",
     "eval_fd",
     "evaluate_pairs",
     "fd_slope",
     "fim",
-    "fuse_mle",
     "generic_f",
-    "generic_f_derivative",
     "generic_s",
     "invert_fd",
     "link_probability",
     "load_fd_model",
     "load_measurements",
-    "log_likelihood",
     "mean_rss",
     "mu_to_lambda",
-    "neighbor_counts_for_pair",
     "pseudo_range",
     "realize_neighbors",
-    "rss_estimate_pdf",
     "rss_fisher_scale",
     "run_experiment",
     "sample_rss",
     "save_fd_model",
     "save_measurements",
-    "score",
     "synthesize_measurements",
     "threshold_distance",
     "unit_disk_f",

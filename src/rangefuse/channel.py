@@ -69,10 +69,10 @@ class ChannelParams:
         return self.sigma_db / (10.0 * self.alpha)
 
 
-def _positive_distances(d, name="d"):
+def _positive_distances(d):
     arr = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {d!r}")
+        raise ValueError(f"d must be positive and finite, got {d!r}")
     return arr
 
 
@@ -135,21 +135,3 @@ def link_probability(params: ChannelParams, d):
         out = gaussian_tail(10.0 * params.alpha * np.log10(d / r) / params.sigma_db)
     return _like_input(out)
 
-
-def rss_estimate_pdf(params: ChannelParams, d_true, x):
-    """Density of the RSS-based distance estimate at x for true distance d_true.
-
-    log10(estimate/d_true) is normal with scale sigma_r, so the density is
-    the corresponding lognormal-in-base-10 law. Requires sigma_db > 0.
-    """
-    if params.sigma_db == 0.0:
-        raise ValueError("rss_estimate_pdf is degenerate for sigma_db = 0")
-    d_true = _positive_distances(d_true, "d_true")
-    x = _positive_distances(x, "x")
-    sr = params.sigma_r
-    t = np.log10(x / d_true)
-    out = (
-        np.exp(-(t * t) / (2.0 * sr * sr))
-        / (math.sqrt(2.0 * math.pi) * sr * x * LN10)
-    )
-    return _like_input(out)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate, special
 
-from .channel import LN10, ChannelParams, link_probability, pseudo_range
+from .channel import ChannelParams, link_probability, pseudo_range
 from .config import atomic_output, channel_from_mapping, channel_to_mapping
 from .errors import ConfigurationError, ModelConstructionError, NumericError
 
@@ -326,19 +326,6 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
     )
 
 
-def generic_f_derivative(params: ChannelParams, d, quad_tol: float = 1e-6,
-                         step: float | None = None) -> float:
-    """Central-difference slope of generic_f, for cross-checking tabulated slopes."""
-    d = float(d)
-    if step is None:
-        step = threshold_distance(params) / 1e4
-    if d - step < 0.0:
-        raise ValueError(f"d={d!r} too close to 0 for central step {step!r}")
-    hi = generic_f(params, d + step, quad_tol)
-    lo = generic_f(params, d - step, quad_tol)
-    return (hi - lo) / (2.0 * step)
-
-
 @lru_cache(maxsize=128)
 def threshold_distance(params: ChannelParams) -> float:
     """Smallest distance at which the link probability drops to 1e-3.
@@ -450,23 +437,6 @@ def invert_counts(model: FdModel, m, p, q):
     return out if out.ndim else float(out)
 
 
-def estimate_distance_conn(model: FdModel, counts: NeighborCounts) -> float:
-    """One pair's connectivity distance estimate (see invert_counts)."""
-    return invert_counts(model, counts.m, counts.p, counts.q)
-
-
-def estimate_intensity(counts: NeighborCounts, s_mass: float) -> float:
-    """Moment estimate of the node intensity from one pair's counts.
-
-    The combined count 2M+P+Q has mean 2*intensity*S, so the plug-in
-    estimate is (2M+P+Q)/(2S). All-zero counts give 0; callers must treat
-    that as 'no connectivity information'.
-    """
-    if not s_mass > 0.0:
-        raise ValueError(f"s_mass must be positive, got {s_mass!r}")
-    return (2.0 * counts.m + counts.p + counts.q) / (2.0 * s_mass)
-
-
 def conn_error_sigma(model: FdModel, intensity, d_plugin):
     """Standard deviation of the connectivity estimate's error near d_plugin.
 
@@ -497,16 +467,6 @@ def conn_error_sigma(model: FdModel, intensity, d_plugin):
     slope = fd_slope(model, d_plugin)
     var_rho = f_val * (s - f_val) * (2.0 * s - f_val) / (2.0 * intensity * s**4)
     out = s * np.sqrt(var_rho) / np.abs(slope)
-    return out if out.ndim else float(out)
-
-
-def conn_estimate_pdf(model: FdModel, intensity: float, d_true, x):
-    """Normal density of the connectivity estimate around the true distance."""
-    sigma = conn_error_sigma(model, intensity, d_true)
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-((x - float(d_true)) ** 2) / (2.0 * sigma * sigma)) / (
-        math.sqrt(2.0 * math.pi) * sigma
-    )
     return out if out.ndim else float(out)
 
 

@@ -42,8 +42,8 @@ def rss_fisher_scale(params: ChannelParams) -> float:
 
 
 def _check_point(model: FdModel, intensity: float, d: float) -> tuple[float, float]:
-    if not intensity > 0.0:
-        raise ValueError(f"intensity must be positive, got {intensity!r}")
+    if not 0.0 < intensity < math.inf:
+        raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
     if not 0.0 < d < model.d_th:
         raise ValueError(f"d must lie strictly inside (0, d_th), got {d!r}")
     f_val = eval_fd(model, d)

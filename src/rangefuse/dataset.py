@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelParams, estimate_distance_rss, mean_rss
 from .config import atomic_output
-from .connectivity import FdModel, NeighborCounts, build_fd_model
+from .connectivity import FdModel, build_fd_model
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
 from .simulator import Deployment
@@ -159,19 +159,6 @@ def _counts(adjacency: tuple, a, b) -> tuple:
         near[around_i] = False
     degree = np.diff(start)
     return m, degree[a] - m - direct, degree[b] - m - direct
-
-
-def neighbor_counts_for_pair(ms: MeasurementSet, i: int, j: int) -> NeighborCounts:
-    """Counts of common/exclusive neighbors of i and j after thresholding.
-
-    A third node is a neighbor when its RSS entry exists and reaches the
-    channel threshold; the endpoints themselves are excluded. Builds the
-    neighbor lists; evaluate_pairs builds them once for all of its pairs.
-    """
-    rows, adjacency = _adjacency(ms)
-    if i not in rows or j not in rows:
-        raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
-    return NeighborCounts(*(int(v[0]) for v in _counts(adjacency, [rows[i]], [rows[j]])))
 
 
 @dataclass(frozen=True)

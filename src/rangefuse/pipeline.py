@@ -44,7 +44,8 @@ def estimate_pairs(params: ChannelParams, model: FdModel, d_rss, m, p, q,
     d_rss holds the RSS range estimates, NaN where a pair has no usable
     reading. intensity (scalar or per pair) defaults to the moment
     estimate (2M+P+Q)/(2S) from the counts; a zero intensity means no
-    connectivity information. sigma_c is plugged in at the connectivity
+    connectivity information, and a supplied one that is negative or not
+    finite raises ValueError. sigma_c is plugged in at the connectivity
     estimate clamped to [1e-9 d_th, d_th]. Where one source is unusable,
     or the channel is noise-free, the fused estimate falls back to the
     other source, mirroring how the likelihood behaves as the
@@ -55,7 +56,10 @@ def estimate_pairs(params: ChannelParams, model: FdModel, d_rss, m, p, q,
     d_conn = invert_counts(model, m, p, q)
     if intensity is None:
         intensity = (2.0 * np.asarray(m) + p + q) / (2.0 * model.s_mass)
-    lam = np.broadcast_to(np.asarray(intensity, dtype=float), d_conn.shape)
+    lam = np.asarray(intensity, dtype=float)
+    if not np.all((lam >= 0.0) & (lam < math.inf)):
+        raise ValueError(f"intensity must be nonnegative and finite, got {intensity!r}")
+    lam = np.broadcast_to(lam, d_conn.shape)
     rss, conn = ~np.isnan(d_rss), lam > 0.0
 
     sigma_c = np.full(d_conn.shape, math.nan)
@@ -104,7 +108,9 @@ def estimate_pair(
     d_conn, d_fused, sigma_c, lam = (float(v[0]) for v in est[:4])
     status, conn = str(est.status[0]), lam > 0.0
     notes = [text for applies, text in (
-        (not conn, "all-zero counts: no intensity estimate, connectivity unusable"),
+        (not conn and intensity is None,
+         "all-zero counts: no intensity estimate, connectivity unusable"),
+        (not conn and intensity is not None, "zero intensity supplied: connectivity unusable"),
         (d_rss is not None and not usable,
          "RSS below the link threshold: treated as uninformative"),
         (status == RSS_ONLY, "noise-free channel: the RSS estimate is exact"

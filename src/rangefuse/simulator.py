@@ -41,7 +41,6 @@ class Deployment:
     side: float
     intensity: float
     nodes: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.side > 0.0:
@@ -69,15 +68,15 @@ class ExperimentConfig:
     quad_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu!r}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not self.margin >= 1.0:
+        if not 1.0 <= self.margin < math.inf:
             raise ValueError(
-                f"margin must be >= 1 cutoff distance, got {self.margin!r}"
+                f"margin must be finite and >= 1 cutoff distance, got {self.margin!r}"
             )
         distances = tuple(float(d) for d in self.distances)
         if not distances or any(not d > 0.0 for d in distances):
@@ -125,27 +124,22 @@ class RmseReport:
 
 def mu_to_lambda(mu: float, s_mass: float) -> float:
     """Node intensity that yields an expected neighbor count of mu."""
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    if not s_mass > 0.0:
-        raise ValueError(f"s_mass must be positive, got {s_mass!r}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
+    if not 0.0 < s_mass < math.inf:
+        raise ValueError(f"s_mass must be positive and finite, got {s_mass!r}")
     return mu / s_mass
 
 
-def deploy_poisson(side: float, intensity: float, rng) -> Deployment:
+def deploy_poisson(side: float, intensity: float, rng: np.random.Generator) -> Deployment:
     """Drop a Poisson number of nodes uniformly on the square region.
 
-    rng may be a numpy Generator or an integer seed; draw order is the
-    node count first, then the (n, 2) position block. Deployment checks
-    side and intensity.
+    Draw order is the node count first, then the (n, 2) position block.
+    Deployment checks side and intensity.
     """
-    seed = None
-    if not isinstance(rng, np.random.Generator):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
     n = int(rng.poisson(intensity * side * side))
     nodes = rng.random((n, 2)) * side
-    return Deployment(side=side, intensity=intensity, nodes=nodes, seed=seed)
+    return Deployment(side=side, intensity=intensity, nodes=nodes)
 
 
 def realize_neighbors(

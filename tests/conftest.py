@@ -21,6 +21,17 @@ PARAMS_FIELD = rf.ChannelParams(
 )
 
 
+def penalty(x1, x2, sigma_r, sigma_c, d):
+    """Negative joint log-likelihood of both range estimates at d, up to a constant.
+
+    The test-side likelihood oracle for the fusion solver: log10 of the RSS
+    estimate is normal around log10(d) with scale sigma_r, the connectivity
+    estimate normal around d with scale sigma_c. Arguments broadcast.
+    """
+    t = np.log10(x1) - np.log10(d)
+    return t * t * (1.0 / (2.0 * sigma_r**2)) + (x2 - d) ** 2 * (1.0 / (2.0 * sigma_c**2))
+
+
 @pytest.fixture(scope="session")
 def model44():
     return rf.build_fd_model(PARAMS_44)

@@ -6,13 +6,14 @@ the session-scoped big_report fixture: 5000 trials at 8 probe distances
 spanning [0.1, 1.0] of the distance cutoff.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import rangefuse as rf
-from conftest import PARAMS_44, PARAMS_SHARP
+from conftest import PARAMS_44, PARAMS_SHARP, penalty
 
 LN10 = math.log(10.0)
 
@@ -153,12 +154,7 @@ def test_criterion_6_poisson_statistics(model44):
     m = rng.poisson(lam * f_model, trials)
     p = rng.poisson(lam * (model44.s_mass - f_model), trials)
     q = rng.poisson(lam * (model44.s_mass - f_model), trials)
-    estimates = np.array(
-        [
-            rf.estimate_distance_conn(model44, rf.NeighborCounts(int(mi), int(pi), int(qi)))
-            for mi, pi, qi in zip(m, p, q)
-        ]
-    )
+    estimates = rf.connectivity.invert_counts(model44, m, p, q)
     spread = float((estimates - d).std())
     predicted = rf.conn_error_sigma(model44, lam, d)
     dev_sigma = abs(spread - predicted) / predicted
@@ -279,47 +275,44 @@ def test_criterion_8_dataset_workflow(model_field, tmp_path):
 def test_criterion_9_solver_correctness():
     rng = np.random.default_rng(1009)
     n_grid = 10**6
-    worst_gap = 0.0
+    inputs = []
     for _ in range(1000):
         d_th = float(rng.uniform(20.0, 100.0))
-        inp = rf.FusionInput(
-            x1=float(d_th * 10.0 ** rng.uniform(-1.3, 0.25)),
-            x2=float(rng.uniform(0.0, d_th)),
-            sigma_r=float(rng.uniform(0.05, 0.35)),
-            sigma_c=float(d_th * rng.uniform(0.03, 0.4)),
-            d_th=d_th,
-        )
-        result = rf.fuse_mle(inp)
+        inputs.append((
+            float(d_th * 10.0 ** rng.uniform(-1.3, 0.25)),
+            float(rng.uniform(0.0, d_th)),
+            float(rng.uniform(0.05, 0.35)),
+            float(d_th * rng.uniform(0.03, 0.4)),
+            d_th,
+        ))
+    x1, x2, sigma_r, sigma_c, d_th = np.array(inputs).T
+    d_hat, _ = rf.fusion.fuse_arrays(x1, x2, sigma_r, sigma_c, d_th)
+    worst_gap = 0.0
+    for k, args in enumerate(inputs):
         # independent dense-grid maximization of the joint likelihood
-        half_a = 1.0 / (2.0 * inp.sigma_r**2)
-        half_b = 1.0 / (2.0 * inp.sigma_c**2)
         best_pen, best_d = math.inf, None
         for chunk in np.array_split(np.arange(1, n_grid + 1), 5):
-            d = chunk * (d_th / n_grid)
-            t = np.log10(inp.x1 / d)
-            pen = t * t * half_a + (inp.x2 - d) ** 2 * half_b
-            k = int(np.argmin(pen))
-            if pen[k] < best_pen:
-                best_pen, best_d = float(pen[k]), float(d[k])
-        worst_gap = max(worst_gap, abs(result.d_hat - best_d) / best_d)
+            d = chunk * (args[4] / n_grid)
+            pen = penalty(*args[:4], d)
+            i = int(np.argmin(pen))
+            if pen[i] < best_pen:
+                best_pen, best_d = float(pen[i]), float(d[i])
+        worst_gap = max(worst_gap, abs(d_hat[k] - best_d) / best_d)
 
     worst_grad = 0.0
     for _ in range(200):
         d_th = float(rng.uniform(20.0, 100.0))
-        inp = rf.FusionInput(
-            x1=float(rng.uniform(1.0, d_th)),
-            x2=float(rng.uniform(0.0, d_th)),
-            sigma_r=float(rng.uniform(0.05, 0.35)),
-            sigma_c=float(d_th * rng.uniform(0.05, 0.4)),
-            d_th=d_th,
-        )
+        x1 = float(rng.uniform(1.0, d_th))
+        x2 = float(rng.uniform(0.0, d_th))
+        sigma_r = float(rng.uniform(0.05, 0.35))
+        sigma_c = float(d_th * rng.uniform(0.05, 0.4))
         d = float(rng.uniform(0.1 * d_th, d_th))
         h = 1e-6 * d
-        numeric = (
-            rf.log_likelihood(inp, d + h) - rf.log_likelihood(inp, d - h)
-        ) / (2.0 * h)
-        analytic = rf.score(inp, d) / d
-        if abs(analytic) < 1e-3 * (1.0 + abs(rf.log_likelihood(inp, d))) / d:
+        pen = functools.partial(penalty, x1, x2, sigma_r, sigma_c)
+        numeric = -(pen(d + h) - pen(d - h)) / (2.0 * h)
+        analytic = rf.fusion.stationarity(
+            math.log(x1), x2, 1.0 / (sigma_r * LN10) ** 2, 1.0 / sigma_c**2, d) / d
+        if abs(analytic) < 1e-3 * (1.0 + abs(pen(d))) / d:
             continue
         worst_grad = max(worst_grad, abs(numeric - analytic) / abs(analytic))
     ok = worst_gap <= 1e-4 and worst_grad <= 1e-6

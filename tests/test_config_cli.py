@@ -9,7 +9,7 @@ import pytest
 import rangefuse as rf
 from rangefuse import config
 from rangefuse.cli import main
-from conftest import PARAMS_44, PARAMS_FIELD
+from conftest import PARAMS_44, PARAMS_FIELD, penalty
 
 CFG_44 = """\
 [channel]
@@ -226,15 +226,13 @@ class TestEstimateCommand:
         out = dict(
             line.split(" = ") for line in capsys.readouterr().out.splitlines()
         )
-        counts = rf.NeighborCounts(6, 9, 11)
-        lam = rf.estimate_intensity(counts, model44.s_mass)
+        lam = (2 * 6 + 9 + 11) / (2.0 * model44.s_mass)
         x1 = rf.estimate_distance_rss(PARAMS_44, -85.0)
-        x2 = rf.estimate_distance_conn(model44, counts)
+        x2 = rf.connectivity.invert_counts(model44, 6, 9, 11)
         sigma_c = rf.conn_error_sigma(model44, lam, min(max(x2, 1e-9 * model44.d_th), model44.d_th))
-        inp = rf.FusionInput(x1, x2, PARAMS_44.sigma_r, sigma_c, model44.d_th)
         n = 10**6
         grid = np.linspace(model44.d_th / n, model44.d_th, n)
-        oracle = grid[int(np.argmax(rf.log_likelihood(inp, grid)))]
+        oracle = grid[int(np.argmin(penalty(x1, x2, PARAMS_44.sigma_r, sigma_c, grid)))]
         assert float(out["d_fused"]) == pytest.approx(oracle, abs=1e-3 * model44.d_th)
 
     def test_negative_counts_usage_error(self, cfg_path):
@@ -299,6 +297,37 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, named", [
+        (["estimate", "--rss", "-85", "--m", "6", "--p", "9", "--q", "11",
+          "--intensity", "-1"], "intensity"),
+        (["estimate", "--rss", "-85", "--m", "6", "--p", "9", "--q", "11",
+          "--intensity", "nan"], "intensity"),
+        (["estimate", "--rss", "-85", "--m", "6", "--p", "9", "--q", "11",
+          "--intensity", "inf"], "intensity"),
+        (["dataset", "--input", "IN", "--pairs", "1-2", "--intensity", "-1", "--output", "OUT"],
+         "intensity"),
+        (["dataset", "--input", "IN", "--pairs", "1-2", "--intensity", "nan", "--output", "OUT"],
+         "intensity"),
+        (["crlb", "--intensity", "inf", "--output", "OUT"], "intensity"),
+        (["crlb", "--mu", "inf", "--output", "OUT"], "mu"),
+        (["simulate", "--margin", "inf", "--output", "OUT"], "margin"),
+    ], ids=["estimate-negative", "estimate-nan", "estimate-inf", "dataset-negative",
+            "dataset-nan", "crlb-intensity-inf", "crlb-mu-inf", "simulate-margin-inf"])
+    def test_bad_density_or_margin_is_usage_error(self, cfg_path, tmp_path, capsys,
+                                                  command, named):
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -90\n1, 3, -80\n")
+        out = tmp_path / "out.csv"
+        paths = {"IN": str(meas), "OUT": str(out)}
+        argv = [paths.get(token, token) for token in command]
+        code = main(argv + ["--config", str(cfg_path), "--n-knots", "8", "--quad-tol", "1e-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def _never(*args, **kwargs):

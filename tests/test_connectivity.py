@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import rangefuse as rf
+from rangefuse.connectivity import invert_counts
 from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP
 
 LN10 = math.log(10.0)
@@ -335,17 +336,18 @@ class TestInvertFd:
 
 
 class TestEstimateDistanceConn:
+    """The connectivity range estimate, connectivity.invert_counts."""
+
     def test_all_zero_counts(self, model44):
-        assert rf.estimate_distance_conn(model44, rf.NeighborCounts(0, 0, 0)) == 0.0
+        assert invert_counts(model44, 0, 0, 0) == 0.0
 
     def test_full_overlap_ratio_clamps_to_zero(self, model44):
         # ratio 1 scales the mass above f(0), so the inverse clamps at 0
         assert model44.knots_f[0] < model44.s_mass
-        assert rf.estimate_distance_conn(model44, rf.NeighborCounts(10, 0, 0)) == 0.0
+        assert invert_counts(model44, 10, 0, 0) == 0.0
 
     def test_tiny_ratio_clamps_to_cutoff(self, model44):
-        est = rf.estimate_distance_conn(model44, rf.NeighborCounts(1, 500, 500))
-        assert est == model44.d_th
+        assert invert_counts(model44, 1, 500, 500) == model44.d_th
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -355,20 +357,15 @@ class TestEstimateDistanceConn:
         c=st.integers(min_value=1, max_value=9),
     )
     def test_scale_invariance(self, model44, m, p, q, c):
-        base = rf.estimate_distance_conn(model44, rf.NeighborCounts(m, p, q))
-        scaled = rf.estimate_distance_conn(model44, rf.NeighborCounts(c * m, c * p, c * q))
+        base = invert_counts(model44, m, p, q)
+        scaled = invert_counts(model44, c * m, c * p, c * q)
         assert scaled == pytest.approx(base, abs=1e-9 * model44.d_th)
 
     def test_mean_matches_true_distance(self, model44):
         d = model44.d_th / 2.0
         intensity = 30.0 / model44.s_mass
         m, p, q = _poisson_triples(model44, intensity, d, 10**4, seed=31)
-        estimates = np.array(
-            [
-                rf.estimate_distance_conn(model44, rf.NeighborCounts(int(mi), int(pi), int(qi)))
-                for mi, pi, qi in zip(m, p, q)
-            ]
-        )
+        estimates = invert_counts(model44, m, p, q)
         assert estimates.mean() == pytest.approx(d, rel=0.03)
 
     def test_counts_validation(self):
@@ -396,12 +393,7 @@ class TestConnErrorSigma:
         d = model44.d_th / 2.0
         intensity = 30.0 / model44.s_mass
         m, p, q = _poisson_triples(model44, intensity, d, 10**4, seed=32)
-        estimates = np.array(
-            [
-                rf.estimate_distance_conn(model44, rf.NeighborCounts(int(mi), int(pi), int(qi)))
-                for mi, pi, qi in zip(m, p, q)
-            ]
-        )
+        estimates = invert_counts(model44, m, p, q)
         predicted = rf.conn_error_sigma(model44, intensity, d)
         assert (estimates - d).std() == pytest.approx(predicted, rel=0.10)
 
@@ -442,35 +434,6 @@ class TestOverlapRatioStatistics:
             2.0 * intensity * s**4
         )
         assert rho.var() == pytest.approx(predicted_var, rel=0.10)
-
-
-class TestConnEstimatePdf:
-    def test_peak_value(self, model44):
-        d = 30.0
-        lam = 20.0 / model44.s_mass
-        sigma = rf.conn_error_sigma(model44, lam, d)
-        assert rf.conn_estimate_pdf(model44, lam, d, d) == pytest.approx(
-            1.0 / (math.sqrt(2.0 * math.pi) * sigma), rel=1e-12
-        )
-
-    def test_symmetry(self, model44):
-        d = 30.0
-        lam = 20.0 / model44.s_mass
-        assert rf.conn_estimate_pdf(model44, lam, d, d + 2.5) == rf.conn_estimate_pdf(
-            model44, lam, d, d - 2.5
-        )
-
-    def test_normalizes(self, model44):
-        d = 30.0
-        lam = 20.0 / model44.s_mass
-        sigma = rf.conn_error_sigma(model44, lam, d)
-        total, _ = integrate.quad(
-            lambda x: rf.conn_estimate_pdf(model44, lam, d, x),
-            d - 8.0 * sigma,
-            d + 8.0 * sigma,
-            limit=200,
-        )
-        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestModelSerialization:
@@ -597,10 +560,8 @@ class TestArrayForms:
 
     def test_invert_counts(self, model44):
         m, p, q = np.array([0, 5, 0, 3]), np.array([0, 2, 4, 9]), np.array([0, 1, 3, 0])
-        got = rf.connectivity.invert_counts(model44, m, p, q)
-        assert list(got) == [
-            rf.estimate_distance_conn(model44, rf.NeighborCounts(*c)) for c in zip(m, p, q)
-        ]
+        got = invert_counts(model44, m, p, q)
+        assert list(got) == [invert_counts(model44, *(int(v) for v in c)) for c in zip(m, p, q)]
         assert got[0] == 0.0 and got[2] == model44.d_th
 
     def test_out_of_range_rejected(self, model44):
@@ -612,17 +573,22 @@ class TestArrayForms:
 
 
 class TestEstimateIntensity:
-    def test_moment_identity(self):
-        counts = rf.NeighborCounts(6, 4, 2)
-        assert rf.estimate_intensity(counts, 9.0) == (12 + 4 + 2) / 18.0
+    """The moment estimate (2M+P+Q)/(2S) that estimate_pairs defaults to."""
 
-    def test_zero_counts_give_zero(self):
-        assert rf.estimate_intensity(rf.NeighborCounts(0, 0, 0), 5.0) == 0.0
+    def test_moment_identity(self, model44):
+        est = rf.estimate_pairs(PARAMS_44, model44, [math.nan], [6], [4], [2])
+        assert est.intensity[0] == (12 + 4 + 2) / (2.0 * model44.s_mass)
+
+    def test_zero_counts_give_zero(self, model44):
+        est = rf.estimate_pairs(PARAMS_44, model44, [math.nan], [0], [0], [0])
+        assert est.intensity[0] == 0.0
 
 
 class TestGenericFDerivative:
     def test_matches_segment_slopes(self, model44):
         i = 30
         mid = 0.5 * (model44.knots_d[i] + model44.knots_d[i + 1])
-        numeric = rf.generic_f_derivative(PARAMS_44, float(mid))
+        step = rf.threshold_distance(PARAMS_44) / 1e4
+        numeric = (rf.generic_f(PARAMS_44, mid + step)
+                   - rf.generic_f(PARAMS_44, mid - step)) / (2.0 * step)
         assert numeric == pytest.approx(float(model44.slopes[i]), rel=0.05)

@@ -67,6 +67,9 @@ class TestFim:
             rf.fim(PARAMS_44, model44, lam, model44.d_th)
         with pytest.raises(ValueError):
             rf.fim(PARAMS_44, model44, 0.0, 10.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                rf.crlb_distance(PARAMS_44, model44, bad, 10.0)
 
 
 class TestCrlbDistance:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangefuse as rf
+from rangefuse.connectivity import invert_counts
 from conftest import PARAMS_FIELD
 
 FIXTURE = """\
@@ -115,15 +116,14 @@ class TestMeasurementRoundTrip:
 
 
 class TestNeighborCounts:
+    """Thresholded neighbor lists (dataset._adjacency) and their counts (dataset._counts)."""
+
     def test_counts_from_fixture(self, fixture_set):
         # neighbors of 1: {2, 3}; neighbors of 2: {1, 3, 4}; common third
         # nodes of (1, 2): {3}; exclusive: none for 1, {4} for 2
-        counts = rf.neighbor_counts_for_pair(fixture_set, 1, 2)
-        assert (counts.m, counts.p, counts.q) == (1, 0, 1)
-
-    def test_unknown_id_rejected(self, fixture_set):
-        with pytest.raises(rf.ConfigurationError):
-            rf.neighbor_counts_for_pair(fixture_set, 1, 99)
+        rows, adjacency = rf.dataset._adjacency(fixture_set)
+        counts = rf.dataset._counts(adjacency, [rows[1]], [rows[2]])
+        assert [int(v[0]) for v in counts] == [1, 0, 1]
 
     def test_threshold_consistency(self, tmp_path):
         # a below-threshold entry contributes no link anywhere
@@ -133,8 +133,9 @@ class TestNeighborCounts:
             "# rss\n1, 2, -50.0\n1, 3, -56.0\n2, 3, -40.0\n"
         )
         ms = rf.load_measurements(path, PARAMS_FIELD)
-        counts = rf.neighbor_counts_for_pair(ms, 1, 2)
-        assert (counts.m, counts.p, counts.q) == (0, 0, 1)
+        rows, adjacency = rf.dataset._adjacency(ms)
+        counts = rf.dataset._counts(adjacency, [rows[1]], [rows[2]])
+        assert [int(v[0]) for v in counts] == [0, 0, 1]
 
 
 class TestEvaluatePairs:
@@ -186,8 +187,7 @@ class TestEvaluatePairs:
         for row in measured:
             i, j = row.pair
             a, b = near[i] - {j}, near[j] - {i}
-            counts = rf.NeighborCounts(len(a & b), len(a - b), len(b - a))
-            assert row.d_conn == rf.estimate_distance_conn(model_field, counts)
+            assert row.d_conn == invert_counts(model_field, len(a & b), len(a - b), len(b - a))
 
 
 class TestSynthesizedFixtures:
@@ -211,10 +211,11 @@ class TestSynthesizedFixtures:
         }
         third_i = near[i] - {j}
         third_j = near[j] - {i}
-        counts = rf.neighbor_counts_for_pair(ms, i, j)
-        assert counts.m == len(third_i & third_j)
-        assert counts.p == len(third_i - third_j)
-        assert counts.q == len(third_j - third_i)
+        rows, adjacency = rf.dataset._adjacency(ms)
+        m, p, q = (int(v[0]) for v in rf.dataset._counts(adjacency, [rows[i]], [rows[j]]))
+        assert m == len(third_i & third_j)
+        assert p == len(third_i - third_j)
+        assert q == len(third_j - third_i)
 
     def test_fused_error_bounded_by_worst_source(self, model_field):
         wins = 0

@@ -7,110 +7,92 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rangefuse as rf
-from rangefuse.fusion import BOUNDARY_CLAMPED, INTERIOR
+from rangefuse.fusion import BOUNDARY_CLAMPED, INTERIOR, stationarity
+from conftest import penalty
 
 LN10 = math.log(10.0)
 
 
-def _inp(x1=5.0, x2=5.0, sigma_r=0.1, sigma_c=2.0, d_th=40.0):
-    return rf.FusionInput(x1=x1, x2=x2, sigma_r=sigma_r, sigma_c=sigma_c, d_th=d_th)
+def _fuse(x1=5.0, x2=5.0, sigma_r=0.1, sigma_c=2.0, d_th=40.0):
+    """One pair through fuse_arrays: (d_hat, status)."""
+    d_hat, status = rf.fusion.fuse_arrays(x1, x2, sigma_r, sigma_c, d_th)
+    return float(d_hat), str(status)
 
 
-def _grid_maxima(inp, n=10**6):
+def _s(d, x1=5.0, x2=5.0, sigma_r=0.1, sigma_c=2.0):
+    """The solver's stationarity function at d, with A and B from the error scales."""
+    return stationarity(math.log(x1), x2, 1.0 / (sigma_r * LN10) ** 2, 1.0 / sigma_c**2, d)
+
+
+def _grid_maxima(x1, x2, sigma_r, sigma_c, d_th, n=10**6):
     """Global and local maximizers of the likelihood on a dense grid over (0, d_th]."""
-    d = np.linspace(inp.d_th / n, inp.d_th, n)
-    t = np.log10(inp.x1 / d)
-    penalty = t * t / (2 * inp.sigma_r**2) + (inp.x2 - d) ** 2 / (2 * inp.sigma_c**2)
-    inner = (penalty[1:-1] < penalty[:-2]) & (penalty[1:-1] < penalty[2:])
-    return d[int(np.argmin(penalty))], d[1:-1][inner]
-
-
-class TestFusionInput:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(x1=0.0),
-            dict(x1=-1.0),
-            dict(x2=-0.5),
-            dict(x2=41.0),
-            dict(sigma_r=0.0),
-            dict(sigma_c=0.0),
-            dict(sigma_c=math.inf),
-            dict(d_th=0.0),
-        ],
-    )
-    def test_rejects_bad_inputs(self, kwargs):
-        with pytest.raises(ValueError):
-            _inp(**kwargs)
-
-    def test_admits_zero_connectivity_estimate(self):
-        _inp(x2=0.0)
+    d = np.linspace(d_th / n, d_th, n)
+    pen = penalty(x1, x2, sigma_r, sigma_c, d)
+    inner = (pen[1:-1] < pen[:-2]) & (pen[1:-1] < pen[2:])
+    return d[int(np.argmin(pen))], d[1:-1][inner]
 
 
 class TestLogLikelihood:
+    """Shape of the joint log-likelihood, read from the sign of the stationarity function."""
+
     def test_peak_where_both_estimates_agree(self):
-        inp = _inp(x1=7.0, x2=7.0)
-        peak = rf.log_likelihood(inp, 7.0)
-        for d in (5.0, 6.5, 7.5, 9.0):
-            assert rf.log_likelihood(inp, d) < peak
+        rising = _s(np.array([5.0, 6.5]), x1=7.0, x2=7.0)
+        falling = _s(np.array([7.5, 9.0]), x1=7.0, x2=7.0)
+        assert (rising > 0.0).all() and (falling < 0.0).all()
 
     def test_rss_dominates_when_conn_noise_is_huge(self):
-        inp = _inp(x1=7.0, x2=20.0, sigma_c=1e9)
-        assert rf.log_likelihood(inp, 7.0) > rf.log_likelihood(inp, 14.0)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            rf.log_likelihood(_inp(), 0.0)
+        d = np.linspace(7.01, 14.0, 50)
+        assert (_s(d, x1=7.0, x2=20.0, sigma_c=1e9) < 0.0).all()
 
     def test_finite_at_subnormal_distance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isfinite(rf.log_likelihood(_inp(), 5e-324))
-            assert math.isfinite(rf.score(_inp(), 5e-324))
+            assert math.isfinite(_s(5e-324))
 
 
 class TestScore:
+    """fusion.stationarity: d times the derivative of the log-likelihood."""
+
     def test_zero_at_joint_peak(self):
-        assert rf.score(_inp(x1=5.0, x2=5.0), 5.0) == 0.0
+        assert _s(5.0, x1=5.0, x2=5.0) == 0.0
 
     def test_zero_connectivity_estimate(self):
-        inp = _inp(x1=3.0, x2=0.0, sigma_c=1.5)
-        assert rf.score(inp, 3.0) == pytest.approx(-(3.0**2) / 1.5**2, rel=1e-12)
+        assert _s(3.0, x1=3.0, x2=0.0, sigma_c=1.5) == pytest.approx(
+            -(3.0**2) / 1.5**2, rel=1e-12)
 
     def test_matches_numeric_gradient(self):
-        inp = _inp(x1=4.0, x2=11.0, sigma_r=0.15, sigma_c=2.5)
+        args = (4.0, 11.0, 0.15, 2.5)
         for d in (1.0, 3.0, 5.5, 9.0, 20.0):
             h = 1e-6 * d
-            numeric = (
-                rf.log_likelihood(inp, d + h) - rf.log_likelihood(inp, d - h)
-            ) / (2 * h)
-            analytic = rf.score(inp, d) / d
+            numeric = -(penalty(*args, d + h) - penalty(*args, d - h)) / (2 * h)
+            analytic = _s(d, *args) / d
             assert numeric == pytest.approx(analytic, rel=1e-6)
 
 
 class TestFuseMle:
+    """The ML fusion of one pair: one-row fuse_arrays calls."""
+
     def test_fixed_point(self):
-        result = rf.fuse_mle(_inp(x1=5.0, x2=5.0))
-        assert result.d_hat == pytest.approx(5.0, abs=1e-9)
-        assert result.status == INTERIOR
+        d_hat, status = _fuse(x1=5.0, x2=5.0)
+        assert d_hat == pytest.approx(5.0, abs=1e-9)
+        assert status == INTERIOR
 
     def test_rss_dominates(self):
-        result = rf.fuse_mle(_inp(x1=3.0, x2=7.0, sigma_c=1e6, d_th=20.0))
-        assert result.d_hat == pytest.approx(3.0, abs=1e-3)
+        d_hat, _ = _fuse(x1=3.0, x2=7.0, sigma_c=1e6, d_th=20.0)
+        assert d_hat == pytest.approx(3.0, abs=1e-3)
 
     def test_connectivity_dominates(self):
-        result = rf.fuse_mle(_inp(x1=3.0, x2=7.0, sigma_r=1e6, sigma_c=1.0, d_th=20.0))
-        assert result.d_hat == pytest.approx(7.0, abs=1e-3)
+        d_hat, _ = _fuse(x1=3.0, x2=7.0, sigma_r=1e6, sigma_c=1.0, d_th=20.0)
+        assert d_hat == pytest.approx(7.0, abs=1e-3)
 
     def test_matches_dense_grid(self):
-        inp = _inp(x1=2.0, x2=6.0, sigma_r=0.1, sigma_c=1.5, d_th=40.0)
-        result = rf.fuse_mle(inp)
-        assert result.d_hat == pytest.approx(_grid_maxima(inp)[0], rel=1e-4)
+        args = (2.0, 6.0, 0.1, 1.5, 40.0)
+        assert _fuse(*args)[0] == pytest.approx(_grid_maxima(*args)[0], rel=1e-4)
 
     def test_boundary_clamp(self):
-        result = rf.fuse_mle(_inp(x1=120.0, x2=39.0, sigma_r=0.05, sigma_c=2.0, d_th=40.0))
-        assert result.d_hat == 40.0
-        assert result.status == BOUNDARY_CLAMPED
+        d_hat, status = _fuse(x1=120.0, x2=39.0, sigma_r=0.05, sigma_c=2.0, d_th=40.0)
+        assert d_hat == 40.0
+        assert status == BOUNDARY_CLAMPED
 
     @pytest.mark.parametrize(
         "x1, x2, sigma_r, sigma_c, expected",
@@ -118,59 +100,70 @@ class TestFuseMle:
         ids=["near_wins", "far_wins"],
     )
     def test_two_maxima(self, x1, x2, sigma_r, sigma_c, expected):
-        inp = _inp(x1=x1, x2=x2, sigma_r=sigma_r, sigma_c=sigma_c, d_th=40.0)
-        best, local = _grid_maxima(inp)
+        best, local = _grid_maxima(x1, x2, sigma_r, sigma_c, 40.0)
         assert len(local) == 2
-        result = rf.fuse_mle(inp)
-        assert result.status == INTERIOR
-        assert result.d_hat == pytest.approx(best, rel=1e-4)
-        assert result.d_hat == pytest.approx(expected, abs=1e-4)
+        d_hat, status = _fuse(x1, x2, sigma_r, sigma_c, 40.0)
+        assert status == INTERIOR
+        assert d_hat == pytest.approx(best, rel=1e-4)
+        assert d_hat == pytest.approx(expected, abs=1e-4)
 
     def test_stationarity_residual_small_when_interior(self):
         rng = np.random.default_rng(41)
         interior = 0
         for _ in range(100):
-            inp = _inp(
-                x1=float(rng.uniform(0.5, 35.0)),
-                x2=float(rng.uniform(0.0, 40.0)),
-                sigma_r=float(rng.uniform(0.05, 0.3)),
-                sigma_c=float(rng.uniform(0.5, 8.0)),
+            args = (
+                float(rng.uniform(0.5, 35.0)),
+                float(rng.uniform(0.0, 40.0)),
+                float(rng.uniform(0.05, 0.3)),
+                float(rng.uniform(0.5, 8.0)),
             )
-            result = rf.fuse_mle(inp)
-            if result.status == INTERIOR:
+            d_hat, status = _fuse(*args)
+            if status == INTERIOR:
                 interior += 1
-                d0 = 0.5 * (inp.x1 + inp.x2)
-                budget = 1e-6 * (1.0 + abs(rf.score(inp, d0)))
-                assert abs(rf.score(inp, result.d_hat)) <= budget
+                d0 = 0.5 * (args[0] + args[1])
+                budget = 1e-6 * (1.0 + abs(_s(d0, *args)))
+                assert abs(_s(d_hat, *args)) <= budget
         assert interior > 50
 
     def test_deterministic(self):
-        inp = _inp(x1=4.2, x2=17.0, sigma_r=0.2, sigma_c=3.0)
-        assert rf.fuse_mle(inp) == rf.fuse_mle(inp)
+        args = (4.2, 17.0, 0.2, 3.0)
+        assert _fuse(*args) == _fuse(*args)
 
     @pytest.mark.parametrize("x2", [0.0, 3.0, 40.0])
     def test_smallest_subnormal_rss_estimate(self, x2):
         # x1 / e underflows to 0 here; the estimate must stay in (0, d_th]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = rf.fuse_mle(_inp(x1=5e-324, x2=x2))
-        assert 0.0 < result.d_hat <= 40.0
+            d_hat, _ = _fuse(x1=5e-324, x2=x2)
+        assert 0.0 < d_hat <= 40.0
         # the RSS term dominates by hundreds of decades: the peak sits at x1
-        assert result.d_hat < 1e-300
+        assert d_hat < 1e-300
+
+
+def _random_pairs(rng, n):
+    x1 = 40.0 * 10.0 ** rng.uniform(-1.3, 0.25, n)
+    x2 = rng.uniform(0.0, 40.0, n)
+    sigma_r = rng.uniform(0.05, 0.35, n)
+    sigma_c = 40.0 * rng.uniform(0.03, 0.4, n)
+    return x1, x2, sigma_r, sigma_c
 
 
 class TestFuseArrays:
     def test_batch_matches_one_pair_calls(self):
-        rng = np.random.default_rng(43)
-        n = 300
-        x1 = 40.0 * 10.0 ** rng.uniform(-1.3, 0.25, n)
-        x2 = rng.uniform(0.0, 40.0, n)
-        sigma_r = rng.uniform(0.05, 0.35, n)
-        sigma_c = 40.0 * rng.uniform(0.03, 0.4, n)
+        x1, x2, sigma_r, sigma_c = _random_pairs(np.random.default_rng(43), 300)
         d_hat, status = rf.fusion.fuse_arrays(x1, x2, sigma_r, sigma_c, 40.0)
-        for k in range(n):
-            one = rf.fuse_mle(_inp(x1[k], x2[k], sigma_r[k], sigma_c[k]))
-            assert (d_hat[k], status[k]) == (one.d_hat, one.status)
+        for k in range(x1.size):
+            assert (d_hat[k], status[k]) == _fuse(x1[k], x2[k], sigma_r[k], sigma_c[k])
+        assert {BOUNDARY_CLAMPED, INTERIOR} == set(status)
+
+    def test_per_pair_cutoff_matches_one_pair_calls(self):
+        rng = np.random.default_rng(44)
+        x1, x2, sigma_r, sigma_c = _random_pairs(rng, 300)
+        scale = rng.uniform(0.5, 2.5, 300)
+        x1, x2, sigma_c, d_th = x1 * scale, x2 * scale, sigma_c * scale, 40.0 * scale
+        d_hat, status = rf.fusion.fuse_arrays(x1, x2, sigma_r, sigma_c, d_th)
+        for k in range(d_th.size):
+            assert (d_hat[k], status[k]) == _fuse(x1[k], x2[k], sigma_r[k], sigma_c[k], d_th[k])
         assert {BOUNDARY_CLAMPED, INTERIOR} == set(status)
 
     def test_empty_batch(self):
@@ -194,13 +187,13 @@ class TestFuseInvariants:
     @example(x1=5e-324, x2=0.0, sigma_r=0.1, sigma_c=2.0)
     @example(x1=5e-324, x2=40.0, sigma_r=0.03, sigma_c=12.0)
     def test_result_in_domain_and_beats_seeds(self, x1, x2, sigma_r, sigma_c):
-        inp = _inp(x1=x1, x2=x2, sigma_r=sigma_r, sigma_c=sigma_c, d_th=40.0)
-        result = rf.fuse_mle(inp)
-        assert 0.0 < result.d_hat <= inp.d_th
-        best = rf.log_likelihood(inp, result.d_hat)
-        assert best >= rf.log_likelihood(inp, min(x1, inp.d_th)) - 1e-9
+        d_th = 40.0
+        d_hat, _ = _fuse(x1, x2, sigma_r, sigma_c, d_th)
+        assert 0.0 < d_hat <= d_th
+        best = penalty(x1, x2, sigma_r, sigma_c, d_hat)
+        assert best <= penalty(x1, x2, sigma_r, sigma_c, min(x1, d_th)) + 1e-9
         if x2 > 0.0:
-            assert best >= rf.log_likelihood(inp, x2) - 1e-9
+            assert best <= penalty(x1, x2, sigma_r, sigma_c, x2) + 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -212,8 +205,6 @@ class TestFuseInvariants:
     )
     def test_monotone_in_connectivity_estimate(self, x1, x2, bump, sigma_r, sigma_c):
         d_th = 40.0
-        low = rf.fuse_mle(_inp(x1=x1, x2=x2, sigma_r=sigma_r, sigma_c=sigma_c))
-        high = rf.fuse_mle(
-            _inp(x1=x1, x2=min(x2 + bump, d_th), sigma_r=sigma_r, sigma_c=sigma_c)
-        )
-        assert high.d_hat >= low.d_hat - 1e-6 * d_th
+        low, _ = _fuse(x1, x2, sigma_r, sigma_c)
+        high, _ = _fuse(x1, min(x2 + bump, d_th), sigma_r, sigma_c)
+        assert high >= low - 1e-6 * d_th

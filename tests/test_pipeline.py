@@ -80,6 +80,12 @@ class TestEstimatePairs:
         with pytest.raises(ValueError):
             rf.estimate_pairs(PARAMS_44, model44, [0.0], [6], [9], [11])
 
+    @pytest.mark.parametrize("intensity", [-1.0, NAN, math.inf, [0.01, -0.01]])
+    def test_rejects_bad_supplied_intensity(self, model44, intensity):
+        with pytest.raises(ValueError, match="intensity"):
+            rf.estimate_pairs(PARAMS_44, model44, [20.0, 20.0], [6, 6], [9, 9], [11, 11],
+                              intensity=intensity)
+
 
 class TestEstimatePair:
     def test_notes(self, model44):
@@ -87,10 +93,15 @@ class TestEstimatePair:
         assert below.status == NO_INFORMATION
         assert below.sigma_c is None and below.intensity is None
         assert len(below.notes) == 2
+        assert below.notes[0].startswith("all-zero counts")
+        zero = rf.estimate_pair(PARAMS_44, model44, -85.0, rf.NeighborCounts(6, 9, 11),
+                                intensity=0.0)
+        assert zero.status == RSS_ONLY
+        assert zero.notes[0] == "zero intensity supplied: connectivity unusable"
+        assert not any(note.startswith("all-zero counts") for note in zero.notes)
 
     def test_bound_at_fused_estimate(self, model44):
         est = rf.estimate_pair(PARAMS_44, model44, -85.0, rf.NeighborCounts(6, 9, 11))
-        lam = rf.estimate_intensity(rf.NeighborCounts(6, 9, 11), model44.s_mass)
-        expected = math.sqrt(rf.crlb_distance(PARAMS_44, model44, lam, est.d_fused))
+        expected = math.sqrt(rf.crlb_distance(PARAMS_44, model44, est.intensity, est.d_fused))
         assert est.sqrt_crlb == expected
         assert est.notes == ()

@@ -23,6 +23,8 @@ class TestMuToLambda:
             rf.mu_to_lambda(0.0, 10.0)
         with pytest.raises(ValueError):
             rf.mu_to_lambda(5.0, 0.0)
+        with pytest.raises(ValueError):
+            rf.mu_to_lambda(math.inf, 10.0)
 
 
 class TestDeployPoisson:
@@ -45,16 +47,15 @@ class TestDeployPoisson:
         assert p_value > 0.01
 
     def test_seed_reproducible(self):
-        a = rf.deploy_poisson(5.0, 1.0, 42)
-        b = rf.deploy_poisson(5.0, 1.0, 42)
-        assert a.seed == b.seed == 42
+        a = rf.deploy_poisson(5.0, 1.0, np.random.default_rng(42))
+        b = rf.deploy_poisson(5.0, 1.0, np.random.default_rng(42))
         assert np.array_equal(a.nodes, b.nodes)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            rf.deploy_poisson(0.0, 1.0, 1)
+            rf.deploy_poisson(0.0, 1.0, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            rf.deploy_poisson(1.0, 0.0, 1)
+            rf.deploy_poisson(1.0, 0.0, np.random.default_rng(1))
 
 
 class TestRealizeNeighbors:
@@ -154,9 +155,11 @@ class TestExperimentConfig:
         rf.ExperimentConfig(**good)
         for bad in (
             dict(mu=0.0),
+            dict(mu=math.inf),
             dict(trials=0),
             dict(seed=-1),
             dict(margin=0.5),
+            dict(margin=math.inf),
             dict(distances=()),
             dict(distances=(0.0,)),
         ):
@@ -265,12 +268,12 @@ def _per_trial_oracle(cfg, model):
             counts = rf.realize_neighbors(dep, params, a, b, rng)
             obs = rf.sample_rss(params, d, rng)
             d_rss = rf.estimate_distance_rss(params, obs)
-            d_conn = rf.estimate_distance_conn(model, counts)
+            d_conn = rf.connectivity.invert_counts(model, counts.m, counts.p, counts.q)
             plug = min(max(d_conn, 1e-9 * d_th), d_th)
             sigma_c = rf.conn_error_sigma(model, intensity, plug)
-            d_fused = rf.fuse_mle(
-                rf.FusionInput(d_rss, d_conn, params.sigma_r, sigma_c, d_th)
-            ).d_hat
+            d_fused = float(
+                rf.fusion.fuse_arrays(d_rss, d_conn, params.sigma_r, sigma_c, d_th)[0]
+            )
             sq_rss += (d_rss - d) ** 2
             sq_conn += (d_conn - d) ** 2
             sq_fused += (d_fused - d) ** 2
