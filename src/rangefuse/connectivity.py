@@ -4,16 +4,17 @@ Two nodes at separation d share common neighbors at a rate governed by
 f(d), the expected number of common neighbors per unit node intensity,
 while each node's total expected neighborhood per unit intensity is the
 mass S. Under an ideal disk channel f(d) is the lens-overlap area of two
-disks; under a probabilistic channel both quantities become integrals of
-the link probability over the plane. The estimator observes the counts
-(M, P, Q) of common and exclusive neighbors, forms the overlap ratio
-2M/(2M+P+Q), and inverts a tabulated piecewise-linear model of f.
+disks; under the log-normal shadowing channel both quantities are
+integrals of the link probability over the plane. S has a closed form
+(generic_s). The estimator observes the counts (M, P, Q) of common and
+exclusive neighbors, forms the overlap ratio 2M/(2M+P+Q), and inverts a
+tabulated piecewise-linear model of f.
 
-Each knot of that table is one generic_f call: a fixed Gauss-Legendre
-panel rule in polar coordinates around the pair midpoint, evaluated for
-all radial nodes at once as arrays and refined by doubling until two
-levels agree within quad_tol (no tighter than the rounding floor
-QUAD_TOL_FLOOR).
+Each knot of that table is one generic_f call, the module's one
+quadrature: a fixed Gauss-Legendre panel rule in polar coordinates around
+the pair midpoint, evaluated for all radial nodes at once as arrays and
+refined by doubling until two levels agree within quad_tol (no tighter
+than the rounding floor QUAD_TOL_FLOOR).
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .channel import ChannelParams, link_probability, pseudo_range
+from .channel import LN10, ChannelParams, link_probability, pseudo_range
 from .config import atomic_output, channel_from_mapping, channel_to_mapping
 from .errors import ConfigurationError, ModelConstructionError, NumericError
 
-# Link probabilities below this are treated as zero when truncating
-# integration domains and when locating the distance cutoff.
+# Link probabilities below this are treated as zero when truncating the
+# domain of the panel rule.
 LINK_FLOOR = 1e-9
 CUTOFF_LINK_PROBABILITY = 1e-3
 
@@ -60,9 +61,9 @@ class NeighborCounts:
 class FdModel:
     """Piecewise-linear table of f(d) on [0, d_th] plus the mass S.
 
-    Knots are strictly decreasing in f; each segment i carries the affine
-    coefficients of the chord through knots i and i+1, so evaluation is
-    continuous and reproduces the knot values exactly.
+    Knots are strictly decreasing in f; segment i is the chord through
+    knots i and i+1 with slope slopes[i], so evaluation is continuous and
+    reproduces the knot values exactly.
     """
 
     s_mass: float
@@ -71,7 +72,6 @@ class FdModel:
     knots_f: np.ndarray
     params: ChannelParams
     slopes: np.ndarray = field(init=False, repr=False)
-    intercepts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         knots_d = np.asarray(self.knots_d, dtype=float)
@@ -91,13 +91,7 @@ class FdModel:
         if knots_f[0] > self.s_mass * (1.0 + 1e-9):
             raise ModelConstructionError("f(0) cannot exceed the mass S")
         slopes = np.diff(knots_f) / np.diff(knots_d)
-        intercepts = knots_f[:-1] - slopes * knots_d[:-1]
-        for name, value in (
-            ("knots_d", knots_d),
-            ("knots_f", knots_f),
-            ("slopes", slopes),
-            ("intercepts", intercepts),
-        ):
+        for name, value in (("knots_d", knots_d), ("knots_f", knots_f), ("slopes", slopes)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -124,69 +118,37 @@ def unit_disk_f(r, d):
 def _link_prob_fn(params: ChannelParams):
     """Vectorized g(distance), safe at distance 0."""
     r = pseudo_range(params)
-    if params.sigma_db == 0.0:
-        def g(u):
-            return np.where(np.asarray(u, dtype=float) <= r, 1.0, 0.0)
-    else:
-        scale = 10.0 * params.alpha / params.sigma_db
-        def g(u):
-            u = np.maximum(np.asarray(u, dtype=float), 1e-300)
-            return 0.5 * special.erfc(scale * np.log10(u / r) / math.sqrt(2.0))
+    scale = 10.0 * params.alpha / params.sigma_db
+
+    def g(u):
+        u = np.maximum(np.asarray(u, dtype=float), 1e-300)
+        return 0.5 * special.erfc(scale * np.log10(u / r) / math.sqrt(2.0))
     return g
 
 
 def truncation_radius(params: ChannelParams) -> float:
     """Distance beyond which the link probability drops under LINK_FLOOR."""
-    r = pseudo_range(params)
-    if params.sigma_db == 0.0:
-        return r
     z = -float(special.ndtri(LINK_FLOOR))
-    return r * 10.0 ** (z * params.sigma_db / (10.0 * params.alpha))
+    return pseudo_range(params) * 10.0 ** (z * params.sigma_db / (10.0 * params.alpha))
 
 
 def _transition_radii(params: ChannelParams):
     """Radii bracketing the band where the link probability falls 1 -> 0."""
     r = pseudo_range(params)
-    if params.sigma_db == 0.0:
-        return (r,)
     halfwidth = 6.0 * params.sigma_db / (10.0 * params.alpha)
     return (r * 10.0 ** -halfwidth, r, r * 10.0 ** halfwidth)
 
 
-def generic_s(params: ChannelParams, quad_tol: float = 1e-6) -> float:
+def generic_s(params: ChannelParams) -> float:
     """Expected neighborhood mass per unit intensity under the channel model.
 
-    Radial integral of the link probability over the plane, truncated where
-    the probability falls under LINK_FLOOR. Reduces to the disk area pi r**2
-    when sigma_db = 0.
+    The link probability at distance u is Q(log10(u / r) / sigma_r), with r
+    the pseudo range, so the integral of it over the plane is exactly
+    pi r^2 exp(2 (sigma_r ln 10)^2); that is the disk area pi r^2 when
+    sigma_db = 0.
     """
-    if not quad_tol > 0.0:
-        raise ValueError(f"quad_tol must be positive, got {quad_tol!r}")
     r = pseudo_range(params)
-    if params.sigma_db == 0.0:
-        return math.pi * r * r
-    g = _link_prob_fn(params)
-    r_max = truncation_radius(params)
-    breaks = [x for x in _transition_radii(params) if 0.0 < x < r_max]
-    try:
-        value, abserr, info, *message = integrate.quad(
-            lambda u: u * float(g(u)),
-            0.0,
-            r_max,
-            points=breaks,
-            epsabs=0.0,
-            epsrel=0.5 * quad_tol,
-            limit=200,
-            full_output=True,
-        )
-    except ValueError as exc:
-        raise NumericError(f"neighborhood-mass quadrature rejected: {exc}") from exc
-    if message:
-        raise NumericError(
-            f"neighborhood-mass quadrature did not converge: {message[0]} "
-            f"(params={params}, abserr={abserr:g})"
-        )
-    return 2.0 * math.pi * value
+    return math.pi * r * r * math.exp(2.0 * (params.sigma_r * LN10) ** 2)
 
 
 def _angular_overlap(g, d, rho, n_half, r_edges):
@@ -370,7 +332,7 @@ def build_fd_model(params: ChannelParams, n_knots: int = 64,
             "exceeds the knot spacing (try fewer knots or tighter quad_tol)"
         )
     return FdModel(
-        s_mass=generic_s(params, quad_tol),
+        s_mass=generic_s(params),
         d_th=float(d_th),
         knots_d=knots_d,
         knots_f=knots_f,
@@ -378,27 +340,29 @@ def build_fd_model(params: ChannelParams, n_knots: int = 64,
     )
 
 
-def _segments(model: FdModel, d) -> tuple:
-    """Validated d, its first knot at or above, and its segment (the left one at knots)."""
+def _in_table(model: FdModel, d) -> np.ndarray:
+    """d as an array, checked to lie in [0, d_th]."""
     d = np.asarray(d, dtype=float)
     if not np.all((d >= 0.0) & (d <= model.d_th)):
         raise ValueError(f"d must lie in [0, d_th], got {d!r}")
-    hit = np.searchsorted(model.knots_d, d, side="left")
-    return d, hit, np.clip(hit - 1, 0, model.slopes.size - 1)
+    return d
+
+
+def _segments(model: FdModel, d) -> np.ndarray:
+    """Index of the segment containing each d (the left one at knots)."""
+    hit = np.searchsorted(model.knots_d, _in_table(model, d), side="left")
+    return np.clip(hit - 1, 0, model.slopes.size - 1)
 
 
 def fd_slope(model: FdModel, d):
     """Slope of the segment containing d (left segment at knots); takes arrays."""
-    out = model.slopes[_segments(model, d)[2]]
+    out = model.slopes[_segments(model, d)]
     return out if out.ndim else float(out)
 
 
 def eval_fd(model: FdModel, d):
     """Piecewise-linear value of f at d in [0, d_th]; exact at knots; takes arrays."""
-    d, hit, i = _segments(model, d)
-    k = np.minimum(hit, model.n_knots - 1)
-    out = model.knots_f[i] + model.slopes[i] * (d - model.knots_d[i])
-    out = np.where(model.knots_d[k] == d, model.knots_f[k], out)
+    out = np.interp(_in_table(model, d), model.knots_d, model.knots_f)
     return out if out.ndim else float(out)
 
 
@@ -406,21 +370,13 @@ def invert_fd(model: FdModel, value):
     """Distance whose tabulated f equals value, clamped to [0, d_th]; takes arrays.
 
     Values at or above f(0) map to 0; values at or below f(d_th) map to
-    d_th; anything between is inverted on the containing affine segment,
-    exactly at knots.
+    d_th; anything between is inverted on the containing chord, exactly at
+    knots.
     """
     value = np.asarray(value, dtype=float)
     if np.any(np.isnan(value)):
         raise ValueError("value must not be NaN")
-    last = model.n_knots - 1
-    # position in the ascending (reversed) knot values
-    pos = np.searchsorted(model.knots_f[::-1], value, side="left")
-    i = np.clip(last - pos, 0, last - 1)
-    out = model.knots_d[i] + (value - model.knots_f[i]) / model.slopes[i]
-    k = last - np.minimum(pos, last)
-    out = np.where(model.knots_f[k] == value, model.knots_d[k], out)
-    out = np.where(value <= model.knots_f[-1], model.d_th, out)
-    out = np.where(value >= model.knots_f[0], 0.0, out)
+    out = np.interp(value, model.knots_f[::-1], model.knots_d[::-1])
     return out if out.ndim else float(out)
 
 
@@ -450,7 +406,8 @@ def conn_error_sigma(model: FdModel, intensity, d_plugin):
     sigma_c^2 equals the connectivity-only Cramer-Rao bound, the inverse
     of the Schur complement of the count information over (d, intensity),
     so the overlap-ratio estimator is asymptotically efficient. Both
-    arguments may be arrays of one shape.
+    arguments may be arrays of one shape. Raises ValueError where an
+    extreme intensity puts sigma_c or 1/sigma_c^2 outside the positive floats.
     """
     intensity = np.asarray(intensity, dtype=float)
     if not np.all(intensity > 0.0):
@@ -465,8 +422,15 @@ def conn_error_sigma(model: FdModel, intensity, d_plugin):
             f"f({d_plugin!r})={f_val!r} is outside (0, S={s!r}); degenerate model"
         )
     slope = fd_slope(model, d_plugin)
-    var_rho = f_val * (s - f_val) * (2.0 * s - f_val) / (2.0 * intensity * s**4)
-    out = s * np.sqrt(var_rho) / np.abs(slope)
+    with np.errstate(all="ignore"):
+        var_rho = f_val * (s - f_val) * (2.0 * s - f_val) / (2.0 * intensity * s**4)
+        out = s * np.sqrt(var_rho) / np.abs(slope)
+        info = 1.0 / np.square(out)
+    ok = (out > 0.0) & (out < math.inf) & (info > 0.0) & (info < math.inf)
+    if not np.all(ok):
+        lam = np.broadcast_to(intensity, out.shape)[~ok].flat[0]
+        raise ValueError(f"intensity {lam:g} puts the connectivity error scale sigma_c "
+                         "outside the positive floats")
     return out if out.ndim else float(out)
 
 

@@ -4,8 +4,10 @@ The pair observation consists of the three neighbor counts (Poisson with
 means driven by f(d) and S) and one RSS reading (normal in dB around the
 log-distance path loss). Distance d and node intensity are estimated
 jointly, so the bound on d is the (d, d) entry of the inverse of the 2x2
-Fisher information matrix. f and its slope are taken from the tabulated
-piecewise-linear model; knots resolve to the left segment.
+Fisher information matrix. Eliminating the intensity leaves the counts
+1/sigma_c^2 of information about d, with sigma_c from conn_error_sigma.
+f and its slope come from the tabulated piecewise-linear model; knots
+resolve to the left segment.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import LN10, ChannelParams
-from .connectivity import FdModel, eval_fd, fd_slope
+from .connectivity import FdModel, conn_error_sigma, eval_fd, fd_slope
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,10 @@ def fim(params: ChannelParams, model: FdModel, intensity: float, d) -> FisherInf
 def crlb_distance(params: ChannelParams, model: FdModel, intensity: float, d) -> float:
     """Lower bound on the variance of any unbiased distance estimate.
 
-    Closed form of the (d, d) entry of the inverse information matrix;
-    reduces to d^2 over the RSS information scale when the tabulated slope
-    vanishes.
+    The (d, d) entry of the inverse information matrix: the inverse of the
+    connectivity information 1/sigma_c^2 plus the RSS information.
     """
     d = float(d)
-    f_val, slope = _check_point(model, intensity, d)
-    scale = rss_fisher_scale(params)
-    s = model.s_mass
-    conn_info = (
-        2.0 * intensity * s * s * slope * slope
-        / (f_val * (2.0 * s - f_val) * (s - f_val))
-    )
-    return 1.0 / (conn_info + scale / (d * d))
+    _check_point(model, intensity, d)
+    sigma_c = conn_error_sigma(model, intensity, d)
+    return 1.0 / (sigma_c**-2 + rss_fisher_scale(params) / (d * d))

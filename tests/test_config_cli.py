@@ -312,8 +312,21 @@ class TestUsageErrors:
         (["crlb", "--intensity", "inf", "--output", "OUT"], "intensity"),
         (["crlb", "--mu", "inf", "--output", "OUT"], "mu"),
         (["simulate", "--margin", "inf", "--output", "OUT"], "margin"),
+        # finite and positive, but sigma_c or 1/sigma_c^2 leaves the floats
+        (["estimate", "--rss", "-85", "--m", "6", "--p", "9", "--q", "11",
+          "--intensity", "1e308"], "intensity"),
+        (["estimate", "--rss", "-85", "--m", "6", "--p", "9", "--q", "11",
+          "--intensity", "1e-320"], "intensity"),
+        (["dataset", "--input", "IN", "--pairs", "1-2", "--intensity", "1e308",
+          "--output", "OUT"], "intensity"),
+        (["dataset", "--input", "IN", "--pairs", "1-2", "--intensity", "1e-320",
+          "--output", "OUT"], "intensity"),
+        (["crlb", "--intensity", "1e308", "--output", "OUT"], "intensity"),
+        (["crlb", "--intensity", "1e-320", "--output", "OUT"], "intensity"),
     ], ids=["estimate-negative", "estimate-nan", "estimate-inf", "dataset-negative",
-            "dataset-nan", "crlb-intensity-inf", "crlb-mu-inf", "simulate-margin-inf"])
+            "dataset-nan", "crlb-intensity-inf", "crlb-mu-inf", "simulate-margin-inf",
+            "estimate-1e308", "estimate-1e-320", "dataset-1e308", "dataset-1e-320",
+            "crlb-1e308", "crlb-1e-320"])
     def test_bad_density_or_margin_is_usage_error(self, cfg_path, tmp_path, capsys,
                                                   command, named):
         meas = tmp_path / "meas.txt"

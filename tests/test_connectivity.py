@@ -15,13 +15,6 @@ from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP
 LN10 = math.log(10.0)
 
 
-def _closed_form_mass(params):
-    """pi r^2 e^(2/beta^2): exact radial integral of the smooth link law."""
-    r = rf.pseudo_range(params)
-    beta = 10.0 * params.alpha / (params.sigma_db * LN10)
-    return math.pi * r * r * math.exp(2.0 / beta**2)
-
-
 def _poisson_triples(model, intensity, d, trials, seed):
     rng = np.random.default_rng(seed)
     f_true = rf.eval_fd(model, d)
@@ -70,10 +63,16 @@ class TestGenericS:
     def test_near_step_matches_disk_area(self):
         assert rf.generic_s(PARAMS_SHARP) == pytest.approx(math.pi * 100.0, rel=0.005)
 
-    def test_matches_closed_form(self):
-        assert rf.generic_s(PARAMS_44) == pytest.approx(
-            _closed_form_mass(PARAMS_44), rel=1e-5
-        )
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD], ids=["p44", "field"])
+    def test_matches_radial_quadrature(self, params):
+        # u = r e^t turns the radial integral into 2 pi r^2 int e^(2t) Q(t/beta) dt
+        # with beta = sigma_r ln 10; the window drops a lower tail of
+        # e^(-80 beta - 10) / 2, which is 4e-13 of the value for p44
+        r, beta = rf.pseudo_range(params), params.sigma_r * LN10
+        value, _ = integrate.quad(lambda t: math.exp(2.0 * t) * special.ndtr(-t / beta),
+                                  -40.0 * beta - 5.0, 40.0 * beta, epsabs=0.0,
+                                  epsrel=1e-13, limit=200)
+        assert rf.generic_s(params) == pytest.approx(2.0 * math.pi * r * r * value, rel=1e-10)
 
     def test_scaling_law(self):
         # halving the threshold power by 10*alpha*log10(2) dB doubles the range
@@ -91,10 +90,6 @@ class TestGenericS:
             4.0 * rf.generic_s(PARAMS_44), rel=1e-5
         )
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            rf.generic_s(PARAMS_44, quad_tol=0.0)
-
 
 class TestGenericF:
     def test_noise_free_equals_lens_area(self):
@@ -106,6 +101,14 @@ class TestGenericF:
     def test_overlap_at_zero_is_below_mass(self):
         f0 = rf.generic_f(PARAMS_44, 0.0)
         assert f0 < rf.generic_s(PARAMS_44)
+
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP],
+                             ids=["p44", "field", "sharp"])
+    def test_coincident_nodes_match_closed_form(self, params):
+        # f(0) = 2 pi r^2 int e^(2t) Q(t/beta)^2 dt = pi r^2 e^(2 beta^2) erfc(beta)
+        r, beta = rf.pseudo_range(params), params.sigma_r * LN10
+        exact = math.pi * r * r * math.exp(2.0 * beta * beta) * math.erfc(beta)
+        assert rf.generic_f(params, 0.0) == pytest.approx(exact, rel=1e-9)
 
     def test_nonincreasing(self, model44):
         values = model44.knots_f
@@ -289,7 +292,8 @@ class TestBuildFdModel:
         assert np.all(model44.slopes < 0)
         assert 0.0 < model44.knots_f[-1] < model44.knots_f[0] <= model44.s_mass
         # segment chaining is continuous
-        joins = model44.slopes[:-1] * model44.knots_d[1:-1] + model44.intercepts[:-1]
+        intercepts = model44.knots_f[:-1] - model44.slopes * model44.knots_d[:-1]
+        joins = model44.slopes[:-1] * model44.knots_d[1:-1] + intercepts[:-1]
         assert np.allclose(joins, model44.knots_f[1:-1], rtol=1e-9)
 
     def test_monotonicity_violation_raises(self):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import rangefuse as rf
 
 
@@ -15,3 +20,13 @@ class TestPublicNames:
         namespace = {}
         exec("from rangefuse import *", namespace)
         assert set(rf.__all__) <= set(namespace)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the package computes the neighborhood mass in closed form; a stray
+    # quadrature import would add its start-up time to every CLI run
+    code = "import sys, rangefuse; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(rf.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
