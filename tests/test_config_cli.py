@@ -229,10 +229,15 @@ class TestEstimateCommand:
         lam = (2 * 6 + 9 + 11) / (2.0 * model44.s_mass)
         x1 = rf.estimate_distance_rss(PARAMS_44, -85.0)
         x2 = rf.connectivity.invert_counts(model44, 6, 9, 11)
-        sigma_c = rf.conn_error_sigma(model44, lam, min(max(x2, 1e-9 * model44.d_th), model44.d_th))
         n = 10**6
         grid = np.linspace(model44.d_th / n, model44.d_th, n)
-        oracle = grid[int(np.argmin(penalty(x1, x2, PARAMS_44.sigma_r, sigma_c, grid)))]
+        # two passes: sigma_c at the connectivity estimate, then at the
+        # first pass's estimate
+        oracle = x2
+        for _ in range(2):
+            point = min(max(oracle, 1e-9 * model44.d_th), model44.d_th)
+            sigma_c = rf.conn_error_sigma(model44, lam, point)
+            oracle = grid[int(np.argmin(penalty(x1, x2, PARAMS_44.sigma_r, sigma_c, grid)))]
         assert float(out["d_fused"]) == pytest.approx(oracle, abs=1e-3 * model44.d_th)
 
     def test_negative_counts_usage_error(self, cfg_path):

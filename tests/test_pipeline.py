@@ -36,7 +36,11 @@ class TestEstimatePairs:
         est = rf.estimate_pairs(PARAMS_44, model44, [3.0], [0], [0], [0], intensity=lam)
         assert est.d_conn[0] == 0.0
         assert est.status[0] == "interior"
-        plug = 1e-9 * model44.d_th
+        # sigma_c of the second pass: taken at the first fused estimate
+        d_th = model44.d_th
+        first_sigma_c = rf.conn_error_sigma(model44, lam, 1e-9 * d_th)
+        first, _ = rf.fusion.fuse_arrays(3.0, 0.0, PARAMS_44.sigma_r, first_sigma_c, d_th)
+        plug = min(max(float(first), 1e-9 * d_th), d_th)
         assert est.sigma_c[0] == rf.conn_error_sigma(model44, lam, plug)
 
     def test_zero_intensity_means_no_connectivity(self, model44):

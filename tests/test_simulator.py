@@ -269,11 +269,13 @@ def _per_trial_oracle(cfg, model):
             obs = rf.sample_rss(params, d, rng)
             d_rss = rf.estimate_distance_rss(params, obs)
             d_conn = rf.connectivity.invert_counts(model, counts.m, counts.p, counts.q)
-            plug = min(max(d_conn, 1e-9 * d_th), d_th)
-            sigma_c = rf.conn_error_sigma(model, intensity, plug)
-            d_fused = float(
-                rf.fusion.fuse_arrays(d_rss, d_conn, params.sigma_r, sigma_c, d_th)[0]
-            )
+            d_fused = d_conn
+            for _ in range(2):
+                plug = min(max(d_fused, 1e-9 * d_th), d_th)
+                sigma_c = rf.conn_error_sigma(model, intensity, plug)
+                d_fused = float(
+                    rf.fusion.fuse_arrays(d_rss, d_conn, params.sigma_r, sigma_c, d_th)[0]
+                )
             sq_rss += (d_rss - d) ** 2
             sq_conn += (d_conn - d) ** 2
             sq_fused += (d_fused - d) ** 2
