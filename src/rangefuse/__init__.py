@@ -49,9 +49,11 @@ from .pipeline import PairEstimate, estimate_pair, estimate_pairs
 from .simulator import (
     Deployment,
     ExperimentConfig,
+    ExpectedErrors,
     RmseReport,
     RmseRow,
     deploy_poisson,
+    expected_errors,
     mu_to_lambda,
     realize_neighbors,
     run_experiment,
@@ -63,6 +65,7 @@ __all__ = [
     "ChannelParams",
     "ConfigurationError",
     "Deployment",
+    "ExpectedErrors",
     "ExperimentConfig",
     "FdModel",
     "FisherInfo",
@@ -84,6 +87,7 @@ __all__ = [
     "estimate_pairs",
     "eval_fd",
     "evaluate_pairs",
+    "expected_errors",
     "fd_slope",
     "fim",
     "generic_f",

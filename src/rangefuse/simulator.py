@@ -17,8 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
+from scipy import special
 
 from .channel import (
     LN10,
@@ -28,7 +31,13 @@ from .channel import (
     sample_rss,
 )
 from .config import atomic_output
-from .connectivity import FdModel, NeighborCounts, build_fd_model, threshold_distance
+from .connectivity import (
+    FdModel,
+    NeighborCounts,
+    build_fd_model,
+    eval_fd,
+    threshold_distance,
+)
 from .crlb import crlb_distance
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
@@ -222,3 +231,64 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseR
         rmse = np.sqrt(np.mean(errors * errors, axis=1))
         rows.append(RmseRow(d, *(float(v) for v in rmse), sqrt_crlb, cfg.trials))
     return RmseReport(rows=tuple(rows))
+
+
+class ExpectedErrors(NamedTuple):
+    """Exact RMSE and bias (mean error) of the three estimates at one distance."""
+
+    rmse_rss: float
+    rmse_conn: float
+    rmse_fused: float
+    bias_rss: float
+    bias_conn: float
+    bias_fused: float
+
+
+# joint count probabilities below this are left out of the enumeration
+_PMF_FLOOR = 1e-14
+_HERMITE_NODES = 40
+
+
+def _poisson_pmf(mean: float) -> np.ndarray:
+    """Poisson pmf on 0..k, with k far enough out that the tail is below _PMF_FLOOR."""
+    k = np.arange(math.ceil(mean + 12.0 * math.sqrt(mean) + 40.0))
+    return np.exp(special.xlogy(k, mean) - mean - special.gammaln(k + 1.0))
+
+
+def expected_errors(params: ChannelParams, model: FdModel, intensity: float,
+                    d: float) -> ExpectedErrors:
+    """Exact bias and RMSE of the RSS, connectivity and fused estimates at d.
+
+    Computed with no random draws, under the model that run_experiment
+    samples, with the intensity known. The estimators see the counts only
+    through M ~ Poi(lambda f) and Y = P + Q ~ Poi(2 lambda (S - f)), so the
+    expectation over the counts is a sum over every (M, Y) whose joint pmf
+    exceeds 1e-14, renormalized to the mass kept. The RSS range is
+    d 10^(sigma_r z) with z standard normal, taken on 40 probabilists'
+    Gauss-Hermite nodes. The whole grid goes through estimate_pairs as one
+    batch.
+    """
+    d = float(d)
+    if not 0.0 < d <= model.d_th:
+        raise ValueError(f"d must lie in (0, d_th], got {d!r}")
+    f_val = float(eval_fd(model, d))
+    joint = np.outer(_poisson_pmf(intensity * f_val),
+                     _poisson_pmf(2.0 * intensity * (model.s_mass - f_val)))
+    m, y = np.nonzero(joint > _PMF_FLOOR)
+    w_counts = joint[m, y] / joint[m, y].sum()
+    z, w_z = hermegauss(_HERMITE_NODES)
+    w_z = w_z / w_z.sum()
+    d_rss = d * 10.0 ** (params.sigma_r * z)
+    est = estimate_pairs(params, model, np.tile(d_rss, m.size),
+                         np.repeat(m, z.size), np.repeat(y, z.size), 0, intensity=intensity)
+
+    def moments(estimates, weights):
+        err = estimates - d
+        return math.sqrt(float(weights @ (err * err))), float(weights @ err)
+
+    (rmse_rss, bias_rss), (rmse_conn, bias_conn), (rmse_fused, bias_fused) = (
+        moments(d_rss, w_z),
+        moments(est.d_conn[::z.size], w_counts),
+        moments(est.d_fused, np.outer(w_counts, w_z).ravel()),
+    )
+    return ExpectedErrors(rmse_rss, rmse_conn, rmse_fused, bias_rss, bias_conn, bias_fused)

@@ -174,7 +174,7 @@ def test_criterion_7_trend_replication(model44):
     sigma_grid = (4.0, 6.0, 8.0)
     abs_fracs = (0.35, 0.5, 0.65, 0.8)
     distances = tuple(f * model44.d_th for f in abs_fracs)
-    rss_curves, conn_curves, sigma_c_curves = [], [], []
+    rss_curves, conn_curves, exact_curves = [], [], []
     for sigma in sigma_grid:
         params = rf.ChannelParams(
             p_ref_dbm=-37.47, alpha=4.0, sigma_db=sigma, rss_threshold_dbm=-100.0
@@ -187,19 +187,22 @@ def test_criterion_7_trend_replication(model44):
         rss_curves.append([row.rmse_rss for row in report.rows])
         conn_curves.append([row.rmse_conn for row in report.rows])
         lam = rf.mu_to_lambda(mu, model.s_mass)
-        sigma_c_curves.append([rf.conn_error_sigma(model, lam, d) for d in distances])
+        exact_curves.append(
+            [rf.expected_errors(params, model, lam, d).rmse_conn for d in distances])
     rss_monotone = all(
         rss_curves[k][i] < rss_curves[k + 1][i]
         for k in range(len(sigma_grid) - 1)
         for i in range(len(distances))
     )
-    # at fixed mu and absolute distance the connectivity error scale itself
-    # grows with shadowing, so the RMSE must follow the model's sigma_c ratio
+    # at fixed mu and absolute distance the connectivity error itself grows
+    # with shadowing, so the RMSE must follow the ratio of the exact
+    # connectivity RMSE, which, unlike the linearized sigma_c, sees the
+    # clamp at d_th and the estimator's bias
     conn_dev = [
         [
             abs(
                 (conn_curves[k][i] / conn_curves[0][i])
-                / (sigma_c_curves[k][i] / sigma_c_curves[0][i])
+                / (exact_curves[k][i] / exact_curves[0][i])
                 - 1.0
             )
             for i in range(len(distances))
@@ -228,7 +231,7 @@ def test_criterion_7_trend_replication(model44):
         ok,
         f"raising shadowing 4->8 dB raises RSS RMSE at every probe "
         f"(monotone={rss_monotone}) while the connectivity RMSE ratio to "
-        f"4 dB tracks the predicted sigma_c ratio within {conn_shift:.1%} "
+        f"4 dB tracks the exact connectivity RMSE ratio within {conn_shift:.1%} "
         f"(< 15%; per probe at 6 and 8 dB "
         f"{[[f'{v:.1%}' for v in row] for row in conn_dev]}); raising the "
         f"path loss exponent 3->6 lowers every curve at matched cutoff "

@@ -299,3 +299,19 @@ class TestBatchedEstimation:
             assert (row.d_true, row.trials) == (d, cfg.trials)
             got = [row.rmse_rss, row.rmse_conn, row.rmse_fused]
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
+class TestExpectedErrors:
+    def test_rss_leg_matches_lognormal_law(self, model44):
+        lam = rf.mu_to_lambda(20.0, model44.s_mass)
+        d = 0.5 * model44.d_th
+        exact = rf.expected_errors(PARAMS_44, model44, lam, d)
+        s = PARAMS_44.sigma_r * math.log(10.0)
+        rmse = d * math.sqrt(math.exp(2 * s * s) - 2 * math.exp(s * s / 2) + 1)
+        assert exact.rmse_rss == pytest.approx(rmse, rel=1e-12)
+        assert exact.bias_rss == pytest.approx(d * math.expm1(s * s / 2), rel=1e-12)
+
+    def test_rejects_distance_outside_cutoff(self, model44):
+        for d in (0.0, 1.01 * model44.d_th):
+            with pytest.raises(ValueError):
+                rf.expected_errors(PARAMS_44, model44, 0.01, d)
