@@ -151,40 +151,85 @@ def deploy_poisson(side: float, intensity: float, rng: np.random.Generator) -> D
     return Deployment(side=side, intensity=intensity, nodes=nodes)
 
 
+def _check_endpoints(params: ChannelParams, side: float, a, b) -> None:
+    cutoff = threshold_distance(params)
+    for name, (x, y) in (("a", a), ("b", b)):
+        if min(x, y, side - x, side - y) < cutoff:
+            raise ConfigurationError(
+                f"endpoint {name}={(x, y)!r} is within the cutoff distance "
+                f"{cutoff:.3f} of a region edge; counts would be biased"
+            )
+
+
+def _links(params: ChannelParams, xy: np.ndarray, end, z: np.ndarray) -> np.ndarray:
+    """Which nodes at xy link to the endpoint, given one shadowing draw z per node.
+
+    The draw sets the node's effective link radius r_eff = r exp(sigma_r
+    ln10 z) around the pseudo range r; the node links when its squared
+    distance is at most r_eff^2.
+    """
+    r_eff = pseudo_range(params) * np.exp(params.sigma_r * LN10 * z)
+    d2 = (xy[:, 0] - float(end[0])) ** 2 + (xy[:, 1] - float(end[1])) ** 2
+    return d2 <= r_eff * r_eff
+
+
 def realize_neighbors(
     dep: Deployment, params: ChannelParams, a, b, rng: np.random.Generator
 ) -> NeighborCounts:
     """Count common and exclusive neighbors of endpoints a and b.
 
-    Every deployed node gets one shadowing draw per endpoint, turned into
-    an effective link radius; a node is a neighbor when its distance falls
-    under that radius. Both endpoints must keep at least the cutoff
-    distance to every region edge so border truncation cannot bias the
-    counts.
+    Every deployed node gets one shadowing draw per endpoint, all of a's
+    before all of b's, and links by _links. Both endpoints must keep at
+    least the cutoff distance to every region edge so border truncation
+    cannot bias the counts.
     """
-    cutoff = threshold_distance(params)
-    for name, (x, y) in (("a", a), ("b", b)):
-        if min(x, y, dep.side - x, dep.side - y) < cutoff:
-            raise ConfigurationError(
-                f"endpoint {name}={(x, y)!r} is within the cutoff distance "
-                f"{cutoff:.3f} of a region edge; counts would be biased"
-            )
+    _check_endpoints(params, dep.side, a, b)
     n = dep.nodes.shape[0]
     if n == 0:
         return NeighborCounts(0, 0, 0)
-    r = pseudo_range(params)
-    spread = params.sigma_r * LN10
-    reff_a = r * np.exp(spread * rng.standard_normal(n))
-    reff_b = r * np.exp(spread * rng.standard_normal(n))
-    xy = dep.nodes
-    da2 = (xy[:, 0] - float(a[0])) ** 2 + (xy[:, 1] - float(a[1])) ** 2
-    db2 = (xy[:, 0] - float(b[0])) ** 2 + (xy[:, 1] - float(b[1])) ** 2
-    link_a = da2 <= reff_a * reff_a
-    link_b = db2 <= reff_b * reff_b
+    link_a = _links(params, dep.nodes, a, rng.standard_normal(n))
+    link_b = _links(params, dep.nodes, b, rng.standard_normal(n))
     m = int(np.count_nonzero(link_a & link_b))
     p = int(np.count_nonzero(link_a)) - m
     q = int(np.count_nonzero(link_b)) - m
     return NeighborCounts(m, p, q)
+
+
+# trials per block of a probe's stream: large enough to amortize the numpy
+# calls per block, small enough that the block's node arrays keep the peak
+# memory flat
+_BLOCK_TRIALS = 16
+
+
+def _draw_probe(params: ChannelParams, side: float, intensity: float, d: float,
+                trials: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor counts, shape (3, trials), and RSS readings of one probe.
+
+    The pair sits at the center of the square region, d apart. Trials are
+    drawn from rng in blocks of _BLOCK_TRIALS (the last one shorter); each
+    block takes, in this order, its node counts, all its node positions,
+    both endpoints' shadowing draws for all its nodes (a's row, then b's)
+    and its RSS readings. A trial's counts are sums over its own nodes.
+    """
+    a = ((side - d) / 2.0, side / 2.0)
+    b = ((side + d) / 2.0, side / 2.0)
+    _check_endpoints(params, side, a, b)
+    counts = np.empty((3, trials), dtype=np.int64)
+    obs = np.empty(trials)
+    for start in range(0, trials, _BLOCK_TRIALS):
+        k = min(_BLOCK_TRIALS, trials - start)
+        n = rng.poisson(intensity * side * side, k)
+        xy = rng.random((int(n.sum()), 2)) * side
+        z = rng.standard_normal((2, xy.shape[0]))
+        obs[start:start + k] = sample_rss(params, np.full(k, d), rng)
+        # bincount over each linked node's trial index: trials without
+        # nodes or links get 0
+        trial = np.repeat(np.arange(k), n)
+        link_a, link_b = _links(params, xy, a, z[0]), _links(params, xy, b, z[1])
+        m = np.bincount(trial[link_a & link_b], minlength=k)
+        counts[:, start:start + k] = (m, np.bincount(trial[link_a], minlength=k) - m,
+                                      np.bincount(trial[link_b], minlength=k) - m)
+    return counts, obs
 
 
 def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseReport:
@@ -210,21 +255,13 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseR
 
     rows = []
     for i_d, d in enumerate(cfg.distances):
-        a = ((side - d) / 2.0, side / 2.0)
-        b = ((side + d) / 2.0, side / 2.0)
         # the bound needs an interior point; at the boundary probe use the
         # same segment evaluated just inside the cutoff
         d_bound = min(d, math.nextafter(d_th, 0.0))
         sqrt_crlb = 0.0 if params.sigma_db == 0.0 else math.sqrt(
             crlb_distance(params, model, intensity, d_bound))
-        counts = np.empty((3, cfg.trials), dtype=np.int64)
-        obs = np.empty(cfg.trials)
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng((cfg.seed, i_d, trial))
-            dep = deploy_poisson(side, intensity, rng)
-            c = realize_neighbors(dep, params, a, b, rng)
-            counts[:, trial] = (c.m, c.p, c.q)
-            obs[trial] = sample_rss(params, d, rng)
+        rng = np.random.default_rng((cfg.seed, i_d))
+        counts, obs = _draw_probe(params, side, intensity, d, cfg.trials, rng)
         d_rss = estimate_distance_rss(params, obs)
         est = estimate_pairs(params, model, d_rss, *counts, intensity=intensity)
         errors = np.stack([d_rss, est.d_conn, est.d_fused]) - d

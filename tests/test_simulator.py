@@ -252,21 +252,64 @@ class TestRmseReport:
         assert len(payload["rows"]) == 3
 
 
-def _per_trial_oracle(cfg, model):
-    """The simulator's former per-trial estimation loop, kept as an oracle."""
-    params, d_th = cfg.channel, model.d_th
+# the simulator's stream layout: trials drawn per block of a probe's stream
+BLOCK_TRIALS = 16
+
+
+def _probe_stream(cfg, model, i_d):
+    """The probe's endpoints and a replay of its block stream, one trial at a time.
+
+    Yields each trial's node count, node positions, shadowing draws (row
+    0 for endpoint a, row 1 for b) and RSS reading.
+    """
+    d, side = cfg.distances[i_d], (2.0 * cfg.margin + 1.0) * model.d_th
     intensity = rf.mu_to_lambda(cfg.mu, model.s_mass)
-    side = (2.0 * cfg.margin + 1.0) * d_th
+    a = ((side - d) / 2.0, side / 2.0)
+    b = ((side + d) / 2.0, side / 2.0)
+    rng = np.random.default_rng((cfg.seed, i_d))
+
+    def trials():
+        for start in range(0, cfg.trials, BLOCK_TRIALS):
+            k = min(BLOCK_TRIALS, cfg.trials - start)
+            n = rng.poisson(intensity * side * side, k)
+            xy = rng.random((int(n.sum()), 2)) * side
+            z = rng.standard_normal((2, xy.shape[0]))
+            obs = rf.sample_rss(cfg.channel, np.full(k, d), rng)
+            ends = np.cumsum(n)
+            for t in range(k):
+                nodes = slice(ends[t] - n[t], ends[t])
+                yield int(n[t]), xy[nodes], z[:, nodes], float(obs[t])
+
+    return side, intensity, a, b, trials()
+
+
+class _Draws:
+    """Stands in for a Generator, handing out prerecorded shadowing draws."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def standard_normal(self, n):
+        row = next(self.rows)
+        assert row.shape == (n,)
+        return row
+
+
+def _per_trial_oracle(cfg, model):
+    """A plain per-trial loop over the simulator's block streams.
+
+    Counts each trial with realize_neighbors on its own nodes and draws,
+    and estimates it on its own, with sigma_c plugged in at the clamped
+    connectivity estimate and then at the clamped first fused estimate.
+    """
+    params, d_th = cfg.channel, model.d_th
     rows = []
     for i_d, d in enumerate(cfg.distances):
-        a = ((side - d) / 2.0, side / 2.0)
-        b = ((side + d) / 2.0, side / 2.0)
+        side, intensity, a, b, trials = _probe_stream(cfg, model, i_d)
         sq_rss = sq_conn = sq_fused = 0.0
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng((cfg.seed, i_d, trial))
-            dep = rf.deploy_poisson(side, intensity, rng)
-            counts = rf.realize_neighbors(dep, params, a, b, rng)
-            obs = rf.sample_rss(params, d, rng)
+        for _, xy, z, obs in trials:
+            dep = rf.Deployment(side=side, intensity=intensity, nodes=xy)
+            counts = rf.realize_neighbors(dep, params, a, b, _Draws(z))
             d_rss = rf.estimate_distance_rss(params, obs)
             d_conn = rf.connectivity.invert_counts(model, counts.m, counts.p, counts.q)
             d_fused = d_conn
@@ -285,12 +328,27 @@ def _per_trial_oracle(cfg, model):
     return rows
 
 
-class TestBatchedEstimation:
-    """run_experiment's batched estimation against the per-trial loop."""
+def _spy_estimation(monkeypatch):
+    """Record every estimate_pairs call run_experiment makes, with its result."""
+    calls = []
+    real = rf.simulator.estimate_pairs
 
-    def test_matches_per_trial_loop(self, model44):
+    def spy(*args, **kwargs):
+        est = real(*args, **kwargs)
+        calls.append((args, kwargs, est))
+        return est
+
+    monkeypatch.setattr(rf.simulator, "estimate_pairs", spy)
+    return calls
+
+
+class TestBatchedEstimation:
+    """run_experiment's block draws and batched estimation against a per-trial loop."""
+
+    @pytest.mark.parametrize("trials", [1, 17, 50])
+    def test_matches_per_trial_loop(self, model44, trials):
         cfg = rf.ExperimentConfig(
-            channel=PARAMS_44, mu=20.0, trials=50, seed=2024,
+            channel=PARAMS_44, mu=20.0, trials=trials, seed=2024,
             distances=tuple(f * model44.d_th for f in (0.2, 0.55, 0.9)),
         )
         report = rf.run_experiment(cfg, model=model44)
@@ -299,6 +357,37 @@ class TestBatchedEstimation:
             assert (row.d_true, row.trials) == (d, cfg.trials)
             got = [row.rmse_rss, row.rmse_conn, row.rmse_fused]
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_block_counts_match_set_arithmetic(self, model44):
+        cfg = rf.ExperimentConfig(channel=PARAMS_44, mu=20.0, trials=BLOCK_TRIALS,
+                                  seed=606, distances=(0.4 * model44.d_th,))
+        side, intensity, a, b, trials = _probe_stream(cfg, model44, 0)
+        got, _ = rf.simulator._draw_probe(PARAMS_44, side, intensity, cfg.distances[0],
+                                          cfg.trials, np.random.default_rng((cfg.seed, 0)))
+        r = rf.pseudo_range(PARAMS_44)
+        spread = PARAMS_44.sigma_r * math.log(10.0)
+        expected = [_counts_by_sets(xy, a, b, *(r * np.exp(spread * z)))
+                    for _, xy, z, _ in trials]
+        assert [tuple(c) for c in got.T] == expected
+        assert got.sum() > 0
+
+    def test_empty_trials_fuse_with_supplied_intensity(self, model44, monkeypatch):
+        # about 0.9 nodes per trial, so many trials deploy none
+        cfg = rf.ExperimentConfig(
+            channel=PARAMS_44, mu=0.05, trials=33, seed=31,
+            distances=(0.3 * model44.d_th, 0.7 * model44.d_th),
+        )
+        calls = _spy_estimation(monkeypatch)
+        rf.run_experiment(cfg, model=model44)
+        m, p, q = (np.concatenate([args[3 + i] for args, _, _ in calls]) for i in range(3))
+        status = np.concatenate([est.status for _, _, est in calls])
+        lam = np.concatenate([est.intensity for _, _, est in calls])
+        empty = np.array([n == 0 for i_d in range(len(cfg.distances))
+                          for n, _, _, _ in _probe_stream(cfg, model44, i_d)[4]])
+        assert empty.sum() >= 10
+        assert (m[empty] == 0).all() and (p[empty] == 0).all() and (q[empty] == 0).all()
+        assert (lam == rf.mu_to_lambda(cfg.mu, model44.s_mass)).all()
+        assert set(status[empty]) <= {"interior", "boundary_clamped"}
 
 
 class TestExpectedErrors:
