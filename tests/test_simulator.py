@@ -379,15 +379,14 @@ class TestBatchedEstimation:
         )
         calls = _spy_estimation(monkeypatch)
         rf.run_experiment(cfg, model=model44)
-        m, p, q = (np.concatenate([args[3 + i] for args, _, _ in calls]) for i in range(3))
-        status = np.concatenate([est.status for _, _, est in calls])
-        lam = np.concatenate([est.intensity for _, _, est in calls])
+        (args, _, est), = calls  # one batch for the whole run
+        m, p, q = args[3:6]
         empty = np.array([n == 0 for i_d in range(len(cfg.distances))
                           for n, _, _, _ in _probe_stream(cfg, model44, i_d)[4]])
         assert empty.sum() >= 10
         assert (m[empty] == 0).all() and (p[empty] == 0).all() and (q[empty] == 0).all()
-        assert (lam == rf.mu_to_lambda(cfg.mu, model44.s_mass)).all()
-        assert set(status[empty]) <= {"interior", "boundary_clamped"}
+        assert (est.intensity == rf.mu_to_lambda(cfg.mu, model44.s_mass)).all()
+        assert set(est.status[empty]) <= {"interior", "boundary_clamped"}
 
 
 class TestExpectedErrors:
