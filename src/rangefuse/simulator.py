@@ -3,15 +3,15 @@
 Each trial drops a fresh Poisson field of nodes in a square region with
 the probed pair conditioned at the center, realizes shadowed links from
 every node to both endpoints, collects the neighbor counts, and samples
-one RSS reading for the pair. Per-trial random streams are derived from
-the master seed and the (distance, trial) index, so results do not
-depend on execution order and are reproducible bit for bit under a fixed
-seed. The trials of one distance then go through the shared estimation
-pipeline as one batch. Every reading is kept, also those below the link
-threshold: the RSS error law and the bound assume the unconditioned
-reading.
+one RSS reading for the pair. Each probe draws its trials from its own
+random stream, derived from the master seed and the probe's index, in
+fixed blocks of trials, so results do not depend on the other probes and
+are reproducible bit for bit under a fixed seed. All trials of a run then
+go through the shared estimation pipeline as one batch. Every reading is
+kept, also those below the link threshold: the RSS error law and the
+bound assume the unconditioned reading. expected_errors gives the exact
+errors that the Monte Carlo estimates, by enumeration instead of draws.
 """
-
 from __future__ import annotations
 
 import json
@@ -235,9 +235,11 @@ def _draw_probe(params: ChannelParams, side: float, intensity: float, d: float,
 def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseReport:
     """Run the full RMSE protocol and report all three estimators per distance.
 
-    A prebuilt FdModel for the same channel may be passed to skip the
-    tabulation step. Probing beyond the model's cutoff is a configuration
-    error.
+    Probe i_d draws its trials from default_rng((seed, i_d)) in fixed
+    blocks (see _draw_probe), so a probe's results do not depend on the
+    other probes. A prebuilt FdModel for the same channel may be passed to skip
+    the tabulation step. Probing beyond the model's cutoff is a
+    configuration error.
     """
     params = cfg.channel
     if model is None:

@@ -371,6 +371,20 @@ class TestBatchedEstimation:
         assert [tuple(c) for c in got.T] == expected
         assert got.sum() > 0
 
+    def test_block_count_means(self, model44):
+        # the same expectations as TestRealizeNeighbors, on the block path
+        cfg = rf.ExperimentConfig(channel=PARAMS_44, mu=20.0, trials=10**4, seed=99,
+                                  distances=(0.5 * model44.d_th,))
+        side, intensity, _, _, _ = _probe_stream(cfg, model44, 0)
+        counts, _ = rf.simulator._draw_probe(PARAMS_44, side, intensity, cfg.distances[0],
+                                             cfg.trials, np.random.default_rng((cfg.seed, 0)))
+        mean_m, mean_p, mean_q = counts.mean(axis=1)
+        f_true = rf.generic_f(PARAMS_44, cfg.distances[0])
+        exclusive = intensity * (rf.generic_s(PARAMS_44) - f_true)
+        assert mean_m == pytest.approx(intensity * f_true, rel=0.02)
+        assert mean_p == pytest.approx(exclusive, rel=0.02)
+        assert mean_q == pytest.approx(exclusive, rel=0.02)
+
     def test_empty_trials_fuse_with_supplied_intensity(self, model44, monkeypatch):
         # about 0.9 nodes per trial, so many trials deploy none
         cfg = rf.ExperimentConfig(
@@ -403,3 +417,26 @@ class TestExpectedErrors:
         for d in (0.0, 1.01 * model44.d_th):
             with pytest.raises(ValueError):
                 rf.expected_errors(PARAMS_44, model44, 0.01, d)
+
+    def test_seeded_run_matches_exact_law(self, model44, monkeypatch):
+        # each Monte Carlo RMSE and mean error within 4 of its standard errors
+        cfg = rf.ExperimentConfig(
+            channel=PARAMS_44, mu=20.0, trials=400, seed=4242,
+            distances=tuple(f * model44.d_th for f in (0.2, 0.5, 0.8)),
+        )
+        calls = _spy_estimation(monkeypatch)
+        report = rf.run_experiment(cfg, model=model44)
+        (args, _, est), = calls
+        lam = rf.mu_to_lambda(cfg.mu, model44.s_mass)
+        estimates = np.stack([args[2], est.d_conn, est.d_fused]).reshape(3, -1, cfg.trials)
+        for i_d, (row, d) in enumerate(zip(report.rows, cfg.distances)):
+            exact = rf.expected_errors(PARAMS_44, model44, lam, d)
+            err = estimates[:, i_d] - d
+            rmse = np.sqrt(np.mean(err * err, axis=1))
+            assert list(rmse) == [row.rmse_rss, row.rmse_conn, row.rmse_fused]
+            se_rmse = np.std(err * err, axis=1) / (2.0 * rmse * math.sqrt(cfg.trials))
+            se_bias = np.std(err, axis=1) / math.sqrt(cfg.trials)
+            exact_rmse = [exact.rmse_rss, exact.rmse_conn, exact.rmse_fused]
+            exact_bias = [exact.bias_rss, exact.bias_conn, exact.bias_fused]
+            assert (np.abs(rmse - exact_rmse) <= 4.0 * se_rmse).all()
+            assert (np.abs(err.mean(axis=1) - exact_bias) <= 4.0 * se_bias).all()
