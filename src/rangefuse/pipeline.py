@@ -37,7 +37,7 @@ class PairEstimates(NamedTuple):
     status: np.ndarray
 
 
-def clamp_to_cutoff(d, d_th):
+def _clamp_to_cutoff(d, d_th):
     """Clamp distances to [1e-9 d_th, d_th], where the error scales are defined."""
     return np.clip(d, 1e-9 * d_th, d_th)
 
@@ -52,7 +52,7 @@ def estimate_pairs(params: ChannelParams, model: FdModel, d_rss, m, p, q,
     connectivity information, and a supplied one that is negative or not
     finite raises ValueError. The fusion runs twice: first with sigma_c
     taken at the connectivity estimate, then with sigma_c taken at that
-    first fused estimate, both points clamped by clamp_to_cutoff; the
+    first fused estimate, both points clamped to [1e-9 d_th, d_th]; the
     reported sigma_c is the second one. Near d = 0 the connectivity
     estimate alone is too noisy to fix the error scale. Where one source
     is unusable, or the channel is noise-free, the fused estimate falls
@@ -71,14 +71,14 @@ def estimate_pairs(params: ChannelParams, model: FdModel, d_rss, m, p, q,
     rss, conn = ~np.isnan(d_rss), lam > 0.0
 
     sigma_c = np.full(d_conn.shape, math.nan)
-    sigma_c[conn] = conn_error_sigma(model, lam[conn], clamp_to_cutoff(d_conn[conn], d_th))
+    sigma_c[conn] = conn_error_sigma(model, lam[conn], _clamp_to_cutoff(d_conn[conn], d_th))
 
     d_fused = np.where(rss, np.fmin(d_rss, d_th), np.where(conn, d_conn, 0.0))
     status = np.where(rss, RSS_ONLY, np.where(conn, CONNECTIVITY_ONLY, NO_INFORMATION))
     fuse = rss & conn & (params.sigma_db > 0.0)
     x1, x2, lam_fuse = d_rss[fuse], d_conn[fuse], lam[fuse]
     first, _ = fuse_arrays(x1, x2, params.sigma_r, sigma_c[fuse], d_th)
-    sigma_c[fuse] = conn_error_sigma(model, lam_fuse, clamp_to_cutoff(first, d_th))
+    sigma_c[fuse] = conn_error_sigma(model, lam_fuse, _clamp_to_cutoff(first, d_th))
     d_fused[fuse], status[fuse] = fuse_arrays(x1, x2, params.sigma_r, sigma_c[fuse], d_th)
     return PairEstimates(d_conn, d_fused, sigma_c, lam, status)
 
@@ -131,7 +131,7 @@ def estimate_pair(
     sqrt_crlb = None
     if conn and params.sigma_db > 0.0 and d_fused > 0.0:
         # the bound needs a point strictly inside the cutoff
-        point = min(float(clamp_to_cutoff(d_fused, model.d_th)),
+        point = min(float(_clamp_to_cutoff(d_fused, model.d_th)),
                     math.nextafter(model.d_th, 0.0))
         sqrt_crlb = math.sqrt(crlb_distance(params, model, lam, point))
 

@@ -12,6 +12,7 @@ kept, also those below the link threshold: the RSS error law and the
 bound assume the unconditioned reading. expected_errors gives the exact
 errors that the Monte Carlo estimates, by enumeration instead of draws.
 """
+
 from __future__ import annotations
 
 import json
@@ -179,9 +180,10 @@ def realize_neighbors(
     """Count common and exclusive neighbors of endpoints a and b.
 
     Every deployed node gets one shadowing draw per endpoint, all of a's
-    before all of b's, and links by _links. Both endpoints must keep at
-    least the cutoff distance to every region edge so border truncation
-    cannot bias the counts.
+    before all of b's, turned into an effective link radius; a node is a
+    neighbor when its distance falls under that radius. Both endpoints
+    must keep at least the cutoff distance to every region edge so border
+    truncation cannot bias the counts.
     """
     _check_endpoints(params, dep.side, a, b)
     n = dep.nodes.shape[0]
@@ -237,8 +239,8 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseR
 
     Probe i_d draws its trials from default_rng((seed, i_d)) in fixed
     blocks (see _draw_probe), so a probe's results do not depend on the
-    other probes. A prebuilt FdModel for the same channel may be passed to skip
-    the tabulation step. Probing beyond the model's cutoff is a
+    other probes. A prebuilt FdModel for the same channel may be passed
+    to skip the tabulation step. Probing beyond the model's cutoff is a
     configuration error.
     """
     params = cfg.channel
@@ -297,7 +299,7 @@ _HERMITE_NODES = 40
 
 
 def _poisson_pmf(mean: float) -> np.ndarray:
-    """Poisson pmf on 0..k, with k far enough out that the tail is below _PMF_FLOOR."""
+    """Poisson pmf on 0..k, with k far enough out that pmf(k) is below _PMF_FLOOR."""
     k = np.arange(math.ceil(mean + 12.0 * math.sqrt(mean) + 40.0))
     return np.exp(special.xlogy(k, mean) - mean - special.gammaln(k + 1.0))
 
@@ -318,6 +320,8 @@ def expected_errors(params: ChannelParams, model: FdModel, intensity: float,
     d = float(d)
     if not 0.0 < d <= model.d_th:
         raise ValueError(f"d must lie in (0, d_th], got {d!r}")
+    if not 0.0 < intensity < math.inf:
+        raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
     f_val = float(eval_fd(model, d))
     joint = np.outer(_poisson_pmf(intensity * f_val),
                      _poisson_pmf(2.0 * intensity * (model.s_mass - f_val)))

@@ -345,8 +345,15 @@ def _spy_estimation(monkeypatch):
 class TestBatchedEstimation:
     """run_experiment's block draws and batched estimation against a per-trial loop."""
 
-    @pytest.mark.parametrize("trials", [1, 17, 50])
-    def test_matches_per_trial_loop(self, model44, trials):
+    def test_matches_per_trial_loop(self, model44):
+        self._check_against_oracle(model44, trials=50)
+
+    @pytest.mark.parametrize("trials", [1, 17])
+    def test_trials_off_the_block_size(self, model44, trials):
+        self._check_against_oracle(model44, trials)
+
+    @staticmethod
+    def _check_against_oracle(model44, trials):
         cfg = rf.ExperimentConfig(
             channel=PARAMS_44, mu=20.0, trials=trials, seed=2024,
             distances=tuple(f * model44.d_th for f in (0.2, 0.55, 0.9)),
@@ -413,10 +420,11 @@ class TestExpectedErrors:
         assert exact.rmse_rss == pytest.approx(rmse, rel=1e-12)
         assert exact.bias_rss == pytest.approx(d * math.expm1(s * s / 2), rel=1e-12)
 
-    def test_rejects_distance_outside_cutoff(self, model44):
-        for d in (0.0, 1.01 * model44.d_th):
+    def test_rejects_bad_point(self, model44):
+        for d, lam in ((0.0, 0.01), (1.01 * model44.d_th, 0.01), (10.0, 0.0),
+                       (10.0, -0.01), (10.0, math.inf)):
             with pytest.raises(ValueError):
-                rf.expected_errors(PARAMS_44, model44, 0.01, d)
+                rf.expected_errors(PARAMS_44, model44, lam, d)
 
     def test_seeded_run_matches_exact_law(self, model44, monkeypatch):
         # each Monte Carlo RMSE and mean error within 4 of its standard errors
