@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -217,42 +218,41 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _format_optional(value) -> str:
-    return repr(float(value)) if value is not None else "nan"
+# one --pairs token: two ids, each with an optional leading minus, joined by '-' or ':'
+_PAIR_TOKEN = re.compile(r"(-?[^-:]+)[-:](-?[^-:]+)")
+
+
+def _parse_pairs(text: str) -> list:
+    pairs = []
+    for token in filter(None, map(str.strip, text.split(","))):
+        match = _PAIR_TOKEN.fullmatch(token)
+        try:
+            if match is None:
+                raise ValueError
+            pairs.append((int(match[1]), int(match[2])))
+        except ValueError:
+            raise ConfigurationError(
+                f"bad pair {token!r}; expected 'id-id' or 'id:id' tokens"
+            ) from None
+    if not pairs:
+        raise ConfigurationError("no pairs requested")
+    return pairs
 
 
 def _cmd_dataset(args) -> int:
     params, experiment = _resolve_channel(args)
     ms = load_measurements(args.input, params)
-    pairs = []
-    for token in args.pairs.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        sep = "-" if "-" in token else ":"
-        try:
-            left, right = token.split(sep)
-            pairs.append((int(left), int(right)))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"bad pair {token!r}; expected 'id-id' tokens"
-            ) from exc
-    if not pairs:
-        raise ConfigurationError("no pairs requested")
+    pairs = _parse_pairs(args.pairs)
     model = _resolve_model(args, params, experiment)
-    results = evaluate_pairs(
-        ms, pairs, model=model, intensity=args.intensity
-    )
-    lines = ["pair,d_true,err_rss,err_conn,err_fused"]
-    for row in results:
-        if row.error is not None:
-            print(f"warning: pair {row.pair[0]}-{row.pair[1]}: {row.error}",
-                  file=sys.stderr)
-        lines.append(
-            f"{row.pair[0]}-{row.pair[1]},{_format_optional(row.d_true)},"
-            f"{_format_optional(row.err_rss)},{_format_optional(row.err_conn)},"
-            f"{_format_optional(row.err_fused)}"
-        )
+    result = evaluate_pairs(ms, pairs, model=model, intensity=args.intensity)
+    for i, j in result.pairs[~result.measured].tolist():
+        print(f"warning: pair {i}-{j}: no RSS measurement for this pair", file=sys.stderr)
+    # NaN prints as 'nan', the value of every error column of an unmeasured pair
+    columns = (*result.pairs.T.tolist(),
+               *(v.tolist() for v in (result.d_true, result.err_rss, result.err_conn,
+                                      result.err_fused)))
+    lines = ["pair,d_true,err_rss,err_conn,err_fused",
+             *map("{}-{},{!r},{!r},{!r},{!r}".format, *columns)]
     with atomic_output(args.output) as partial:
         partial.write_text("\n".join(lines) + "\n")
     return 0

@@ -5,7 +5,13 @@ marker lines '# nodes' (id, x, y per line) and '# rss' (id_i, id_j,
 mean dBm per line); other '#' lines are comments. The RSS map is treated
 as symmetric: when both directions of a pair appear, their mean is used.
 
-Evaluation thresholds the map once into per-node neighbor lists, counts
+A MeasurementSet holds a deployment as columns: the node ids (int64) in
+file order, their (n, 2) coordinates, the unique links as (lo, hi) node-id
+pairs sorted by (lo, hi), and each link's mean RSS. The loader parses each
+section in row chunks and checks the rows as arrays; a fault is reported
+at the earliest line that has one.
+
+Evaluation thresholds the links once into per-node neighbor lists, counts
 the common and exclusive neighbors of every requested pair from them, and
 runs the pairs through the shared estimation pipeline as one batch; a
 reading below the link threshold counts as no reading there.
@@ -14,7 +20,9 @@ reading below the link threshold counts as no reading there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import compress, count, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,153 +34,310 @@ from .errors import ConfigurationError
 from .pipeline import estimate_pairs
 from .simulator import Deployment
 
+# Rows parsed at a time, and pairs counted at a time: bounds the temporary
+# token lists and tagged neighbor keys.
+_CHUNK_ROWS = 2048
+_CHUNK_PAIRS = 256
 
-def _pair_key(i: int, j: int) -> tuple:
-    return (i, j) if i < j else (j, i)
+# status of a requested pair that has no RSS entry
+NO_RSS = "error"
 
 
-@dataclass(frozen=True)
-class MeasurementSet:
-    """Node coordinates, symmetric mean-RSS map, and the channel they obey."""
+def _locate(sorted_values: np.ndarray, values) -> tuple:
+    """Insertion point of each value in sorted_values, and whether it is there."""
+    at = np.searchsorted(sorted_values, values)
+    if sorted_values.size == 0:
+        return at, np.zeros(at.shape, dtype=bool)
+    return at, sorted_values[np.minimum(at, sorted_values.size - 1)] == values
 
-    nodes: tuple
-    rss: dict
+
+class _Columns:
+    """Equality by value over the compared dataclass fields; NaN equals NaN."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+        return all(
+            np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
+            if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in pairs
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementSet(_Columns):
+    """Node and link columns of a measured deployment, and the channel they obey.
+
+    ids: (n,) int64 node ids in stored order; xy: (n, 2) coordinates in the
+    same order; links: (k, 2) int64 node-id pairs (lo, hi) with lo < hi,
+    unique and sorted by (lo, hi); link_rss: (k,) mean RSS of each link,
+    dBm. Construction takes array-likes of those shapes, orients each link
+    and sorts the links. It rejects duplicate ids, non-finite values, links
+    to unknown nodes, self links and a link given twice.
+    """
+
+    ids: np.ndarray
+    xy: np.ndarray
+    links: np.ndarray
+    link_rss: np.ndarray
     channel: ChannelParams
+    # derived: the ids sorted, the stored row of each sorted id, and each
+    # link's key lo_rank * n + hi_rank, where an id's rank is its place
+    # among the sorted ids; the keys are sorted as the links are
+    _sorted_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    _stored_row: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for node_id, x, y in self.nodes:
-            if node_id in seen:
-                raise ConfigurationError(f"duplicate node id {node_id}")
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ConfigurationError(f"node {node_id} has non-finite coordinates")
-            seen.add(node_id)
-        for i, j in self.rss:
-            if i not in seen or j not in seen:
-                raise ConfigurationError(f"RSS entry ({i}, {j}) references an unknown node")
-            if i == j:
-                raise ConfigurationError(f"RSS entry ({i}, {j}) links a node to itself")
+        ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
+        xy = np.asarray(self.xy, dtype=float).reshape(ids.size, 2)
+        ends = np.asarray(self.links, dtype=np.int64).reshape(-1, 2).T
+        links = np.stack([np.minimum(*ends), np.maximum(*ends)], axis=1)
+        link_rss = np.asarray(self.link_rss, dtype=float).reshape(len(links))
+        rows = np.argsort(ids, kind="stable")
+        sorted_ids = ids[rows]
+        twice = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+        if twice.size:
+            raise ConfigurationError(f"duplicate node id {sorted_ids[twice[0]]}")
+        bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+        if bad.size:
+            raise ConfigurationError(f"node {ids[bad[0]]} has non-finite coordinates")
+        ranks, known = _locate(sorted_ids, links)
+        for bad, what in ((~(known[:, 0] & known[:, 1]), "references an unknown node"),
+                          (links[:, 0] == links[:, 1], "links a node to itself"),
+                          (~np.isfinite(link_rss), "has a non-finite reading")):
+            if bad.any():
+                i, j = links[bad][0].tolist()
+                raise ConfigurationError(f"RSS entry ({i}, {j}) {what}")
+        keys = ranks[:, 0] * ids.size + ranks[:, 1]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
+        if twice.size:
+            i, j = links[order[twice[0]]].tolist()
+            raise ConfigurationError(f"RSS entry ({i}, {j}) given twice")
+        for name, value in (("ids", ids), ("xy", xy), ("links", links[order]),
+                            ("link_rss", link_rss[order]), ("_sorted_ids", sorted_ids),
+                            ("_stored_row", rows), ("_keys", keys)):
+            object.__setattr__(self, name, value)
 
     @property
-    def ids(self) -> tuple:
-        return tuple(node_id for node_id, _, _ in self.nodes)
-
-    def pair_rss(self, i: int, j: int):
-        return self.rss.get(_pair_key(i, j))
+    def rss(self) -> dict:
+        """The links as a {(lo, hi): mean dBm} dict, built on each access."""
+        return dict(zip(map(tuple, self.links.tolist()), self.link_rss.tolist()))
 
 
 # each section's row form and the type of its second field; the first is
 # an id and the third a float in both
 _ROW_FORMS = {"nodes": ("'id, x, y'", float), "rss": ("'id_i, id_j, rss_dbm'", int)}
+_FIRST_CHAR = itemgetter(slice(None, 1))
+
+
+def _parse_rows(rows: list, second_kind) -> tuple:
+    """Columns of rows that each hold three comma-separated fields.
+
+    The fields are read with Python's int, second_kind and float; ids come
+    out as int64. Raises ValueError for a malformed row and OverflowError
+    for an integer outside int64.
+    """
+    if np.any(np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) != 2):
+        raise ValueError("expected three fields")
+    tokens = ",".join(rows).split(",")
+    return tuple(
+        np.fromiter(map(kind, tokens[k::3]), np.int64 if kind is int else float, len(rows))
+        for k, kind in enumerate((int, second_kind, float))
+    )
+
+
+def _row_fault(row: str, section: str):
+    """Why one row of a section does not parse, or None."""
+    form, second_kind = _ROW_FORMS[section]
+    try:
+        _parse_rows([row], second_kind)
+    except ValueError:
+        return f"expected {form}, got {row!r}"
+    except OverflowError:
+        return f"id outside the int64 range, got {row!r}"
+    return None
+
+
+def _parse_section(lines: list, at: np.ndarray, section: str) -> tuple:
+    """Columns of the rows at line indices at, stopped before the first that fails.
+
+    Returns the columns and, for a failing row, (line index, reason), else None.
+    """
+    second_kind = _ROW_FORMS[section][1]
+    pieces = [_parse_rows([], second_kind)]  # typed empty columns
+    fault = None
+    for start in range(0, at.size, _CHUNK_ROWS):
+        rows = list(map(lines.__getitem__, at[start:start + _CHUNK_ROWS].tolist()))
+        try:
+            pieces.append(_parse_rows(rows, second_kind))
+        except (ValueError, OverflowError):
+            # the error path: scan the chunk only to name the failing row
+            k, reason = next((k, reason) for k, reason in
+                             enumerate(map(_row_fault, rows, repeat(section))) if reason)
+            pieces.append(_parse_rows(rows[:k], second_kind))
+            fault = (int(at[start + k]), reason)
+            break
+    return tuple(np.concatenate(column) for column in zip(*pieces)), fault
 
 
 def load_measurements(path, channel: ChannelParams) -> MeasurementSet:
-    """Parse a measurement file; malformed rows get line-numbered diagnostics."""
+    """Parse a measurement file; a fault is reported at its earliest line."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"measurement file not found: {path}")
-    nodes = []
-    node_ids = set()
-    rss_sums: dict = {}
-    rss_counts: dict = {}
-    section = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            marker = line[1:].strip().lower()
-            if marker in _ROW_FORMS:
-                section = marker
-            continue
-        if section is None:
-            raise ConfigurationError(
-                f"{path}:{lineno}: data before any '# nodes' or '# rss' marker"
-            )
-        form, second_kind = _ROW_FORMS[section]
-        parts = line.split(",")
-        try:
-            if len(parts) != 3:
-                raise ValueError
-            first, second, value = int(parts[0]), second_kind(parts[1]), float(parts[2])
-        except ValueError:
-            raise ConfigurationError(
-                f"{path}:{lineno}: expected {form}, got {line!r}"
-            ) from None
-        if section == "nodes":
-            if first in node_ids:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate node id {first}")
-            node_ids.add(first)
-            nodes.append((first, second, value))
-            continue
-        if first == second:
-            raise ConfigurationError(f"{path}:{lineno}: node {first} linked to itself")
-        if first not in node_ids or second not in node_ids:
-            raise ConfigurationError(
-                f"{path}:{lineno}: RSS entry references unknown node "
-                f"{first if first not in node_ids else second}"
-            )
-        key = _pair_key(first, second)
-        rss_sums[key] = rss_sums.get(key, 0.0) + value
-        rss_counts[key] = rss_counts.get(key, 0) + 1
-    rss = {key: rss_sums[key] / rss_counts[key] for key in rss_sums}
-    return MeasurementSet(nodes=tuple(nodes), rss=rss, channel=channel)
+    lines = list(map(str.strip, path.read_text().splitlines()))
+    # blank and '#' lines hold no data; the markers among them open sections
+    skipped = list(compress(count(), map("#".__contains__, map(_FIRST_CHAR, lines))))
+    markers = [(k, name) for k in skipped
+               if (name := lines[k][1:].strip().lower()) in _ROW_FORMS]
+    data = np.ones(len(lines), dtype=bool)
+    data[skipped] = False
+    data = np.flatnonzero(data)
+    section = np.searchsorted([k for k, _ in markers], data) - 1
+    if data.size and section[0] < 0:
+        raise ConfigurationError(
+            f"{path}:{data[0] + 1}: data before any '# nodes' or '# rss' marker"
+        )
+    in_nodes = np.array([name == "nodes" for _, name in markers], dtype=bool)[section]
+    node_at, rss_at = data[in_nodes], data[~in_nodes]
+    (ids, x, y), node_fault = _parse_section(lines, node_at, "nodes")
+    (first, second, value), rss_fault = _parse_section(lines, rss_at, "rss")
+    del lines
+    node_line, rss_line = node_at[:ids.size], rss_at[:first.size]
+
+    # Each fault depends only on the rows above it, so the rows that a parse
+    # failure leaves unread hide no fault above it. The earliest is reported.
+    faults = [fault for fault in (node_fault, rss_fault) if fault]
+
+    def note(bad_lines, describe):
+        """Record the earliest of bad_lines, described by describe(its place)."""
+        if bad_lines.size:
+            k = int(np.argmin(bad_lines))
+            faults.append((int(bad_lines[k]), describe(k)))
+
+    # a repeated id is a fault at each later row; a node is known from its first row on
+    order = np.argsort(ids, kind="stable")
+    sorted_ids, defined = ids[order], node_line[order]
+    again = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1]) + 1
+    note(defined[again], lambda k: f"duplicate node id {sorted_ids[again[k]]}")
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    note(node_line[bad], lambda k: f"node {ids[bad[k]]} has non-finite coordinates")
+    loop = np.flatnonzero(first == second)
+    note(rss_line[loop], lambda k: f"node {first[loop[k]]} linked to itself")
+    once = np.ones(sorted_ids.size, dtype=bool)
+    once[again] = False
+    node_ids, defined = sorted_ids[once], defined[once]
+
+    def known(ends):
+        rank, found = _locate(node_ids, ends)
+        found[found] = defined[rank[found]] < rss_line[found]
+        return rank, found
+
+    (rank_first, known_first), (rank_second, known_second) = known(first), known(second)
+    unknown = np.flatnonzero(~(known_first & known_second))
+    note(rss_line[unknown], lambda k: "RSS entry references unknown node "
+         f"{(second if known_first[unknown[k]] else first)[unknown[k]]}")
+    bad = np.flatnonzero(~np.isfinite(value))
+    note(rss_line[bad], lambda k: f"non-finite RSS reading {float(value[bad[k]])!r}")
+    if faults:
+        line, reason = min(faults, key=itemgetter(0))
+        raise ConfigurationError(f"{path}:{line + 1}: {reason}")
+
+    # both directions of a pair share one key; bincount sums each key's
+    # readings in file order, as a running sum from 0.0 would
+    n = node_ids.size
+    keys, slot = np.unique(np.minimum(rank_first, rank_second) * n
+                           + np.maximum(rank_first, rank_second), return_inverse=True)
+    link_rss = np.bincount(slot, weights=value, minlength=keys.size) / np.bincount(
+        slot, minlength=keys.size)
+    links = node_ids[np.stack(np.divmod(keys, max(n, 1)), axis=1)]
+    return MeasurementSet(ids, np.stack([x, y], axis=1), links, link_rss, channel)
 
 
 def save_measurements(ms: MeasurementSet, path) -> None:
-    """Write the canonical form: nodes in stored order, RSS sorted by key."""
-    lines = ["# nodes"]
-    for node_id, x, y in ms.nodes:
-        lines.append(f"{node_id}, {x!r}, {y!r}")
-    lines.append("# rss")
-    for (i, j) in sorted(ms.rss):
-        lines.append(f"{i}, {j}, {ms.rss[(i, j)]!r}")
+    """Write the canonical form: nodes in stored order, links sorted by (lo, hi)."""
+    lines = ["# nodes", *map("{}, {!r}, {!r}".format, ms.ids.tolist(), *ms.xy.T.tolist()),
+             "# rss", *map("{}, {}, {!r}".format, *ms.links.T.tolist(), ms.link_rss.tolist())]
     with atomic_output(path) as partial:
         partial.write_text("\n".join(lines) + "\n")
 
 
-def _adjacency(ms: MeasurementSet) -> tuple:
-    """Row of each node id, and every row's thresholded neighbors in CSR form.
+def _ranks(ms: MeasurementSet, ids) -> tuple:
+    """Rank of each node id among the sorted ids, and whether the id is a node."""
+    return _locate(ms._sorted_ids, ids)
 
-    Memory grows with the links, not with the square of the node count.
+
+def _adjacency(ms: MeasurementSet) -> tuple:
+    """Every node's thresholded neighbors in CSR form, (start, neighbors).
+
+    Row r belongs to the node of rank r (see _ranks), and each row's
+    neighbors are sorted. Memory grows with the links, not with the square
+    of the node count.
     """
-    rows = {node_id: k for k, (node_id, _, _) in enumerate(ms.nodes)}
-    threshold = ms.channel.rss_threshold_dbm
-    linked = [key for key, value in ms.rss.items() if value >= threshold]
-    ends = np.fromiter((rows[node] for key in linked for node in key), dtype=np.int32,
-                       count=2 * len(linked)).reshape(-1, 2)
-    source, target = np.concatenate([ends, ends[:, ::-1]]).T
-    start = np.concatenate([[0], np.cumsum(np.bincount(source, minlength=len(rows)))])
-    return rows, (start, target[np.argsort(source)])
+    n = max(ms.ids.size, 1)
+    keys = ms._keys[ms.link_rss >= ms.channel.rss_threshold_dbm]
+    lo, hi = np.divmod(keys, n)
+    row, neighbors = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+    return np.searchsorted(row, np.arange(ms.ids.size + 1)), neighbors
+
+
+def _neighbors_of(adjacency: tuple, rows: np.ndarray) -> tuple:
+    """The neighbor lists of rows laid end to end, and the place in rows of each."""
+    start, neighbors = adjacency
+    lengths = start[rows + 1] - start[rows]
+    offset = np.repeat(start[rows] - (np.cumsum(lengths) - lengths), lengths)
+    place = np.repeat(np.arange(rows.size), lengths)
+    return place, neighbors[np.arange(place.size) + offset]
 
 
 def _counts(adjacency: tuple, a, b) -> tuple:
-    """Common and exclusive neighbor counts of row pairs (a, b), endpoints excluded."""
-    start, neighbors = adjacency
-    near = np.zeros(start.size - 1, dtype=bool)
-    m, direct = np.zeros(len(a), dtype=int), np.zeros(len(a), dtype=int)
-    for k, (i, j) in enumerate(zip(a, b)):
-        around_i = neighbors[start[i]:start[i + 1]]
-        near[around_i] = True
-        m[k] = np.count_nonzero(near[neighbors[start[j]:start[j + 1]]])
-        direct[k] = near[j]
-        near[around_i] = False
+    """Common and exclusive neighbor counts of row pairs (a, b), endpoints excluded.
+
+    Runs through the pairs in chunks. Within one, every neighbor of a pair's
+    a is tagged with the pair's place in the chunk, which leaves the tagged
+    keys sorted; the tagged neighbors of the pair's b, and b itself, are
+    looked up among them.
+    """
+    start, _ = adjacency
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    n = start.size - 1
+    m, direct = np.zeros(a.size, dtype=np.int64), np.zeros(a.size, dtype=np.int64)
+    for lo in range(0, a.size, _CHUNK_PAIRS):
+        part = slice(lo, lo + _CHUNK_PAIRS)
+        place_a, around_a = _neighbors_of(adjacency, a[part])
+        place_b, around_b = _neighbors_of(adjacency, b[part])
+        tagged_a = place_a * n + around_a
+        _, common = _locate(tagged_a, place_b * n + around_b)
+        m[part] = np.bincount(place_b[common], minlength=b[part].size)
+        direct[part] = _locate(tagged_a, np.arange(b[part].size) * n + b[part])[1]
     degree = np.diff(start)
     return m, degree[a] - m - direct, degree[b] - m - direct
 
 
-@dataclass(frozen=True)
-class PairEvaluation:
-    pair: tuple
-    d_true: float
-    d_rss: float | None = None
-    d_conn: float | None = None
-    d_fused: float | None = None
-    err_rss: float | None = None
-    err_conn: float | None = None
-    err_fused: float | None = None
-    status: str = "error"
-    error: str | None = None
+@dataclass(frozen=True, eq=False)
+class PairEvaluation(_Columns):
+    """The estimates and true distance of each requested pair, one column each.
+
+    Rows follow the request order; pairs is (k, 2) int64 as requested. A
+    pair with no RSS entry has status NO_RSS and NaN estimates; measured
+    marks the others. The err_* columns are absolute errors against d_true.
+    """
+
+    pairs: np.ndarray
+    d_true: np.ndarray
+    d_rss: np.ndarray
+    d_conn: np.ndarray
+    d_fused: np.ndarray
+    status: np.ndarray
+
+    measured = property(lambda self: self.status != NO_RSS)
+    err_rss = property(lambda self: np.abs(self.d_rss - self.d_true))
+    err_conn = property(lambda self: np.abs(self.d_conn - self.d_true))
+    err_fused = property(lambda self: np.abs(self.d_fused - self.d_true))
 
 
 def evaluate_pairs(
@@ -180,38 +345,39 @@ def evaluate_pairs(
     pairs,
     model: FdModel | None = None,
     intensity: float | None = None,
-) -> tuple:
-    """Run all three estimators on the requested pairs.
+) -> PairEvaluation:
+    """Run all three estimators on the requested (id, id) pairs.
 
-    Pairs without an RSS entry produce an error row and the run continues;
+    Pairs without an RSS entry get NaN estimates and the run continues;
     unknown ids are a configuration error. Errors are taken against the
     coordinate distances.
     """
-    pairs = [tuple(pair) for pair in pairs]
-    rows, adjacency = _adjacency(ms)
-    for i, j in pairs:
-        if i not in rows or j not in rows:
-            raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
+    try:
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise ConfigurationError("a pair references an id outside the int64 range") from None
+    ranks, known = _ranks(ms, pairs)
+    if not known.all():
+        i, j = pairs[np.argmin(known[:, 0] & known[:, 1])].tolist()
+        raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
     if model is None:
         model = build_fd_model(ms.channel)
-    measured = [pair for pair in pairs if ms.pair_rss(*pair) is not None]
-    rss = np.array([ms.pair_rss(*pair) for pair in measured], dtype=float)
+    link, measured = _locate(ms._keys, ranks.min(axis=1) * ms.ids.size + ranks.max(axis=1))
+    rss = ms.link_rss[link[measured]]
     d_rss = estimate_distance_rss(ms.channel, rss)
     usable = np.where(rss >= ms.channel.rss_threshold_dbm, d_rss, np.nan)
-    a, b = (np.array([rows[pair[end]] for pair in measured], dtype=np.intp) for end in (0, 1))
-    est = estimate_pairs(ms.channel, model, usable, *_counts(adjacency, a, b), intensity)
-    batch = zip(*(v.tolist() for v in (d_rss, est.d_conn, est.d_fused, est.status)))
-    results = []
-    for i, j in pairs:
-        (_, xi, yi), (_, xj, yj) = ms.nodes[rows[i]], ms.nodes[rows[j]]
-        d_true = math.hypot(xi - xj, yi - yj)
-        if ms.pair_rss(i, j) is None:
-            results.append(PairEvaluation((i, j), d_true, error="no RSS measurement for this pair"))
-            continue
-        *values, status = next(batch)
-        errors = (abs(v - d_true) for v in values)
-        results.append(PairEvaluation((i, j), d_true, *values, *errors, status))
-    return tuple(results)
+    a, b = ranks[measured].T
+    est = estimate_pairs(ms.channel, model, usable,
+                         *_counts(_adjacency(ms), a, b), intensity)
+    # math.hypot, not np.hypot: they differ in the last place for some inputs
+    stored = ms._stored_row[ranks]
+    gap = ms.xy[stored[:, 0]] - ms.xy[stored[:, 1]]
+    d_true = np.array(list(map(math.hypot, *gap.T.tolist())), dtype=float)
+    estimates = np.full((3, len(pairs)), np.nan)
+    estimates[:, measured] = d_rss, est.d_conn, est.d_fused
+    status = np.full(len(pairs), NO_RSS, dtype=object)
+    status[measured] = est.status
+    return PairEvaluation(pairs, d_true, *estimates, status)
 
 
 def synthesize_measurements(
@@ -219,15 +385,13 @@ def synthesize_measurements(
 ) -> MeasurementSet:
     """Sample a full symmetric RSS map over a deployment.
 
-    One shadowing draw per unordered node pair; readings below the link
-    threshold represent failed links and are omitted, so thresholded
-    neighbor sets agree exactly with the sampled link realization.
+    Node ids are 1..n in deployment order. One shadowing draw per unordered
+    node pair; readings below the link threshold represent failed links and
+    are omitted, so thresholded neighbor sets agree exactly with the
+    sampled link realization.
     """
     n = dep.nodes.shape[0]
-    nodes = tuple(
-        (idx + 1, float(dep.nodes[idx, 0]), float(dep.nodes[idx, 1])) for idx in range(n)
-    )
-    rss = {}
+    links, link_rss = np.empty((0, 2), dtype=np.int64), np.empty(0)
     if n > 1:
         row, col = np.triu_indices(n, k=1)
         gaps = dep.nodes[row] - dep.nodes[col]
@@ -235,6 +399,7 @@ def synthesize_measurements(
         values = mean_rss(channel, distances) + channel.sigma_db * rng.standard_normal(
             distances.size
         )
-        for k in np.flatnonzero(values >= channel.rss_threshold_dbm):
-            rss[(int(row[k]) + 1, int(col[k]) + 1)] = float(values[k])
-    return MeasurementSet(nodes=nodes, rss=rss, channel=channel)
+        kept = values >= channel.rss_threshold_dbm
+        links = np.stack([row[kept], col[kept]], axis=1) + 1
+        link_rss = values[kept]
+    return MeasurementSet(np.arange(1, n + 1), dep.nodes.copy(), links, link_rss, channel)

@@ -313,9 +313,10 @@ def expected_errors(params: ChannelParams, model: FdModel, intensity: float,
     through M ~ Poi(lambda f) and Y = P + Q ~ Poi(2 lambda (S - f)), so the
     expectation over the counts is a sum over every (M, Y) whose joint pmf
     exceeds 1e-14, renormalized to the mass kept. The RSS range is
-    d 10^(sigma_r z) with z standard normal, taken on 40 probabilists'
-    Gauss-Hermite nodes. The whole grid goes through estimate_pairs as one
-    batch.
+    d 10^(sigma_r z) with z standard normal, taken on the 30 of 40
+    probabilists' Gauss-Hermite nodes whose normalized weight exceeds
+    1e-14, renormalized likewise. The whole grid goes through
+    estimate_pairs as one batch.
     """
     d = float(d)
     if not 0.0 < d <= model.d_th:
@@ -328,7 +329,10 @@ def expected_errors(params: ChannelParams, model: FdModel, intensity: float,
     m, y = np.nonzero(joint > _PMF_FLOOR)
     w_counts = joint[m, y] / joint[m, y].sum()
     z, w_z = hermegauss(_HERMITE_NODES)
-    w_z = w_z / w_z.sum()
+    # like the count pmf, the range rule keeps only nodes whose weight
+    # reaches the floor (30 of 40), renormalized
+    kept = w_z / w_z.sum() >= _PMF_FLOOR
+    z, w_z = z[kept], w_z[kept] / w_z[kept].sum()
     d_rss = d * 10.0 ** (params.sigma_r * z)
     est = estimate_pairs(params, model, np.tile(d_rss, m.size),
                          np.repeat(m, z.size), np.repeat(y, z.size), 0, intensity=intensity)

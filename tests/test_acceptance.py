@@ -245,7 +245,7 @@ def test_criterion_8_dataset_workflow(model_field, tmp_path):
     rng = np.random.default_rng(1008)
     dep = rf.deploy_poisson(3.0 * model_field.d_th, 16.0 / model_field.s_mass, rng)
     ms = rf.synthesize_measurements(dep, PARAMS_FIELD, rng)
-    coords = {nid: (x, y) for nid, x, y in ms.nodes}
+    coords = dict(zip(ms.ids.tolist(), ms.xy.tolist()))
     cutoff = model_field.d_th
     pairs = [
         (i, j)

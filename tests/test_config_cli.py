@@ -266,14 +266,35 @@ class TestDatasetCommand:
         assert lines[2].startswith("3-4,")
         assert lines[2].endswith("nan,nan,nan")
 
-    def test_bad_pair_token(self, tmp_path):
+    @pytest.mark.parametrize("token", ["oops", "1-2-3", "1:2-3", "-5", "1:", "--5-3", "1-x"])
+    def test_bad_pair_token(self, tmp_path, capsys, token):
         meas = tmp_path / "meas.txt"
         meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
         code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
                      "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
-                     "--input", str(meas), "--pairs", "oops",
+                     "--input", str(meas), f"--pairs={token}",
                      "--output", str(tmp_path / "x.csv")])
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad pair {token!r}; expected 'id-id' or 'id:id' tokens\n")
+
+    @pytest.mark.parametrize("token, pair", [("-5-3", "-5-3"), ("-5:3", "-5-3"),
+                                             ("3--5", "3--5"), ("3:-5", "3--5")])
+    def test_negative_ids(self, tmp_path, token, pair):
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n-5, 0.0, 0.0\n3, 3.0, 4.0\n-7, 1.0, 1.0\n"
+                        "# rss\n-5, 3, -48.0\n3, -7, -47.0\n-5, -7, -42.0\n")
+        out = tmp_path / "errors.csv"
+        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                     "--n-knots", "16", "--quad-tol", "1e-4",
+                     "--input", str(meas), f"--pairs={token}, -7:-5",
+                     "--output", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[1].startswith(f"{pair},5.0,")
+        assert lines[2].startswith("-7--5,")
+        assert "nan" not in out.read_text()
 
 
 class TestUsageErrors:
@@ -467,8 +488,8 @@ class TestAtomicOutput:
         row = rf.RmseRow(d_true=1.0, rmse_rss=0.1, rmse_conn=0.2, rmse_fused=0.1,
                          sqrt_crlb=0.1, trials=3)
         report = rf.RmseReport(rows=(row,))
-        meas = rf.MeasurementSet(nodes=((1, 0.0, 0.0), (2, 3.0, 4.0)),
-                                 rss={(1, 2): -48.0}, channel=PARAMS_FIELD)
+        meas = rf.MeasurementSet(ids=[1, 2], xy=[[0.0, 0.0], [3.0, 4.0]], links=[[1, 2]],
+                                 link_rss=[-48.0], channel=PARAMS_FIELD)
         writers = {
             "model.fd": lambda path: rf.save_fd_model(model, path),
             "report.csv": report.write_csv,

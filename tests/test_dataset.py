@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -42,17 +44,55 @@ def fixture_set(fixture_path):
     return rf.load_measurements(fixture_path, PARAMS_FIELD)
 
 
+def _counts_of(ms, i, j):
+    """(M, P, Q) of the node pair (i, j), through _adjacency and _counts."""
+    (a, b), known = rf.dataset._ranks(ms, [i, j])
+    assert known.all()
+    return [int(v[0]) for v in rf.dataset._counts(rf.dataset._adjacency(ms), [a], [b])]
+
+
 class TestLoadMeasurements:
     def test_parses_nodes_and_links(self, fixture_set):
-        assert fixture_set.ids == (1, 2, 3, 4, 5)
-        assert len(fixture_set.rss) == 7
-        assert fixture_set.pair_rss(2, 1) == -48.0
+        assert fixture_set.ids.tolist() == [1, 2, 3, 4, 5]
+        assert fixture_set.ids.dtype == np.int64
+        assert fixture_set.xy.shape == (5, 2)
+        assert len(fixture_set.links) == 7
+        assert fixture_set.rss[(1, 2)] == -48.0
 
     def test_symmetric_entries_average(self, tmp_path):
         path = tmp_path / "sym.txt"
         path.write_text("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n1, 2, -50.0\n2, 1, -40.0\n")
         ms = rf.load_measurements(path, PARAMS_FIELD)
-        assert ms.pair_rss(1, 2) == -45.0
+        assert ms.rss == {(1, 2): -45.0}
+
+    def test_average_is_the_running_sum_over_the_count(self, tmp_path):
+        # readings of one pair in file order, whichever direction they name
+        readings = [-50.1, -40.3, -47.7, -0.0]
+        path = tmp_path / "sum.txt"
+        path.write_text("# nodes\n-4, 0, 0\n7, 1, 0\n9, 2, 0\n# rss\n"
+                        + "".join(f"{(7, -4)[k % 2]}, {(-4, 7)[k % 2]}, {v!r}\n"
+                                  for k, v in enumerate(readings))
+                        + "9, 7, -0.0\n")
+        ms = rf.load_measurements(path, PARAMS_FIELD)
+        total = 0.0
+        for value in readings:
+            total += value
+        assert ms.links.tolist() == [[-4, 7], [7, 9]]
+        assert ms.link_rss.tolist() == [total / len(readings), 0.0]
+        assert math.copysign(1.0, ms.link_rss[1]) == 1.0
+
+    def test_layout_matches_the_row_form(self, tmp_path):
+        # comments, blank lines, CRLF endings, spaces, several sections of each kind
+        path = tmp_path / "layout.txt"
+        path.write_bytes(
+            b"# header, with, commas\r\n\r\n  # NODES  \r\n 5 ,1_0.5, -2e0\r\n"
+            b"# rss\r\n# nodes\r\n-3, +1, 0\r\n\t\r\n# Rss\r\n5, -3, -51\r\n"
+            b"-3,5,-49.5\r\n  # comment\r\n"
+        )
+        ms = rf.load_measurements(path, PARAMS_FIELD)
+        assert ms.ids.tolist() == [5, -3]
+        assert ms.xy.tolist() == [[10.5, -2.0], [1.0, 0.0]]
+        assert ms.rss == {(-3, 5): -50.25}
 
     def test_empty_rss_section_is_valid(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -69,17 +109,93 @@ class TestLoadMeasurements:
             ("# nodes\n1, 0, 0\n# rss\n1, 1, -50\n", 4),         # self link
             ("# nodes\n1, zero, 0\n", 2),                        # malformed row
             ("# nodes\n1, 0, 0\n# rss\n1, 2\n", 4),              # missing column
+            ("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n1, 2, inf\n", 5),  # infinite reading
+            ("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n2, 1, nan\n", 5),  # NaN reading
+            ("# nodes\n1, 0, 0\n2, -inf, 0\n", 3),              # infinite coordinate
+            ("# nodes\n1, 0, 0\n2, 1, nan\n", 3),               # NaN coordinate
+            ("# nodes\n1, 0, 0\n9223372036854775808, 1, 0\n", 3),  # id above int64
+            ("# nodes\n1, 0, 0\n# rss\n1, -9223372036854775809, -50\n", 4),  # below int64
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, body, lineno):
         path = tmp_path / "bad.txt"
         path.write_text(body)
-        with pytest.raises(rf.ConfigurationError, match=f":{lineno}:"):
+        with pytest.raises(rf.ConfigurationError, match=f"^{re.escape(str(path))}:{lineno}: "):
+            rf.load_measurements(path, PARAMS_FIELD)
+
+    @pytest.mark.parametrize(
+        "body, lineno, reason",
+        [
+            ("# nodes\n1, 0, 0\n1, 1, 1\n# rss\n1, x, -50\n", 3, "duplicate node id 1"),
+            ("# nodes\n1, 0, 0\n2, zero, 1\n1, 1, 1\n", 3, "expected 'id, x, y'"),
+            ("# nodes\n1, 0, 0\n# rss\n1, 9, -50\n# nodes\n2, nan, 0\n", 4,
+             "RSS entry references unknown node 9"),
+            ("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n1, 2, inf\n1, 1, -50\n", 5,
+             "non-finite RSS reading inf"),
+            ("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n2, 2, -50\n1, 2, inf\n", 5,
+             "node 2 linked to itself"),
+            ("# nodes\n1, 0, 0\n2, 1, inf\n2, 0, 0\n", 3, "node 2 has non-finite"),
+            ("# nodes\n1, 0, 0\n# rss\n1, 2, -50\n1, 2, -50, 0\n", 4,
+             "RSS entry references unknown node 2"),
+        ],
+    )
+    def test_two_faults_report_the_earlier_line(self, tmp_path, body, lineno, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        with pytest.raises(rf.ConfigurationError, match=f":{lineno}: {re.escape(reason)}"):
+            rf.load_measurements(path, PARAMS_FIELD)
+
+    def test_rss_row_before_its_nodes_section_fails_at_its_line(self, tmp_path):
+        path = tmp_path / "order.txt"
+        path.write_text("# nodes\n1, 0, 0\n# rss\n1, 2, -50\n# nodes\n2, 1, 0\n")
+        with pytest.raises(rf.ConfigurationError, match=":4: RSS entry references unknown node 2"):
+            rf.load_measurements(path, PARAMS_FIELD)
+
+    @pytest.mark.parametrize("late", ["malformed", "duplicate"])
+    def test_earliest_fault_across_row_chunks(self, tmp_path, monkeypatch, late):
+        # a fault in the first chunk of rows beats one in a later chunk,
+        # whichever kind each is
+        monkeypatch.setattr(rf.dataset, "_CHUNK_ROWS", 4)
+        nodes = [f"{k}, {k}.0, 0.0" for k in range(1, 12)]
+        nodes[9] = "3, 1.0, 1.0" if late == "malformed" else "oops"
+        nodes[2 if late == "malformed" else 6] = "2, 5.0, 5.0"
+        path = tmp_path / "chunks.txt"
+        path.write_text("# nodes\n" + "\n".join(nodes) + "\n")
+        lineno = 2 + (2 if late == "malformed" else 6)
+        with pytest.raises(rf.ConfigurationError, match=f":{lineno}: duplicate node id 2"):
+            rf.load_measurements(path, PARAMS_FIELD)
+        nodes[2 if late == "malformed" else 6] = f"{3 if late == 'malformed' else 7}, 0, 0"
+        path.write_text("# nodes\n" + "\n".join(nodes) + "\n")
+        message = "duplicate node id 3" if late == "malformed" else "expected 'id, x, y'"
+        with pytest.raises(rf.ConfigurationError, match=f":11: {message}"):
             rf.load_measurements(path, PARAMS_FIELD)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(rf.ConfigurationError):
             rf.load_measurements(tmp_path / "nope.txt", PARAMS_FIELD)
+
+
+class TestMeasurementSet:
+    @pytest.mark.parametrize(
+        "ids, links, readings, reason",
+        [
+            ([1, 1], [], [], "duplicate node id 1"),
+            ([1, 2], [[1, 3]], [-50.0], "references an unknown node"),
+            ([1, 2], [[2, 2]], [-50.0], "links a node to itself"),
+            ([1, 2], [[1, 2]], [math.inf], "non-finite reading"),
+            ([1, 2], [[1, 2], [2, 1]], [-50.0, -40.0], r"\(1, 2\) given twice"),
+        ],
+    )
+    def test_rejects_bad_columns(self, ids, links, readings, reason):
+        with pytest.raises(rf.ConfigurationError, match=reason):
+            rf.MeasurementSet(ids, [[0.0, 0.0]] * len(ids), links, readings, PARAMS_FIELD)
+
+    def test_orients_and_sorts_links(self):
+        ms = rf.MeasurementSet([9, -2, 4], [[0, 0], [1, 0], [2, 0]],
+                               [[9, 4], [4, -2], [-2, 9]], [-41.0, -42.0, -43.0], PARAMS_FIELD)
+        assert ms.links.tolist() == [[-2, 4], [-2, 9], [4, 9]]
+        assert ms.link_rss.tolist() == [-42.0, -43.0, -41.0]
+        assert ms.ids.tolist() == [9, -2, 4]
 
 
 class TestSaveMeasurements:
@@ -97,12 +213,12 @@ class TestSaveMeasurements:
 def _measurement_sets(draw):
     ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12, unique=True))
     coordinate = st.floats(allow_nan=False, allow_infinity=False)
-    nodes = tuple((node_id, draw(coordinate), draw(coordinate)) for node_id in ids)
+    xy = [(draw(coordinate), draw(coordinate)) for _ in ids]
     keys = [(i, j) for i in ids for j in ids if i < j]
     linked = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
     reading = st.floats(min_value=-200.0, max_value=50.0)
-    rss = {key: draw(reading) for key in linked}
-    return rf.MeasurementSet(nodes=nodes, rss=rss, channel=PARAMS_FIELD)
+    readings = [draw(reading) for _ in linked]
+    return rf.MeasurementSet(ids, xy, linked, readings, PARAMS_FIELD)
 
 
 class TestMeasurementRoundTrip:
@@ -121,9 +237,7 @@ class TestNeighborCounts:
     def test_counts_from_fixture(self, fixture_set):
         # neighbors of 1: {2, 3}; neighbors of 2: {1, 3, 4}; common third
         # nodes of (1, 2): {3}; exclusive: none for 1, {4} for 2
-        rows, adjacency = rf.dataset._adjacency(fixture_set)
-        counts = rf.dataset._counts(adjacency, [rows[1]], [rows[2]])
-        assert [int(v[0]) for v in counts] == [1, 0, 1]
+        assert _counts_of(fixture_set, 1, 2) == [1, 0, 1]
 
     def test_threshold_consistency(self, tmp_path):
         # a below-threshold entry contributes no link anywhere
@@ -133,42 +247,80 @@ class TestNeighborCounts:
             "# rss\n1, 2, -50.0\n1, 3, -56.0\n2, 3, -40.0\n"
         )
         ms = rf.load_measurements(path, PARAMS_FIELD)
-        rows, adjacency = rf.dataset._adjacency(ms)
-        counts = rf.dataset._counts(adjacency, [rows[1]], [rows[2]])
-        assert [int(v[0]) for v in counts] == [0, 0, 1]
+        assert _counts_of(ms, 1, 2) == [0, 0, 1]
+
+    def test_counts_match_the_per_pair_loop(self, model_field, monkeypatch):
+        # the tagged-key count, over several pair chunks, against a plain
+        # loop over set-valued neighbor lists; linked, unlinked and
+        # repeated pairs, both orders, and negative ids
+        monkeypatch.setattr(rf.dataset, "_CHUNK_PAIRS", 7)
+        rng = np.random.default_rng(63)
+        dep = rf.deploy_poisson(3.0 * model_field.d_th, 14.0 / model_field.s_mass, rng)
+        base = rf.synthesize_measurements(dep, PARAMS_FIELD, rng)
+        ids = 500 - 3 * base.ids
+        ms = rf.MeasurementSet(ids, base.xy, 500 - 3 * base.links, base.link_rss, PARAMS_FIELD)
+        near = {node: set() for node in ids.tolist()}
+        for (i, j), value in ms.rss.items():
+            if value >= PARAMS_FIELD.rss_threshold_dbm:
+                near[i].add(j)
+                near[j].add(i)
+        picks = rng.integers(0, ids.size, size=(60, 2))
+        pairs = [tuple(ids[k].tolist()) for k in picks] + list(ms.rss)[:40] + [(ids[0], ids[0])]
+        ranks, known = rf.dataset._ranks(ms, np.array(pairs))
+        assert known.all()
+        a, b = ranks.T
+        m, p, q = rf.dataset._counts(rf.dataset._adjacency(ms), a, b)
+        for k, (i, j) in enumerate(pairs):
+            around_i, around_j = near[i] - {j}, near[j] - {i}
+            expected = [len(around_i & around_j), len(around_i - around_j),
+                        len(around_j - around_i)]
+            assert [m[k], p[k], q[k]] == expected
 
 
 class TestEvaluatePairs:
     def test_euclidean_truth(self, fixture_set, model_field):
-        rows = rf.evaluate_pairs(fixture_set, [(1, 2)], model=model_field)
-        assert rows[0].d_true == 5.0
+        result = rf.evaluate_pairs(fixture_set, [(1, 2)], model=model_field)
+        assert result.d_true[0] == 5.0
+
+    def test_truth_is_math_hypot(self, model_field):
+        # d_true stays math.hypot of the coordinate gaps, bit for bit
+        rng = np.random.default_rng(64)
+        xy = rng.uniform(-1e3, 1e3, size=(200, 2))
+        ms = rf.MeasurementSet(np.arange(200), xy, [], [], PARAMS_FIELD)
+        pairs = rng.integers(0, 200, size=(3000, 2))
+        result = rf.evaluate_pairs(ms, pairs, model=model_field)
+        expected = [math.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) for i, j in pairs]
+        assert result.d_true.tolist() == expected
 
     def test_missing_rss_continues(self, tmp_path, model_field):
         path = tmp_path / "gap.txt"
         path.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 3, -45.0\n")
         ms = rf.load_measurements(path, PARAMS_FIELD)
-        rows = rf.evaluate_pairs(ms, [(1, 2), (1, 3)], model=model_field)
-        assert rows[0].error is not None
-        assert rows[0].d_fused is None
-        assert rows[1].error is None
-        assert rows[1].d_fused is not None
+        result = rf.evaluate_pairs(ms, [(1, 2), (1, 3)], model=model_field)
+        assert result.measured.tolist() == [False, True]
+        assert result.status[0] == rf.dataset.NO_RSS
+        assert math.isnan(result.d_fused[0])
+        assert math.isfinite(result.d_fused[1])
 
     def test_unknown_id_rejected(self, fixture_set, model_field):
-        with pytest.raises(rf.ConfigurationError):
+        with pytest.raises(rf.ConfigurationError, match=r"pair \(1, 99\)"):
             rf.evaluate_pairs(fixture_set, [(1, 99)], model=model_field)
+        with pytest.raises(rf.ConfigurationError, match="int64"):
+            rf.evaluate_pairs(fixture_set, [(1, 2**63)], model=model_field)
 
     def test_order_independence(self, fixture_set, model_field):
         pairs = [(1, 2), (2, 3), (3, 4)]
         forward = rf.evaluate_pairs(fixture_set, pairs, model=model_field)
         backward = rf.evaluate_pairs(fixture_set, pairs[::-1], model=model_field)
-        assert forward == tuple(backward[::-1])
+        assert forward == rf.PairEvaluation(*(getattr(backward, f.name)[::-1]
+                                              for f in dataclasses.fields(backward)))
 
     def test_below_threshold_rss_goes_connectivity_only(self, fixture_set, model_field):
-        rows = rf.evaluate_pairs(fixture_set, [(1, 5)], model=model_field)
-        assert rows[0].status == "connectivity_only"
+        result = rf.evaluate_pairs(fixture_set, [(1, 5)], model=model_field)
+        assert result.status[0] == "connectivity_only"
         # the reading is still reported, only kept out of the fusion
-        assert rows[0].d_rss == rf.estimate_distance_rss(PARAMS_FIELD, -60.0)
-        assert rows[0].d_fused == rows[0].d_conn
+        assert result.d_rss[0] == rf.estimate_distance_rss(PARAMS_FIELD, -60.0)
+        assert result.d_fused[0] == result.d_conn[0]
 
     def test_batch_counts_match_set_arithmetic(self, model_field):
         rng = np.random.default_rng(62)
@@ -178,16 +330,15 @@ class TestEvaluatePairs:
         for i, j in ms.rss:
             near[i].add(j)
             near[j].add(i)
-        ids = ms.ids
+        ids = ms.ids.tolist()
         pairs = sorted(ms.rss)[:60] + [(ids[k], ids[-1 - k]) for k in range(20)]
-        rows = rf.evaluate_pairs(ms, pairs, model=model_field)
-        assert [row.pair for row in rows] == pairs
-        measured = [row for row in rows if row.error is None]
-        assert 60 <= len(measured) < len(rows)
-        for row in measured:
-            i, j = row.pair
+        result = rf.evaluate_pairs(ms, pairs, model=model_field)
+        assert list(map(tuple, result.pairs.tolist())) == pairs
+        assert 60 <= result.measured.sum() < len(pairs)
+        for (i, j), d_conn in zip(result.pairs[result.measured].tolist(),
+                                  result.d_conn[result.measured]):
             a, b = near[i] - {j}, near[j] - {i}
-            assert row.d_conn == invert_counts(model_field, len(a & b), len(a - b), len(b - a))
+            assert d_conn == invert_counts(model_field, len(a & b), len(a - b), len(b - a))
 
 
 class TestSynthesizedFixtures:
@@ -197,22 +348,21 @@ class TestSynthesizedFixtures:
         ms = rf.synthesize_measurements(dep, PARAMS_FIELD, rng)
         # independent recount from the raw map
         threshold = PARAMS_FIELD.rss_threshold_dbm
-        ids = ms.ids
+        ids = ms.ids.tolist()
+        rss = ms.rss
         i, j = ids[0], ids[1]
         near = {
             node: {
                 other
                 for other in ids
                 if other != node
-                and ms.pair_rss(node, other) is not None
-                and ms.pair_rss(node, other) >= threshold
+                and rss.get((min(node, other), max(node, other)), -math.inf) >= threshold
             }
             for node in (i, j)
         }
         third_i = near[i] - {j}
         third_j = near[j] - {i}
-        rows, adjacency = rf.dataset._adjacency(ms)
-        m, p, q = (int(v[0]) for v in rf.dataset._counts(adjacency, [rows[i]], [rows[j]]))
+        m, p, q = _counts_of(ms, i, j)
         assert m == len(third_i & third_j)
         assert p == len(third_i - third_j)
         assert q == len(third_j - third_i)
@@ -225,7 +375,7 @@ class TestSynthesizedFixtures:
             rng = np.random.default_rng((61, k))
             dep = rf.deploy_poisson(3.0 * cutoff, 14.0 / model_field.s_mass, rng)
             ms = rf.synthesize_measurements(dep, PARAMS_FIELD, rng)
-            coords = {nid: (x, y) for nid, x, y in ms.nodes}
+            coords = dict(zip(ms.ids.tolist(), ms.xy.tolist()))
             linked = [
                 (i, j)
                 for (i, j) in ms.rss
@@ -238,11 +388,11 @@ class TestSynthesizedFixtures:
             if not linked:
                 continue
             pair = linked[int(rng.integers(len(linked)))]
-            row = rf.evaluate_pairs(ms, [pair], model=model_field)[0]
-            if row.error is not None:
+            row = rf.evaluate_pairs(ms, [pair], model=model_field)
+            if not row.measured[0]:
                 continue
             total += 1
-            if row.err_fused <= max(row.err_rss, row.err_conn) + 1e-9:
+            if row.err_fused[0] <= max(row.err_rss[0], row.err_conn[0]) + 1e-9:
                 wins += 1
         assert total >= 50
         assert wins / total >= 0.8

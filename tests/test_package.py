@@ -23,10 +23,12 @@ class TestPublicNames:
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # the package computes the neighborhood mass in closed form; a stray
-    # quadrature import would add its start-up time to every CLI run
-    code = "import sys, rangefuse; print('scipy.integrate' in sys.modules)"
+    # the package computes the neighborhood mass in closed form and counts
+    # neighbors with plain arrays; a stray quadrature or sparse-matrix
+    # import would add its start-up time to every CLI run
+    code = ("import sys, rangefuse, rangefuse.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.sparse'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(rf.__file__).resolve().parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
