@@ -10,6 +10,7 @@ configuration or file error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
@@ -222,27 +223,20 @@ def _cmd_estimate(args) -> int:
 _PAIR_TOKEN = re.compile(r"(-?[^-:]+)[-:](-?[^-:]+)")
 
 
-def _parse_pairs(text: str) -> list:
-    pairs = []
-    for token in filter(None, map(str.strip, text.split(","))):
-        match = _PAIR_TOKEN.fullmatch(token)
-        try:
-            if match is None:
-                raise ValueError
-            pairs.append((int(match[1]), int(match[2])))
-        except ValueError:
-            raise ConfigurationError(
-                f"bad pair {token!r}; expected 'id-id' or 'id:id' tokens"
-            ) from None
-    if not pairs:
-        raise ConfigurationError("no pairs requested")
-    return pairs
+def _parse_pair(token: str) -> tuple:
+    match = _PAIR_TOKEN.fullmatch(token)
+    if match:
+        with contextlib.suppress(ValueError):
+            return int(match[1]), int(match[2])
+    raise ConfigurationError(f"bad pair {token!r}; expected 'id-id' or 'id:id' tokens")
 
 
 def _cmd_dataset(args) -> int:
     params, experiment = _resolve_channel(args)
     ms = load_measurements(args.input, params)
-    pairs = _parse_pairs(args.pairs)
+    pairs = [_parse_pair(token) for token in filter(None, map(str.strip, args.pairs.split(",")))]
+    if not pairs:
+        raise ConfigurationError("no pairs requested")
     model = _resolve_model(args, params, experiment)
     result = evaluate_pairs(ms, pairs, model=model, intensity=args.intensity)
     for i, j in result.pairs[~result.measured].tolist():

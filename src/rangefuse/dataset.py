@@ -190,7 +190,8 @@ def load_measurements(path, channel: ChannelParams) -> MeasurementSet:
     if not path.is_file():
         raise ConfigurationError(f"measurement file not found: {path}")
     lines = list(map(str.strip, path.read_text().splitlines()))
-    # blank and '#' lines hold no data; the markers among them open sections
+    # blank and '#' lines hold no data (their first character, '' or '#', is
+    # in '#'); the markers among them open sections
     skipped = list(compress(count(), map("#".__contains__, map(_FIRST_CHAR, lines))))
     markers = [(k, name) for k in skipped
                if (name := lines[k][1:].strip().lower()) in _ROW_FORMS]
