@@ -151,24 +151,24 @@ class TestLoadMeasurements:
         with pytest.raises(rf.ConfigurationError, match=":4: RSS entry references unknown node 2"):
             rf.load_measurements(path, PARAMS_FIELD)
 
-    @pytest.mark.parametrize("late", ["malformed", "duplicate"])
-    def test_earliest_fault_across_row_chunks(self, tmp_path, monkeypatch, late):
-        # a fault in the first chunk of rows beats one in a later chunk,
-        # whichever kind each is
+    def test_earliest_fault_across_row_chunks(self, tmp_path, monkeypatch):
+        # four-row chunks, so the faults below sit in different chunks and sections
         monkeypatch.setattr(rf.dataset, "_CHUNK_ROWS", 4)
-        nodes = [f"{k}, {k}.0, 0.0" for k in range(1, 12)]
-        nodes[9] = "3, 1.0, 1.0" if late == "malformed" else "oops"
-        nodes[2 if late == "malformed" else 6] = "2, 5.0, 5.0"
         path = tmp_path / "chunks.txt"
-        path.write_text("# nodes\n" + "\n".join(nodes) + "\n")
-        lineno = 2 + (2 if late == "malformed" else 6)
-        with pytest.raises(rf.ConfigurationError, match=f":{lineno}: duplicate node id 2"):
-            rf.load_measurements(path, PARAMS_FIELD)
-        nodes[2 if late == "malformed" else 6] = f"{3 if late == 'malformed' else 7}, 0, 0"
-        path.write_text("# nodes\n" + "\n".join(nodes) + "\n")
-        message = "duplicate node id 3" if late == "malformed" else "expected 'id, x, y'"
-        with pytest.raises(rf.ConfigurationError, match=f":11: {message}"):
-            rf.load_measurements(path, PARAMS_FIELD)
+
+        def first_fault(rss_rows, late_node):
+            nodes = "\n".join(f"{k}, {k}.0, 0.0" for k in range(1, 6))  # lines 2-6
+            path.write_text(f"# nodes\n{nodes}\n# rss\n" + "\n".join(rss_rows)
+                            + f"\n# nodes\n{late_node}\n")  # rss on 8-19, late node on 21
+            with pytest.raises(rf.ConfigurationError) as excinfo:
+                rf.load_measurements(path, PARAMS_FIELD)
+            return str(excinfo.value)
+
+        rss = [f"1, {k}, -50" for k in (2, 3, 4, 5)] * 3
+        rss[9] = "1, 5, oops"  # line 17, in the third chunk
+        assert ":17: expected 'id_i, id_j, rss_dbm'" in first_fault(rss, "3, 0, 0")
+        rss[1] = "1, 6, -50"  # line 9: node 6 is defined only on line 21
+        assert ":9: RSS entry references unknown node 6" in first_fault(rss, "6, 0, 0")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(rf.ConfigurationError):
