@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -49,11 +50,15 @@ def _add_channel_arguments(parser):
         parser.add_argument(flag, type=float, default=None, help=help_text)
 
 
-def _add_model_arguments(parser):
+def _add_table_arguments(parser):
     parser.add_argument("--n-knots", type=int, default=None,
                         help="table size for the f(d) model (>= 8, default 64)")
     parser.add_argument("--quad-tol", type=float, default=None,
                         help="relative quadrature tolerance (default 1e-6)")
+
+
+def _add_model_arguments(parser):
+    _add_table_arguments(parser)
     parser.add_argument("--fd-table", default=None,
                         help="load the f(d) model from this file instead of building it")
     parser.add_argument("--cache-dir", default=None,
@@ -140,7 +145,7 @@ def _cmd_fd_table(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params, experiment = _resolve_channel(args)
-    n_knots, quad_tol = _model_settings(args, experiment)
+    # the table settings reach _resolve_model, not the experiment config
     settings = {key: value for key, value in experiment.items()
                 if key not in ("n_knots", "quad_tol")}
     flags = {"mu": args.mu, "trials": args.trials, "seed": args.seed, "margin": args.margin,
@@ -154,12 +159,7 @@ def _cmd_simulate(args) -> int:
             f"experiment settings missing: {', '.join(missing)} "
             "(supply flags or an [experiment] config section)"
         )
-    cfg = ExperimentConfig(
-        channel=params,
-        n_knots=n_knots,
-        quad_tol=quad_tol,
-        **settings,
-    )
+    cfg = ExperimentConfig(channel=params, **settings)
     model = _resolve_model(args, params, experiment)
     report = run_experiment(cfg, model=model)
     report.write_csv(args.output)
@@ -252,7 +252,9 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="rangefuse",
         description="Range estimation from RSS and local connectivity",
@@ -261,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fd = sub.add_parser("fd-table", help="tabulate and save the f(d) model")
     _add_channel_arguments(p_fd)
-    p_fd.add_argument("--n-knots", type=int, default=None)
-    p_fd.add_argument("--quad-tol", type=float, default=None)
+    _add_table_arguments(p_fd)
     p_fd.add_argument("--output", required=True, help="model file to write")
     p_fd.set_defaults(func=_cmd_fd_table)
 

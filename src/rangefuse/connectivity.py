@@ -78,6 +78,8 @@ class FdModel:
         knots_f = np.asarray(self.knots_f, dtype=float)
         if knots_d.ndim != 1 or knots_d.shape != knots_f.shape or knots_d.size < 2:
             raise ValueError("knots_d and knots_f must be equal-length 1-D arrays")
+        if not np.isfinite(np.concatenate([[self.s_mass, self.d_th], knots_d, knots_f])).all():
+            raise ValueError("s_mass, d_th and every knot must be finite")
         if knots_d[0] != 0.0:
             raise ValueError(f"knots must start at distance 0, got {knots_d[0]!r}")
         if knots_d[-1] != self.d_th:

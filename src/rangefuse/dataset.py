@@ -7,9 +7,12 @@ as symmetric: when both directions of a pair appear, their mean is used.
 
 A MeasurementSet holds a deployment as columns: the node ids (int64) in
 file order, their (n, 2) coordinates, the unique links as (lo, hi) node-id
-pairs sorted by (lo, hi), and each link's mean RSS. The loader parses each
-section in row chunks and checks the rows as arrays; a fault is reported
-at the earliest line that has one.
+pairs sorted by (lo, hi), and each link's mean RSS; constructing one checks
+it. The loader's success path parses each section in row chunks, checks
+the one rule a set cannot see (both ends of every RSS row are defined on
+an earlier line), averages both directions of each link and builds the
+set. If any of that fails, the error path reads the data lines one at a
+time in file order and reports the earliest that holds a fault.
 
 Evaluation thresholds the links once into per-node neighbor lists, counts
 the common and exclusive neighbors of every requested pair from them, and
@@ -93,7 +96,9 @@ class MeasurementSet(_Columns):
         ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
         xy = np.asarray(self.xy, dtype=float).reshape(ids.size, 2)
         ends = np.asarray(self.links, dtype=np.int64).reshape(-1, 2).T
-        links = np.stack([np.minimum(*ends), np.maximum(*ends)], axis=1)
+        # two contiguous rows of ends search about twice as fast as (lo, hi) pairs
+        lo_hi = np.stack([np.minimum(*ends), np.maximum(*ends)])
+        links = lo_hi.T
         link_rss = np.asarray(self.link_rss, dtype=float).reshape(len(links))
         rows = np.argsort(ids, kind="stable")
         sorted_ids = ids[rows]
@@ -103,14 +108,14 @@ class MeasurementSet(_Columns):
         bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
         if bad.size:
             raise ConfigurationError(f"node {ids[bad[0]]} has non-finite coordinates")
-        ranks, known = _locate(sorted_ids, links)
-        for bad, what in ((~(known[:, 0] & known[:, 1]), "references an unknown node"),
+        ranks, known = _locate(sorted_ids, lo_hi)
+        for bad, what in ((~(known[0] & known[1]), "references an unknown node"),
                           (links[:, 0] == links[:, 1], "links a node to itself"),
                           (~np.isfinite(link_rss), "has a non-finite reading")):
             if bad.any():
                 i, j = links[bad][0].tolist()
                 raise ConfigurationError(f"RSS entry ({i}, {j}) {what}")
-        keys = ranks[:, 0] * ids.size + ranks[:, 1]
+        keys = ranks[0] * ids.size + ranks[1]
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         twice = np.flatnonzero(keys[1:] == keys[:-1])
@@ -150,38 +155,64 @@ def _parse_rows(rows: list, second_kind) -> tuple:
     )
 
 
-def _row_fault(row: str, section: str):
-    """Why one row of a section does not parse, or None."""
-    form, second_kind = _ROW_FORMS[section]
-    try:
-        _parse_rows([row], second_kind)
-    except ValueError:
-        return f"expected {form}, got {row!r}"
-    except OverflowError:
-        return f"id outside the int64 range, got {row!r}"
-    return None
-
-
 def _parse_section(lines: list, at: np.ndarray, section: str) -> tuple:
-    """Columns of the rows at line indices at, stopped before the first that fails.
-
-    Returns the columns and, for a failing row, (line index, reason), else None.
-    """
+    """Columns of the rows at line indices at, parsed _CHUNK_ROWS rows at a time."""
     second_kind = _ROW_FORMS[section][1]
     pieces = [_parse_rows([], second_kind)]  # typed empty columns
-    fault = None
     for start in range(0, at.size, _CHUNK_ROWS):
         rows = list(map(lines.__getitem__, at[start:start + _CHUNK_ROWS].tolist()))
+        pieces.append(_parse_rows(rows, second_kind))
+    return tuple(np.concatenate(column) for column in zip(*pieces))
+
+
+def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray,
+                     channel: ChannelParams) -> MeasurementSet:
+    """The set held by the rows at node_at and rss_at; raises on any fault in them."""
+    ids, x, y = _parse_section(lines, node_at, "nodes")
+    first, second, value = _parse_section(lines, rss_at, "rss")
+    # the stable sort keeps an id's rows in file order, so each end's rank is its first row
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    ranks, known = _locate(sorted_ids, np.stack([first, second]))
+    if not (known.all() and (node_at[order][ranks] < rss_at).all()):
+        raise ConfigurationError("an RSS row names a node not defined above it")
+    # both directions of a pair share one key; bincount sums each key's
+    # readings in file order, as a running sum from 0.0 would
+    n = sorted_ids.size
+    keys, slot = np.unique(np.minimum(*ranks) * n + np.maximum(*ranks), return_inverse=True)
+    link_rss = np.bincount(slot, weights=value) / np.bincount(slot)
+    links = sorted_ids[np.stack(np.divmod(keys, max(n, 1)), axis=1)]
+    return MeasurementSet(ids, np.stack([x, y], axis=1), links, link_rss, channel)
+
+
+def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray):
+    """The earliest faulty data line, as (line index, reason), or None.
+
+    Rows are read one at a time in file order; in a row the first check that fails wins.
+    """
+    defined = set()
+    for k, is_node in zip(data.tolist(), in_nodes.tolist()):
+        row = lines[k]
+        form, second_kind = _ROW_FORMS["nodes" if is_node else "rss"]
         try:
-            pieces.append(_parse_rows(rows, second_kind))
-        except (ValueError, OverflowError):
-            # the error path: scan the chunk only to name the failing row
-            k, reason = next((k, reason) for k, reason in
-                             enumerate(map(_row_fault, rows, repeat(section))) if reason)
-            pieces.append(_parse_rows(rows[:k], second_kind))
-            fault = (int(at[start + k]), reason)
-            break
-    return tuple(np.concatenate(column) for column in zip(*pieces)), fault
+            a, b, c = (column.item() for column in _parse_rows([row], second_kind))
+        except ValueError:
+            return k, f"expected {form}, got {row!r}"
+        except OverflowError:
+            return k, f"id outside the int64 range, got {row!r}"
+        if is_node:
+            reason = (f"duplicate node id {a}" if a in defined
+                      else None if math.isfinite(b) and math.isfinite(c)
+                      else f"node {a} has non-finite coordinates")
+            defined.add(a)
+        else:
+            unknown = [end for end in (a, b) if end not in defined]
+            reason = (f"node {a} linked to itself" if a == b
+                      else f"RSS entry references unknown node {unknown[0]}" if unknown
+                      else None if math.isfinite(c) else f"non-finite RSS reading {c!r}")
+        if reason:
+            return k, reason
+    return None
 
 
 def load_measurements(path, channel: ChannelParams) -> MeasurementSet:
@@ -195,68 +226,20 @@ def load_measurements(path, channel: ChannelParams) -> MeasurementSet:
     skipped = list(compress(count(), map("#".__contains__, map(_FIRST_CHAR, lines))))
     markers = [(k, name) for k in skipped
                if (name := lines[k][1:].strip().lower()) in _ROW_FORMS]
-    data = np.ones(len(lines), dtype=bool)
-    data[skipped] = False
-    data = np.flatnonzero(data)
+    data = np.delete(np.arange(len(lines)), skipped)
     section = np.searchsorted([k for k, _ in markers], data) - 1
     if data.size and section[0] < 0:
         raise ConfigurationError(
             f"{path}:{data[0] + 1}: data before any '# nodes' or '# rss' marker"
         )
     in_nodes = np.array([name == "nodes" for _, name in markers], dtype=bool)[section]
-    node_at, rss_at = data[in_nodes], data[~in_nodes]
-    (ids, x, y), node_fault = _parse_section(lines, node_at, "nodes")
-    (first, second, value), rss_fault = _parse_section(lines, rss_at, "rss")
-    del lines
-    node_line, rss_line = node_at[:ids.size], rss_at[:first.size]
-
-    # Each fault depends only on the rows above it, so the rows that a parse
-    # failure leaves unread hide no fault above it. The earliest is reported.
-    faults = [fault for fault in (node_fault, rss_fault) if fault]
-
-    def note(bad_lines, describe):
-        """Record the earliest of bad_lines, described by describe(its place)."""
-        if bad_lines.size:
-            k = int(np.argmin(bad_lines))
-            faults.append((int(bad_lines[k]), describe(k)))
-
-    # a repeated id is a fault at each later row; a node is known from its first row on
-    order = np.argsort(ids, kind="stable")
-    sorted_ids, defined = ids[order], node_line[order]
-    again = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1]) + 1
-    note(defined[again], lambda k: f"duplicate node id {sorted_ids[again[k]]}")
-    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
-    note(node_line[bad], lambda k: f"node {ids[bad[k]]} has non-finite coordinates")
-    loop = np.flatnonzero(first == second)
-    note(rss_line[loop], lambda k: f"node {first[loop[k]]} linked to itself")
-    once = np.ones(sorted_ids.size, dtype=bool)
-    once[again] = False
-    node_ids, defined = sorted_ids[once], defined[once]
-
-    def known(ends):
-        rank, found = _locate(node_ids, ends)
-        found[found] = defined[rank[found]] < rss_line[found]
-        return rank, found
-
-    (rank_first, known_first), (rank_second, known_second) = known(first), known(second)
-    unknown = np.flatnonzero(~(known_first & known_second))
-    note(rss_line[unknown], lambda k: "RSS entry references unknown node "
-         f"{(second if known_first[unknown[k]] else first)[unknown[k]]}")
-    bad = np.flatnonzero(~np.isfinite(value))
-    note(rss_line[bad], lambda k: f"non-finite RSS reading {float(value[bad[k]])!r}")
-    if faults:
-        line, reason = min(faults, key=itemgetter(0))
-        raise ConfigurationError(f"{path}:{line + 1}: {reason}")
-
-    # both directions of a pair share one key; bincount sums each key's
-    # readings in file order, as a running sum from 0.0 would
-    n = node_ids.size
-    keys, slot = np.unique(np.minimum(rank_first, rank_second) * n
-                           + np.maximum(rank_first, rank_second), return_inverse=True)
-    link_rss = np.bincount(slot, weights=value, minlength=keys.size) / np.bincount(
-        slot, minlength=keys.size)
-    links = node_ids[np.stack(np.divmod(keys, max(n, 1)), axis=1)]
-    return MeasurementSet(ids, np.stack([x, y], axis=1), links, link_rss, channel)
+    try:
+        return _measurement_set(lines, data[in_nodes], data[~in_nodes], channel)
+    except (ValueError, OverflowError, ConfigurationError):
+        fault = _first_fault(lines, data, in_nodes)
+        if fault is None:
+            raise
+    raise ConfigurationError(f"{path}:{fault[0] + 1}: {fault[1]}")
 
 
 def save_measurements(ms: MeasurementSet, path) -> None:
@@ -350,8 +333,8 @@ def evaluate_pairs(
     """Run all three estimators on the requested (id, id) pairs.
 
     Pairs without an RSS entry get NaN estimates and the run continues;
-    unknown ids are a configuration error. Errors are taken against the
-    coordinate distances.
+    unknown ids and a model built for another channel are configuration
+    errors. Errors are taken against the coordinate distances.
     """
     try:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -363,6 +346,8 @@ def evaluate_pairs(
         raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
     if model is None:
         model = build_fd_model(ms.channel)
+    elif model.params != ms.channel:
+        raise ConfigurationError("supplied model was built for different channel parameters")
     link, measured = _locate(ms._keys, ranks.min(axis=1) * ms.ids.size + ranks.max(axis=1))
     rss = ms.link_rss[link[measured]]
     d_rss = estimate_distance_rss(ms.channel, rss)

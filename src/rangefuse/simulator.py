@@ -74,8 +74,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     margin: float = 1.5
-    n_knots: int = 64
-    quad_tol: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.mu < math.inf:
@@ -240,12 +238,12 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseR
     Probe i_d draws its trials from default_rng((seed, i_d)) in fixed
     blocks (see _draw_probe), so a probe's results do not depend on the
     other probes. A prebuilt FdModel for the same channel may be passed
-    to skip the tabulation step. Probing beyond the model's cutoff is a
-    configuration error.
+    to skip the tabulation step, which otherwise runs at build_fd_model's
+    defaults. Probing beyond the model's cutoff is a configuration error.
     """
     params = cfg.channel
     if model is None:
-        model = build_fd_model(params, cfg.n_knots, cfg.quad_tol)
+        model = build_fd_model(params)
     elif model.params != params:
         raise ConfigurationError("supplied model was built for different channel parameters")
     d_th = model.d_th

@@ -32,6 +32,19 @@ def penalty(x1, x2, sigma_r, sigma_c, d):
     return t * t * (1.0 / (2.0 * sigma_r**2)) + (x2 - d) ** 2 * (1.0 / (2.0 * sigma_c**2))
 
 
+def save_damaged_table(model, path, damage):
+    """Save model to path, then make one value non-finite: 'knot', 's_mass' or 'd_th'."""
+    rf.save_fd_model(model, path)
+    lines = path.read_text().splitlines()
+    if damage == "knot":
+        k = lines.index("knots:") + 3
+        lines[k] = lines[k].split(",")[0] + ", nan"
+    else:
+        k = next(k for k, line in enumerate(lines) if line.startswith(f"{damage} = "))
+        lines[k] = f"{damage} = " + ("nan" if damage == "s_mass" else "inf")
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="session")
 def model44():
     return rf.build_fd_model(PARAMS_44)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import rangefuse as rf
-from rangefuse import config
+from rangefuse import cli, config
 from rangefuse.cli import main
-from conftest import PARAMS_44, PARAMS_FIELD, penalty
+from conftest import PARAMS_44, PARAMS_FIELD, penalty, save_damaged_table
 
 CFG_44 = """\
 [channel]
@@ -180,6 +180,17 @@ class TestSimulateCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+    def test_experiment_table_settings(self, cfg_path, tmp_path):
+        # n_knots and quad_tol in [experiment] still size the table
+        cfg_path.write_text(CFG_44 + "n_knots = 8\nquad_tol = 1e-3\n")
+        cache = tmp_path / "cache"
+        assert main(["simulate", "--config", str(cfg_path), "--cache-dir", str(cache),
+                     "--output", str(tmp_path / "r.csv")]) == 0
+        (cached,) = cache.iterdir()
+        assert cached.name == f"fd_{cli._model_cache_key(PARAMS_44, 8, 1e-3)}.txt"
+        assert rf.load_fd_model(cached).n_knots == 8
+
+
 class TestCrlbCommand:
     def test_curve_columns(self, cfg_path, tmp_path):
         out = tmp_path / "crlb.csv"
@@ -295,6 +306,54 @@ class TestDatasetCommand:
         assert lines[1].startswith(f"{pair},5.0,")
         assert lines[2].startswith("-7--5,")
         assert "nan" not in out.read_text()
+
+
+class TestParser:
+    def test_built_once_with_fresh_defaults(self, cfg_path, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        table = tmp_path / "m.fd"
+        assert main(["fd-table", "--config", str(cfg_path), "--n-knots", "8",
+                     "--quad-tol", "1e-3", "--output", str(table)]) == 0
+        assert main(["simulate", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--mu", "15", "--distances", "5", "--output", str(tmp_path / "r.csv")]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        # crlb has its own --mu and --distances, unset here: no density, so a usage error
+        capsys.readouterr()
+        assert main(["crlb", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--output", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == "error: supply --mu or --intensity\n"
+        # and the default distances, 19 of them
+        assert main(["crlb", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--intensity", "0.01", "--output", str(tmp_path / "c.csv")]) == 0
+        assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 19
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_fd_table_help_describes_the_table_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fd-table", "--help"])
+        out = capsys.readouterr().out
+        assert "table size for the f(d) model" in out
+        assert "relative quadrature tolerance" in out
+
+
+class TestDamagedTable:
+    @pytest.mark.parametrize("damage", ["knot", "s_mass", "d_th"])
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--rss", "-85", "--m", "6", "--p", "9", "--q", "11"],
+        ["crlb", "--mu", "20", "--output", "OUT"],
+    ], ids=["estimate", "crlb"])
+    def test_non_finite_value_is_usage_error(self, cfg_path, tmp_path, capsys, model44,
+                                             command, damage):
+        table, out = tmp_path / "bad.fd", tmp_path / "out.csv"
+        save_damaged_table(model44, table, damage)
+        argv = [str(out) if token == "OUT" else token for token in command]
+        code = main(argv + ["--config", str(cfg_path), "--fd-table", str(table)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: {table}: inconsistent model data: "
+                                "s_mass, d_th and every knot must be finite\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestUsageErrors:

@@ -10,7 +10,7 @@ from scipy import integrate, special
 
 import rangefuse as rf
 from rangefuse.connectivity import invert_counts
-from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP
+from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP, save_damaged_table
 
 LN10 = math.log(10.0)
 
@@ -306,6 +306,16 @@ class TestBuildFdModel:
                 params=PARAMS_44,
             )
 
+    @pytest.mark.parametrize("name, value", [("s_mass", math.nan), ("d_th", math.inf),
+                                             ("knots_f", math.nan)])
+    def test_rejects_non_finite_values(self, model44, name, value):
+        columns = {f: getattr(model44, f) for f in ("s_mass", "d_th", "knots_d", "knots_f")}
+        if name == "knots_f":  # one knot value
+            value = np.concatenate([model44.knots_f[:2], [value], model44.knots_f[3:]])
+        columns[name] = value
+        with pytest.raises(ValueError, match="every knot must be finite"):
+            rf.FdModel(params=PARAMS_44, **columns)
+
 
 class TestInvertFd:
     def test_clamps(self, model44):
@@ -476,6 +486,13 @@ class TestModelSerialization:
         lines[12] = "not, a, number, row"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(rf.ConfigurationError, match=":13"):
+            rf.load_fd_model(path)
+
+    @pytest.mark.parametrize("damage", ["knot", "s_mass", "d_th"])
+    def test_rejects_non_finite_values(self, model44, tmp_path, damage):
+        path = tmp_path / "model.fd"
+        save_damaged_table(model44, path, damage)
+        with pytest.raises(rf.ConfigurationError, match="inconsistent model data: .* finite"):
             rf.load_fd_model(path)
 
 

@@ -231,6 +231,92 @@ class TestMeasurementRoundTrip:
             assert rf.load_measurements(path, PARAMS_FIELD) == ms
 
 
+def _data_rows(lines):
+    return [k for k, line in enumerate(lines) if line and not line.startswith("#")]
+
+
+def _insert(draw, lines, row):
+    at = draw(st.integers(0, len(lines)))
+    return lines[:at] + [row] + lines[at:]
+
+
+def _replace_field(draw, lines, field_at, values, below="# nodes"):
+    """A data row below the first marker below, its field at one of field_at now one of values."""
+    rows = [k for k in _data_rows(lines) if k > lines.index(below)]
+    if not rows:
+        return lines
+    k = draw(st.sampled_from(rows))
+    fields = lines[k].split(",")
+    fields[draw(st.sampled_from(field_at)) % len(fields)] = draw(st.sampled_from(values))
+    return lines[:k] + [",".join(fields)] + lines[k + 1:]
+
+
+def _move_to_new_section(draw, lines):
+    """A row from above the first '# rss' marker moved into a '# nodes' section at the end."""
+    rows = [k for k in _data_rows(lines) if k < lines.index("# rss")]
+    if not rows:
+        return lines
+    k = draw(st.sampled_from(rows))
+    return lines[:k] + lines[k + 1:] + ["# nodes", lines[k]]
+
+
+# row mutations, each (draw, lines, a node id of the file) -> lines
+_MUTATIONS = [
+    # a duplicate id, an unknown node, a self link (each row lands in either section)
+    lambda draw, lines, i: _insert(draw, lines, f"{i}, 1.0, 2.0"),
+    lambda draw, lines, i: _insert(draw, lines, f"{i}, 99, -50.0"),
+    lambda draw, lines, i: _insert(draw, lines, f"{i}, {i}, -50.0"),
+    # an inf or NaN reading or coordinate
+    lambda draw, lines, i: _replace_field(draw, lines, [1, 2], [" inf", " -inf", " nan"]),
+    lambda draw, lines, i: _replace_field(draw, lines, [2], [" inf", " nan"], below="# rss"),
+    # a malformed row, an id outside int64
+    lambda draw, lines, i: _replace_field(draw, lines, [0, 1, 2], [" x", "", " 1, 2"]),
+    lambda draw, lines, i: _replace_field(draw, lines, [0, 1], [str(2**63), str(-2**63 - 1)]),
+    # a node defined only below the RSS rows that name it
+    lambda draw, lines, i: _move_to_new_section(draw, lines),
+    # an inserted marker, blank line or comment
+    lambda draw, lines, i: _insert(draw, lines, draw(st.sampled_from(
+        ["# nodes", "# rss", "", "# a comment, with commas"]))),
+]
+
+
+@st.composite
+def _mutated_files(draw):
+    ids = draw(st.lists(st.integers(-5, 12), min_size=1, max_size=6, unique=True))
+    coordinate = st.floats(-1e3, 1e3)
+    lines = ["# nodes", *(f"{i}, {draw(coordinate)!r}, {draw(coordinate)!r}" for i in ids),
+             "# rss"]
+    for i, j in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              max_size=8)):
+        if i != j:
+            lines.append(f"{i}, {j}, {draw(st.floats(-100.0, -20.0))!r}")
+    for _ in range(draw(st.integers(0, 3))):
+        lines = draw(st.sampled_from(_MUTATIONS))(draw, lines, draw(st.sampled_from(ids)))
+    return "\n".join(lines) + "\n"
+
+
+class TestLoaderPathsAgree:
+    """The success path and the error path judge every file alike.
+
+    A file the success path rejects must get a line from the error path; a
+    ConfigurationError with no line means the two disagree.
+    """
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=_mutated_files(), chunk=st.sampled_from([2, 2048]))
+    def test_set_or_line_numbered_error(self, text, chunk):
+        with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rf.dataset, "_CHUNK_ROWS", chunk)
+            path = Path(folder) / "meas.txt"
+            path.write_text(text)
+            try:
+                ms = rf.load_measurements(path, PARAMS_FIELD)
+            except rf.ConfigurationError as exc:
+                assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+            else:
+                assert isinstance(ms, rf.MeasurementSet)
+
+
 class TestNeighborCounts:
     """Thresholded neighbor lists (dataset._adjacency) and their counts (dataset._counts)."""
 
@@ -301,6 +387,10 @@ class TestEvaluatePairs:
         assert result.status[0] == rf.dataset.NO_RSS
         assert math.isnan(result.d_fused[0])
         assert math.isfinite(result.d_fused[1])
+
+    def test_model_for_another_channel_rejected(self, fixture_set, model44):
+        with pytest.raises(rf.ConfigurationError, match="different channel parameters"):
+            rf.evaluate_pairs(fixture_set, [(1, 2), (2, 3)], model=model44)
 
     def test_unknown_id_rejected(self, fixture_set, model_field):
         with pytest.raises(rf.ConfigurationError, match=r"pair \(1, 99\)"):
