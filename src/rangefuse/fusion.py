@@ -12,10 +12,16 @@ the log-likelihood. Its turning points solve 2B d^2 - B x2 d + A = 0, so
 there are at most two and both are known in closed form. Between them s
 is monotone, and s > 0 on (0, d0] with d0 = min(x1/e, sqrt(A/B)) / 2.
 Splitting (0, d_th] at the turning points therefore leaves at most two
-segments where s falls from + to -, each bracketing one local maximum;
-bisection solves each to adjacent doubles, and the global maximum is the
-best of those roots and the boundary d_th. fuse_arrays does this for
-whole arrays of pairs at once.
+segments where s falls from + to -, each bracketing one local maximum,
+and the global maximum is the best of those roots and the boundary d_th.
+fuse_arrays does this for whole arrays of pairs at once.
+
+Each root is found by Newton's method in ln d, where
+ds/d(ln d) = B d (x2 - 2d) - A, guarded by its bracket: every evaluation
+of s tightens the bracket, and a step that leaves it is replaced by the
+bracket's midpoint in ln d. A root settles when |s| falls to the rounding
+floor of its own terms, 8 eps (A (|ln x1| + |ln d|) + B d (x2 + d)), when
+the step is a few ulps, or when the bracket can no longer be split.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .channel import LN10
 
 INTERIOR = "interior"
 BOUNDARY_CLAMPED = "boundary_clamped"
+EPS = np.finfo(float).eps
 
 
 def stationarity(ln_x1, x2, a, b, d):
@@ -39,6 +46,35 @@ def stationarity(ln_x1, x2, a, b, d):
     return a * (ln_x1 - np.log(d)) + b * d * (x2 - d)
 
 
+def _newton_roots(ln_x1, x2, a, b, lo, hi, start):
+    """The root of s in each bracket (lo, hi), where s(lo) > 0 >= s(hi).
+
+    One-dimensional columns, one bracket each. Safeguarded Newton in ln d
+    from start (from the bracket's midpoint in ln d where start is not
+    inside); a root leaves the working columns once it settles.
+    """
+    roots = np.empty(lo.size)
+    at = np.arange(lo.size)
+    d = np.where((lo < start) & (start < hi), start, np.sqrt(lo) * np.sqrt(hi))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while at.size:
+            ln_d = np.log(d)
+            s = a * (ln_x1 - ln_d) + b * d * (x2 - d)
+            lo = np.where(s > 0.0, d, lo)
+            hi = np.where(s < 0.0, d, hi)
+            # a step that overflows or divides by a zero slope is not inside
+            step = d * np.exp(s / (a + b * d * (2.0 * d - x2)))
+            inside = (lo < step) & (step < hi)
+            floor = (8.0 * EPS) * (a * (np.abs(ln_x1) + np.abs(ln_d)) + b * d * (x2 + d))
+            settled = (np.abs(s) <= floor) | (np.abs(step - d) <= (4.0 * EPS) * d)
+            mid = np.sqrt(lo) * np.sqrt(hi)
+            roots[at] = np.where(settled, np.where(inside, step, d), lo)
+            d = np.where(inside, step, mid)
+            keep = (lo < mid) & (mid < hi) & ~settled
+            at, d, lo, hi, ln_x1, x2, a, b = (v[keep] for v in (at, d, lo, hi, ln_x1, x2, a, b))
+    return roots
+
+
 def fuse_arrays(x1, x2, sigma_r, sigma_c, d_th):
     """Maximize the joint log-likelihood over (0, d_th] for arrays of pairs.
 
@@ -47,10 +83,15 @@ def fuse_arrays(x1, x2, sigma_r, sigma_c, d_th):
     of x1, sigma_c the additive error of x2 (both positive and finite);
     d_th bounds the search (positive and finite). All five broadcast
     against each other; only x1, the one taken from raw readings, is
-    checked here. Deterministic and total. The candidates are the roots
-    of s in the segments (d0, near) and (far, d_th) where s falls from +
-    to - there, plus d_th; the one with the lowest penalty wins, ties
-    going to d_th.
+    checked here. Deterministic and total, and each pair's result depends
+    on that pair alone. The candidates are the roots of s in the segments
+    (d0, near) and (far, d_th) where s falls from + to - there, plus d_th;
+    the one with the lowest penalty wins, ties going to d_th.
+    The Newton iteration starts from x1 in the near segment and from x2
+    in the far one (from the midpoint where that start is not inside). A
+    root settled by the floor or the step size takes its last Newton step
+    when that step stays inside the bracket, and keeps the point where s
+    is exactly 0; a bracket that cannot be split yields its lower end.
     Returns (d_hat, status); the status is BOUNDARY_CLAMPED where the
     winner lies within 1e-9 * d_th of d_th, INTERIOR elsewhere.
     """
@@ -79,20 +120,17 @@ def fuse_arrays(x1, x2, sigma_r, sigma_c, d_th):
     rises = stationarity(ln_x1, x2, a, b, lo) > 0.0
     rises[0] = True
     usable = rises & (lo < hi) & (stationarity(ln_x1, x2, a, b, hi) <= 0.0)
-    lo = np.where(usable, lo, hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        open_ = (lo < mid) & (mid < hi)
-        if not open_.any():
-            break
-        rising = stationarity(ln_x1, x2, a, b, mid) > 0.0
-        lo = np.where(open_ & rising, mid, lo)
-        hi = np.where(open_ & ~rising, mid, hi)
 
-    cand = np.concatenate([d_th[None], np.where(usable, lo, d_th)])
+    # an unusable segment offers d_th; flat index at is row * x1.size + pair
+    roots = np.stack([d_th, d_th])
+    at = np.flatnonzero(usable)
+    pair = at % max(x1.size, 1)
+    np.put(roots, at, _newton_roots(*(np.take(v, pair) for v in (ln_x1, x2, a, b)),
+                                    *(np.take(v, at) for v in (lo, hi, np.stack([x1, x2])))))
+
+    cand = np.concatenate([d_th[None], roots])
     t = np.log10(x1) - np.log10(cand)
     penalty = t * t * (0.5 / sigma_r**2) + (x2 - cand) ** 2 * (0.5 * b)
     winner = np.take_along_axis(cand, np.argmin(penalty, axis=0)[None], axis=0)[0]
     clamped = d_th - winner <= 1e-9 * d_th
     return np.where(clamped, d_th, winner), np.where(clamped, BOUNDARY_CLAMPED, INTERIOR)
-
