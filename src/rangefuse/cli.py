@@ -241,12 +241,14 @@ def _cmd_dataset(args) -> int:
     result = evaluate_pairs(ms, pairs, model=model, intensity=args.intensity)
     for i, j in result.pairs[~result.measured].tolist():
         print(f"warning: pair {i}-{j}: no RSS measurement for this pair", file=sys.stderr)
-    # NaN prints as 'nan', the value of every error column of an unmeasured pair
+    # NaN prints as 'nan', the value of every error column and of d_fused
+    # for an unmeasured pair, whose status is 'error'
     columns = (*result.pairs.T.tolist(),
                *(v.tolist() for v in (result.d_true, result.err_rss, result.err_conn,
-                                      result.err_fused)))
-    lines = ["pair,d_true,err_rss,err_conn,err_fused",
-             *map("{}-{},{!r},{!r},{!r},{!r}".format, *columns)]
+                                      result.err_fused)),
+               result.status.tolist(), result.d_fused.tolist())
+    lines = ["pair,d_true,err_rss,err_conn,err_fused,status,d_fused",
+             *map("{}-{},{!r},{!r},{!r},{!r},{},{!r}".format, *columns)]
     with atomic_output(args.output) as partial:
         partial.write_text("\n".join(lines) + "\n")
     return 0

@@ -23,7 +23,7 @@ reading below the link threshold counts as no reading there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from itertools import compress, count, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -85,6 +85,9 @@ class MeasurementSet(_Columns):
     links: np.ndarray
     link_rss: np.ndarray
     channel: ChannelParams
+    # init only: the ranks (see _keys) of every link's lo and hi ends as a
+    # (2, k) array, from a caller that has ranked them already; taken on trust
+    _link_ranks: InitVar[np.ndarray | None] = None
     # derived: the ids sorted, the stored row of each sorted id, and each
     # link's key lo_rank * n + hi_rank, where an id's rank is its place
     # among the sorted ids; the keys are sorted as the links are
@@ -92,7 +95,7 @@ class MeasurementSet(_Columns):
     _stored_row: np.ndarray = field(init=False, repr=False, compare=False)
     _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _link_ranks):
         ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
         xy = np.asarray(self.xy, dtype=float).reshape(ids.size, 2)
         ends = np.asarray(self.links, dtype=np.int64).reshape(-1, 2).T
@@ -108,7 +111,8 @@ class MeasurementSet(_Columns):
         bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
         if bad.size:
             raise ConfigurationError(f"node {ids[bad[0]]} has non-finite coordinates")
-        ranks, known = _locate(sorted_ids, lo_hi)
+        ranks, known = (_locate(sorted_ids, lo_hi) if _link_ranks is None
+                        else (_link_ranks, np.ones(lo_hi.shape, dtype=bool)))
         for bad, what in ((~(known[0] & known[1]), "references an unknown node"),
                           (links[:, 0] == links[:, 1], "links a node to itself"),
                           (~np.isfinite(link_rss), "has a non-finite reading")):
@@ -177,12 +181,18 @@ def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray,
     if not (known.all() and (node_at[order][ranks] < rss_at).all()):
         raise ConfigurationError("an RSS row names a node not defined above it")
     # both directions of a pair share one key; bincount sums each key's
-    # readings in file order, as a running sum from 0.0 would
+    # readings in file order, as a running sum from 0.0 would. Where finite
+    # readings near the largest double overflow that sum, each reading's
+    # share of the mean is summed instead; only there, since shares of
+    # subnormal readings lose bits
     n = sorted_ids.size
     keys, slot = np.unique(np.minimum(*ranks) * n + np.maximum(*ranks), return_inverse=True)
-    link_rss = np.bincount(slot, weights=value) / np.bincount(slot)
-    links = sorted_ids[np.stack(np.divmod(keys, max(n, 1)), axis=1)]
-    return MeasurementSet(ids, np.stack([x, y], axis=1), links, link_rss, channel)
+    count = np.bincount(slot)
+    link_rss = np.bincount(slot, weights=value) / count
+    link_rss = np.where(np.isinf(link_rss), np.bincount(slot, weights=value / count[slot]), link_rss)
+    link_ranks = np.stack(np.divmod(keys, max(n, 1)))
+    return MeasurementSet(ids, np.stack([x, y], axis=1), sorted_ids[link_ranks].T, link_rss,
+                          channel, link_ranks)
 
 
 def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray):
@@ -333,8 +343,9 @@ def evaluate_pairs(
     """Run all three estimators on the requested (id, id) pairs.
 
     Pairs without an RSS entry get NaN estimates and the run continues;
-    unknown ids and a model built for another channel are configuration
-    errors. Errors are taken against the coordinate distances.
+    unknown ids, a model built for another channel and a reading whose RSS
+    range estimate is 0 or infinite are configuration errors. Errors are
+    taken against the coordinate distances.
     """
     try:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -351,6 +362,12 @@ def evaluate_pairs(
     link, measured = _locate(ms._keys, ranks.min(axis=1) * ms.ids.size + ranks.max(axis=1))
     rss = ms.link_rss[link[measured]]
     d_rss = estimate_distance_rss(ms.channel, rss)
+    lost = np.flatnonzero(~((d_rss > 0.0) & (d_rss < math.inf)))
+    if lost.size:
+        i, j = pairs[measured][lost[0]].tolist()
+        raise ConfigurationError(
+            f"pair ({i}, {j}) has an RSS reading of {float(rss[lost[0]])!r} dBm, "
+            "which maps to no positive, finite distance")
     usable = np.where(rss >= ms.channel.rss_threshold_dbm, d_rss, np.nan)
     a, b = ranks[measured].T
     est = estimate_pairs(ms.channel, model, usable,

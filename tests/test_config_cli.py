@@ -272,10 +272,30 @@ class TestDatasetCommand:
                      "--output", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "pair,d_true,err_rss,err_conn,err_fused"
+        assert lines[0] == "pair,d_true,err_rss,err_conn,err_fused,status,d_fused"
         assert lines[1].startswith("1-2,5.0,")
+        _, d_true, _, _, err_fused, status, d_fused = lines[1].split(",")
+        assert status == "interior"
+        assert abs(float(d_fused) - float(d_true)) == float(err_fused)
         assert lines[2].startswith("3-4,")
-        assert lines[2].endswith("nan,nan,nan")
+        assert lines[2].endswith("nan,nan,nan,error,nan")
+
+    @pytest.mark.parametrize("rss_rows", ["1, 2, 1.7e308\n", "1, 2, 1.7e308\n2, 1, 1.7e308\n"],
+                             ids=["one_direction", "both_directions"])
+    def test_reading_without_finite_range(self, tmp_path, capsys, rss_rows):
+        # 1.7e308 dBm is above the link threshold but maps to a range of 0
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0.0, 0.0\n2, 3.0, 4.0\n# rss\n" + rss_rows)
+        out = tmp_path / "errors.csv"
+        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                     "--n-knots", "16", "--quad-tol", "1e-4",
+                     "--input", str(meas), "--pairs", "1-2", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: pair (1, 2) has an RSS reading of 1.7e+308 dBm, "
+            "which maps to no positive, finite distance\n")
+        assert not out.exists()
 
     def test_bad_pair_token(self, tmp_path, capsys):
         meas = tmp_path / "meas.txt"

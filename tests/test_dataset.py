@@ -251,6 +251,16 @@ def _replace_field(draw, lines, field_at, values, below="# nodes"):
     return lines[:k] + [",".join(fields)] + lines[k + 1:]
 
 
+def _overflowing_pair(draw, lines):
+    """An RSS row below the first '# rss' and its reverse, both reading 1.7e308: their sum overflows."""
+    rows = [k for k in _data_rows(lines) if k > lines.index("# rss")]
+    if not rows:
+        return lines
+    k = draw(st.sampled_from(rows))
+    i, j = lines[k].split(",")[:2]
+    return lines[:k] + [f"{i},{j}, 1.7e308", f"{j},{i}, 1.7e308"] + lines[k + 1:]
+
+
 def _move_to_new_section(draw, lines):
     """A row from above the first '# rss' marker moved into a '# nodes' section at the end."""
     rows = [k for k in _data_rows(lines) if k < lines.index("# rss")]
@@ -274,6 +284,8 @@ _MUTATIONS = [
     lambda draw, lines, i: _replace_field(draw, lines, [0, 1], [str(2**63), str(-2**63 - 1)]),
     # a node defined only below the RSS rows that name it
     lambda draw, lines, i: _move_to_new_section(draw, lines),
+    # two finite readings of one pair whose sum is not finite
+    lambda draw, lines, i: _overflowing_pair(draw, lines),
     # an inserted marker, blank line or comment
     lambda draw, lines, i: _insert(draw, lines, draw(st.sampled_from(
         ["# nodes", "# rss", "", "# a comment, with commas"]))),

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from rangefuse.fusion import BOUNDARY_CLAMPED, INTERIOR, stationarity
 from conftest import penalty
 
 LN10 = math.log(10.0)
+EPS = np.finfo(float).eps
 
 
 def _fuse(x1=5.0, x2=5.0, sigma_r=0.1, sigma_c=2.0, d_th=40.0):
@@ -148,7 +150,58 @@ def _random_pairs(rng, n):
     return x1, x2, sigma_r, sigma_c
 
 
+def _bisection_reference(x1, x2, sigma_r, sigma_c, d_th):
+    """The earlier solver: fuse_arrays' brackets and selection, each root bisected to adjacent doubles."""
+    a, b = 1.0 / (sigma_r * LN10) ** 2, 1.0 / sigma_c**2
+    s = functools.partial(stationarity, np.log(x1), x2, a, b)
+    disc = x2 * x2 - 8.0 * a / b
+    far = 0.25 * (x2 + np.sqrt(np.abs(disc)))
+    near, far = (np.where((disc > 0.0) & (t < d_th), t, d_th) for t in (a / (2.0 * b * far), far))
+    d0 = np.maximum(0.5 * np.minimum(x1 / math.e, np.sqrt(a / b)), 5e-324)
+    lo, hi = np.stack([np.minimum(d0, near), far]), np.stack([near, d_th])
+    usable = ((s(lo) > 0.0) | [[True], [False]]) & (lo < hi) & (s(hi) <= 0.0)
+    lo = np.where(usable, lo, hi)
+    while (open_ := (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
+        rising = s(mid) > 0.0
+        lo, hi = np.where(open_ & rising, mid, lo), np.where(open_ & ~rising, mid, hi)
+    cand = np.concatenate([d_th[None], np.where(usable, lo, d_th)])
+    t = np.log10(x1) - np.log10(cand)
+    pen = t * t * (0.5 / sigma_r**2) + (x2 - cand) ** 2 * (0.5 * b)
+    winner = np.take_along_axis(cand, np.argmin(pen, axis=0)[None], axis=0)[0]
+    clamped = d_th - winner <= 1e-9 * d_th
+    return np.where(clamped, d_th, winner), np.where(clamped, BOUNDARY_CLAMPED, INTERIOR)
+
+
 class TestFuseArrays:
+    def test_matches_bisection_reference(self):
+        rng = np.random.default_rng(45)
+        n = 10**4
+        d_th = rng.uniform(20.0, 100.0, n)
+        x1 = d_th * 10.0 ** rng.uniform(-1.3, 0.25, n)
+        x2 = d_th * rng.uniform(0.0, 1.0, n)
+        sigma_r, sigma_c = rng.uniform(0.05, 0.35, n), d_th * rng.uniform(0.03, 0.4, n)
+        x1[:40] = 5e-324
+        # the two inputs of test_two_maxima, whose likelihood has two local maxima
+        two = np.array([(1.0, 37.5, 0.08, 2.0, 40.0), (1.0, 30.0, 0.05, 1.0, 40.0)]).T
+        x1, x2, sigma_r, sigma_c, d_th = (
+            np.concatenate([v, w]) for v, w in zip((x1, x2, sigma_r, sigma_c, d_th), two))
+        d_hat, status = rf.fusion.fuse_arrays(x1, x2, sigma_r, sigma_c, d_th)
+        d_ref, status_ref = _bisection_reference(x1, x2, sigma_r, sigma_c, d_th)
+        assert (status == status_ref).all()
+        # Rounding moves s by less than the stop rule's floor 8 eps T, with
+        # T = A (|ln x1| + |ln d|) + B d (x2 + d), the size of s's terms; so
+        # each solver's root lies within 8 eps T / |ds/d(ln d)| of the exact
+        # one in ln d, the two within twice that plus an ulp of the
+        # bisection's last halving. At T / |ds/d(ln d)| = 28 that budget is
+        # 16 eps * 28 + 2 eps = 1.0e-13; only the subnormal rows (about 1500,
+        # with both roots at the smallest double) and two near-double roots
+        # of this corpus have a larger ratio.
+        a, b = 1.0 / (sigma_r * LN10) ** 2, 1.0 / sigma_c**2
+        terms = a * (np.abs(np.log(x1)) + np.abs(np.log(d_ref))) + b * d_ref * (x2 + d_ref)
+        ratio = terms / np.abs(b * d_ref * (x2 - 2.0 * d_ref) - a)
+        gap = np.abs(d_hat - d_ref) / d_ref
+        assert (gap <= 16.0 * EPS * ratio + 2.0 * EPS).all()
+        assert gap.max() <= 1e-13
     def test_batch_matches_one_pair_calls(self):
         x1, x2, sigma_r, sigma_c = _random_pairs(np.random.default_rng(43), 300)
         d_hat, status = rf.fusion.fuse_arrays(x1, x2, sigma_r, sigma_c, 40.0)
