@@ -49,9 +49,12 @@ def stationarity(ln_x1, x2, a, b, d):
 def _newton_roots(ln_x1, x2, a, b, lo, hi, start):
     """The root of s in each bracket (lo, hi), where s(lo) > 0 >= s(hi).
 
-    One-dimensional columns, one bracket each. Safeguarded Newton in ln d
-    from start (from the bracket's midpoint in ln d where start is not
-    inside); a root leaves the working columns once it settles.
+    One bracket per element of the one-dimensional columns. The Newton
+    steps start from start, or from the bracket's midpoint in ln d where
+    start is not inside, and stop by the rule in the module docstring. A
+    settled root takes its last step where that stays inside the bracket,
+    so a point where s is exactly 0 is kept; a bracket that can no longer
+    be split yields its lower end. Settled roots leave the working columns.
     """
     roots = np.empty(lo.size)
     at = np.arange(lo.size)
@@ -86,12 +89,8 @@ def fuse_arrays(x1, x2, sigma_r, sigma_c, d_th):
     checked here. Deterministic and total, and each pair's result depends
     on that pair alone. The candidates are the roots of s in the segments
     (d0, near) and (far, d_th) where s falls from + to - there, plus d_th;
-    the one with the lowest penalty wins, ties going to d_th.
-    The Newton iteration starts from x1 in the near segment and from x2
-    in the far one (from the midpoint where that start is not inside). A
-    root settled by the floor or the step size takes its last Newton step
-    when that step stays inside the bracket, and keeps the point where s
-    is exactly 0; a bracket that cannot be split yields its lower end.
+    the one with the lowest penalty wins, ties going to d_th. The search
+    for a root starts from x1 in the near segment and from x2 in the far.
     Returns (d_hat, status); the status is BOUNDARY_CLAMPED where the
     winner lies within 1e-9 * d_th of d_th, INTERIOR elsewhere.
     """
