@@ -189,7 +189,8 @@ def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray,
     keys, slot = np.unique(np.minimum(*ranks) * n + np.maximum(*ranks), return_inverse=True)
     count = np.bincount(slot)
     link_rss = np.bincount(slot, weights=value) / count
-    link_rss = np.where(np.isinf(link_rss), np.bincount(slot, weights=value / count[slot]), link_rss)
+    shares = np.bincount(slot, weights=value / count[slot])
+    link_rss = np.where(np.isinf(link_rss), shares, link_rss)
     link_ranks = np.stack(np.divmod(keys, max(n, 1)))
     return MeasurementSet(ids, np.stack([x, y], axis=1), sorted_ids[link_ranks].T, link_rss,
                           channel, link_ranks)

@@ -123,7 +123,7 @@ def fuse_arrays(x1, x2, sigma_r, sigma_c, d_th):
     # an unusable segment offers d_th; flat index at is row * x1.size + pair
     roots = np.stack([d_th, d_th])
     at = np.flatnonzero(usable)
-    pair = at % max(x1.size, 1)
+    pair = at % x1.size
     np.put(roots, at, _newton_roots(*(np.take(v, pair) for v in (ln_x1, x2, a, b)),
                                     *(np.take(v, at) for v in (lo, hi, np.stack([x1, x2])))))
 

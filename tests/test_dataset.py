@@ -252,7 +252,7 @@ def _replace_field(draw, lines, field_at, values, below="# nodes"):
 
 
 def _overflowing_pair(draw, lines):
-    """An RSS row below the first '# rss' and its reverse, both reading 1.7e308: their sum overflows."""
+    """An RSS row below the first '# rss' and its reverse, both 1.7e308: their sum overflows."""
     rows = [k for k in _data_rows(lines) if k > lines.index("# rss")]
     if not rows:
         return lines

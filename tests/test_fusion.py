@@ -151,7 +151,7 @@ def _random_pairs(rng, n):
 
 
 def _bisection_reference(x1, x2, sigma_r, sigma_c, d_th):
-    """The earlier solver: fuse_arrays' brackets and selection, each root bisected to adjacent doubles."""
+    """The earlier solver: the same brackets and selection, roots bisected to adjacent doubles."""
     a, b = 1.0 / (sigma_r * LN10) ** 2, 1.0 / sigma_c**2
     s = functools.partial(stationarity, np.log(x1), x2, a, b)
     disc = x2 * x2 - 8.0 * a / b
@@ -202,6 +202,7 @@ class TestFuseArrays:
         gap = np.abs(d_hat - d_ref) / d_ref
         assert (gap <= 16.0 * EPS * ratio + 2.0 * EPS).all()
         assert gap.max() <= 1e-13
+
     def test_batch_matches_one_pair_calls(self):
         x1, x2, sigma_r, sigma_c = _random_pairs(np.random.default_rng(43), 300)
         d_hat, status = rf.fusion.fuse_arrays(x1, x2, sigma_r, sigma_c, 40.0)
