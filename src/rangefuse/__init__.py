@@ -17,7 +17,6 @@ from .channel import (
 )
 from .connectivity import (
     FdModel,
-    NeighborCounts,
     build_fd_model,
     conn_error_sigma,
     eval_fd,
@@ -45,7 +44,7 @@ from .errors import (
     NumericError,
     RangefuseError,
 )
-from .pipeline import PairEstimate, estimate_pair, estimate_pairs
+from .pipeline import estimate_pairs
 from .simulator import (
     Deployment,
     ExperimentConfig,
@@ -55,7 +54,6 @@ from .simulator import (
     deploy_poisson,
     expected_errors,
     mu_to_lambda,
-    realize_neighbors,
     run_experiment,
 )
 
@@ -71,9 +69,7 @@ __all__ = [
     "FisherInfo",
     "MeasurementSet",
     "ModelConstructionError",
-    "NeighborCounts",
     "NumericError",
-    "PairEstimate",
     "PairEvaluation",
     "RangefuseError",
     "RmseReport",
@@ -83,7 +79,6 @@ __all__ = [
     "crlb_distance",
     "deploy_poisson",
     "estimate_distance_rss",
-    "estimate_pair",
     "estimate_pairs",
     "eval_fd",
     "evaluate_pairs",
@@ -99,7 +94,6 @@ __all__ = [
     "mean_rss",
     "mu_to_lambda",
     "pseudo_range",
-    "realize_neighbors",
     "rss_fisher_scale",
     "run_experiment",
     "sample_rss",

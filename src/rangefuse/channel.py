@@ -100,15 +100,17 @@ def sample_rss(params: ChannelParams, d, rng: np.random.Generator):
 
 
 def estimate_distance_rss(params: ChannelParams, obs):
-    """Distance estimate from one RSS reading; always positive.
+    """Distance estimate from one RSS reading.
 
     Whether the reading is above the link threshold is the caller's
-    concern; any finite value maps to a distance.
+    concern; any finite value maps to a distance, which is 0 or infinite
+    for an extreme one.
     """
     obs = np.asarray(obs, dtype=float)
     if not np.all(np.isfinite(obs)):
         raise ValueError(f"RSS observation must be finite, got {obs!r}")
-    out = params.d0 * 10.0 ** ((params.p_ref_dbm - obs) / (10.0 * params.alpha))
+    with np.errstate(over="ignore"):
+        out = params.d0 * 10.0 ** ((params.p_ref_dbm - obs) / (10.0 * params.alpha))
     return _like_input(out)
 
 

@@ -23,16 +23,11 @@ import numpy as np
 
 from .channel import ChannelParams
 from .config import atomic_output, load_config, parse_distances
-from .connectivity import (
-    NeighborCounts,
-    build_fd_model,
-    load_fd_model,
-    save_fd_model,
-)
+from .connectivity import build_fd_model, load_fd_model, save_fd_model
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
-from .dataset import evaluate_pairs, load_measurements
-from .pipeline import estimate_pair
+from .dataset import checked_ranges, evaluate_pairs, load_measurements
+from .pipeline import CONNECTIVITY_ONLY, RSS_ONLY, estimate_pairs
 from .simulator import ExperimentConfig, mu_to_lambda, run_experiment
 
 _CHANNEL_FLAGS = (
@@ -201,21 +196,37 @@ def _cmd_estimate(args) -> int:
     params, experiment = _resolve_channel(args)
     if not math.isfinite(args.rss):
         raise ConfigurationError(f"--rss must be finite, got {args.rss!r}")
-    try:
-        counts = NeighborCounts(args.m, args.p, args.q)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    for name, value in (("m", args.m), ("p", args.p), ("q", args.q)):
+        if value < 0:
+            raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
+    d_rss = float(checked_ranges(params, [args.rss], lambda _: "the pair")[0])
     model = _resolve_model(args, params, experiment)
-    result = estimate_pair(
-        params, model, args.rss, counts, intensity=args.intensity
-    )
-    for note in result.notes:
-        print(f"warning: {note}", file=sys.stderr)
-    print(f"d_rss = {result.d_rss!r}")
-    print(f"d_conn = {result.d_conn!r}")
-    print(f"d_fused = {result.d_fused!r}")
-    print(f"sqrt_crlb = {result.sqrt_crlb if result.sqrt_crlb is not None else float('nan')!r}")
-    print(f"status = {result.status}")
+    usable = args.rss >= params.rss_threshold_dbm
+    est = estimate_pairs(params, model, [d_rss if usable else math.nan],
+                         [args.m], [args.p], [args.q], args.intensity)
+    d_conn, d_fused, lam = (float(v[0]) for v in (est.d_conn, est.d_fused, est.intensity))
+    status, conn = str(est.status[0]), lam > 0.0
+    sqrt_crlb = math.nan
+    if conn and params.sigma_db > 0.0 and d_fused > 0.0:
+        # the bound needs a point strictly inside the cutoff
+        point = min(max(d_fused, 1e-9 * model.d_th), math.nextafter(model.d_th, 0.0))
+        sqrt_crlb = math.sqrt(crlb_distance(params, model, lam, point))
+    for applies, note in (
+        (not conn, "all-zero counts: no intensity estimate, connectivity unusable"
+         if args.intensity is None else "zero intensity supplied: connectivity unusable"),
+        (not usable, "RSS below the link threshold: treated as uninformative"),
+        (status == RSS_ONLY, "noise-free channel: the RSS estimate is exact"
+         if params.sigma_db == 0.0 else "connectivity error scale unbounded: kept the RSS estimate"),
+        (status == CONNECTIVITY_ONLY and d_conn == 0.0,
+         "zero connectivity estimate with no usable RSS"),
+    ):
+        if applies:
+            print(f"warning: {note}", file=sys.stderr)
+    print(f"d_rss = {d_rss!r}")
+    print(f"d_conn = {d_conn!r}")
+    print(f"d_fused = {d_fused!r}")
+    print(f"sqrt_crlb = {sqrt_crlb!r}")
+    print(f"status = {status}")
     return 0
 
 

@@ -130,9 +130,13 @@ def load_config(path):
 
 
 def write_config(path, params: ChannelParams, experiment: dict | None = None) -> None:
+    """Write a config file that load_config reads back as (params, experiment)."""
     parser = configparser.ConfigParser()
     parser["channel"] = channel_to_mapping(params)
     if experiment:
-        parser["experiment"] = {key: str(value) for key, value in experiment.items()}
+        parser["experiment"] = {
+            key: ", ".join(map(repr, value)) if isinstance(value, (list, tuple)) else str(value)
+            for key, value in experiment.items()
+        }
     with atomic_output(path) as partial, open(partial, "w", newline="\n") as handle:
         parser.write(handle)

@@ -42,21 +42,6 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-@dataclass(frozen=True)
-class NeighborCounts:
-    """Counts of common (m) and exclusive (p, q) immediate neighbors."""
-
-    m: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        for name in ("m", "p", "q"):
-            value = getattr(self, name)
-            if int(value) != value or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class FdModel:
     """Piecewise-linear table of f(d) on [0, d_th] plus the mass S.

@@ -183,14 +183,20 @@ def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray,
     # both directions of a pair share one key; bincount sums each key's
     # readings in file order, as a running sum from 0.0 would. Where finite
     # readings near the largest double overflow that sum, each reading's
-    # share of the mean is summed instead; only there, since shares of
-    # subnormal readings lose bits
+    # share of the mean is summed instead (only there: shares of subnormal
+    # readings lose bits), clamped into the readings' range if it overflows
     n = sorted_ids.size
     keys, slot = np.unique(np.minimum(*ranks) * n + np.maximum(*ranks), return_inverse=True)
     count = np.bincount(slot)
     link_rss = np.bincount(slot, weights=value) / count
-    shares = np.bincount(slot, weights=value / count[slot])
-    link_rss = np.where(np.isinf(link_rss), shares, link_rss)
+    over = np.isinf(link_rss)
+    if over.any():
+        shares = np.bincount(slot, weights=value / count[slot])
+        low, high = np.full(keys.size, math.inf), np.full(keys.size, -math.inf)
+        np.fmin.at(low, slot, value)
+        np.fmax.at(high, slot, value)
+        shares = np.where(np.isinf(shares), np.clip(shares, low, high), shares)
+        link_rss = np.where(over, shares, link_rss)
     link_ranks = np.stack(np.divmod(keys, max(n, 1)))
     return MeasurementSet(ids, np.stack([x, y], axis=1), sorted_ids[link_ranks].T, link_rss,
                           channel, link_ranks)
@@ -259,6 +265,21 @@ def save_measurements(ms: MeasurementSet, path) -> None:
              "# rss", *map("{}, {}, {!r}".format, *ms.links.T.tolist(), ms.link_rss.tolist())]
     with atomic_output(path) as partial:
         partial.write_text("\n".join(lines) + "\n")
+
+
+def checked_ranges(params: ChannelParams, obs, subject):
+    """The RSS range estimates of a 1-d array of readings, each positive and finite.
+
+    Raises ConfigurationError for the first reading whose range is 0 or
+    infinite; subject(k) names reading k in the message.
+    """
+    d_rss = estimate_distance_rss(params, obs)
+    lost = np.flatnonzero(~((d_rss > 0.0) & (d_rss < math.inf)))
+    if lost.size:
+        k = int(lost[0])
+        raise ConfigurationError(f"{subject(k)} has an RSS reading of {float(obs[k])!r} dBm, "
+                                 "which maps to no positive, finite distance")
+    return d_rss
 
 
 def _ranks(ms: MeasurementSet, ids) -> tuple:
@@ -362,13 +383,8 @@ def evaluate_pairs(
         raise ConfigurationError("supplied model was built for different channel parameters")
     link, measured = _locate(ms._keys, ranks.min(axis=1) * ms.ids.size + ranks.max(axis=1))
     rss = ms.link_rss[link[measured]]
-    d_rss = estimate_distance_rss(ms.channel, rss)
-    lost = np.flatnonzero(~((d_rss > 0.0) & (d_rss < math.inf)))
-    if lost.size:
-        i, j = pairs[measured][lost[0]].tolist()
-        raise ConfigurationError(
-            f"pair ({i}, {j}) has an RSS reading of {float(rss[lost[0]])!r} dBm, "
-            "which maps to no positive, finite distance")
+    d_rss = checked_ranges(ms.channel, rss,
+                           lambda k: "pair ({}, {})".format(*pairs[measured][k].tolist()))
     usable = np.where(rss >= ms.channel.rss_threshold_dbm, d_rss, np.nan)
     a, b = ranks[measured].T
     est = estimate_pairs(ms.channel, model, usable,

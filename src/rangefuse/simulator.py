@@ -34,7 +34,6 @@ from .channel import (
 from .config import atomic_output
 from .connectivity import (
     FdModel,
-    NeighborCounts,
     build_fd_model,
     eval_fd,
     threshold_distance,
@@ -170,29 +169,6 @@ def _links(params: ChannelParams, xy: np.ndarray, end, z: np.ndarray) -> np.ndar
     r_eff = pseudo_range(params) * np.exp(params.sigma_r * LN10 * z)
     d2 = (xy[:, 0] - float(end[0])) ** 2 + (xy[:, 1] - float(end[1])) ** 2
     return d2 <= r_eff * r_eff
-
-
-def realize_neighbors(
-    dep: Deployment, params: ChannelParams, a, b, rng: np.random.Generator
-) -> NeighborCounts:
-    """Count common and exclusive neighbors of endpoints a and b.
-
-    Every deployed node gets one shadowing draw per endpoint, all of a's
-    before all of b's, turned into an effective link radius; a node is a
-    neighbor when its distance falls under that radius. Both endpoints
-    must keep at least the cutoff distance to every region edge so border
-    truncation cannot bias the counts.
-    """
-    _check_endpoints(params, dep.side, a, b)
-    n = dep.nodes.shape[0]
-    if n == 0:
-        return NeighborCounts(0, 0, 0)
-    link_a = _links(params, dep.nodes, a, rng.standard_normal(n))
-    link_b = _links(params, dep.nodes, b, rng.standard_normal(n))
-    m = int(np.count_nonzero(link_a & link_b))
-    p = int(np.count_nonzero(link_a)) - m
-    q = int(np.count_nonzero(link_b)) - m
-    return NeighborCounts(m, p, q)
 
 
 # trials per block of a probe's stream: large enough to amortize the numpy

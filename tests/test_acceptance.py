@@ -131,16 +131,11 @@ def test_criterion_6_poisson_statistics(model44):
     lam = rf.mu_to_lambda(mu, model44.s_mass)
     d = 0.5 * model44.d_th
     side = 4.0 * model44.d_th
-    a = ((side - d) / 2.0, side / 2.0)
-    b = ((side + d) / 2.0, side / 2.0)
     trials = 10**4
-    totals = np.zeros(3)
-    for t in range(trials):
-        rng = np.random.default_rng((1006, t))
-        dep = rf.deploy_poisson(side, lam, rng)
-        counts = rf.realize_neighbors(dep, PARAMS_44, a, b, rng)
-        totals += (counts.m, counts.p, counts.q)
-    mean_m, mean_p, mean_q = totals / trials
+    # the simulator's own draw path: one probe's block stream
+    counts, _ = rf.simulator._draw_probe(PARAMS_44, side, lam, d, trials,
+                                         np.random.default_rng((1006, 0)))
+    mean_m, mean_p, mean_q = counts.mean(axis=1)
     f_true = rf.generic_f(PARAMS_44, d)
     s_true = rf.generic_s(PARAMS_44)
     dev_counts = max(

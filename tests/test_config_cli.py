@@ -1,10 +1,14 @@
 import json
+import math
 import os
 import stat
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rangefuse as rf
 from rangefuse import cli, config
@@ -25,6 +29,27 @@ distances = 10, 25
 trials = 4
 seed = 11
 """
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _channels(draw):
+    """Any channel ChannelParams accepts: finite values, threshold below reference."""
+    threshold, p_ref = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))
+    return rf.ChannelParams(p_ref_dbm=p_ref, alpha=draw(_POSITIVE),
+                            sigma_db=draw(st.floats(min_value=0.0, allow_infinity=False)),
+                            rss_threshold_dbm=threshold, d0=draw(_POSITIVE))
+
+
+# every experiment key with a value of the type load_config gives it
+_EXPERIMENTS = st.fixed_dictionaries({}, optional={
+    "mu": _FINITE, "distances": st.lists(_FINITE, min_size=1, max_size=5).map(tuple),
+    "trials": st.integers(), "seed": st.integers(), "margin": _FINITE,
+    "n_knots": st.integers(), "quad_tol": _FINITE,
+})
 
 
 @pytest.fixture
@@ -54,6 +79,17 @@ class TestConfigFiles:
         channel, experiment = config.load_config(path)
         assert channel == PARAMS_FIELD
         assert experiment["mu"] == 15.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=_channels(), experiment=_EXPERIMENTS)
+    def test_write_load_round_trip_bit_for_bit(self, params, experiment):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "cfg.ini"
+            config.write_config(path, params, experiment)
+            loaded = config.load_config(path)
+        assert loaded == (params, experiment)
+        # repr tells -0.0 from 0.0 and round-trips every finite double
+        assert repr(loaded) == repr((params, experiment))
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -251,10 +287,42 @@ class TestEstimateCommand:
             oracle = grid[int(np.argmin(penalty(x1, x2, PARAMS_44.sigma_r, sigma_c, grid)))]
         assert float(out["d_fused"]) == pytest.approx(oracle, abs=1e-3 * model44.d_th)
 
-    def test_negative_counts_usage_error(self, cfg_path):
-        code = main(["estimate", "--config", str(cfg_path), "--rss", "-80",
-                     "--m", "-1", "--p", "0", "--q", "0"])
+    @pytest.mark.parametrize("name", ["m", "p", "q"])
+    def test_negative_counts_usage_error(self, cfg_path, capsys, name):
+        counts = ["--m", "0", "--p", "0", "--q", "0"]
+        counts[counts.index(f"--{name}") + 1] = "-1"
+        code = main(["estimate", "--config", str(cfg_path), "--rss", "-80", *counts])
         assert code == 2
+        assert capsys.readouterr().err == f"error: {name} must be a nonnegative integer, got -1\n"
+
+    @pytest.mark.parametrize("argv, warnings, status", [
+        (["--rss", "-140", "--m", "0", "--p", "0", "--q", "0"],
+         ["all-zero counts: no intensity estimate, connectivity unusable",
+          "RSS below the link threshold: treated as uninformative"], "no_information"),
+        (["--rss", "-85", "--m", "6", "--p", "9", "--q", "11", "--intensity", "0"],
+         ["zero intensity supplied: connectivity unusable",
+          "connectivity error scale unbounded: kept the RSS estimate"], "rss_only"),
+    ], ids=["all-zero-counts-below-threshold", "zero-intensity"])
+    def test_warnings_without_connectivity(self, cfg_path, capsys, argv, warnings, status):
+        code = main(["estimate", "--config", str(cfg_path), "--n-knots", "16",
+                     "--quad-tol", "1e-4", *argv])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "".join(f"warning: {text}\n" for text in warnings)
+        assert captured.out.endswith(f"sqrt_crlb = nan\nstatus = {status}\n")
+
+    def test_bound_at_fused_estimate(self, cfg_path, tmp_path, capsys, model44):
+        table = tmp_path / "fd.txt"
+        rf.save_fd_model(model44, table)
+        code = main(["estimate", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--rss", "-85", "--m", "6", "--p", "9", "--q", "11"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = dict(line.split(" = ") for line in captured.out.splitlines())
+        lam = (2 * 6 + 9 + 11) / (2.0 * model44.s_mass)
+        bound = rf.crlb_distance(PARAMS_44, model44, lam, float(out["d_fused"]))
+        assert out["sqrt_crlb"] == repr(math.sqrt(bound))
 
 
 class TestDatasetCommand:
@@ -280,10 +348,14 @@ class TestDatasetCommand:
         assert lines[2].startswith("3-4,")
         assert lines[2].endswith("nan,nan,nan,error,nan")
 
-    @pytest.mark.parametrize("rss_rows", ["1, 2, 1.7e308\n", "1, 2, 1.7e308\n2, 1, 1.7e308\n"],
-                             ids=["one_direction", "both_directions"])
-    def test_reading_without_finite_range(self, tmp_path, capsys, rss_rows):
-        # 1.7e308 dBm is above the link threshold but maps to a range of 0
+    @pytest.mark.parametrize("rss_rows, reading", [
+        ("1, 2, 1.7e308\n", "1.7e+308"),
+        ("1, 2, 1.7e308\n2, 1, 1.7e308\n", "1.7e+308"),
+        ("1, 2, -1e308\n", "-1e+308"),
+    ], ids=["one_direction", "both_directions", "infinite_range"])
+    def test_reading_without_finite_range(self, tmp_path, capsys, rss_rows, reading):
+        # 1.7e308 dBm is above the link threshold but maps to a range of 0;
+        # -1e308 dBm maps to an infinite range
         meas = tmp_path / "meas.txt"
         meas.write_text("# nodes\n1, 0.0, 0.0\n2, 3.0, 4.0\n# rss\n" + rss_rows)
         out = tmp_path / "errors.csv"
@@ -293,7 +365,7 @@ class TestDatasetCommand:
                      "--input", str(meas), "--pairs", "1-2", "--output", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: pair (1, 2) has an RSS reading of 1.7e+308 dBm, "
+            f"error: pair (1, 2) has an RSS reading of {reading} dBm, "
             "which maps to no positive, finite distance\n")
         assert not out.exists()
 
@@ -521,6 +593,20 @@ class TestEstimateExtremeReading:
         out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
         assert float(out["d_rss"]) == 5e-324
         assert 0.0 < float(out["d_fused"]) <= rf.threshold_distance(PARAMS_44)
+
+    @pytest.mark.parametrize("argv, reading", [
+        (["--rss", "13000", "--m", "5", "--p", "8", "--q", "7"], "13000.0"),
+        (["--rss", "13000", "--m", "0", "--p", "0", "--q", "0"], "13000.0"),
+        (["--rss=-1e308", "--m", "5", "--p", "8", "--q", "7"], "-1e+308"),
+    ], ids=["zero-range", "zero-range-zero-counts", "infinite-range"])
+    def test_reading_without_finite_range(self, cfg_path, capsys, argv, reading):
+        code = main(["estimate", "--config", str(cfg_path), "--n-knots", "16",
+                     "--quad-tol", "1e-4", *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: the pair has an RSS reading of {reading} dBm, "
+                                "which maps to no positive, finite distance\n")
+        assert captured.out == ""
 
 
 def _half_write(monkeypatch):

@@ -382,10 +382,6 @@ class TestEstimateDistanceConn:
         estimates = invert_counts(model44, m, p, q)
         assert estimates.mean() == pytest.approx(d, rel=0.03)
 
-    def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            rf.NeighborCounts(-1, 0, 0)
-
 
 class TestConnErrorSigma:
     def test_shrinks_with_intensity(self, model44):

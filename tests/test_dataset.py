@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -251,14 +252,19 @@ def _replace_field(draw, lines, field_at, values, below="# nodes"):
     return lines[:k] + [",".join(fields)] + lines[k + 1:]
 
 
-def _overflowing_pair(draw, lines):
-    """An RSS row below the first '# rss' and its reverse, both 1.7e308: their sum overflows."""
+def _overflowing_pair(draw, lines, readings):
+    """An RSS row below the first '# rss' replaced by finite readings of its pair.
+
+    The readings' sum overflows. readings holds (reversed, value) per row:
+    each row names the pair in the file's order or reversed.
+    """
     rows = [k for k in _data_rows(lines) if k > lines.index("# rss")]
     if not rows:
         return lines
     k = draw(st.sampled_from(rows))
     i, j = lines[k].split(",")[:2]
-    return lines[:k] + [f"{i},{j}, 1.7e308", f"{j},{i}, 1.7e308"] + lines[k + 1:]
+    return (lines[:k] + [f"{j},{i}, {value}" if reverse else f"{i},{j}, {value}"
+                         for reverse, value in readings] + lines[k + 1:])
 
 
 def _move_to_new_section(draw, lines):
@@ -285,7 +291,10 @@ _MUTATIONS = [
     # a node defined only below the RSS rows that name it
     lambda draw, lines, i: _move_to_new_section(draw, lines),
     # two finite readings of one pair whose sum is not finite
-    lambda draw, lines, i: _overflowing_pair(draw, lines),
+    lambda draw, lines, i: _overflowing_pair(draw, lines, [(False, 1.7e308), (True, 1.7e308)]),
+    # three readings at the largest double, whose shares of the mean also sum to inf
+    lambda draw, lines, i: _overflowing_pair(draw, lines, [(False, sys.float_info.max)] * 2
+                                                   + [(True, sys.float_info.max)]),
     # an inserted marker, blank line or comment
     lambda draw, lines, i: _insert(draw, lines, draw(st.sampled_from(
         ["# nodes", "# rss", "", "# a comment, with commas"]))),

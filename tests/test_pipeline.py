@@ -65,21 +65,6 @@ class TestEstimatePairs:
         ]
         assert list(est.sigma_c[conn]) == expected
 
-    def test_one_pair_wrapper_agrees(self, model44):
-        rng = np.random.default_rng(6)
-        for _ in range(60):
-            rss = float(rng.uniform(-120.0, -60.0))
-            counts = rf.NeighborCounts(*(int(v) for v in rng.integers(0, 10, 3)))
-            one = rf.estimate_pair(PARAMS_44, model44, rss, counts)
-            usable = rss >= PARAMS_44.rss_threshold_dbm
-            d_rss = rf.estimate_distance_rss(PARAMS_44, rss) if usable else NAN
-            many = rf.estimate_pairs(
-                PARAMS_44, model44, [d_rss], [counts.m], [counts.p], [counts.q]
-            )
-            assert (one.d_conn, one.d_fused, one.status) == (
-                many.d_conn[0], many.d_fused[0], many.status[0]
-            )
-
     def test_rejects_degenerate_rss_estimate(self, model44):
         with pytest.raises(ValueError):
             rf.estimate_pairs(PARAMS_44, model44, [0.0], [6], [9], [11])
@@ -90,22 +75,3 @@ class TestEstimatePairs:
             rf.estimate_pairs(PARAMS_44, model44, [20.0, 20.0], [6, 6], [9, 9], [11, 11],
                               intensity=intensity)
 
-
-class TestEstimatePair:
-    def test_notes(self, model44):
-        below = rf.estimate_pair(PARAMS_44, model44, -140.0, rf.NeighborCounts(0, 0, 0))
-        assert below.status == NO_INFORMATION
-        assert below.sigma_c is None and below.intensity is None
-        assert len(below.notes) == 2
-        assert below.notes[0].startswith("all-zero counts")
-        zero = rf.estimate_pair(PARAMS_44, model44, -85.0, rf.NeighborCounts(6, 9, 11),
-                                intensity=0.0)
-        assert zero.status == RSS_ONLY
-        assert zero.notes[0] == "zero intensity supplied: connectivity unusable"
-        assert not any(note.startswith("all-zero counts") for note in zero.notes)
-
-    def test_bound_at_fused_estimate(self, model44):
-        est = rf.estimate_pair(PARAMS_44, model44, -85.0, rf.NeighborCounts(6, 9, 11))
-        expected = math.sqrt(rf.crlb_distance(PARAMS_44, model44, est.intensity, est.d_fused))
-        assert est.sqrt_crlb == expected
-        assert est.notes == ()

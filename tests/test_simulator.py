@@ -58,51 +58,24 @@ class TestDeployPoisson:
             rf.deploy_poisson(1.0, 0.0, np.random.default_rng(1))
 
 
-class TestRealizeNeighbors:
+class TestLinks:
     def test_step_links_classify_geometrically(self):
-        # unit-step channel: in-range nodes are neighbors, others are not
-        side = 48.0
+        # unit-step channel: in-range nodes link, others do not, whatever the draws
         a, b = (21.0, 24.0), (27.0, 24.0)
         near_both = (24.0, 24.0 + math.sqrt(9.9**2 - 9.0))
         far_both = (24.0, 24.0 + math.sqrt(10.1**2 - 9.0))
         only_a = (21.0 - 9.9, 24.0)
         only_b = (27.0 + 9.9, 24.0)
-        nodes = np.array([near_both, far_both, only_a, only_b])
-        dep = rf.Deployment(side=side, intensity=0.01, nodes=nodes)
-        counts = rf.realize_neighbors(dep, PARAMS_DISK, a, b, np.random.default_rng(4))
-        assert (counts.m, counts.p, counts.q) == (1, 1, 1)
+        xy = np.array([near_both, far_both, only_a, only_b])
+        z = np.random.default_rng(4).standard_normal((2, len(xy)))
+        assert rf.simulator._links(PARAMS_DISK, xy, a, z[0]).tolist() == [True, False, True, False]
+        assert rf.simulator._links(PARAMS_DISK, xy, b, z[1]).tolist() == [True, False, False, True]
 
     def test_margin_violation_raises(self):
-        dep = rf.Deployment(side=30.0, intensity=0.01, nodes=np.array([[15.0, 15.0]]))
-        cutoff = rf.threshold_distance(PARAMS_DISK)
+        # the pair sits at the center, so both endpoints are within the cutoff of an edge
+        side = 1.5 * rf.threshold_distance(PARAMS_DISK)
         with pytest.raises(rf.ConfigurationError):
-            rf.realize_neighbors(
-                dep, PARAMS_DISK, (cutoff * 0.5, 15.0), (15.0, 15.0),
-                np.random.default_rng(5),
-            )
-
-    def test_count_expectations(self, model44):
-        mu = 20.0
-        lam = rf.mu_to_lambda(mu, model44.s_mass)
-        d = 0.5 * model44.d_th
-        side = 4.0 * model44.d_th
-        a = ((side - d) / 2.0, side / 2.0)
-        b = ((side + d) / 2.0, side / 2.0)
-        trials = 10**4
-        totals = np.zeros(3)
-        for t in range(trials):
-            rng = np.random.default_rng((99, t))
-            dep = rf.deploy_poisson(side, lam, rng)
-            counts = rf.realize_neighbors(dep, PARAMS_44, a, b, rng)
-            totals += (counts.m, counts.p, counts.q)
-        mean_m, mean_p, mean_q = totals / trials
-        f_true = rf.generic_f(PARAMS_44, d)
-        s_true = rf.generic_s(PARAMS_44)
-        assert mean_m == pytest.approx(lam * f_true, rel=0.02)
-        assert mean_p == pytest.approx(lam * (s_true - f_true), rel=0.02)
-        assert mean_q == pytest.approx(lam * (s_true - f_true), rel=0.02)
-        # total neighborhood is separation independent
-        assert mean_m + mean_p == pytest.approx(mu, rel=0.02)
+            rf.simulator._draw_probe(PARAMS_DISK, side, 0.01, 1.0, 1, np.random.default_rng(5))
 
 
 def _counts_by_sets(xy, a, b, reff_a, reff_b):
@@ -118,35 +91,6 @@ def _counts_by_sets(xy, a, b, reff_a, reff_b):
         len(near_a - near_b),
         len(near_b - near_a),
     )
-
-
-class TestCountNeighbors:
-    """realize_neighbors against set arithmetic on the same link radii."""
-
-    def test_against_set_arithmetic(self):
-        rng = np.random.default_rng(11)
-        side = 2.0 * rf.threshold_distance(PARAMS_44) + 20.0
-        a, b = (side / 2.0 - 10.0, side / 2.0), (side / 2.0 + 10.0, side / 2.0)
-        r = rf.pseudo_range(PARAMS_44)
-        spread = PARAMS_44.sigma_r * math.log(10.0)
-        for seed in range(40):
-            n = int(rng.integers(0, 200))
-            xy = rng.random((n, 2)) * side
-            dep = rf.Deployment(side=side, intensity=0.01, nodes=xy)
-            got = rf.realize_neighbors(dep, PARAMS_44, a, b, np.random.default_rng(seed))
-            # the same stream: one radius draw per node for a, then for b
-            draws = np.random.default_rng(seed)
-            reff_a = r * np.exp(spread * draws.standard_normal(n))
-            reff_b = r * np.exp(spread * draws.standard_normal(n))
-            expected = _counts_by_sets(xy, a, b, reff_a, reff_b)
-            assert (got.m, got.p, got.q) == expected
-
-    def test_empty_deployment(self):
-        dep = rf.Deployment(side=200.0, intensity=0.01, nodes=np.zeros((0, 2)))
-        counts = rf.realize_neighbors(
-            dep, PARAMS_44, (95.0, 100.0), (105.0, 100.0), np.random.default_rng(1)
-        )
-        assert (counts.m, counts.p, counts.q) == (0, 0, 0)
 
 
 class TestExperimentConfig:
@@ -283,35 +227,24 @@ def _probe_stream(cfg, model, i_d):
     return side, intensity, a, b, trials()
 
 
-class _Draws:
-    """Stands in for a Generator, handing out prerecorded shadowing draws."""
-
-    def __init__(self, rows):
-        self.rows = iter(rows)
-
-    def standard_normal(self, n):
-        row = next(self.rows)
-        assert row.shape == (n,)
-        return row
-
-
 def _per_trial_oracle(cfg, model):
     """A plain per-trial loop over the simulator's block streams.
 
-    Counts each trial with realize_neighbors on its own nodes and draws,
-    and estimates it on its own, with sigma_c plugged in at the clamped
-    connectivity estimate and then at the clamped first fused estimate.
+    Counts each trial by set arithmetic on its own nodes and link radii
+    r exp(sigma_r ln10 z), and estimates it on its own, with sigma_c
+    plugged in at the clamped connectivity estimate and then at the
+    clamped first fused estimate.
     """
     params, d_th = cfg.channel, model.d_th
+    r, spread = rf.pseudo_range(params), params.sigma_r * math.log(10.0)
     rows = []
     for i_d, d in enumerate(cfg.distances):
-        side, intensity, a, b, trials = _probe_stream(cfg, model, i_d)
+        _, intensity, a, b, trials = _probe_stream(cfg, model, i_d)
         sq_rss = sq_conn = sq_fused = 0.0
         for _, xy, z, obs in trials:
-            dep = rf.Deployment(side=side, intensity=intensity, nodes=xy)
-            counts = rf.realize_neighbors(dep, params, a, b, _Draws(z))
+            m, p, q = _counts_by_sets(xy, a, b, *(r * np.exp(spread * z)))
             d_rss = rf.estimate_distance_rss(params, obs)
-            d_conn = rf.connectivity.invert_counts(model, counts.m, counts.p, counts.q)
+            d_conn = rf.connectivity.invert_counts(model, m, p, q)
             d_fused = d_conn
             for _ in range(2):
                 plug = min(max(d_fused, 1e-9 * d_th), d_th)
@@ -379,7 +312,6 @@ class TestBatchedEstimation:
         assert got.sum() > 0
 
     def test_block_count_means(self, model44):
-        # the same expectations as TestRealizeNeighbors, on the block path
         cfg = rf.ExperimentConfig(channel=PARAMS_44, mu=20.0, trials=10**4, seed=99,
                                   distances=(0.5 * model44.d_th,))
         side, intensity, _, _, _ = _probe_stream(cfg, model44, 0)
@@ -391,6 +323,8 @@ class TestBatchedEstimation:
         assert mean_m == pytest.approx(intensity * f_true, rel=0.02)
         assert mean_p == pytest.approx(exclusive, rel=0.02)
         assert mean_q == pytest.approx(exclusive, rel=0.02)
+        # the total neighborhood does not depend on the separation
+        assert mean_m + mean_p == pytest.approx(cfg.mu, rel=0.02)
 
     def test_empty_trials_fuse_with_supplied_intensity(self, model44, monkeypatch):
         # about 0.9 nodes per trial, so many trials deploy none
