@@ -15,14 +15,44 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 LN10 = math.log(10.0)
 
+# 1/sqrt(2) = _SQRT_HALF + _SQRT_HALF_REST to about 1e-33
+_SQRT_HALF = 0.7071067811865476
+_SQRT_HALF_REST = -4.833646656726457e-17
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _halves(a):
+    """a as hi + lo, each with at most 26 significant bits, so products of halves are exact."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_SQRT_HALF_HI, _SQRT_HALF_LO = _halves(_SQRT_HALF)
+
 
 def gaussian_tail(x):
-    """Upper tail P(Z > x) of the standard normal, accurate to ~1e-15 relative."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    """Upper tail P(Z > x) of the standard normal, accurate to ~1e-15 relative.
+
+    Computed as erfc(y)/2 at y = x/sqrt(2) with libm's erfc, elementwise.
+    Rounding y alone would cost about x**2 ulps of the tail far out, so
+    the rounding error e of y is recovered exactly (Dekker's product) and
+    taken off to first order: erfc(y + e) = erfc(y) - 2 e exp(-y**2)/sqrt(pi).
+    It needs no scipy, so threshold_distance runs without loading it.
+    """
+    x = np.asarray(x, dtype=float)
+    y = x * _SQRT_HALF
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_hi, x_lo = _halves(x)
+        e = (((x_hi * _SQRT_HALF_HI - y) + x_hi * _SQRT_HALF_LO + x_lo * _SQRT_HALF_HI)
+             + x_lo * _SQRT_HALF_LO + x * _SQRT_HALF_REST)
+        # past |x| = 40 the tail is 0 or 1 in doubles; e may be nan there
+        correction = np.where(np.abs(x) < 40.0, e * np.exp(-y * y), 0.0)
+    return 0.5 * _erfc(y) - correction / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Subcommands: fd-table (tabulate and save the common-neighborhood model),
 simulate (Monte Carlo RMSE report), crlb (variance lower-bound curve),
 estimate (one pair from an RSS reading and neighbor counts), dataset
 (evaluate measured deployments). Exit codes: 0 success, 2 usage,
-configuration or file error, 3 numeric failure.
+configuration or file error or a run too large for memory (say, a huge
+--mu), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -344,6 +345,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)

@@ -15,6 +15,12 @@ quadrature: a fixed Gauss-Legendre panel rule in polar coordinates around
 the pair midpoint, evaluated for all radial nodes at once as arrays and
 refined by doubling until two levels agree within quad_tol (no tighter
 than the rounding floor QUAD_TOL_FLOOR).
+
+Only tabulation needs scipy: its link probability g uses scipy's erfc
+ufunc, and truncation_radius its normal quantile. Both import
+scipy.special where they run, so loading a saved table, inverting counts
+and threshold_distance (libm's erfc, via channel.gaussian_tail) leave
+scipy unloaded.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .channel import LN10, ChannelParams, link_probability, pseudo_range
 from .config import atomic_output, channel_from_mapping, channel_to_mapping
@@ -104,6 +109,8 @@ def unit_disk_f(r, d):
 
 def _link_prob_fn(params: ChannelParams):
     """Vectorized g(distance), safe at distance 0."""
+    from scipy import special  # scipy's erfc ufunc: g is much of the tabulation's time
+
     r = pseudo_range(params)
     scale = 10.0 * params.alpha / params.sigma_db
 
@@ -115,6 +122,8 @@ def _link_prob_fn(params: ChannelParams):
 
 def truncation_radius(params: ChannelParams) -> float:
     """Distance beyond which the link probability drops under LINK_FLOOR."""
+    from scipy import special
+
     z = -float(special.ndtri(LINK_FLOOR))
     return pseudo_range(params) * 10.0 ** (z * params.sigma_db / (10.0 * params.alpha))
 

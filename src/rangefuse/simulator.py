@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy import special
 
 from .channel import (
     LN10,
@@ -274,6 +273,8 @@ _HERMITE_NODES = 40
 
 def _poisson_pmf(mean: float) -> np.ndarray:
     """Poisson pmf on 0..k, with k far enough out that pmf(k) is below _PMF_FLOOR."""
+    from scipy import special
+
     k = np.arange(math.ceil(mean + 12.0 * math.sqrt(mean) + 40.0))
     return np.exp(special.xlogy(k, mean) - mean - special.gammaln(k + 1.0))
 

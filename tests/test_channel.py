@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import rangefuse as rf
+from rangefuse.channel import gaussian_tail
 from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD
 
 LN10 = math.log(10.0)
@@ -133,6 +134,21 @@ class TestLinkProbability:
         assert rf.link_probability(p, 20.0) == pytest.approx(
             0.00130494902170805, rel=1e-10
         )
+
+    # Q(x) = erfc(x/sqrt(2))/2 to 20 digits, from mpmath at 50 digits
+    @pytest.mark.parametrize("x, q", [
+        (3.09, 0.0010007824766140108776),
+        (8.0, 6.2209605742717841235e-16),
+        (20.0, 2.7536241186062336951e-89),
+        (37.0, 5.7255712225245768227e-300),
+    ])
+    def test_gaussian_tail_relative_accuracy(self, x, q):
+        assert abs(gaussian_tail(x) - q) <= 1e-15 * q
+
+    def test_gaussian_tail_extremes(self):
+        # 1e308 overflows the splitting of x, which must stay silent
+        out = gaussian_tail([-np.inf, -1e308, -50.0, 0.0, 50.0, 1e308, np.inf])
+        assert out.tolist() == [1.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
 
     def test_step_when_noise_free(self):
         r = rf.pseudo_range(PARAMS_DISK)

@@ -184,6 +184,19 @@ class TestSimulateCommand:
                      "--quad-tol", "1e-4", "--output", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_node_field_too_large_for_memory(self, tmp_path, capsys, model44):
+        # 1.9e13 nodes: numpy refuses the 277 TiB request before touching memory
+        table, out = tmp_path / "fd.txt", tmp_path / "x.csv"
+        rf.save_fd_model(model44, table)
+        code = main(["simulate", "--p-ref-dbm", "-37.47", "--alpha", "4",
+                     "--sigma-db", "4", "--rss-threshold-dbm", "-100", "--mu", "1e12",
+                     "--trials", "1", "--distances", "20", "--fd-table", str(table),
+                     "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_experiment_settings(self, tmp_path):
         code = main(["simulate", "--p-ref-dbm", "-37.47", "--alpha", "4",
                      "--sigma-db", "4", "--rss-threshold-dbm", "-100",

@@ -170,6 +170,15 @@ class TestThresholdDistance:
         assert rf.link_probability(PARAMS_44, d_th) <= 1e-3
         assert rf.link_probability(PARAMS_44, 0.999 * d_th) > 1e-3
 
+    # the cutoffs written into the committed benchmark reference tables
+    @pytest.mark.parametrize("params, d_th", [
+        (PARAMS_44, 74.52006595742904),
+        (PARAMS_FIELD, 19.44719568944847),
+        (PARAMS_SHARP, 10.017804638574134),
+    ], ids=["p44", "field", "sharp"])
+    def test_bit_for_bit(self, params, d_th):
+        assert rf.threshold_distance(params) == d_th
+
     def test_noise_free_cutoff_is_pseudo_range(self):
         assert rf.threshold_distance(PARAMS_DISK) == pytest.approx(
             rf.pseudo_range(PARAMS_DISK), rel=1e-12
