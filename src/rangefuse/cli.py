@@ -105,21 +105,29 @@ def _model_settings(args, experiment: dict) -> tuple:
     return n_knots, quad_tol
 
 
+def _load_model_for(path, params: ChannelParams):
+    """The f(d) table at path; a table built for another channel is an error."""
+    model = load_fd_model(path)
+    if model.params != params:
+        raise ConfigurationError(f"{path} was built for different channel parameters")
+    return model
+
+
 def _resolve_model(args, params: ChannelParams, experiment: dict):
+    """The f(d) table for the channel: loaded (--fd-table, a --cache-dir hit) or built.
+
+    The library takes the channel from the table alone, so this is where
+    the channel of the flags and config file is checked against a loaded one.
+    """
     n_knots, quad_tol = _model_settings(args, experiment)
     if args.fd_table:
-        model = load_fd_model(args.fd_table)
-        if model.params != params:
-            raise ConfigurationError(
-                f"{args.fd_table} was built for different channel parameters"
-            )
-        return model
+        return _load_model_for(args.fd_table, params)
     if args.cache_dir:
         cache = Path(args.cache_dir)
         cache.mkdir(parents=True, exist_ok=True)
         path = cache / f"fd_{_model_cache_key(params, n_knots, quad_tol)}.txt"
         if path.is_file():
-            return load_fd_model(path)
+            return _load_model_for(path, params)
         model = build_fd_model(params, n_knots, quad_tol)
         # a cache entry appears whole or not at all, however the save fails
         with atomic_output(path) as partial:
@@ -155,9 +163,9 @@ def _cmd_simulate(args) -> int:
             f"experiment settings missing: {', '.join(missing)} "
             "(supply flags or an [experiment] config section)"
         )
-    cfg = ExperimentConfig(channel=params, **settings)
+    cfg = ExperimentConfig(**settings)
     model = _resolve_model(args, params, experiment)
-    report = run_experiment(cfg, model=model)
+    report = run_experiment(cfg, model)
     report.write_csv(args.output)
     if args.json:
         report.write_json(args.json)
@@ -186,7 +194,7 @@ def _cmd_crlb(args) -> int:
             )
     lines = ["d,crlb_variance,sqrt_crlb"]
     for d in distances:
-        variance = crlb_distance(params, model, intensity, d)
+        variance = crlb_distance(model, intensity, d)
         lines.append(f"{float(d)!r},{variance!r},{math.sqrt(variance)!r}")
     with atomic_output(args.output) as partial:
         partial.write_text("\n".join(lines) + "\n")
@@ -203,7 +211,7 @@ def _cmd_estimate(args) -> int:
     d_rss = float(checked_ranges(params, [args.rss], lambda _: "the pair")[0])
     model = _resolve_model(args, params, experiment)
     usable = args.rss >= params.rss_threshold_dbm
-    est = estimate_pairs(params, model, [d_rss if usable else math.nan],
+    est = estimate_pairs(model, [d_rss if usable else math.nan],
                          [args.m], [args.p], [args.q], args.intensity)
     d_conn, d_fused, lam = (float(v[0]) for v in (est.d_conn, est.d_fused, est.intensity))
     status, conn = str(est.status[0]), lam > 0.0
@@ -211,7 +219,7 @@ def _cmd_estimate(args) -> int:
     if conn and params.sigma_db > 0.0 and d_fused > 0.0:
         # the bound needs a point strictly inside the cutoff
         point = min(max(d_fused, 1e-9 * model.d_th), math.nextafter(model.d_th, 0.0))
-        sqrt_crlb = math.sqrt(crlb_distance(params, model, lam, point))
+        sqrt_crlb = math.sqrt(crlb_distance(model, lam, point))
     for applies, note in (
         (not conn, "all-zero counts: no intensity estimate, connectivity unusable"
          if args.intensity is None else "zero intensity supplied: connectivity unusable"),
@@ -245,12 +253,12 @@ def _parse_pair(token: str) -> tuple:
 
 def _cmd_dataset(args) -> int:
     params, experiment = _resolve_channel(args)
-    ms = load_measurements(args.input, params)
+    ms = load_measurements(args.input)
     pairs = [_parse_pair(token) for token in filter(None, map(str.strip, args.pairs.split(",")))]
     if not pairs:
         raise ConfigurationError("no pairs requested")
     model = _resolve_model(args, params, experiment)
-    result = evaluate_pairs(ms, pairs, model=model, intensity=args.intensity)
+    result = evaluate_pairs(ms, pairs, model, intensity=args.intensity)
     for i, j in result.pairs[~result.measured].tolist():
         print(f"warning: pair {i}-{j}: no RSS measurement for this pair", file=sys.stderr)
     # NaN prints as 'nan', the value of every error column and of d_fused
@@ -330,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Fail before any work when an output file's directory is missing or read-only."""
+    """Fail before any work when an output path is a directory or its folder is not writable."""
     for path in filter(None, (getattr(args, "output", None), getattr(args, "json", None))):
+        if Path(path).is_dir():
+            raise ConfigurationError(f"cannot write {path}: it is a directory")
         folder = Path(path).resolve().parent
         if not (folder.is_dir() and os.access(folder, os.W_OK)):
             raise ConfigurationError(f"cannot write {path}: {folder} is not a writable directory")

@@ -468,19 +468,17 @@ def load_fd_model(path) -> FdModel:
                 d_text, f_text = line.split(",")
                 knots.append((float(d_text), float(f_text)))
             else:
-                key, value = line.split("=")
-                fields[key.strip()] = float(value)
+                key, value = (text.strip() for text in line.split("="))
+                fields[key] = (int if key == "n_knots" else float)(value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: malformed line {line!r}") from exc
     missing = [k for k in (*_FD_PARAM_KEYS, "s_mass", "d_th", "n_knots") if k not in fields]
     if missing:
         raise ConfigurationError(f"{path}: missing header fields {missing}")
-    if len(knots) != int(fields["n_knots"]):
-        raise ConfigurationError(
-            f"{path}: expected {int(fields['n_knots'])} knots, found {len(knots)}"
-        )
+    if len(knots) != fields["n_knots"]:
+        raise ConfigurationError(f"{path}: expected {fields['n_knots']} knots, found {len(knots)}")
     params = channel_from_mapping(fields)
-    knots_arr = np.asarray(knots, dtype=float)
+    knots_arr = np.asarray(knots, dtype=float).reshape(-1, 2)
     try:
         return FdModel(
             s_mass=fields["s_mass"],

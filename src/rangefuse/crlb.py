@@ -7,7 +7,8 @@ jointly, so the bound on d is the (d, d) entry of the inverse of the 2x2
 Fisher information matrix. Eliminating the intensity leaves the counts
 1/sigma_c^2 of information about d, with sigma_c from conn_error_sigma.
 f and its slope come from the tabulated piecewise-linear model; knots
-resolve to the left segment.
+resolve to the left segment. The channel, which sets the RSS term, is the
+one the model was built for (model.params).
 """
 
 from __future__ import annotations
@@ -57,17 +58,17 @@ def _check_point(model: FdModel, intensity: float, d: float) -> tuple[float, flo
     return f_val, fd_slope(model, d)
 
 
-def fim(params: ChannelParams, model: FdModel, intensity: float, d) -> FisherInfo:
+def fim(model: FdModel, intensity: float, d) -> FisherInfo:
     """Fisher information matrix at distance d and the given node intensity."""
     d = float(d)
     f_val, slope = _check_point(model, intensity, d)
-    scale = rss_fisher_scale(params)
+    scale = rss_fisher_scale(model.params)
     s = model.s_mass
     i_dd = intensity * slope * slope * (1.0 / f_val + 2.0 / (s - f_val)) + scale / (d * d)
     return FisherInfo(i_dd=i_dd, i_dl=-slope, i_ll=(2.0 * s - f_val) / intensity)
 
 
-def crlb_distance(params: ChannelParams, model: FdModel, intensity: float, d) -> float:
+def crlb_distance(model: FdModel, intensity: float, d) -> float:
     """Lower bound on the variance of any unbiased distance estimate.
 
     The (d, d) entry of the inverse information matrix: the inverse of the
@@ -76,4 +77,4 @@ def crlb_distance(params: ChannelParams, model: FdModel, intensity: float, d) ->
     d = float(d)
     _check_point(model, intensity, d)
     sigma_c = conn_error_sigma(model, intensity, d)
-    return 1.0 / (sigma_c**-2 + rss_fisher_scale(params) / (d * d))
+    return 1.0 / (sigma_c**-2 + rss_fisher_scale(model.params) / (d * d))

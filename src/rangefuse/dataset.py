@@ -14,8 +14,10 @@ an earlier line), averages both directions of each link and builds the
 set. If any of that fails, the error path reads the data lines one at a
 time in file order and reports the earliest that holds a fault.
 
-Evaluation thresholds the links once into per-node neighbor lists, counts
-the common and exclusive neighbors of every requested pair from them, and
+A set holds measurements only. Evaluation takes the channel from the
+f(d) table it is given (model.params): it thresholds the links once into
+per-node neighbor lists at that channel's link threshold, counts the
+common and exclusive neighbors of every requested pair from them, and
 runs the pairs through the shared estimation pipeline as one batch; a
 reading below the link threshold counts as no reading there.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from .channel import ChannelParams, estimate_distance_rss, mean_rss
 from .config import atomic_output
-from .connectivity import FdModel, build_fd_model
+from .connectivity import FdModel
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
 from .simulator import Deployment
@@ -70,7 +72,7 @@ class _Columns:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet(_Columns):
-    """Node and link columns of a measured deployment, and the channel they obey.
+    """Node and link columns of a measured deployment.
 
     ids: (n,) int64 node ids in stored order; xy: (n, 2) coordinates in the
     same order; links: (k, 2) int64 node-id pairs (lo, hi) with lo < hi,
@@ -84,7 +86,6 @@ class MeasurementSet(_Columns):
     xy: np.ndarray
     links: np.ndarray
     link_rss: np.ndarray
-    channel: ChannelParams
     # init only: the ranks (see _keys) of every link's lo and hi ends as a
     # (2, k) array, from a caller that has ranked them already; taken on trust
     _link_ranks: InitVar[np.ndarray | None] = None
@@ -169,8 +170,7 @@ def _parse_section(lines: list, at: np.ndarray, section: str) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*pieces))
 
 
-def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray,
-                     channel: ChannelParams) -> MeasurementSet:
+def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray) -> MeasurementSet:
     """The set held by the rows at node_at and rss_at; raises on any fault in them."""
     ids, x, y = _parse_section(lines, node_at, "nodes")
     first, second, value = _parse_section(lines, rss_at, "rss")
@@ -199,7 +199,7 @@ def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray,
         link_rss = np.where(over, shares, link_rss)
     link_ranks = np.stack(np.divmod(keys, max(n, 1)))
     return MeasurementSet(ids, np.stack([x, y], axis=1), sorted_ids[link_ranks].T, link_rss,
-                          channel, link_ranks)
+                          link_ranks)
 
 
 def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray):
@@ -232,7 +232,7 @@ def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray):
     return None
 
 
-def load_measurements(path, channel: ChannelParams) -> MeasurementSet:
+def load_measurements(path) -> MeasurementSet:
     """Parse a measurement file; a fault is reported at its earliest line."""
     path = Path(path)
     if not path.is_file():
@@ -251,7 +251,7 @@ def load_measurements(path, channel: ChannelParams) -> MeasurementSet:
         )
     in_nodes = np.array([name == "nodes" for _, name in markers], dtype=bool)[section]
     try:
-        return _measurement_set(lines, data[in_nodes], data[~in_nodes], channel)
+        return _measurement_set(lines, data[in_nodes], data[~in_nodes])
     except (ValueError, OverflowError, ConfigurationError):
         fault = _first_fault(lines, data, in_nodes)
         if fault is None:
@@ -287,15 +287,15 @@ def _ranks(ms: MeasurementSet, ids) -> tuple:
     return _locate(ms._sorted_ids, ids)
 
 
-def _adjacency(ms: MeasurementSet) -> tuple:
-    """Every node's thresholded neighbors in CSR form, (start, neighbors).
+def _adjacency(ms: MeasurementSet, threshold_dbm: float) -> tuple:
+    """Every node's neighbors over links of at least threshold_dbm, as CSR (start, neighbors).
 
     Row r belongs to the node of rank r (see _ranks), and each row's
     neighbors are sorted. Memory grows with the links, not with the square
     of the node count.
     """
     n = max(ms.ids.size, 1)
-    keys = ms._keys[ms.link_rss >= ms.channel.rss_threshold_dbm]
+    keys = ms._keys[ms.link_rss >= threshold_dbm]
     lo, hi = np.divmod(keys, n)
     row, neighbors = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
     return np.searchsorted(row, np.arange(ms.ids.size + 1)), neighbors
@@ -356,18 +356,15 @@ class PairEvaluation(_Columns):
     err_fused = property(lambda self: np.abs(self.d_fused - self.d_true))
 
 
-def evaluate_pairs(
-    ms: MeasurementSet,
-    pairs,
-    model: FdModel | None = None,
-    intensity: float | None = None,
-) -> PairEvaluation:
+def evaluate_pairs(ms: MeasurementSet, pairs, model: FdModel,
+                   intensity: float | None = None) -> PairEvaluation:
     """Run all three estimators on the requested (id, id) pairs.
 
+    The channel is the one the f(d) table was built for, model.params.
     Pairs without an RSS entry get NaN estimates and the run continues;
-    unknown ids, a model built for another channel and a reading whose RSS
-    range estimate is 0 or infinite are configuration errors. Errors are
-    taken against the coordinate distances.
+    unknown ids and a reading whose RSS range estimate is 0 or infinite
+    are configuration errors. Errors are taken against the coordinate
+    distances.
     """
     try:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -377,18 +374,15 @@ def evaluate_pairs(
     if not known.all():
         i, j = pairs[np.argmin(known[:, 0] & known[:, 1])].tolist()
         raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
-    if model is None:
-        model = build_fd_model(ms.channel)
-    elif model.params != ms.channel:
-        raise ConfigurationError("supplied model was built for different channel parameters")
+    params = model.params
     link, measured = _locate(ms._keys, ranks.min(axis=1) * ms.ids.size + ranks.max(axis=1))
     rss = ms.link_rss[link[measured]]
-    d_rss = checked_ranges(ms.channel, rss,
+    d_rss = checked_ranges(params, rss,
                            lambda k: "pair ({}, {})".format(*pairs[measured][k].tolist()))
-    usable = np.where(rss >= ms.channel.rss_threshold_dbm, d_rss, np.nan)
+    usable = np.where(rss >= params.rss_threshold_dbm, d_rss, np.nan)
     a, b = ranks[measured].T
-    est = estimate_pairs(ms.channel, model, usable,
-                         *_counts(_adjacency(ms), a, b), intensity)
+    counts = _counts(_adjacency(ms, params.rss_threshold_dbm), a, b)
+    est = estimate_pairs(model, usable, *counts, intensity)
     # math.hypot, not np.hypot: they differ in the last place for some inputs
     stored = ms._stored_row[ranks]
     gap = ms.xy[stored[:, 0]] - ms.xy[stored[:, 1]]
@@ -403,12 +397,13 @@ def evaluate_pairs(
 def synthesize_measurements(
     dep: Deployment, channel: ChannelParams, rng: np.random.Generator
 ) -> MeasurementSet:
-    """Sample a full symmetric RSS map over a deployment.
+    """Sample a full symmetric RSS map over a deployment under the channel.
 
     Node ids are 1..n in deployment order. One shadowing draw per unordered
     node pair; readings below the link threshold represent failed links and
-    are omitted, so thresholded neighbor sets agree exactly with the
-    sampled link realization.
+    are omitted, so neighbor sets thresholded at the same channel agree
+    exactly with the sampled link realization. The set does not keep the
+    channel.
     """
     n = dep.nodes.shape[0]
     links, link_rss = np.empty((0, 2), dtype=np.int64), np.empty(0)
@@ -422,4 +417,4 @@ def synthesize_measurements(
         kept = values >= channel.rss_threshold_dbm
         links = np.stack([row[kept], col[kept]], axis=1) + 1
         link_rss = values[kept]
-    return MeasurementSet(np.arange(1, n + 1), dep.nodes.copy(), links, link_rss, channel)
+    return MeasurementSet(np.arange(1, n + 1), dep.nodes.copy(), links, link_rss)

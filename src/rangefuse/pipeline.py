@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams
 from .connectivity import FdModel, conn_error_sigma, invert_counts
 from .fusion import fuse_arrays
 
@@ -40,10 +39,10 @@ def _clamp_to_cutoff(d, d_th):
     return np.clip(d, 1e-9 * d_th, d_th)
 
 
-def estimate_pairs(params: ChannelParams, model: FdModel, d_rss, m, p, q,
-                   intensity=None) -> PairEstimates:
+def estimate_pairs(model: FdModel, d_rss, m, p, q, intensity=None) -> PairEstimates:
     """Estimate the distances of many pairs from RSS ranges and neighbor counts.
 
+    The channel is the one the f(d) table was built for, model.params.
     d_rss holds the RSS range estimates, NaN where a pair has no usable
     reading. intensity (scalar or per pair) defaults to the moment
     estimate (2M+P+Q)/(2S) from the counts; a zero intensity means no
@@ -57,7 +56,7 @@ def estimate_pairs(params: ChannelParams, model: FdModel, d_rss, m, p, q,
     back to the other source, mirroring how the likelihood behaves as the
     corresponding error scale grows without bound.
     """
-    d_th = model.d_th
+    params, d_th = model.params, model.d_th
     d_rss = np.asarray(d_rss, dtype=float)
     d_conn = invert_counts(model, m, p, q)
     if intensity is None:

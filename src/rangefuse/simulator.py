@@ -31,12 +31,7 @@ from .channel import (
     sample_rss,
 )
 from .config import atomic_output
-from .connectivity import (
-    FdModel,
-    build_fd_model,
-    eval_fd,
-    threshold_distance,
-)
+from .connectivity import FdModel, eval_fd, threshold_distance
 from .crlb import crlb_distance
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
@@ -64,9 +59,12 @@ class Deployment:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One RMSE experiment: channel, density, probe distances, trial count."""
+    """One RMSE experiment: density, probe distances, trial count, seed, edge margin.
 
-    channel: ChannelParams
+    The channel is not part of it: run_experiment takes it from the f(d)
+    table it is given.
+    """
+
     mu: float
     distances: tuple
     trials: int
@@ -207,21 +205,16 @@ def _draw_probe(params: ChannelParams, side: float, intensity: float, d: float,
     return counts, obs
 
 
-def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseReport:
+def run_experiment(cfg: ExperimentConfig, model: FdModel) -> RmseReport:
     """Run the full RMSE protocol and report all three estimators per distance.
 
-    Probe i_d draws its trials from default_rng((seed, i_d)) in fixed
-    blocks (see _draw_probe), so a probe's results do not depend on the
-    other probes. A prebuilt FdModel for the same channel may be passed
-    to skip the tabulation step, which otherwise runs at build_fd_model's
-    defaults. Probing beyond the model's cutoff is a configuration error.
+    The draws, the estimates and the bound all use the channel the f(d)
+    table was built for, model.params. Probe i_d draws its trials from
+    default_rng((seed, i_d)) in fixed blocks (see _draw_probe), so a
+    probe's results do not depend on the other probes. Probing beyond the
+    model's cutoff is a configuration error.
     """
-    params = cfg.channel
-    if model is None:
-        model = build_fd_model(params)
-    elif model.params != params:
-        raise ConfigurationError("supplied model was built for different channel parameters")
-    d_th = model.d_th
+    params, d_th = model.params, model.d_th
     for d in cfg.distances:
         if d > d_th:
             raise ConfigurationError(
@@ -239,7 +232,7 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseR
     # one batch for the whole run: the estimation works pair by pair, so
     # batching across probes changes no value
     d_rss = estimate_distance_rss(params, obs.ravel())
-    est = estimate_pairs(params, model, d_rss, *counts.reshape(3, -1), intensity=intensity)
+    est = estimate_pairs(model, d_rss, *counts.reshape(3, -1), intensity=intensity)
     errors = (np.stack([d_rss, est.d_conn, est.d_fused]).reshape(3, n_probes, trials)
               - np.array(cfg.distances)[:, None])
     rmse = np.sqrt(np.mean(errors * errors, axis=2))
@@ -250,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel | None = None) -> RmseR
         # same segment evaluated just inside the cutoff
         d_bound = min(d, math.nextafter(d_th, 0.0))
         sqrt_crlb = 0.0 if params.sigma_db == 0.0 else math.sqrt(
-            crlb_distance(params, model, intensity, d_bound))
+            crlb_distance(model, intensity, d_bound))
         rows.append(RmseRow(d, *(float(v) for v in rmse[:, i_d]), sqrt_crlb, trials))
     return RmseReport(rows=tuple(rows))
 
@@ -279,8 +272,7 @@ def _poisson_pmf(mean: float) -> np.ndarray:
     return np.exp(special.xlogy(k, mean) - mean - special.gammaln(k + 1.0))
 
 
-def expected_errors(params: ChannelParams, model: FdModel, intensity: float,
-                    d: float) -> ExpectedErrors:
+def expected_errors(model: FdModel, intensity: float, d: float) -> ExpectedErrors:
     """Exact bias and RMSE of the RSS, connectivity and fused estimates at d.
 
     Computed with no random draws, under the model that run_experiment
@@ -291,7 +283,7 @@ def expected_errors(params: ChannelParams, model: FdModel, intensity: float,
     d 10^(sigma_r z) with z standard normal, taken on the 30 of 40
     probabilists' Gauss-Hermite nodes whose normalized weight exceeds
     1e-14, renormalized likewise. The whole grid goes through
-    estimate_pairs as one batch.
+    estimate_pairs as one batch. The channel is model.params.
     """
     d = float(d)
     if not 0.0 < d <= model.d_th:
@@ -308,9 +300,9 @@ def expected_errors(params: ChannelParams, model: FdModel, intensity: float,
     # reaches the floor (30 of 40), renormalized
     kept = w_z / w_z.sum() >= _PMF_FLOOR
     z, w_z = z[kept], w_z[kept] / w_z[kept].sum()
-    d_rss = d * 10.0 ** (params.sigma_r * z)
-    est = estimate_pairs(params, model, np.tile(d_rss, m.size),
-                         np.repeat(m, z.size), np.repeat(y, z.size), 0, intensity=intensity)
+    d_rss = d * 10.0 ** (model.params.sigma_r * z)
+    est = estimate_pairs(model, np.tile(d_rss, m.size), np.repeat(m, z.size),
+                         np.repeat(y, z.size), 0, intensity=intensity)
 
     def moments(estimates, weights):
         err = estimates - d

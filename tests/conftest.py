@@ -60,10 +60,9 @@ def big_report(model44):
     """5000-trial, 8-probe run shared by the acceptance and trend tests."""
     fracs = np.linspace(0.1, 1.0, 8)
     cfg = rf.ExperimentConfig(
-        channel=PARAMS_44,
         mu=20.0,
         distances=tuple(float(f) * model44.d_th for f in fracs),
         trials=5000,
         seed=20260809,
     )
-    return rf.run_experiment(cfg, model=model44)
+    return rf.run_experiment(cfg, model44)

@@ -27,10 +27,8 @@ def _experiment(params, mu, fracs, trials, seed, model=None):
     if model is None:
         model = rf.build_fd_model(params)
     distances = tuple(float(f) * model.d_th for f in fracs)
-    cfg = rf.ExperimentConfig(
-        channel=params, mu=mu, distances=distances, trials=trials, seed=seed
-    )
-    return model, rf.run_experiment(cfg, model=model)
+    cfg = rf.ExperimentConfig(mu=mu, distances=distances, trials=trials, seed=seed)
+    return model, rf.run_experiment(cfg, model)
 
 
 def test_criterion_1_fusion_dominance(big_report):
@@ -71,9 +69,9 @@ def test_criterion_3_crlb_self_consistency(model44):
     lam = rf.mu_to_lambda(20.0, model44.s_mass)
     worst = 0.0
     for d in np.linspace(0.03, 0.97, 20) * model44.d_th:
-        info = rf.fim(PARAMS_44, model44, lam, float(d))
+        info = rf.fim(model44, lam, float(d))
         schur = 1.0 / (info.i_dd - info.i_dl**2 / info.i_ll)
-        closed = rf.crlb_distance(PARAMS_44, model44, lam, float(d))
+        closed = rf.crlb_distance(model44, lam, float(d))
         worst = max(worst, abs(closed - schur) / schur)
     _criterion(
         3,
@@ -175,15 +173,13 @@ def test_criterion_7_trend_replication(model44):
             p_ref_dbm=-37.47, alpha=4.0, sigma_db=sigma, rss_threshold_dbm=-100.0
         )
         model = model44 if sigma == 4.0 else rf.build_fd_model(params)
-        cfg = rf.ExperimentConfig(
-            channel=params, mu=mu, distances=distances, trials=trials, seed=seed
-        )
-        report = rf.run_experiment(cfg, model=model)
+        cfg = rf.ExperimentConfig(mu=mu, distances=distances, trials=trials, seed=seed)
+        report = rf.run_experiment(cfg, model)
         rss_curves.append([row.rmse_rss for row in report.rows])
         conn_curves.append([row.rmse_conn for row in report.rows])
         lam = rf.mu_to_lambda(mu, model.s_mass)
         exact_curves.append(
-            [rf.expected_errors(params, model, lam, d).rmse_conn for d in distances])
+            [rf.expected_errors(model, lam, d).rmse_conn for d in distances])
     rss_monotone = all(
         rss_curves[k][i] < rss_curves[k + 1][i]
         for k in range(len(sigma_grid) - 1)
@@ -253,12 +249,12 @@ def test_criterion_8_dataset_workflow(model_field, tmp_path):
     ][:10]
     assert pairs, "fixture produced no interior linked pairs"
 
-    direct = rf.evaluate_pairs(ms, pairs, model=model_field)
+    direct = rf.evaluate_pairs(ms, pairs, model_field)
 
     path = tmp_path / "fixture.txt"
     rf.save_measurements(ms, path)
-    loaded = rf.load_measurements(path, PARAMS_FIELD)
-    via_file = rf.evaluate_pairs(loaded, pairs, model=model_field)
+    loaded = rf.load_measurements(path)
+    via_file = rf.evaluate_pairs(loaded, pairs, model_field)
 
     ok = loaded == ms and via_file == direct
     _criterion(

@@ -334,7 +334,7 @@ class TestEstimateCommand:
         assert captured.err == ""
         out = dict(line.split(" = ") for line in captured.out.splitlines())
         lam = (2 * 6 + 9 + 11) / (2.0 * model44.s_mass)
-        bound = rf.crlb_distance(PARAMS_44, model44, lam, float(out["d_fused"]))
+        bound = rf.crlb_distance(model44, lam, float(out["d_fused"]))
         assert out["sqrt_crlb"] == repr(math.sqrt(bound))
 
 
@@ -460,6 +460,74 @@ class TestDamagedTable:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_knots", ["inf", "nan", "64.7"])
+    def test_n_knots_not_an_integer_is_usage_error(self, cfg_path, tmp_path, capsys, model44,
+                                                   n_knots):
+        table, out = tmp_path / "bad.fd", tmp_path / "out.csv"
+        rf.save_fd_model(model44, table)
+        lines = table.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith("n_knots = "))
+        lines[k] = f"n_knots = {n_knots}"
+        table.write_text("\n".join(lines) + "\n")
+        code = main(["crlb", "--mu", "20", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {table}:{k + 1}: malformed line 'n_knots = {n_knots}'\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_empty_knot_list_is_usage_error(self, cfg_path, tmp_path, capsys, model44):
+        table, out = tmp_path / "bad.fd", tmp_path / "out.csv"
+        rf.save_fd_model(model44, table)
+        header = table.read_text().split("knots:")[0]
+        table.write_text(header.replace(f"n_knots = {model44.n_knots}", "n_knots = 0")
+                         + "knots:\n")
+        code = main(["crlb", "--mu", "20", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {table}: inconsistent model data: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestTableForAnotherChannel:
+    """The library reads the channel from the table, so the CLI checks a loaded table's."""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["dataset", "--input", "IN", "--pairs", "1-2"],
+    ])
+    def test_fd_table_is_usage_error(self, cfg_path, tmp_path, capsys, model_field, command):
+        table, out = tmp_path / "field.fd", tmp_path / "out.csv"
+        rf.save_fd_model(model_field, table)
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
+        argv = [str(meas) if token == "IN" else token for token in command]
+        code = main(argv + ["--config", str(cfg_path), "--fd-table", str(table),
+                            "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {table} was built for different channel parameters\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_cache_entry_is_usage_error(self, cfg_path, tmp_path, capsys, model_field):
+        # a cache file under this channel's key whose content names another channel
+        cache, out = tmp_path / "cache", tmp_path / "out.csv"
+        cache.mkdir()
+        entry = cache / f"fd_{cli._model_cache_key(PARAMS_44, 8, 1e-3)}.txt"
+        rf.save_fd_model(model_field, entry)
+        code = main(["simulate", "--config", str(cfg_path), "--n-knots", "8",
+                     "--quad-tol", "1e-3", "--cache-dir", str(cache), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {entry} was built for different channel parameters\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_two(self):
@@ -572,6 +640,26 @@ class TestOutputPrecheck:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("command, flag", [
+        (["simulate", "--trials", "2000", "--json", "JSON"], "--output"),
+        (["simulate", "--trials", "2000", "--output", "OUT"], "--json"),
+        (["fd-table"], "--output"),
+    ], ids=["simulate-output", "simulate-json", "fd-table"])
+    def test_output_that_is_a_directory(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                        command, flag):
+        monkeypatch.setattr("rangefuse.cli.run_experiment", _never)
+        monkeypatch.setattr("rangefuse.cli.build_fd_model", _never)
+        folder = tmp_path / "taken"
+        folder.mkdir()
+        paths = {"OUT": str(tmp_path / "ok.csv"), "JSON": str(tmp_path / "ok.json")}
+        argv = [paths.get(token, token) for token in command]
+        code = main(argv + ["--config", str(cfg_path), flag, str(folder)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {folder}: it is a directory\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini", "taken"]
+        assert list(folder.iterdir()) == []
+
+
 class TestModelCacheAtomic:
     def test_failed_save_leaves_no_cache_file(self, cfg_path, tmp_path, monkeypatch):
         def save_half(model, path):
@@ -667,7 +755,7 @@ class TestAtomicOutput:
                          sqrt_crlb=0.1, trials=3)
         report = rf.RmseReport(rows=(row,))
         meas = rf.MeasurementSet(ids=[1, 2], xy=[[0.0, 0.0], [3.0, 4.0]], links=[[1, 2]],
-                                 link_rss=[-48.0], channel=PARAMS_FIELD)
+                                 link_rss=[-48.0])
         writers = {
             "model.fd": lambda path: rf.save_fd_model(model, path),
             "report.csv": report.write_csv,

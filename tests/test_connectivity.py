@@ -422,7 +422,7 @@ class TestConnErrorSigma:
         lam = 20.0 / model44.s_mass
         kappa = rf.rss_fisher_scale(PARAMS_44)
         for d in np.linspace(0.1, 0.9, 9) * model44.d_th:
-            info = rf.fim(PARAMS_44, model44, lam, float(d))
+            info = rf.fim(model44, lam, float(d))
             bound = 1.0 / (info.i_dd - kappa / d**2 - info.i_dl**2 / info.i_ll)
             assert rf.conn_error_sigma(model44, lam, float(d)) ** 2 == pytest.approx(
                 bound, rel=1e-12
@@ -602,11 +602,11 @@ class TestEstimateIntensity:
     """The moment estimate (2M+P+Q)/(2S) that estimate_pairs defaults to."""
 
     def test_moment_identity(self, model44):
-        est = rf.estimate_pairs(PARAMS_44, model44, [math.nan], [6], [4], [2])
+        est = rf.estimate_pairs(model44, [math.nan], [6], [4], [2])
         assert est.intensity[0] == (12 + 4 + 2) / (2.0 * model44.s_mass)
 
     def test_zero_counts_give_zero(self, model44):
-        est = rf.estimate_pairs(PARAMS_44, model44, [math.nan], [0], [0], [0])
+        est = rf.estimate_pairs(model44, [math.nan], [0], [0], [0])
         assert est.intensity[0] == 0.0
 
 

@@ -42,14 +42,15 @@ def fixture_path(tmp_path):
 
 @pytest.fixture
 def fixture_set(fixture_path):
-    return rf.load_measurements(fixture_path, PARAMS_FIELD)
+    return rf.load_measurements(fixture_path)
 
 
 def _counts_of(ms, i, j):
     """(M, P, Q) of the node pair (i, j), through _adjacency and _counts."""
     (a, b), known = rf.dataset._ranks(ms, [i, j])
     assert known.all()
-    return [int(v[0]) for v in rf.dataset._counts(rf.dataset._adjacency(ms), [a], [b])]
+    adjacency = rf.dataset._adjacency(ms, PARAMS_FIELD.rss_threshold_dbm)
+    return [int(v[0]) for v in rf.dataset._counts(adjacency, [a], [b])]
 
 
 class TestLoadMeasurements:
@@ -63,7 +64,7 @@ class TestLoadMeasurements:
     def test_symmetric_entries_average(self, tmp_path):
         path = tmp_path / "sym.txt"
         path.write_text("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n1, 2, -50.0\n2, 1, -40.0\n")
-        ms = rf.load_measurements(path, PARAMS_FIELD)
+        ms = rf.load_measurements(path)
         assert ms.rss == {(1, 2): -45.0}
 
     def test_average_is_the_running_sum_over_the_count(self, tmp_path):
@@ -74,7 +75,7 @@ class TestLoadMeasurements:
                         + "".join(f"{(7, -4)[k % 2]}, {(-4, 7)[k % 2]}, {v!r}\n"
                                   for k, v in enumerate(readings))
                         + "9, 7, -0.0\n")
-        ms = rf.load_measurements(path, PARAMS_FIELD)
+        ms = rf.load_measurements(path)
         total = 0.0
         for value in readings:
             total += value
@@ -90,7 +91,7 @@ class TestLoadMeasurements:
             b"# rss\r\n# nodes\r\n-3, +1, 0\r\n\t\r\n# Rss\r\n5, -3, -51\r\n"
             b"-3,5,-49.5\r\n  # comment\r\n"
         )
-        ms = rf.load_measurements(path, PARAMS_FIELD)
+        ms = rf.load_measurements(path)
         assert ms.ids.tolist() == [5, -3]
         assert ms.xy.tolist() == [[10.5, -2.0], [1.0, 0.0]]
         assert ms.rss == {(-3, 5): -50.25}
@@ -98,7 +99,7 @@ class TestLoadMeasurements:
     def test_empty_rss_section_is_valid(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n")
-        ms = rf.load_measurements(path, PARAMS_FIELD)
+        ms = rf.load_measurements(path)
         assert ms.rss == {}
 
     @pytest.mark.parametrize(
@@ -122,7 +123,7 @@ class TestLoadMeasurements:
         path = tmp_path / "bad.txt"
         path.write_text(body)
         with pytest.raises(rf.ConfigurationError, match=f"^{re.escape(str(path))}:{lineno}: "):
-            rf.load_measurements(path, PARAMS_FIELD)
+            rf.load_measurements(path)
 
     @pytest.mark.parametrize(
         "body, lineno, reason",
@@ -144,13 +145,13 @@ class TestLoadMeasurements:
         path = tmp_path / "bad.txt"
         path.write_text(body)
         with pytest.raises(rf.ConfigurationError, match=f":{lineno}: {re.escape(reason)}"):
-            rf.load_measurements(path, PARAMS_FIELD)
+            rf.load_measurements(path)
 
     def test_rss_row_before_its_nodes_section_fails_at_its_line(self, tmp_path):
         path = tmp_path / "order.txt"
         path.write_text("# nodes\n1, 0, 0\n# rss\n1, 2, -50\n# nodes\n2, 1, 0\n")
         with pytest.raises(rf.ConfigurationError, match=":4: RSS entry references unknown node 2"):
-            rf.load_measurements(path, PARAMS_FIELD)
+            rf.load_measurements(path)
 
     def test_earliest_fault_across_row_chunks(self, tmp_path, monkeypatch):
         # four-row chunks, so the faults below sit in different chunks and sections
@@ -162,7 +163,7 @@ class TestLoadMeasurements:
             path.write_text(f"# nodes\n{nodes}\n# rss\n" + "\n".join(rss_rows)
                             + f"\n# nodes\n{late_node}\n")  # rss on 8-19, late node on 21
             with pytest.raises(rf.ConfigurationError) as excinfo:
-                rf.load_measurements(path, PARAMS_FIELD)
+                rf.load_measurements(path)
             return str(excinfo.value)
 
         rss = [f"1, {k}, -50" for k in (2, 3, 4, 5)] * 3
@@ -173,7 +174,7 @@ class TestLoadMeasurements:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(rf.ConfigurationError):
-            rf.load_measurements(tmp_path / "nope.txt", PARAMS_FIELD)
+            rf.load_measurements(tmp_path / "nope.txt")
 
 
 class TestMeasurementSet:
@@ -189,11 +190,11 @@ class TestMeasurementSet:
     )
     def test_rejects_bad_columns(self, ids, links, readings, reason):
         with pytest.raises(rf.ConfigurationError, match=reason):
-            rf.MeasurementSet(ids, [[0.0, 0.0]] * len(ids), links, readings, PARAMS_FIELD)
+            rf.MeasurementSet(ids, [[0.0, 0.0]] * len(ids), links, readings)
 
     def test_orients_and_sorts_links(self):
         ms = rf.MeasurementSet([9, -2, 4], [[0, 0], [1, 0], [2, 0]],
-                               [[9, 4], [4, -2], [-2, 9]], [-41.0, -42.0, -43.0], PARAMS_FIELD)
+                               [[9, 4], [4, -2], [-2, 9]], [-41.0, -42.0, -43.0])
         assert ms.links.tolist() == [[-2, 4], [-2, 9], [4, 9]]
         assert ms.link_rss.tolist() == [-42.0, -43.0, -41.0]
         assert ms.ids.tolist() == [9, -2, 4]
@@ -203,7 +204,7 @@ class TestSaveMeasurements:
     def test_load_save_load_round_trip(self, fixture_set, tmp_path):
         path = tmp_path / "canon.txt"
         rf.save_measurements(fixture_set, path)
-        again = rf.load_measurements(path, PARAMS_FIELD)
+        again = rf.load_measurements(path)
         assert again == fixture_set
         second = tmp_path / "canon2.txt"
         rf.save_measurements(again, second)
@@ -219,7 +220,7 @@ def _measurement_sets(draw):
     linked = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
     reading = st.floats(min_value=-200.0, max_value=50.0)
     readings = [draw(reading) for _ in linked]
-    return rf.MeasurementSet(ids, xy, linked, readings, PARAMS_FIELD)
+    return rf.MeasurementSet(ids, xy, linked, readings)
 
 
 class TestMeasurementRoundTrip:
@@ -229,7 +230,7 @@ class TestMeasurementRoundTrip:
         with tempfile.TemporaryDirectory() as folder:
             path = Path(folder) / "meas.txt"
             rf.save_measurements(ms, path)
-            assert rf.load_measurements(path, PARAMS_FIELD) == ms
+            assert rf.load_measurements(path) == ms
 
 
 def _data_rows(lines):
@@ -331,7 +332,7 @@ class TestLoaderPathsAgree:
             path = Path(folder) / "meas.txt"
             path.write_text(text)
             try:
-                ms = rf.load_measurements(path, PARAMS_FIELD)
+                ms = rf.load_measurements(path)
             except rf.ConfigurationError as exc:
                 assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
             else:
@@ -353,7 +354,7 @@ class TestNeighborCounts:
             "# nodes\n1, 0, 0\n2, 1, 0\n3, 0.5, 0.5\n"
             "# rss\n1, 2, -50.0\n1, 3, -56.0\n2, 3, -40.0\n"
         )
-        ms = rf.load_measurements(path, PARAMS_FIELD)
+        ms = rf.load_measurements(path)
         assert _counts_of(ms, 1, 2) == [0, 0, 1]
 
     def test_counts_match_the_per_pair_loop(self, model_field, monkeypatch):
@@ -365,7 +366,7 @@ class TestNeighborCounts:
         dep = rf.deploy_poisson(3.0 * model_field.d_th, 14.0 / model_field.s_mass, rng)
         base = rf.synthesize_measurements(dep, PARAMS_FIELD, rng)
         ids = 500 - 3 * base.ids
-        ms = rf.MeasurementSet(ids, base.xy, 500 - 3 * base.links, base.link_rss, PARAMS_FIELD)
+        ms = rf.MeasurementSet(ids, base.xy, 500 - 3 * base.links, base.link_rss)
         near = {node: set() for node in ids.tolist()}
         for (i, j), value in ms.rss.items():
             if value >= PARAMS_FIELD.rss_threshold_dbm:
@@ -376,7 +377,8 @@ class TestNeighborCounts:
         ranks, known = rf.dataset._ranks(ms, np.array(pairs))
         assert known.all()
         a, b = ranks.T
-        m, p, q = rf.dataset._counts(rf.dataset._adjacency(ms), a, b)
+        m, p, q = rf.dataset._counts(
+            rf.dataset._adjacency(ms, PARAMS_FIELD.rss_threshold_dbm), a, b)
         for k, (i, j) in enumerate(pairs):
             around_i, around_j = near[i] - {j}, near[j] - {i}
             expected = [len(around_i & around_j), len(around_i - around_j),
@@ -386,48 +388,44 @@ class TestNeighborCounts:
 
 class TestEvaluatePairs:
     def test_euclidean_truth(self, fixture_set, model_field):
-        result = rf.evaluate_pairs(fixture_set, [(1, 2)], model=model_field)
+        result = rf.evaluate_pairs(fixture_set, [(1, 2)], model_field)
         assert result.d_true[0] == 5.0
 
     def test_truth_is_math_hypot(self, model_field):
         # d_true stays math.hypot of the coordinate gaps, bit for bit
         rng = np.random.default_rng(64)
         xy = rng.uniform(-1e3, 1e3, size=(200, 2))
-        ms = rf.MeasurementSet(np.arange(200), xy, [], [], PARAMS_FIELD)
+        ms = rf.MeasurementSet(np.arange(200), xy, [], [])
         pairs = rng.integers(0, 200, size=(3000, 2))
-        result = rf.evaluate_pairs(ms, pairs, model=model_field)
+        result = rf.evaluate_pairs(ms, pairs, model_field)
         expected = [math.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) for i, j in pairs]
         assert result.d_true.tolist() == expected
 
     def test_missing_rss_continues(self, tmp_path, model_field):
         path = tmp_path / "gap.txt"
         path.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 3, -45.0\n")
-        ms = rf.load_measurements(path, PARAMS_FIELD)
-        result = rf.evaluate_pairs(ms, [(1, 2), (1, 3)], model=model_field)
+        ms = rf.load_measurements(path)
+        result = rf.evaluate_pairs(ms, [(1, 2), (1, 3)], model_field)
         assert result.measured.tolist() == [False, True]
         assert result.status[0] == rf.dataset.NO_RSS
         assert math.isnan(result.d_fused[0])
         assert math.isfinite(result.d_fused[1])
 
-    def test_model_for_another_channel_rejected(self, fixture_set, model44):
-        with pytest.raises(rf.ConfigurationError, match="different channel parameters"):
-            rf.evaluate_pairs(fixture_set, [(1, 2), (2, 3)], model=model44)
-
     def test_unknown_id_rejected(self, fixture_set, model_field):
         with pytest.raises(rf.ConfigurationError, match=r"pair \(1, 99\)"):
-            rf.evaluate_pairs(fixture_set, [(1, 99)], model=model_field)
+            rf.evaluate_pairs(fixture_set, [(1, 99)], model_field)
         with pytest.raises(rf.ConfigurationError, match="int64"):
-            rf.evaluate_pairs(fixture_set, [(1, 2**63)], model=model_field)
+            rf.evaluate_pairs(fixture_set, [(1, 2**63)], model_field)
 
     def test_order_independence(self, fixture_set, model_field):
         pairs = [(1, 2), (2, 3), (3, 4)]
-        forward = rf.evaluate_pairs(fixture_set, pairs, model=model_field)
-        backward = rf.evaluate_pairs(fixture_set, pairs[::-1], model=model_field)
+        forward = rf.evaluate_pairs(fixture_set, pairs, model_field)
+        backward = rf.evaluate_pairs(fixture_set, pairs[::-1], model_field)
         assert forward == rf.PairEvaluation(*(getattr(backward, f.name)[::-1]
                                               for f in dataclasses.fields(backward)))
 
     def test_below_threshold_rss_goes_connectivity_only(self, fixture_set, model_field):
-        result = rf.evaluate_pairs(fixture_set, [(1, 5)], model=model_field)
+        result = rf.evaluate_pairs(fixture_set, [(1, 5)], model_field)
         assert result.status[0] == "connectivity_only"
         # the reading is still reported, only kept out of the fusion
         assert result.d_rss[0] == rf.estimate_distance_rss(PARAMS_FIELD, -60.0)
@@ -443,7 +441,7 @@ class TestEvaluatePairs:
             near[j].add(i)
         ids = ms.ids.tolist()
         pairs = sorted(ms.rss)[:60] + [(ids[k], ids[-1 - k]) for k in range(20)]
-        result = rf.evaluate_pairs(ms, pairs, model=model_field)
+        result = rf.evaluate_pairs(ms, pairs, model_field)
         assert list(map(tuple, result.pairs.tolist())) == pairs
         assert 60 <= result.measured.sum() < len(pairs)
         for (i, j), d_conn in zip(result.pairs[result.measured].tolist(),
@@ -499,7 +497,7 @@ class TestSynthesizedFixtures:
             if not linked:
                 continue
             pair = linked[int(rng.integers(len(linked)))]
-            row = rf.evaluate_pairs(ms, [pair], model=model_field)
+            row = rf.evaluate_pairs(ms, [pair], model_field)
             if not row.measured[0]:
                 continue
             total += 1

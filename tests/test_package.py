@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -20,6 +22,26 @@ class TestPublicNames:
         namespace = {}
         exec("from rangefuse import *", namespace)
         assert set(rf.__all__) <= set(namespace)
+
+
+class TestOneChannelSource:
+    """An f(d) table carries its channel, so no entry point takes a second one."""
+
+    def test_no_callable_takes_a_channel_and_a_model(self):
+        both = []
+        for name in rf.__all__:
+            obj = getattr(rf, name)
+            try:
+                parameters = set(inspect.signature(obj).parameters) if callable(obj) else set()
+            except ValueError:  # builtin signatures, e.g. of exception classes
+                continue
+            if "model" in parameters and parameters & {"params", "channel"}:
+                both.append(name)
+        assert both == []
+
+    def test_configs_and_sets_hold_no_channel(self):
+        for cls in (rf.ExperimentConfig, rf.MeasurementSet):
+            assert "channel" not in {f.name for f in dataclasses.fields(cls)}
 
 
 def _run_python(code: str, *args: str) -> str:

@@ -95,7 +95,7 @@ def _counts_by_sets(xy, a, b, reff_a, reff_b):
 
 class TestExperimentConfig:
     def test_validation(self):
-        good = dict(channel=PARAMS_44, mu=20.0, distances=(5.0,), trials=1, seed=0)
+        good = dict(mu=20.0, distances=(5.0,), trials=1, seed=0)
         rf.ExperimentConfig(**good)
         for bad in (
             dict(mu=0.0),
@@ -113,37 +113,23 @@ class TestExperimentConfig:
                 rf.ExperimentConfig(**kwargs)
 
     def test_probe_beyond_cutoff_rejected(self, model44):
-        cfg = rf.ExperimentConfig(
-            channel=PARAMS_44, mu=20.0, distances=(model44.d_th * 1.01,),
-            trials=1, seed=0,
-        )
+        cfg = rf.ExperimentConfig(mu=20.0, distances=(model44.d_th * 1.01,), trials=1, seed=0)
         with pytest.raises(rf.ConfigurationError):
-            rf.run_experiment(cfg, model=model44)
-
-    def test_model_channel_mismatch_rejected(self, model44):
-        cfg = rf.ExperimentConfig(
-            channel=PARAMS_DISK, mu=20.0, distances=(5.0,), trials=1, seed=0
-        )
-        with pytest.raises(rf.ConfigurationError):
-            rf.run_experiment(cfg, model=model44)
+            rf.run_experiment(cfg, model44)
 
 
 class TestRunExperiment:
     def test_noise_free_rss_is_exact(self):
-        cfg = rf.ExperimentConfig(
-            channel=PARAMS_DISK, mu=20.0, distances=(3.0, DISK_R / 2.0), trials=1, seed=0
-        )
-        report = rf.run_experiment(cfg)
+        cfg = rf.ExperimentConfig(mu=20.0, distances=(3.0, DISK_R / 2.0), trials=1, seed=0)
+        report = rf.run_experiment(cfg, rf.build_fd_model(PARAMS_DISK))
         for row in report.rows:
             assert row.rmse_rss <= 1e-9
             assert row.sqrt_crlb == 0.0
 
     def test_reproducible_bit_for_bit(self, model44):
-        cfg = rf.ExperimentConfig(
-            channel=PARAMS_44, mu=20.0, distances=(10.0, 40.0), trials=5, seed=12345
-        )
-        one = rf.run_experiment(cfg, model=model44)
-        two = rf.run_experiment(cfg, model=model44)
+        cfg = rf.ExperimentConfig(mu=20.0, distances=(10.0, 40.0), trials=5, seed=12345)
+        one = rf.run_experiment(cfg, model44)
+        two = rf.run_experiment(cfg, model44)
         assert one == two
         assert one.to_csv_text() == two.to_csv_text()
 
@@ -168,20 +154,16 @@ class TestRunExperiment:
         distances = tuple(f * model44.d_th for f in (0.4, 0.55, 0.7))
         reports = {}
         for mu in (10.0, 40.0):
-            cfg = rf.ExperimentConfig(
-                channel=PARAMS_44, mu=mu, distances=distances, trials=1500, seed=77
-            )
-            reports[mu] = rf.run_experiment(cfg, model=model44)
+            cfg = rf.ExperimentConfig(mu=mu, distances=distances, trials=1500, seed=77)
+            reports[mu] = rf.run_experiment(cfg, model44)
         for sparse, dense in zip(reports[10.0].rows, reports[40.0].rows):
             assert dense.rmse_conn < sparse.rmse_conn
 
 
 class TestRmseReport:
     def test_csv_shape(self, tmp_path):
-        cfg = rf.ExperimentConfig(
-            channel=PARAMS_DISK, mu=15.0, distances=(2.0, 4.0, 6.0), trials=2, seed=9
-        )
-        report = rf.run_experiment(cfg)
+        cfg = rf.ExperimentConfig(mu=15.0, distances=(2.0, 4.0, 6.0), trials=2, seed=9)
+        report = rf.run_experiment(cfg, rf.build_fd_model(PARAMS_DISK))
         path = tmp_path / "report.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()
@@ -218,7 +200,7 @@ def _probe_stream(cfg, model, i_d):
             n = rng.poisson(intensity * side * side, k)
             xy = rng.random((int(n.sum()), 2)) * side
             z = rng.standard_normal((2, xy.shape[0]))
-            obs = rf.sample_rss(cfg.channel, np.full(k, d), rng)
+            obs = rf.sample_rss(model.params, np.full(k, d), rng)
             ends = np.cumsum(n)
             for t in range(k):
                 nodes = slice(ends[t] - n[t], ends[t])
@@ -235,7 +217,7 @@ def _per_trial_oracle(cfg, model):
     plugged in at the clamped connectivity estimate and then at the
     clamped first fused estimate.
     """
-    params, d_th = cfg.channel, model.d_th
+    params, d_th = model.params, model.d_th
     r, spread = rf.pseudo_range(params), params.sigma_r * math.log(10.0)
     rows = []
     for i_d, d in enumerate(cfg.distances):
@@ -288,10 +270,10 @@ class TestBatchedEstimation:
     @staticmethod
     def _check_against_oracle(model44, trials):
         cfg = rf.ExperimentConfig(
-            channel=PARAMS_44, mu=20.0, trials=trials, seed=2024,
+            mu=20.0, trials=trials, seed=2024,
             distances=tuple(f * model44.d_th for f in (0.2, 0.55, 0.9)),
         )
-        report = rf.run_experiment(cfg, model=model44)
+        report = rf.run_experiment(cfg, model44)
         oracle = _per_trial_oracle(cfg, model44)
         for row, expected, d in zip(report.rows, oracle, cfg.distances):
             assert (row.d_true, row.trials) == (d, cfg.trials)
@@ -299,8 +281,8 @@ class TestBatchedEstimation:
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_block_counts_match_set_arithmetic(self, model44):
-        cfg = rf.ExperimentConfig(channel=PARAMS_44, mu=20.0, trials=BLOCK_TRIALS,
-                                  seed=606, distances=(0.4 * model44.d_th,))
+        cfg = rf.ExperimentConfig(mu=20.0, trials=BLOCK_TRIALS, seed=606,
+                                  distances=(0.4 * model44.d_th,))
         side, intensity, a, b, trials = _probe_stream(cfg, model44, 0)
         got, _ = rf.simulator._draw_probe(PARAMS_44, side, intensity, cfg.distances[0],
                                           cfg.trials, np.random.default_rng((cfg.seed, 0)))
@@ -312,7 +294,7 @@ class TestBatchedEstimation:
         assert got.sum() > 0
 
     def test_block_count_means(self, model44):
-        cfg = rf.ExperimentConfig(channel=PARAMS_44, mu=20.0, trials=10**4, seed=99,
+        cfg = rf.ExperimentConfig(mu=20.0, trials=10**4, seed=99,
                                   distances=(0.5 * model44.d_th,))
         side, intensity, _, _, _ = _probe_stream(cfg, model44, 0)
         counts, _ = rf.simulator._draw_probe(PARAMS_44, side, intensity, cfg.distances[0],
@@ -329,13 +311,13 @@ class TestBatchedEstimation:
     def test_empty_trials_fuse_with_supplied_intensity(self, model44, monkeypatch):
         # about 0.9 nodes per trial, so many trials deploy none
         cfg = rf.ExperimentConfig(
-            channel=PARAMS_44, mu=0.05, trials=33, seed=31,
+            mu=0.05, trials=33, seed=31,
             distances=(0.3 * model44.d_th, 0.7 * model44.d_th),
         )
         calls = _spy_estimation(monkeypatch)
-        rf.run_experiment(cfg, model=model44)
+        rf.run_experiment(cfg, model44)
         (args, _, est), = calls  # one batch for the whole run
-        m, p, q = args[3:6]
+        m, p, q = args[2:5]
         empty = np.array([n == 0 for i_d in range(len(cfg.distances))
                           for n, _, _, _ in _probe_stream(cfg, model44, i_d)[4]])
         assert empty.sum() >= 10
@@ -348,7 +330,7 @@ class TestExpectedErrors:
     def test_rss_leg_matches_lognormal_law(self, model44):
         lam = rf.mu_to_lambda(20.0, model44.s_mass)
         d = 0.5 * model44.d_th
-        exact = rf.expected_errors(PARAMS_44, model44, lam, d)
+        exact = rf.expected_errors(model44, lam, d)
         s = PARAMS_44.sigma_r * math.log(10.0)
         rmse = d * math.sqrt(math.exp(2 * s * s) - 2 * math.exp(s * s / 2) + 1)
         assert exact.rmse_rss == pytest.approx(rmse, rel=1e-12)
@@ -358,21 +340,21 @@ class TestExpectedErrors:
         for d, lam in ((0.0, 0.01), (1.01 * model44.d_th, 0.01), (10.0, 0.0),
                        (10.0, -0.01), (10.0, math.inf)):
             with pytest.raises(ValueError):
-                rf.expected_errors(PARAMS_44, model44, lam, d)
+                rf.expected_errors(model44, lam, d)
 
     def test_seeded_run_matches_exact_law(self, model44, monkeypatch):
         # each Monte Carlo RMSE and mean error within 4 of its standard errors
         cfg = rf.ExperimentConfig(
-            channel=PARAMS_44, mu=20.0, trials=400, seed=4242,
+            mu=20.0, trials=400, seed=4242,
             distances=tuple(f * model44.d_th for f in (0.2, 0.5, 0.8)),
         )
         calls = _spy_estimation(monkeypatch)
-        report = rf.run_experiment(cfg, model=model44)
+        report = rf.run_experiment(cfg, model44)
         (args, _, est), = calls
         lam = rf.mu_to_lambda(cfg.mu, model44.s_mass)
-        estimates = np.stack([args[2], est.d_conn, est.d_fused]).reshape(3, -1, cfg.trials)
+        estimates = np.stack([args[1], est.d_conn, est.d_fused]).reshape(3, -1, cfg.trials)
         for i_d, (row, d) in enumerate(zip(report.rows, cfg.distances)):
-            exact = rf.expected_errors(PARAMS_44, model44, lam, d)
+            exact = rf.expected_errors(model44, lam, d)
             err = estimates[:, i_d] - d
             rmse = np.sqrt(np.mean(err * err, axis=1))
             assert list(rmse) == [row.rmse_rss, row.rmse_conn, row.rmse_fused]
