@@ -28,7 +28,7 @@ from .connectivity import build_fd_model, load_fd_model, save_fd_model
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
 from .dataset import checked_ranges, evaluate_pairs, load_measurements
-from .pipeline import CONNECTIVITY_ONLY, RSS_ONLY, estimate_pairs
+from .pipeline import CONNECTIVITY_ONLY, RSS_ONLY, clamp_to_cutoff, estimate_pairs
 from .simulator import ExperimentConfig, mu_to_lambda, run_experiment
 
 _CHANNEL_FLAGS = (
@@ -188,14 +188,11 @@ def _cmd_crlb(args) -> int:
     else:
         distances = tuple(model.d_th * k / 20.0 for k in range(1, 20))
     for d in distances:
-        if not 0.0 < d < model.d_th:
-            raise ConfigurationError(
-                f"distance {d!r} outside the open interval (0, {model.d_th!r})"
-            )
-    lines = ["d,crlb_variance,sqrt_crlb"]
-    for d in distances:
-        variance = crlb_distance(model, intensity, d)
-        lines.append(f"{float(d)!r},{variance!r},{math.sqrt(variance)!r}")
+        if not 0.0 < d <= model.d_th:
+            raise ConfigurationError(f"distance {d!r} outside (0, {model.d_th!r}]")
+    variances = crlb_distance(model, intensity, distances).tolist()
+    lines = ["d,crlb_variance,sqrt_crlb",
+             *(f"{d!r},{v!r},{math.sqrt(v)!r}" for d, v in zip(distances, variances))]
     with atomic_output(args.output) as partial:
         partial.write_text("\n".join(lines) + "\n")
     return 0
@@ -217,8 +214,7 @@ def _cmd_estimate(args) -> int:
     status, conn = str(est.status[0]), lam > 0.0
     sqrt_crlb = math.nan
     if conn and params.sigma_db > 0.0 and d_fused > 0.0:
-        # the bound needs a point strictly inside the cutoff
-        point = min(max(d_fused, 1e-9 * model.d_th), math.nextafter(model.d_th, 0.0))
+        point = clamp_to_cutoff(d_fused, model.d_th)
         sqrt_crlb = math.sqrt(crlb_distance(model, lam, point))
     for applies, note in (
         (not conn, "all-zero counts: no intensity estimate, connectivity unusable"
@@ -309,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_crlb.add_argument("--mu", type=float, default=None)
     p_crlb.add_argument("--intensity", type=float, default=None,
                         help="node intensity, overrides --mu")
-    p_crlb.add_argument("--distances", default=None)
+    p_crlb.add_argument("--distances", default=None,
+                        help="comma-separated meters in (0, d_th] (default 0.05-0.95 d_th)")
     p_crlb.add_argument("--output", required=True)
     p_crlb.set_defaults(func=_cmd_crlb)
 
@@ -338,8 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Fail before any work when an output path is a directory or its folder is not writable."""
-    for path in filter(None, (getattr(args, "output", None), getattr(args, "json", None))):
+    """Fail before any work on an output that is a directory, unwritable, or named twice."""
+    paths = list(filter(None, (getattr(args, "output", None), getattr(args, "json", None))))
+    if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
+        raise ConfigurationError(f"--output and --json both name {paths[1]}")
+    for path in paths:
         if Path(path).is_dir():
             raise ConfigurationError(f"cannot write {path}: it is a directory")
         folder = Path(path).resolve().parent

@@ -15,7 +15,8 @@ from pathlib import Path
 from .channel import ChannelParams
 from .errors import ConfigurationError
 
-CHANNEL_KEYS = ("p_ref_dbm", "d0_m", "alpha", "sigma_db", "rss_threshold_dbm")
+# in the order f(d) tables write them
+CHANNEL_KEYS = ("p_ref_dbm", "alpha", "sigma_db", "rss_threshold_dbm", "d0_m")
 EXPERIMENT_KEYS = ("mu", "distances", "trials", "seed", "margin", "n_knots", "quad_tol")
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import LN10, ChannelParams, link_probability, pseudo_range
-from .config import atomic_output, channel_from_mapping, channel_to_mapping
+from .config import CHANNEL_KEYS, atomic_output, channel_from_mapping, channel_to_mapping
 from .errors import ConfigurationError, ModelConstructionError, NumericError
 
 # Link probabilities below this are treated as zero when truncating the
@@ -407,7 +407,7 @@ def conn_error_sigma(model: FdModel, intensity, d_plugin):
     """
     intensity = np.asarray(intensity, dtype=float)
     if not np.all(intensity > 0.0):
-        raise ValueError(f"intensity must be positive, got {intensity!r}")
+        raise ValueError(f"intensity must be positive, got {np.min(intensity):g}")
     d_plugin = np.asarray(d_plugin, dtype=float)
     if not np.all((d_plugin > 0.0) & (d_plugin <= model.d_th)):
         raise ValueError(f"d_plugin must lie in (0, d_th], got {d_plugin!r}")
@@ -431,13 +431,13 @@ def conn_error_sigma(model: FdModel, intensity, d_plugin):
 
 
 _FD_HEADER = "fdmodel v1"
-_FD_PARAM_KEYS = ("p_ref_dbm", "alpha", "sigma_db", "rss_threshold_dbm", "d0_m")
+_FD_FIELDS = (*CHANNEL_KEYS, "s_mass", "d_th", "n_knots")
 
 
 def save_fd_model(model: FdModel, path) -> None:
     """Write the model to a versioned flat text file (full float precision), atomically."""
     params = channel_to_mapping(model.params)
-    lines = [_FD_HEADER, *(f"{key} = {params[key]}" for key in _FD_PARAM_KEYS)]
+    lines = [_FD_HEADER, *(f"{key} = {params[key]}" for key in CHANNEL_KEYS)]
     lines += [f"s_mass = {model.s_mass!r}", f"d_th = {model.d_th!r}",
               f"n_knots = {model.n_knots}", "knots:"]
     lines += [f"{float(d)!r}, {float(f_val)!r}" for d, f_val in zip(model.knots_d, model.knots_f)]
@@ -469,10 +469,13 @@ def load_fd_model(path) -> FdModel:
                 knots.append((float(d_text), float(f_text)))
             else:
                 key, value = (text.strip() for text in line.split("="))
+                if key not in _FD_FIELDS or key in fields:
+                    problem = "repeated" if key in fields else "unknown"
+                    raise ConfigurationError(f"{path}:{lineno}: {problem} header field {key!r}")
                 fields[key] = (int if key == "n_knots" else float)(value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: malformed line {line!r}") from exc
-    missing = [k for k in (*_FD_PARAM_KEYS, "s_mass", "d_th", "n_knots") if k not in fields]
+    missing = [k for k in _FD_FIELDS if k not in fields]
     if missing:
         raise ConfigurationError(f"{path}: missing header fields {missing}")
     if len(knots) != fields["n_knots"]:

@@ -7,14 +7,17 @@ jointly, so the bound on d is the (d, d) entry of the inverse of the 2x2
 Fisher information matrix. Eliminating the intensity leaves the counts
 1/sigma_c^2 of information about d, with sigma_c from conn_error_sigma.
 f and its slope come from the tabulated piecewise-linear model; knots
-resolve to the left segment. The channel, which sets the RSS term, is the
-one the model was built for (model.params).
+resolve to the left segment, so the bound, like conn_error_sigma, takes
+arrays on (0, d_th]. The channel, which sets the RSS term, is the one the
+model was built for (model.params).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import LN10, ChannelParams
 from .connectivity import FdModel, conn_error_sigma, eval_fd, fd_slope
@@ -68,13 +71,16 @@ def fim(model: FdModel, intensity: float, d) -> FisherInfo:
     return FisherInfo(i_dd=i_dd, i_dl=-slope, i_ll=(2.0 * s - f_val) / intensity)
 
 
-def crlb_distance(model: FdModel, intensity: float, d) -> float:
-    """Lower bound on the variance of any unbiased distance estimate.
+def crlb_distance(model: FdModel, intensity, d):
+    """Lower bound on the variance of any unbiased distance estimate; takes arrays.
 
     The (d, d) entry of the inverse information matrix: the inverse of the
-    connectivity information 1/sigma_c^2 plus the RSS information.
+    connectivity information 1/sigma_c^2 plus the RSS information, on the
+    domain of conn_error_sigma, which checks the arguments: d in (0, d_th].
     """
-    d = float(d)
-    _check_point(model, intensity, d)
     sigma_c = conn_error_sigma(model, intensity, d)
-    return 1.0 / (sigma_c**-2 + rss_fisher_scale(model.params) / (d * d))
+    d = np.asarray(d, dtype=float)
+    # float_power is libm's pow; numpy's SIMD ** differs from it in the last
+    # bit for about one sigma_c in twenty
+    out = 1.0 / (np.float_power(sigma_c, -2.0) + rss_fisher_scale(model.params) / (d * d))
+    return out if out.ndim else float(out)

@@ -34,7 +34,7 @@ class PairEstimates(NamedTuple):
     status: np.ndarray
 
 
-def _clamp_to_cutoff(d, d_th):
+def clamp_to_cutoff(d, d_th):
     """Clamp distances to [1e-9 d_th, d_th], where the error scales are defined."""
     return np.clip(d, 1e-9 * d_th, d_th)
 
@@ -68,13 +68,13 @@ def estimate_pairs(model: FdModel, d_rss, m, p, q, intensity=None) -> PairEstima
     rss, conn = ~np.isnan(d_rss), lam > 0.0
 
     sigma_c = np.full(d_conn.shape, math.nan)
-    sigma_c[conn] = conn_error_sigma(model, lam[conn], _clamp_to_cutoff(d_conn[conn], d_th))
+    sigma_c[conn] = conn_error_sigma(model, lam[conn], clamp_to_cutoff(d_conn[conn], d_th))
 
     d_fused = np.where(rss, np.fmin(d_rss, d_th), np.where(conn, d_conn, 0.0))
     status = np.where(rss, RSS_ONLY, np.where(conn, CONNECTIVITY_ONLY, NO_INFORMATION))
     fuse = rss & conn & (params.sigma_db > 0.0)
     x1, x2, lam_fuse = d_rss[fuse], d_conn[fuse], lam[fuse]
     first, _ = fuse_arrays(x1, x2, params.sigma_r, sigma_c[fuse], d_th)
-    sigma_c[fuse] = conn_error_sigma(model, lam_fuse, _clamp_to_cutoff(first, d_th))
+    sigma_c[fuse] = conn_error_sigma(model, lam_fuse, clamp_to_cutoff(first, d_th))
     d_fused[fuse], status[fuse] = fuse_arrays(x1, x2, params.sigma_r, sigma_c[fuse], d_th)
     return PairEstimates(d_conn, d_fused, sigma_c, lam, status)

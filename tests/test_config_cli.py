@@ -197,6 +197,25 @@ class TestSimulateCommand:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_margin_one_probe_at_the_cutoff(self, tmp_path):
+        # on this channel the endpoint's distance to the edge, (3 d_th - d_th) / 2,
+        # rounds to one ulp below d_th
+        channel = ["--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", "4",
+                   "--rss-threshold-dbm", "-98.5"]
+        table, out = tmp_path / "fd.txt", tmp_path / "r.csv"
+        assert main(["fd-table", *channel, "--n-knots", "8", "--quad-tol", "1e-3",
+                     "--output", str(table)]) == 0
+        model = rf.load_fd_model(table)
+        side = 3.0 * model.d_th
+        assert (side - model.d_th) / 2.0 < model.d_th
+        assert main(["simulate", *channel, "--fd-table", str(table), "--mu", "20",
+                     "--trials", "20", "--distances", repr(model.d_th), "--margin", "1",
+                     "--output", str(out)]) == 0
+        (row,) = out.read_text().splitlines()[1:]
+        d, *_, sqrt_crlb, _ = map(float, row.split(","))
+        lam = 20.0 / model.s_mass
+        assert (d, sqrt_crlb) == (model.d_th, math.sqrt(rf.crlb_distance(model, lam, d)))
+
     def test_missing_experiment_settings(self, tmp_path):
         code = main(["simulate", "--p-ref-dbm", "-37.47", "--alpha", "4",
                      "--sigma-db", "4", "--rss-threshold-dbm", "-100",
@@ -253,6 +272,21 @@ class TestCrlbCommand:
         for line in lines[1:]:
             d, var, sd = (float(v) for v in line.split(","))
             assert sd == pytest.approx(var**0.5, rel=1e-12)
+
+    def test_cutoff_is_the_last_distance(self, cfg_path, tmp_path, capsys, model44):
+        table, out = tmp_path / "fd.txt", tmp_path / "crlb.csv"
+        rf.save_fd_model(model44, table)
+        argv = ["crlb", "--config", str(cfg_path), "--fd-table", str(table), "--mu", "20",
+                "--output", str(out)]
+        assert main(argv + ["--distances", repr(model44.d_th)]) == 0
+        variance = float(out.read_text().splitlines()[1].split(",")[1])
+        assert variance == rf.crlb_distance(model44, 20.0 / model44.s_mass, model44.d_th)
+        out.unlink()
+        beyond = math.nextafter(model44.d_th, math.inf)
+        assert main(argv + ["--distances", repr(beyond)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: distance {beyond!r} outside (0, {model44.d_th!r}]\n")
+        assert not out.exists()
 
     def test_requires_density(self, cfg_path, tmp_path):
         code = main(["crlb", "--config", str(cfg_path), "--n-knots", "16",
@@ -492,6 +526,28 @@ class TestDamagedTable:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, problem", [
+        ("alpha = 2.3", "repeated header field 'alpha'"),
+        ("bogus = 7", "unknown header field 'bogus'"),
+    ], ids=["repeated", "unknown"])
+    def test_header_field_repeated_or_unknown(self, cfg_path, tmp_path, capsys, model44,
+                                              extra, problem):
+        # a second alpha would silently change the channel of every estimate
+        table, out = tmp_path / "bad.fd", tmp_path / "out.csv"
+        rf.save_fd_model(model44, table)
+        lines = table.read_text().splitlines()
+        k = lines.index("alpha = 4.0") + 1
+        lines.insert(k, extra)
+        table.write_text("\n".join(lines) + "\n")
+        with pytest.raises(rf.ConfigurationError):
+            rf.load_fd_model(table)
+        code = main(["crlb", "--mu", "20", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {table}:{k + 1}: {problem}\n"
+        assert not out.exists()
+
 
 class TestTableForAnotherChannel:
     """The library reads the channel from the table, so the CLI checks a loaded table's."""
@@ -658,6 +714,19 @@ class TestOutputPrecheck:
         assert capsys.readouterr().err == f"error: cannot write {folder}: it is a directory\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini", "taken"]
         assert list(folder.iterdir()) == []
+
+    @pytest.mark.parametrize("json_path", ["r.csv", "./r.csv", "sub/../r.csv"])
+    def test_output_and_json_naming_one_file(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                             json_path):
+        monkeypatch.setattr("rangefuse.cli.run_experiment", _never)
+        monkeypatch.setattr("rangefuse.cli.build_fd_model", _never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code = main(["simulate", "--config", str(cfg_path), "--output", "r.csv",
+                     "--json", json_path])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --output and --json both name {json_path}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini", "sub"]
 
 
 class TestModelCacheAtomic:

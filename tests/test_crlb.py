@@ -94,6 +94,26 @@ class TestCrlbDistance:
         bound = rf.crlb_distance(model, 0.2, d)
         assert bound == pytest.approx(d * d / rf.rss_fisher_scale(PARAMS_44), rel=1e-9)
 
+    def test_array_matches_scalar_calls_bit_for_bit(self, model44):
+        # d_th included: the bound is defined on (0, d_th]
+        lam = _intensity(model44)
+        d = np.concatenate([np.linspace(0.01, 1.0, 50) * model44.d_th, model44.knots_d[1:]])
+        assert d[49] == d[-1] == model44.d_th
+        bounds = rf.crlb_distance(model44, lam, d)
+        assert bounds.shape == d.shape
+        scale = rf.rss_fisher_scale(PARAMS_44)
+        for x, bound in zip(d.tolist(), bounds.tolist()):
+            assert bound == rf.crlb_distance(model44, lam, x)
+            # the formula in Python floats, with libm's pow
+            sigma_c = rf.conn_error_sigma(model44, lam, x)
+            assert bound == 1.0 / (sigma_c**-2 + scale / (x * x))
+
+    def test_rejects_distances_outside_the_cutoff(self, model44):
+        lam = _intensity(model44)
+        for bad in (0.0, math.nextafter(model44.d_th, math.inf), math.nan):
+            with pytest.raises(ValueError, match="d_th"):
+                rf.crlb_distance(model44, lam, [10.0, bad])
+
     def test_strictly_below_rss_bound_with_slope(self, model44):
         lam = _intensity(model44)
         for d in (10.0, 30.0, 60.0):

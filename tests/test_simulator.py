@@ -71,12 +71,6 @@ class TestLinks:
         assert rf.simulator._links(PARAMS_DISK, xy, a, z[0]).tolist() == [True, False, True, False]
         assert rf.simulator._links(PARAMS_DISK, xy, b, z[1]).tolist() == [True, False, False, True]
 
-    def test_margin_violation_raises(self):
-        # the pair sits at the center, so both endpoints are within the cutoff of an edge
-        side = 1.5 * rf.threshold_distance(PARAMS_DISK)
-        with pytest.raises(rf.ConfigurationError):
-            rf.simulator._draw_probe(PARAMS_DISK, side, 0.01, 1.0, 1, np.random.default_rng(5))
-
 
 def _counts_by_sets(xy, a, b, reff_a, reff_b):
     near_a = set()
