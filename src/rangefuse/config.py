@@ -55,6 +55,10 @@ def channel_to_mapping(params: ChannelParams) -> dict:
 
 
 def channel_from_mapping(mapping) -> ChannelParams:
+    """Channel parameters from exactly the CHANNEL_KEYS; unknown keys are rejected."""
+    unknown = [key for key in mapping if key not in CHANNEL_KEYS]
+    if unknown:
+        raise ConfigurationError(f"unknown channel keys: {', '.join(sorted(unknown))}")
     missing = [key for key in CHANNEL_KEYS if key not in mapping]
     if missing:
         raise ConfigurationError(f"channel section is missing keys: {', '.join(missing)}")
@@ -121,12 +125,13 @@ def load_config(path):
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    channel = None
-    if parser.has_section("channel"):
-        channel = channel_from_mapping(dict(parser.items("channel")))
-    experiment = {}
-    if parser.has_section("experiment"):
-        experiment = experiment_from_mapping(dict(parser.items("experiment")))
+    try:
+        channel = (channel_from_mapping(dict(parser.items("channel")))
+                   if parser.has_section("channel") else None)
+        experiment = (experiment_from_mapping(dict(parser.items("experiment")))
+                      if parser.has_section("experiment") else {})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return channel, experiment
 
 

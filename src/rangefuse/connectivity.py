@@ -389,6 +389,32 @@ def invert_counts(model: FdModel, m, p, q):
     return out if out.ndim else float(out)
 
 
+def _require(values, ok, what: str) -> None:
+    """Raise ValueError naming the first of values where the mask ok is False."""
+    if not np.all(ok):
+        bad = np.asarray(values)[np.logical_not(ok)].flat[0]
+        raise ValueError(f"{what}, got {float(bad)!r}")
+
+
+def _model_point(model: FdModel, intensity, d):
+    """Checked (intensity, d, f(d), f'(d)) at points of the model; takes arrays.
+
+    The one argument check of every function of a model point: 0 <
+    intensity < inf, d in (0, d_th] and 0 < f(d) < S. intensity and d come
+    back as arrays broadcast to one shape, f and its slope (left segment at
+    knots) as eval_fd and fd_slope give them.
+    """
+    intensity, d = np.broadcast_arrays(np.asarray(intensity, dtype=float),
+                                       np.asarray(d, dtype=float))
+    _require(intensity, (intensity > 0.0) & (intensity < math.inf),
+             "intensity must be positive and finite")
+    _require(d, (d > 0.0) & (d <= model.d_th), f"d must lie in (0, d_th={model.d_th!r}]")
+    f_val = eval_fd(model, d)
+    _require(f_val, (f_val > 0.0) & (f_val < model.s_mass),
+             f"f(d) must lie in (0, S={model.s_mass!r}); degenerate model")
+    return intensity, d, f_val, fd_slope(model, d)
+
+
 def conn_error_sigma(model: FdModel, intensity, d_plugin):
     """Standard deviation of the connectivity estimate's error near d_plugin.
 
@@ -401,32 +427,20 @@ def conn_error_sigma(model: FdModel, intensity, d_plugin):
     (left segment at knots) scales it to sigma_c = S sqrt(Var(rho)) / |f'|.
     sigma_c^2 equals the connectivity-only Cramer-Rao bound, the inverse
     of the Schur complement of the count information over (d, intensity),
-    so the overlap-ratio estimator is asymptotically efficient. Both
-    arguments may be arrays of one shape. Raises ValueError where an
-    extreme intensity puts sigma_c or 1/sigma_c^2 outside the positive floats.
+    so the overlap-ratio estimator is asymptotically efficient. The
+    arguments broadcast and are checked by _model_point, the check the
+    bound shares: 0 < intensity < inf, d_plugin in (0, d_th], 0 < f < S.
+    Raises ValueError also where an extreme intensity puts sigma_c or
+    1/sigma_c^2 outside the positive floats.
     """
-    intensity = np.asarray(intensity, dtype=float)
-    if not np.all(intensity > 0.0):
-        raise ValueError(f"intensity must be positive, got {np.min(intensity):g}")
-    d_plugin = np.asarray(d_plugin, dtype=float)
-    if not np.all((d_plugin > 0.0) & (d_plugin <= model.d_th)):
-        raise ValueError(f"d_plugin must lie in (0, d_th], got {d_plugin!r}")
-    f_val = eval_fd(model, d_plugin)
+    intensity, _, f_val, slope = _model_point(model, intensity, d_plugin)
     s = model.s_mass
-    if not np.all((f_val > 0.0) & (f_val < s)):
-        raise ValueError(
-            f"f({d_plugin!r})={f_val!r} is outside (0, S={s!r}); degenerate model"
-        )
-    slope = fd_slope(model, d_plugin)
     with np.errstate(all="ignore"):
         var_rho = f_val * (s - f_val) * (2.0 * s - f_val) / (2.0 * intensity * s**4)
         out = s * np.sqrt(var_rho) / np.abs(slope)
         info = 1.0 / np.square(out)
-    ok = (out > 0.0) & (out < math.inf) & (info > 0.0) & (info < math.inf)
-    if not np.all(ok):
-        lam = np.broadcast_to(intensity, out.shape)[~ok].flat[0]
-        raise ValueError(f"intensity {lam:g} puts the connectivity error scale sigma_c "
-                         "outside the positive floats")
+    _require(intensity, (out > 0.0) & (out < math.inf) & (info > 0.0) & (info < math.inf),
+             "intensity puts the connectivity error scale sigma_c outside the positive floats")
     return out if out.ndim else float(out)
 
 
@@ -480,7 +494,7 @@ def load_fd_model(path) -> FdModel:
         raise ConfigurationError(f"{path}: missing header fields {missing}")
     if len(knots) != fields["n_knots"]:
         raise ConfigurationError(f"{path}: expected {fields['n_knots']} knots, found {len(knots)}")
-    params = channel_from_mapping(fields)
+    params = channel_from_mapping({key: fields[key] for key in CHANNEL_KEYS})
     knots_arr = np.asarray(knots, dtype=float).reshape(-1, 2)
     try:
         return FdModel(

@@ -31,7 +31,7 @@ from .channel import (
     sample_rss,
 )
 from .config import atomic_output
-from .connectivity import FdModel, eval_fd
+from .connectivity import FdModel, _model_point
 from .crlb import crlb_distance
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
@@ -273,12 +273,7 @@ def expected_errors(model: FdModel, intensity: float, d: float) -> ExpectedError
     1e-14, renormalized likewise. The whole grid goes through
     estimate_pairs as one batch. The channel is model.params.
     """
-    d = float(d)
-    if not 0.0 < d <= model.d_th:
-        raise ValueError(f"d must lie in (0, d_th], got {d!r}")
-    if not 0.0 < intensity < math.inf:
-        raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
-    f_val = float(eval_fd(model, d))
+    intensity, d, f_val, _ = (float(x) for x in _model_point(model, intensity, d))
     joint = np.outer(_poisson_pmf(intensity * f_val),
                      _poisson_pmf(2.0 * intensity * (model.s_mass - f_val)))
     m, y = np.nonzero(joint > _PMF_FLOOR)

@@ -68,7 +68,8 @@ def test_criterion_2_rss_error_law():
 def test_criterion_3_crlb_self_consistency(model44):
     lam = rf.mu_to_lambda(20.0, model44.s_mass)
     worst = 0.0
-    for d in np.linspace(0.03, 0.97, 20) * model44.d_th:
+    # the grid ends at d_th: fim and the bound share the domain (0, d_th]
+    for d in np.linspace(0.03, 1.0, 20) * model44.d_th:
         info = rf.fim(model44, lam, float(d))
         schur = 1.0 / (info.i_dd - info.i_dl**2 / info.i_ll)
         closed = rf.crlb_distance(model44, lam, float(d))

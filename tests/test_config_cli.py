@@ -103,6 +103,17 @@ class TestConfigFiles:
         with pytest.raises(rf.ConfigurationError):
             config.load_config(path)
 
+    def test_unknown_channel_key_rejected(self, tmp_path, capsys):
+        # a misspelled d0_m must not load silently beside the real one
+        path = tmp_path / "bad.ini"
+        path.write_text("[channel]\np_ref_dbm = -37.47\nd0_m = 1.0\nd0 = 2.0\nalpha = 4.0\n"
+                        "sigma_db = 4.0\nrss_threshold_dbm = -100.0\n")
+        with pytest.raises(rf.ConfigurationError, match="unknown channel keys: d0$"):
+            config.load_config(path)
+        assert main(["crlb", "--config", str(path), "--mu", "20",
+                     "--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown channel keys: d0\n"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(rf.ConfigurationError):
             config.load_config(tmp_path / "nothing.ini")

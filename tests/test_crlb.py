@@ -53,29 +53,30 @@ class TestFim:
         )
 
     def test_positive_definite_across_the_interior(self, model44):
-        lam = _intensity(model44)
-        for d in np.linspace(0.02, 0.98, 25) * model44.d_th:
-            info = rf.fim(model44, lam, float(d))
-            assert info.i_dd > 0 and info.i_ll > 0
-            assert info.i_dd * info.i_ll - info.i_dl**2 > 0
+        d = np.linspace(0.02, 1.0, 50) * model44.d_th
+        assert d[-1] == model44.d_th
+        info = rf.fim(model44, _intensity(model44), d)
+        assert np.all(info.i_dd > 0) and np.all(info.i_ll > 0)
+        assert np.all(info.i_dd * info.i_ll - info.i_dl**2 > 0)
 
     def test_domain_errors(self, model44):
+        # the domain of the bound: d in (0, d_th], 0 < intensity < inf
         lam = _intensity(model44)
-        with pytest.raises(ValueError):
-            rf.fim(model44, lam, 0.0)
-        with pytest.raises(ValueError):
-            rf.fim(model44, lam, model44.d_th)
-        with pytest.raises(ValueError):
-            rf.fim(model44, 0.0, 10.0)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError):
-                rf.crlb_distance(model44, bad, 10.0)
+        rf.fim(model44, lam, model44.d_th)
+        for bad in (0.0, math.nextafter(model44.d_th, math.inf), math.nan):
+            with pytest.raises(ValueError, match="d_th"):
+                rf.fim(model44, lam, bad)
+        for bad in (0.0, math.inf, math.nan):
+            for fn in (rf.fim, rf.crlb_distance):
+                with pytest.raises(ValueError, match="intensity"):
+                    fn(model44, bad, 10.0)
 
 
 class TestCrlbDistance:
     def test_schur_complement_identity(self, model44):
         lam = _intensity(model44)
-        for d in np.linspace(0.03, 0.97, 20) * model44.d_th:
+        # d_th included: fim and the bound share the domain (0, d_th]
+        for d in np.linspace(0.03, 1.0, 20) * model44.d_th:
             info = rf.fim(model44, lam, float(d))
             schur = 1.0 / (info.i_dd - info.i_dl**2 / info.i_ll)
             assert rf.crlb_distance(model44, lam, float(d)) == pytest.approx(
@@ -100,10 +101,13 @@ class TestCrlbDistance:
         d = np.concatenate([np.linspace(0.01, 1.0, 50) * model44.d_th, model44.knots_d[1:]])
         assert d[49] == d[-1] == model44.d_th
         bounds = rf.crlb_distance(model44, lam, d)
+        info = rf.fim(model44, lam, d)
         assert bounds.shape == d.shape
+        assert all(entry.shape == d.shape for entry in info)
         scale = rf.rss_fisher_scale(PARAMS_44)
-        for x, bound in zip(d.tolist(), bounds.tolist()):
+        for i, (x, bound) in enumerate(zip(d.tolist(), bounds.tolist())):
             assert bound == rf.crlb_distance(model44, lam, x)
+            assert rf.fim(model44, lam, x) == tuple(entry[i] for entry in info)
             # the formula in Python floats, with libm's pow
             sigma_c = rf.conn_error_sigma(model44, lam, x)
             assert bound == 1.0 / (sigma_c**-2 + scale / (x * x))
