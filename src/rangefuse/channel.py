@@ -12,7 +12,7 @@ RSS observations are plain floats in dBm throughout this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,10 +76,10 @@ class ChannelParams:
     d0: float = 1.0
 
     def __post_init__(self):
-        for name in ("p_ref_dbm", "alpha", "sigma_db", "rss_threshold_dbm", "d0"):
-            value = getattr(self, name)
+        for item in fields(self):
+            value = getattr(self, item.name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{item.name} must be finite, got {value!r}")
         if self.d0 <= 0:
             raise ValueError(f"d0 must be > 0, got {self.d0!r}")
         if self.alpha <= 0:

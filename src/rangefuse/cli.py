@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import MISSING, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +32,26 @@ from .dataset import checked_ranges, evaluate_pairs, load_measurements
 from .pipeline import CONNECTIVITY_ONLY, RSS_ONLY, clamp_to_cutoff, estimate_pairs
 from .simulator import ExperimentConfig, mu_to_lambda, run_experiment
 
-_CHANNEL_FLAGS = (
-    ("p_ref_dbm", "--p-ref-dbm", "mean RSS at the reference distance, dBm"),
-    ("alpha", "--alpha", "path loss exponent"),
-    ("sigma_db", "--sigma-db", "shadowing standard deviation, dB"),
-    ("rss_threshold_dbm", "--rss-threshold-dbm", "minimum RSS for a link, dBm"),
-    ("d0", "--d0", "reference distance, m (default 1)"),
-)
+# the help text of each ChannelParams field's flag, in field order; the
+# flag of field p_ref_dbm is --p-ref-dbm, and so on
+_CHANNEL_FLAGS = {
+    "p_ref_dbm": "mean RSS at the reference distance, dBm",
+    "alpha": "path loss exponent",
+    "sigma_db": "shadowing standard deviation, dB",
+    "rss_threshold_dbm": "minimum RSS for a link, dBm",
+    "d0": f"reference distance, m (default {ChannelParams.d0})",
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_channel_arguments(parser):
-    parser.add_argument("--config", help="config file with a [channel] section")
-    for _, flag, help_text in _CHANNEL_FLAGS:
-        parser.add_argument(flag, type=float, default=None, help=help_text)
+    parser.add_argument("--config", help="config file with [channel] and [experiment] "
+                                         "sections; flags beat its settings")
+    for name, help_text in _CHANNEL_FLAGS.items():
+        parser.add_argument(_flag(name), type=float, default=None, help=help_text)
 
 
 def _add_table_arguments(parser):
@@ -68,26 +76,21 @@ def _resolve_channel(args) -> tuple:
     """
     base, experiment = load_config(args.config) if args.config else (None, {})
     values = {}
-    for name, flag, _ in _CHANNEL_FLAGS:
-        override = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if override is not None:
-            values[name] = override
+    for item in fields(ChannelParams):
+        name = item.name
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
         elif base is not None:
             values[name] = getattr(base, name)
-        elif name == "d0":
-            values[name] = 1.0
-        else:
+        elif item.default is MISSING:
             raise ConfigurationError(
-                f"channel parameter {name} missing: supply {flag} or a config file"
+                f"channel parameter {name} missing: supply {_flag(name)} or a config file"
             )
     return ChannelParams(**values), experiment
 
 
 def _model_cache_key(params: ChannelParams, n_knots: int, quad_tol: float) -> str:
-    text = (
-        f"{params.p_ref_dbm!r}|{params.alpha!r}|{params.sigma_db!r}|"
-        f"{params.rss_threshold_dbm!r}|{params.d0!r}|{n_knots}|{quad_tol!r}"
-    )
+    text = "|".join(map(repr, (*astuple(params), n_knots, quad_tol)))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -155,8 +158,6 @@ def _cmd_simulate(args) -> int:
     flags = {"mu": args.mu, "trials": args.trials, "seed": args.seed, "margin": args.margin,
              "distances": None if args.distances is None else parse_distances(args.distances)}
     settings.update({key: value for key, value in flags.items() if value is not None})
-    settings.setdefault("trials", 10000)
-    settings.setdefault("seed", 0)
     missing = [key for key in ("mu", "distances") if key not in settings]
     if missing:
         raise ConfigurationError(
@@ -290,11 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p_sim)
     p_sim.add_argument("--mu", type=float, default=None,
                        help="expected neighbor count per node")
-    p_sim.add_argument("--trials", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--trials", type=int, default=None,
+                       help=f"Monte Carlo trials per distance (default {ExperimentConfig.trials})")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help=f"master random seed (default {ExperimentConfig.seed})")
     p_sim.add_argument("--distances", default=None, help="comma-separated meters")
     p_sim.add_argument("--margin", type=float, default=None,
-                       help="edge margin in cutoff-distance multiples")
+                       help="edge margin in cutoff-distance multiples "
+                            f"(default {ExperimentConfig.margin})")
     p_sim.add_argument("--output", required=True, help="CSV report path")
     p_sim.add_argument("--json", default=None, help="also write a JSON report here")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -302,12 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_crlb = sub.add_parser("crlb", help="variance lower-bound curve as CSV")
     _add_channel_arguments(p_crlb)
     _add_model_arguments(p_crlb)
-    p_crlb.add_argument("--mu", type=float, default=None)
+    p_crlb.add_argument("--mu", type=float, default=None,
+                        help="expected neighbor count per node")
     p_crlb.add_argument("--intensity", type=float, default=None,
                         help="node intensity, overrides --mu")
     p_crlb.add_argument("--distances", default=None,
                         help="comma-separated meters in (0, d_th] (default 0.05-0.95 d_th)")
-    p_crlb.add_argument("--output", required=True)
+    p_crlb.add_argument("--output", required=True, help="CSV bound curve path")
     p_crlb.set_defaults(func=_cmd_crlb)
 
     p_est = sub.add_parser("estimate", help="estimate one pair's distance")
@@ -327,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_data.add_argument("--input", required=True, help="measurement file")
     p_data.add_argument("--pairs", required=True,
                         help="comma-separated id pairs, e.g. 24-25,15-23")
-    p_data.add_argument("--intensity", type=float, default=None)
+    p_data.add_argument("--intensity", type=float, default=None,
+                        help="node intensity; estimated from each pair's counts when omitted")
     p_data.add_argument("--output", required=True, help="CSV error table path")
     p_data.set_defaults(func=_cmd_dataset)
 

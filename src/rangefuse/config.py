@@ -1,7 +1,7 @@
 """Flat key-value configuration files with [channel] and [experiment] sections.
 
-Also holds atomic_output, the write-then-rename step every output file of
-the package goes through.
+Also holds read_input and atomic_output, the one read of every input file
+of the package and the write-then-rename step of every output file.
 """
 
 from __future__ import annotations
@@ -10,14 +10,15 @@ import configparser
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import astuple
 from pathlib import Path
 
 from .channel import ChannelParams
 from .errors import ConfigurationError
 
-# in the order f(d) tables write them
+# the file spelling of each ChannelParams field, in field order; f(d)
+# tables write them in this order too
 CHANNEL_KEYS = ("p_ref_dbm", "alpha", "sigma_db", "rss_threshold_dbm", "d0_m")
-EXPERIMENT_KEYS = ("mu", "distances", "trials", "seed", "margin", "n_knots", "quad_tol")
 
 
 @contextmanager
@@ -44,14 +45,22 @@ def atomic_output(path):
         partial.unlink(missing_ok=True)
 
 
+def read_input(path, what: str) -> str:
+    """The UTF-8 text of the file at path, a what file ("config", say); errors name the path."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigurationError(f"{what} file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)  # a failed read, unlike open, names none
+        raise
+
+
 def channel_to_mapping(params: ChannelParams) -> dict:
-    return {
-        "p_ref_dbm": repr(params.p_ref_dbm),
-        "d0_m": repr(params.d0),
-        "alpha": repr(params.alpha),
-        "sigma_db": repr(params.sigma_db),
-        "rss_threshold_dbm": repr(params.rss_threshold_dbm),
-    }
+    return dict(zip(CHANNEL_KEYS, map(repr, astuple(params)), strict=True))
 
 
 def channel_from_mapping(mapping) -> ChannelParams:
@@ -62,22 +71,16 @@ def channel_from_mapping(mapping) -> ChannelParams:
     missing = [key for key in CHANNEL_KEYS if key not in mapping]
     if missing:
         raise ConfigurationError(f"channel section is missing keys: {', '.join(missing)}")
-    values = {}
+    values = []
     for key in CHANNEL_KEYS:
         try:
-            values[key] = float(mapping[key])
+            values.append(float(mapping[key]))
         except ValueError as exc:
             raise ConfigurationError(
                 f"channel key {key} is not a number: {mapping[key]!r}"
             ) from exc
     try:
-        return ChannelParams(
-            p_ref_dbm=values["p_ref_dbm"],
-            alpha=values["alpha"],
-            sigma_db=values["sigma_db"],
-            rss_threshold_dbm=values["rss_threshold_dbm"],
-            d0=values["d0_m"],
-        )
+        return ChannelParams(*values)
     except ValueError as exc:
         raise ConfigurationError(f"invalid channel parameters: {exc}") from exc
 
@@ -92,24 +95,20 @@ def parse_distances(text: str) -> tuple:
     return values
 
 
+# each experiment key and the reader of its value
+_EXPERIMENT_TYPES = {"mu": float, "distances": parse_distances, "trials": int, "seed": int,
+                     "margin": float, "n_knots": int, "quad_tol": float}
+
+
 def experiment_from_mapping(mapping) -> dict:
     """Typed experiment settings; unknown keys are rejected to catch typos."""
-    unknown = [key for key in mapping if key not in EXPERIMENT_KEYS]
+    unknown = [key for key in mapping if key not in _EXPERIMENT_TYPES]
     if unknown:
         raise ConfigurationError(f"unknown experiment keys: {', '.join(sorted(unknown))}")
     out = {}
-    converters = {
-        "mu": float,
-        "distances": parse_distances,
-        "trials": int,
-        "seed": int,
-        "margin": float,
-        "n_knots": int,
-        "quad_tol": float,
-    }
     for key, value in mapping.items():
         try:
-            out[key] = converters[key](value)
+            out[key] = _EXPERIMENT_TYPES[key](value)
         except ValueError as exc:
             raise ConfigurationError(f"bad experiment value {key}={value!r}") from exc
     return out
@@ -118,11 +117,9 @@ def experiment_from_mapping(mapping) -> dict:
 def load_config(path):
     """Read a config file; returns (ChannelParams or None, experiment dict)."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read_string(read_input(path, "config"), source=str(path))
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     try:

@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import LN10, ChannelParams, link_probability, pseudo_range
-from .config import CHANNEL_KEYS, atomic_output, channel_from_mapping, channel_to_mapping
+from .config import (CHANNEL_KEYS, atomic_output, channel_from_mapping, channel_to_mapping,
+                     read_input)
 from .errors import ConfigurationError, ModelConstructionError, NumericError
 
 # Link probabilities below this are treated as zero when truncating the
@@ -451,7 +452,7 @@ _FD_FIELDS = (*CHANNEL_KEYS, "s_mass", "d_th", "n_knots")
 def save_fd_model(model: FdModel, path) -> None:
     """Write the model to a versioned flat text file (full float precision), atomically."""
     params = channel_to_mapping(model.params)
-    lines = [_FD_HEADER, *(f"{key} = {params[key]}" for key in CHANNEL_KEYS)]
+    lines = [_FD_HEADER, *(f"{key} = {value}" for key, value in params.items())]
     lines += [f"s_mass = {model.s_mass!r}", f"d_th = {model.d_th!r}",
               f"n_knots = {model.n_knots}", "knots:"]
     lines += [f"{float(d)!r}, {float(f_val)!r}" for d, f_val in zip(model.knots_d, model.knots_f)]
@@ -462,9 +463,7 @@ def save_fd_model(model: FdModel, path) -> None:
 def load_fd_model(path) -> FdModel:
     """Read a model written by save_fd_model; raises ConfigurationError on damage."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"f(d) model file not found: {path}")
-    lines = path.read_text().splitlines()
+    lines = read_input(path, "f(d) model").splitlines()
     if not lines or lines[0].strip() != _FD_HEADER:
         raise ConfigurationError(f"{path}: not a '{_FD_HEADER}' file")
     fields = {}

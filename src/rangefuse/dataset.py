@@ -25,7 +25,7 @@ reading below the link threshold counts as no reading there.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import compress, count, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, estimate_distance_rss, mean_rss
-from .config import atomic_output
+from .config import atomic_output, read_input
 from .connectivity import FdModel
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
@@ -86,9 +86,6 @@ class MeasurementSet(_Columns):
     xy: np.ndarray
     links: np.ndarray
     link_rss: np.ndarray
-    # init only: the ranks (see _keys) of every link's lo and hi ends as a
-    # (2, k) array, from a caller that has ranked them already; taken on trust
-    _link_ranks: InitVar[np.ndarray | None] = None
     # derived: the ids sorted, the stored row of each sorted id, and each
     # link's key lo_rank * n + hi_rank, where an id's rank is its place
     # among the sorted ids; the keys are sorted as the links are
@@ -96,7 +93,7 @@ class MeasurementSet(_Columns):
     _stored_row: np.ndarray = field(init=False, repr=False, compare=False)
     _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _link_ranks):
+    def __post_init__(self):
         ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
         xy = np.asarray(self.xy, dtype=float).reshape(ids.size, 2)
         ends = np.asarray(self.links, dtype=np.int64).reshape(-1, 2).T
@@ -112,8 +109,7 @@ class MeasurementSet(_Columns):
         bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
         if bad.size:
             raise ConfigurationError(f"node {ids[bad[0]]} has non-finite coordinates")
-        ranks, known = (_locate(sorted_ids, lo_hi) if _link_ranks is None
-                        else (_link_ranks, np.ones(lo_hi.shape, dtype=bool)))
+        ranks, known = _locate(sorted_ids, lo_hi)
         for bad, what in ((~(known[0] & known[1]), "references an unknown node"),
                           (links[:, 0] == links[:, 1], "links a node to itself"),
                           (~np.isfinite(link_rss), "has a non-finite reading")):
@@ -197,9 +193,8 @@ def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray) -> Me
         np.fmax.at(high, slot, value)
         shares = np.where(np.isinf(shares), np.clip(shares, low, high), shares)
         link_rss = np.where(over, shares, link_rss)
-    link_ranks = np.stack(np.divmod(keys, max(n, 1)))
-    return MeasurementSet(ids, np.stack([x, y], axis=1), sorted_ids[link_ranks].T, link_rss,
-                          link_ranks)
+    links = sorted_ids[np.stack(np.divmod(keys, max(n, 1)))].T
+    return MeasurementSet(ids, np.stack([x, y], axis=1), links, link_rss)
 
 
 def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray):
@@ -235,9 +230,7 @@ def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray):
 def load_measurements(path) -> MeasurementSet:
     """Parse a measurement file; a fault is reported at its earliest line."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"measurement file not found: {path}")
-    lines = list(map(str.strip, path.read_text().splitlines()))
+    lines = list(map(str.strip, read_input(path, "measurement").splitlines()))
     # blank and '#' lines hold no data (their first character, '' or '#', is
     # in '#'); the markers among them open sections
     skipped = list(compress(count(), map("#".__contains__, map(_FIRST_CHAR, lines))))

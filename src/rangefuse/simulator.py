@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +70,8 @@ class ExperimentConfig:
 
     mu: float
     distances: tuple
-    trials: int
-    seed: int
+    trials: int = 10000
+    seed: int = 0
     margin: float = 1.5
 
     def __post_init__(self):
@@ -101,7 +101,7 @@ class RmseRow:
     trials: int
 
 
-CSV_COLUMNS = ("d_true", "rmse_rss", "rmse_conn", "rmse_fused", "sqrt_crlb", "trials")
+CSV_COLUMNS = tuple(item.name for item in fields(RmseRow))
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,7 @@ class RmseReport:
     rows: tuple
 
     def to_csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(
-                f"{row.d_true!r},{row.rmse_rss!r},{row.rmse_conn!r},"
-                f"{row.rmse_fused!r},{row.sqrt_crlb!r},{row.trials}"
-            )
+        lines = [",".join(CSV_COLUMNS), *(",".join(map(repr, astuple(row))) for row in self.rows)]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 from pathlib import Path
@@ -62,7 +64,7 @@ def cfg_path(tmp_path):
 class TestConfigFiles:
     def test_channel_mapping_keys(self):
         mapping = config.channel_to_mapping(PARAMS_44)
-        assert sorted(mapping) == sorted(config.CHANNEL_KEYS)
+        assert list(mapping) == list(config.CHANNEL_KEYS)
         assert config.channel_from_mapping(mapping) == PARAMS_44
 
     def test_load(self, cfg_path):
@@ -117,6 +119,17 @@ class TestConfigFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(rf.ConfigurationError):
             config.load_config(tmp_path / "nothing.ini")
+        # a file that is not UTF-8 is named in the error too
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[channel]\nalpha\xff = 4\n")
+        with pytest.raises(rf.ConfigurationError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            config.load_config(path)
+
+    def test_channel_flags_are_the_channel_fields(self):
+        # a field without a flag would leave _resolve_channel short of a value
+        names = [item.name for item in dataclasses.fields(rf.ChannelParams)]
+        assert list(cli._CHANNEL_FLAGS) == names
+        assert len(config.CHANNEL_KEYS) == len(names)
 
 
 class TestFdTableCommand:
@@ -266,7 +279,8 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg_path), "--cache-dir", str(cache),
                      "--output", str(tmp_path / "r.csv")]) == 0
         (cached,) = cache.iterdir()
-        assert cached.name == f"fd_{cli._model_cache_key(PARAMS_44, 8, 1e-3)}.txt"
+        # a literal: a changed key text would orphan every existing cache entry
+        assert cached.name == "fd_c9d55cabb4578486.txt"
         assert rf.load_fd_model(cached).n_knots == 8
 
 
@@ -484,6 +498,12 @@ class TestParser:
         out = capsys.readouterr().out
         assert "table size for the f(d) model" in out
         assert "relative quadrature tolerance" in out
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for text in ("trials per distance (default 10000)", "seed (default 0)",
+                     "multiples (default 1.5)", "reference distance, m (default 1.0)"):
+            assert text in out
 
 
 class TestDamagedTable:
@@ -607,12 +627,26 @@ class TestUsageErrors:
         assert code == 2
 
     def test_missing_fd_table_is_config_error(self, cfg_path, tmp_path, capsys):
-        code = main(["simulate", "--config", str(cfg_path),
-                     "--fd-table", str(tmp_path / "absent.fd"),
-                     "--output", str(tmp_path / "x.csv")])
+        # absent, and present but not UTF-8
+        (tmp_path / "latin1.fd").write_bytes(b"fdmodel v1\nalpha = 4\xff\n")
+        for table in (tmp_path / "absent.fd", tmp_path / "latin1.fd"):
+            code = main(["simulate", "--config", str(cfg_path), "--fd-table", str(table),
+                         "--output", str(tmp_path / "x.csv")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(table) in err
+            assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/mem").is_file(),
+                        reason="needs /proc/self/mem, a regular file whose read fails")
+    def test_unreadable_config_is_file_error(self, tmp_path, capsys):
+        # its settings must not be dropped silently, flags or no flags
+        code = main(["simulate", "--config", "/proc/self/mem", "--p-ref-dbm", "-37.47",
+                     "--alpha", "4", "--sigma-db", "4", "--rss-threshold-dbm", "-100",
+                     "--mu", "20", "--distances", "10", "--output", str(tmp_path / "x.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "/proc/self/mem" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_output_in_missing_directory_is_file_error(self, cfg_path, tmp_path, capsys):

@@ -175,6 +175,11 @@ class TestLoadMeasurements:
     def test_missing_file(self, tmp_path):
         with pytest.raises(rf.ConfigurationError):
             rf.load_measurements(tmp_path / "nope.txt")
+        # a file that is not UTF-8 is named in the error too
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# nodes\n1, 0, 0\xff\n")
+        with pytest.raises(rf.ConfigurationError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            rf.load_measurements(path)
 
 
 class TestMeasurementSet:
