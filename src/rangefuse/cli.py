@@ -29,6 +29,7 @@ from .connectivity import build_fd_model, load_fd_model, save_fd_model
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
 from .dataset import checked_ranges, evaluate_pairs, load_measurements
+from .fusion import BOUNDARY_CLAMPED, INTERIOR
 from .pipeline import CONNECTIVITY_ONLY, RSS_ONLY, clamp_to_cutoff, estimate_pairs
 from .simulator import ExperimentConfig, mu_to_lambda, run_experiment
 
@@ -132,9 +133,7 @@ def _resolve_model(args, params: ChannelParams, experiment: dict):
         if path.is_file():
             return _load_model_for(path, params)
         model = build_fd_model(params, n_knots, quad_tol)
-        # a cache entry appears whole or not at all, however the save fails
-        with atomic_output(path) as partial:
-            save_fd_model(model, partial)
+        save_fd_model(model, path)  # atomically: a cache entry appears whole or not at all
         return model
     return build_fd_model(params, n_knots, quad_tol)
 
@@ -213,16 +212,18 @@ def _cmd_estimate(args) -> int:
                          [args.m], [args.p], [args.q], args.intensity)
     d_conn, d_fused, lam = (float(v[0]) for v in (est.d_conn, est.d_fused, est.intensity))
     status, conn = str(est.status[0]), lam > 0.0
-    sqrt_crlb = math.nan
-    if conn and params.sigma_db > 0.0 and d_fused > 0.0:
+    sqrt_crlb = math.nan  # the bound of the sources the estimate used
+    if d_fused > 0.0 and status == CONNECTIVITY_ONLY:
+        sqrt_crlb = float(est.sigma_c[0])  # sigma_c**2 bounds the counts alone
+    elif d_fused > 0.0 and status in (INTERIOR, BOUNDARY_CLAMPED):
         point = clamp_to_cutoff(d_fused, model.d_th)
         sqrt_crlb = math.sqrt(crlb_distance(model, lam, point))
     for applies, note in (
         (not conn, "all-zero counts: no intensity estimate, connectivity unusable"
          if args.intensity is None else "zero intensity supplied: connectivity unusable"),
         (not usable, "RSS below the link threshold: treated as uninformative"),
-        (status == RSS_ONLY, "noise-free channel: the RSS estimate is exact"
-         if params.sigma_db == 0.0 else "connectivity error scale unbounded: kept the RSS estimate"),
+        (status == RSS_ONLY and params.sigma_db == 0.0,
+         "noise-free channel: the RSS estimate is exact"),
         (status == CONNECTIVITY_ONLY and d_conn == 0.0,
          "zero connectivity estimate with no usable RSS"),
     ):

@@ -10,7 +10,7 @@ import configparser
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import astuple
+from dataclasses import MISSING, astuple, fields
 from pathlib import Path
 
 from .channel import ChannelParams
@@ -64,23 +64,28 @@ def channel_to_mapping(params: ChannelParams) -> dict:
 
 
 def channel_from_mapping(mapping) -> ChannelParams:
-    """Channel parameters from exactly the CHANNEL_KEYS; unknown keys are rejected."""
+    """Channel parameters from the CHANNEL_KEYS; unknown keys are rejected.
+
+    A key whose ChannelParams field has a default (d0_m) may be left out.
+    """
     unknown = [key for key in mapping if key not in CHANNEL_KEYS]
     if unknown:
         raise ConfigurationError(f"unknown channel keys: {', '.join(sorted(unknown))}")
-    missing = [key for key in CHANNEL_KEYS if key not in mapping]
+    keyed = dict(zip(CHANNEL_KEYS, fields(ChannelParams), strict=True))
+    missing = [key for key, item in keyed.items()
+               if key not in mapping and item.default is MISSING]
     if missing:
         raise ConfigurationError(f"channel section is missing keys: {', '.join(missing)}")
-    values = []
-    for key in CHANNEL_KEYS:
+    values = {}
+    for key in filter(mapping.__contains__, keyed):
         try:
-            values.append(float(mapping[key]))
+            values[keyed[key].name] = float(mapping[key])
         except ValueError as exc:
             raise ConfigurationError(
                 f"channel key {key} is not a number: {mapping[key]!r}"
             ) from exc
     try:
-        return ChannelParams(*values)
+        return ChannelParams(**values)
     except ValueError as exc:
         raise ConfigurationError(f"invalid channel parameters: {exc}") from exc
 

@@ -8,11 +8,12 @@ as symmetric: when both directions of a pair appear, their mean is used.
 A MeasurementSet holds a deployment as columns: the node ids (int64) in
 file order, their (n, 2) coordinates, the unique links as (lo, hi) node-id
 pairs sorted by (lo, hi), and each link's mean RSS; constructing one checks
-it. The loader's success path parses each section in row chunks, checks
-the one rule a set cannot see (both ends of every RSS row are defined on
-an earlier line), averages both directions of each link and builds the
-set. If any of that fails, the error path reads the data lines one at a
-time in file order and reports the earliest that holds a fault.
+it. The loader parses each section in row chunks, checks the one rule a
+set cannot see (both ends of every RSS row are defined on an earlier
+line), averages both directions of each link and builds the set; those
+checks and the set's own are the only statement of the file's rules. If
+one fails, the loader bisects the data lines for the shortest prefix that
+still fails and reports its last line, the earliest that holds a fault.
 
 A set holds measurements only. Evaluation takes the channel from the
 f(d) table it is given (model.params): it thresholds the links once into
@@ -40,7 +41,7 @@ from .pipeline import estimate_pairs
 from .simulator import Deployment
 
 # Rows parsed at a time, and pairs counted at a time: bounds the temporary
-# token lists and tagged neighbor keys.
+# token lists and the neighbor keys expanded at once.
 _CHUNK_ROWS = 2048
 _CHUNK_PAIRS = 256
 
@@ -167,15 +168,24 @@ def _parse_section(lines: list, at: np.ndarray, section: str) -> tuple:
 
 
 def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray) -> MeasurementSet:
-    """The set held by the rows at node_at and rss_at; raises on any fault in them."""
+    """The set held by the rows at node_at and rss_at; raises on any fault in them.
+
+    Every check here and in MeasurementSet must keep one condition: whether
+    a row is at fault depends only on that row and the rows above it. Then
+    a prefix of the data lines with no faulty row loads and a prefix that
+    ends at a faulty row fails, which _first_fault relies on.
+    """
     ids, x, y = _parse_section(lines, node_at, "nodes")
     first, second, value = _parse_section(lines, rss_at, "rss")
     # the stable sort keeps an id's rows in file order, so each end's rank is its first row
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
-    ranks, known = _locate(sorted_ids, np.stack([first, second]))
-    if not (known.all() and (node_at[order][ranks] < rss_at).all()):
-        raise ConfigurationError("an RSS row names a node not defined above it")
+    ends = np.stack([first, second])
+    ranks, known = _locate(sorted_ids, ends)
+    # an unknown end may have rank n; the appended row keeps the lookup in range
+    defined = known & (np.append(node_at[order], 0)[ranks] < rss_at)
+    if not defined.all():
+        raise ConfigurationError(f"RSS entry references unknown node {ends.T[~defined.T][0]}")
     # both directions of a pair share one key; bincount sums each key's
     # readings in file order, as a running sum from 0.0 would. Where finite
     # readings near the largest double overflow that sum, each reading's
@@ -197,34 +207,27 @@ def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray) -> Me
     return MeasurementSet(ids, np.stack([x, y], axis=1), links, link_rss)
 
 
-def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray):
-    """The earliest faulty data line, as (line index, reason), or None.
+def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray, error: Exception) -> tuple:
+    """The earliest faulty data line, as (line index, reason); error is the whole file's.
 
-    Rows are read one at a time in file order; in a row the first check that fails wins.
+    Bisects for the shortest prefix of the data lines that _measurement_set
+    rejects. It ends at the earliest faulty line, and its error gives the reason.
     """
-    defined = set()
-    for k, is_node in zip(data.tolist(), in_nodes.tolist()):
-        row = lines[k]
-        form, second_kind = _ROW_FORMS["nodes" if is_node else "rss"]
+    good, bad = 0, data.size  # the first good data lines load, the first bad do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        head, nodes = data[:mid], in_nodes[:mid]
         try:
-            a, b, c = (column.item() for column in _parse_rows([row], second_kind))
-        except ValueError:
-            return k, f"expected {form}, got {row!r}"
-        except OverflowError:
-            return k, f"id outside the int64 range, got {row!r}"
-        if is_node:
-            reason = (f"duplicate node id {a}" if a in defined
-                      else None if math.isfinite(b) and math.isfinite(c)
-                      else f"node {a} has non-finite coordinates")
-            defined.add(a)
-        else:
-            unknown = [end for end in (a, b) if end not in defined]
-            reason = (f"node {a} linked to itself" if a == b
-                      else f"RSS entry references unknown node {unknown[0]}" if unknown
-                      else None if math.isfinite(c) else f"non-finite RSS reading {c!r}")
-        if reason:
-            return k, reason
-    return None
+            _measurement_set(lines, head[nodes], head[~nodes])
+            good = mid
+        except (ValueError, OverflowError, ConfigurationError) as exc:
+            bad, error = mid, exc
+    k = int(data[bad - 1])
+    if isinstance(error, ConfigurationError):
+        return k, str(error)
+    what = ("id outside the int64 range" if isinstance(error, OverflowError)
+            else f"expected {_ROW_FORMS['nodes' if in_nodes[bad - 1] else 'rss'][0]}")
+    return k, f"{what}, got {lines[k]!r}"
 
 
 def load_measurements(path) -> MeasurementSet:
@@ -245,11 +248,9 @@ def load_measurements(path) -> MeasurementSet:
     in_nodes = np.array([name == "nodes" for _, name in markers], dtype=bool)[section]
     try:
         return _measurement_set(lines, data[in_nodes], data[~in_nodes])
-    except (ValueError, OverflowError, ConfigurationError):
-        fault = _first_fault(lines, data, in_nodes)
-        if fault is None:
-            raise
-    raise ConfigurationError(f"{path}:{fault[0] + 1}: {fault[1]}")
+    except (ValueError, OverflowError, ConfigurationError) as exc:
+        k, reason = _first_fault(lines, data, in_nodes, exc)
+    raise ConfigurationError(f"{path}:{k + 1}: {reason}")
 
 
 def save_measurements(ms: MeasurementSet, path) -> None:
@@ -281,48 +282,39 @@ def _ranks(ms: MeasurementSet, ids) -> tuple:
 
 
 def _adjacency(ms: MeasurementSet, threshold_dbm: float) -> tuple:
-    """Every node's neighbors over links of at least threshold_dbm, as CSR (start, neighbors).
+    """Every node's neighbors over links of at least threshold_dbm, as (start, keys).
 
-    Row r belongs to the node of rank r (see _ranks), and each row's
-    neighbors are sorted. Memory grows with the links, not with the square
-    of the node count.
+    keys holds r * n + s, sorted, for every node rank r (see _ranks) and
+    each neighbor rank s of it, n being the node count; the keys of rank r
+    are keys[start[r]:start[r + 1]]. Memory grows with the links, not with
+    the square of the node count.
     """
     n = max(ms.ids.size, 1)
     keys = ms._keys[ms.link_rss >= threshold_dbm]
     lo, hi = np.divmod(keys, n)
-    row, neighbors = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
-    return np.searchsorted(row, np.arange(ms.ids.size + 1)), neighbors
-
-
-def _neighbors_of(adjacency: tuple, rows: np.ndarray) -> tuple:
-    """The neighbor lists of rows laid end to end, and the place in rows of each."""
-    start, neighbors = adjacency
-    lengths = start[rows + 1] - start[rows]
-    offset = np.repeat(start[rows] - (np.cumsum(lengths) - lengths), lengths)
-    place = np.repeat(np.arange(rows.size), lengths)
-    return place, neighbors[np.arange(place.size) + offset]
+    keys = np.sort(np.concatenate([keys, hi * n + lo]))
+    return np.searchsorted(keys, np.arange(ms.ids.size + 1) * n), keys
 
 
 def _counts(adjacency: tuple, a, b) -> tuple:
-    """Common and exclusive neighbor counts of row pairs (a, b), endpoints excluded.
+    """Common and exclusive neighbor counts of rank pairs (a, b), endpoints excluded.
 
-    Runs through the pairs in chunks. Within one, every neighbor of a pair's
-    a is tagged with the pair's place in the chunk, which leaves the tagged
-    keys sorted; the tagged neighbors of the pair's b, and b itself, are
-    looked up among them.
+    A neighbor s of a pair's a is common when b * n + s is a key too. The
+    pairs run in chunks, which bounds the neighbor keys expanded at once.
     """
-    start, _ = adjacency
+    start, keys = adjacency
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     n = start.size - 1
-    m, direct = np.zeros(a.size, dtype=np.int64), np.zeros(a.size, dtype=np.int64)
+    m, direct = np.zeros(a.size, dtype=np.int64), np.zeros(a.size, dtype=bool)
     for lo in range(0, a.size, _CHUNK_PAIRS):
         part = slice(lo, lo + _CHUNK_PAIRS)
-        place_a, around_a = _neighbors_of(adjacency, a[part])
-        place_b, around_b = _neighbors_of(adjacency, b[part])
-        tagged_a = place_a * n + around_a
-        _, common = _locate(tagged_a, place_b * n + around_b)
-        m[part] = np.bincount(place_b[common], minlength=b[part].size)
-        direct[part] = _locate(tagged_a, np.arange(b[part].size) * n + b[part])[1]
+        first = start[a[part]]
+        lengths = start[a[part] + 1] - first
+        place = np.repeat(np.arange(lengths.size), lengths)
+        at = np.arange(place.size) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+        moved = keys[at] + ((b[part] - a[part]) * n)[place]  # a * n + s becomes b * n + s
+        m[part] = np.bincount(place[_locate(keys, moved)[1]], minlength=lengths.size)
+        direct[part] = _locate(keys, a[part] * n + b[part])[1]
     degree = np.diff(start)
     return m, degree[a] - m - direct, degree[b] - m - direct
 

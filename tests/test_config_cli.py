@@ -67,13 +67,17 @@ class TestConfigFiles:
         assert list(mapping) == list(config.CHANNEL_KEYS)
         assert config.channel_from_mapping(mapping) == PARAMS_44
 
-    def test_load(self, cfg_path):
-        channel, experiment = config.load_config(cfg_path)
-        assert channel == PARAMS_44
-        assert experiment["mu"] == 20.0
-        assert experiment["distances"] == (10.0, 25.0)
-        assert experiment["trials"] == 4
-        assert experiment["seed"] == 11
+    def test_load(self, tmp_path):
+        # d0_m has a default, so a [channel] section may leave it out
+        for text in (CFG_44, CFG_44.replace("d0_m = 1.0\n", "")):
+            path = tmp_path / "cfg.ini"
+            path.write_text(text)
+            channel, experiment = config.load_config(path)
+            assert channel == PARAMS_44
+            assert experiment["mu"] == 20.0
+            assert experiment["distances"] == (10.0, 25.0)
+            assert experiment["trials"] == 4
+            assert experiment["seed"] == 11
 
     def test_write_round_trip(self, tmp_path):
         path = tmp_path / "out.ini"
@@ -372,8 +376,7 @@ class TestEstimateCommand:
          ["all-zero counts: no intensity estimate, connectivity unusable",
           "RSS below the link threshold: treated as uninformative"], "no_information"),
         (["--rss", "-85", "--m", "6", "--p", "9", "--q", "11", "--intensity", "0"],
-         ["zero intensity supplied: connectivity unusable",
-          "connectivity error scale unbounded: kept the RSS estimate"], "rss_only"),
+         ["zero intensity supplied: connectivity unusable"], "rss_only"),
     ], ids=["all-zero-counts-below-threshold", "zero-intensity"])
     def test_warnings_without_connectivity(self, cfg_path, capsys, argv, warnings, status):
         code = main(["estimate", "--config", str(cfg_path), "--n-knots", "16",
@@ -395,6 +398,22 @@ class TestEstimateCommand:
         lam = (2 * 6 + 9 + 11) / (2.0 * model44.s_mass)
         bound = rf.crlb_distance(model44, lam, float(out["d_fused"]))
         assert out["sqrt_crlb"] == repr(math.sqrt(bound))
+
+    def test_connectivity_only_bound_is_sigma_c(self, cfg_path, tmp_path, capsys, model44):
+        # no usable RSS reading: the bound is that of the counts alone, sigma_c
+        table = tmp_path / "fd.txt"
+        rf.save_fd_model(model44, table)
+        code = main(["estimate", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--rss", "-140", "--m", "5", "--p", "8", "--q", "7"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: RSS below the link threshold: treated as uninformative\n"
+        out = dict(line.split(" = ") for line in captured.out.splitlines())
+        assert out["status"] == "connectivity_only"
+        lam = (2 * 5 + 8 + 7) / (2.0 * model44.s_mass)
+        sigma_c = rf.conn_error_sigma(model44, lam, float(out["d_fused"]))
+        assert out["sqrt_crlb"] == repr(sigma_c)
+        assert sigma_c > math.sqrt(rf.crlb_distance(model44, lam, float(out["d_fused"])))
 
 
 class TestDatasetCommand:
@@ -776,11 +795,14 @@ class TestOutputPrecheck:
 
 class TestModelCacheAtomic:
     def test_failed_save_leaves_no_cache_file(self, cfg_path, tmp_path, monkeypatch):
-        def save_half(model, path):
-            Path(path).write_text("fdmodel v1\np_ref_dbm = -37.47\n")
+        write_text = Path.write_text
+
+        def write_half(path, text, *args, **kwargs):
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
             raise OSError("disk full")
 
-        monkeypatch.setattr("rangefuse.cli.save_fd_model", save_half)
+        # the save of the table breaks halfway through its one write
+        monkeypatch.setattr(Path, "write_text", write_half)
         cache = tmp_path / "cache"
         code = main(["simulate", "--config", str(cfg_path), "--trials", "2",
                      "--n-knots", "8", "--quad-tol", "1e-3", "--cache-dir", str(cache),

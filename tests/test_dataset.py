@@ -133,12 +133,19 @@ class TestLoadMeasurements:
             ("# nodes\n1, 0, 0\n# rss\n1, 9, -50\n# nodes\n2, nan, 0\n", 4,
              "RSS entry references unknown node 9"),
             ("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n1, 2, inf\n1, 1, -50\n", 5,
-             "non-finite RSS reading inf"),
+             "RSS entry (1, 2) has a non-finite reading"),
             ("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n2, 2, -50\n1, 2, inf\n", 5,
-             "node 2 linked to itself"),
+             "RSS entry (2, 2) links a node to itself"),
             ("# nodes\n1, 0, 0\n2, 1, inf\n2, 0, 0\n", 3, "node 2 has non-finite"),
             ("# nodes\n1, 0, 0\n# rss\n1, 2, -50\n1, 2, -50, 0\n", 4,
              "RSS entry references unknown node 2"),
+            # two faults in one row: the first rule it breaks names it
+            ("# nodes\n1, 0, 0\n# rss\n8, 9, -50\n", 4, "RSS entry references unknown node 8"),
+            ("# nodes\n1, 0, 0\n# rss\n1, 9, inf\n", 4, "RSS entry references unknown node 9"),
+            ("# nodes\n1, 0, 0\n# rss\n9, 9, -50\n", 4, "RSS entry references unknown node 9"),
+            ("# nodes\n1, 0, 0\n# rss\n1, 1, nan\n", 4, "RSS entry (1, 1) links a node to itself"),
+            ("# nodes\n1, 0, 0\n1, inf, 0\n", 3, "duplicate node id 1"),
+            ("# rss\n1, 2, -50\n", 2, "RSS entry references unknown node 1"),  # no nodes at all
         ],
     )
     def test_two_faults_report_the_earlier_line(self, tmp_path, body, lineno, reason):
@@ -322,26 +329,58 @@ def _mutated_files(draw):
     return "\n".join(lines) + "\n"
 
 
-class TestLoaderPathsAgree:
-    """The success path and the error path judge every file alike.
+def _first_bad_line(text):
+    """The 1-based line of the earliest fault in a measurement file, or None.
 
-    A file the success path rejects must get a line from the error path; a
-    ConfigurationError with no line means the two disagree.
+    A reference for the loader: it reads the lines one at a time with
+    Python's int and float and keeps the ids defined so far in a set.
+    """
+    defined, section = set(), None
+    for number, line in enumerate(map(str.strip, text.splitlines()), 1):
+        if not line or line.startswith("#"):
+            name = line[1:].strip().lower()
+            section = name if name in ("nodes", "rss") else section
+            continue
+        if section is None:
+            return number
+        try:
+            a, b, c = line.split(",")
+            a, b, c = int(a), (float if section == "nodes" else int)(b), float(c)
+        except ValueError:
+            return number
+        ints = (a,) if section == "nodes" else (a, b)
+        if not all(-2**63 <= i < 2**63 for i in ints) or not math.isfinite(c):
+            return number
+        if section == "nodes":
+            if a in defined or not math.isfinite(b):
+                return number
+            defined.add(a)
+        elif a == b or not {a, b} <= defined:
+            return number
+    return None
+
+
+class TestLoaderPathsAgree:
+    """The loader names the line a per-line reference (_first_bad_line) names.
+
+    A file the reference accepts must load, and any other must fail at the
+    reference's line, whatever the row chunk size.
     """
 
     @settings(max_examples=600, deadline=None)
     @given(text=_mutated_files(), chunk=st.sampled_from([2, 2048]))
     def test_set_or_line_numbered_error(self, text, chunk):
+        expected = _first_bad_line(text)
         with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
             patch.setattr(rf.dataset, "_CHUNK_ROWS", chunk)
             path = Path(folder) / "meas.txt"
             path.write_text(text)
-            try:
-                ms = rf.load_measurements(path)
-            except rf.ConfigurationError as exc:
-                assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+            if expected is None:
+                assert isinstance(rf.load_measurements(path), rf.MeasurementSet)
             else:
-                assert isinstance(ms, rf.MeasurementSet)
+                with pytest.raises(rf.ConfigurationError,
+                                   match=f"^{re.escape(str(path))}:{expected}: "):
+                    rf.load_measurements(path)
 
 
 class TestNeighborCounts:
@@ -363,7 +402,7 @@ class TestNeighborCounts:
         assert _counts_of(ms, 1, 2) == [0, 0, 1]
 
     def test_counts_match_the_per_pair_loop(self, model_field, monkeypatch):
-        # the tagged-key count, over several pair chunks, against a plain
+        # the neighbor-key count, over several pair chunks, against a plain
         # loop over set-valued neighbor lists; linked, unlinked and
         # repeated pairs, both orders, and negative ids
         monkeypatch.setattr(rf.dataset, "_CHUNK_PAIRS", 7)
