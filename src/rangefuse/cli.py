@@ -342,16 +342,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Fail before any work on an output that is a directory, unwritable, or named twice."""
-    paths = list(filter(None, (getattr(args, "output", None), getattr(args, "json", None))))
-    if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
-        raise ConfigurationError(f"--output and --json both name {paths[1]}")
-    for path in paths:
-        if Path(path).is_dir():
-            raise ConfigurationError(f"cannot write {path}: it is a directory")
-        folder = Path(path).resolve().parent
-        if not (folder.is_dir() and os.access(folder, os.W_OK)):
-            raise ConfigurationError(f"cannot write {path}: {folder} is not a writable directory")
+    """Fail before any work on an output that is a directory, unwritable, or named before.
+
+    An output may not name an input file (--input, --fd-table, --config)
+    or the other output; paths are compared after resolving them.
+    """
+    named = {}  # each resolved path given so far, and the flag that gave it
+    for flag in ("--input", "--fd-table", "--config", "--output", "--json"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if not path:
+            continue
+        resolved = Path(path).resolve()
+        if flag in ("--output", "--json"):
+            if resolved in named:
+                raise ConfigurationError(f"{named[resolved]} and {flag} both name {path}")
+            if resolved.is_dir():
+                raise ConfigurationError(f"cannot write {path}: it is a directory")
+            if not (resolved.parent.is_dir() and os.access(resolved.parent, os.W_OK)):
+                raise ConfigurationError(
+                    f"cannot write {path}: {resolved.parent} is not a writable directory")
+        named.setdefault(resolved, flag)
 
 
 def main(argv=None) -> int:

@@ -29,16 +29,21 @@ def atomic_output(path):
     atomic: readers see the old file or the whole new one, never a torn
     one. If the body raises, the target stays absent or unchanged and the
     temporary file is removed. The new file gets the mode a plain open()
-    would give it under the process umask.
+    would give it: an existing target's permission bits, else 0o666 less
+    the process umask.
     """
     path = Path(path)
     handle, partial = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(handle)
     partial = Path(partial)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        partial.chmod(0o666 & ~umask)
+        if path.exists():
+            mode = path.stat().st_mode & 0o777
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        partial.chmod(mode)
         yield partial
         os.replace(partial, path)
     finally:

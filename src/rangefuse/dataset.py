@@ -8,12 +8,14 @@ as symmetric: when both directions of a pair appear, their mean is used.
 A MeasurementSet holds a deployment as columns: the node ids (int64) in
 file order, their (n, 2) coordinates, the unique links as (lo, hi) node-id
 pairs sorted by (lo, hi), and each link's mean RSS; constructing one checks
-it. The loader parses each section in row chunks, checks the one rule a
-set cannot see (both ends of every RSS row are defined on an earlier
-line), averages both directions of each link and builds the set; those
-checks and the set's own are the only statement of the file's rules. If
-one fails, the loader bisects the data lines for the shortest prefix that
-still fails and reports its last line, the earliest that holds a fault.
+it. The loader reads each section with numpy's text reader, whose numbers
+are ASCII only (no '_' separators, no other scripts' digits), checks the
+one rule a set cannot see (both ends of every RSS row are defined on an
+earlier line), averages both directions of each link and builds the set;
+those checks and the set's own are the only statement of the file's
+rules. If one fails, the loader bisects the data lines for the shortest
+prefix that still fails and reports its last line, the earliest that
+holds a fault.
 
 A set holds measurements only. Evaluation takes the channel from the
 f(d) table it is given (model.params): it thresholds the links once into
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import itemgetter
 from pathlib import Path
 
@@ -40,9 +42,7 @@ from .errors import ConfigurationError
 from .pipeline import estimate_pairs
 from .simulator import Deployment
 
-# Rows parsed at a time, and pairs counted at a time: bounds the temporary
-# token lists and the neighbor keys expanded at once.
-_CHUNK_ROWS = 2048
+# Pairs counted at a time: bounds the neighbor keys expanded at once.
 _CHUNK_PAIRS = 256
 
 # status of a requested pair that has no RSS entry
@@ -135,36 +135,22 @@ class MeasurementSet(_Columns):
         return dict(zip(map(tuple, self.links.tolist()), self.link_rss.tolist()))
 
 
-# each section's row form and the type of its second field; the first is
-# an id and the third a float in both
-_ROW_FORMS = {"nodes": ("'id, x, y'", float), "rss": ("'id_i, id_j, rss_dbm'", int)}
+# each section's row form and the columns its rows are read into
+_ROW_FORMS = {
+    "nodes": ("'id, x, y'", np.dtype([("id", np.int64), ("x", float), ("y", float)])),
+    "rss": ("'id_i, id_j, rss_dbm'",
+            np.dtype([("id_i", np.int64), ("id_j", np.int64), ("rss_dbm", float)])),
+}
 _FIRST_CHAR = itemgetter(slice(None, 1))
 
 
-def _parse_rows(rows: list, second_kind) -> tuple:
-    """Columns of rows that each hold three comma-separated fields.
-
-    The fields are read with Python's int, second_kind and float; ids come
-    out as int64. Raises ValueError for a malformed row and OverflowError
-    for an integer outside int64.
-    """
-    if np.any(np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) != 2):
-        raise ValueError("expected three fields")
-    tokens = ",".join(rows).split(",")
-    return tuple(
-        np.fromiter(map(kind, tokens[k::3]), np.int64 if kind is int else float, len(rows))
-        for k, kind in enumerate((int, second_kind, float))
-    )
-
-
 def _parse_section(lines: list, at: np.ndarray, section: str) -> tuple:
-    """Columns of the rows at line indices at, parsed _CHUNK_ROWS rows at a time."""
-    second_kind = _ROW_FORMS[section][1]
-    pieces = [_parse_rows([], second_kind)]  # typed empty columns
-    for start in range(0, at.size, _CHUNK_ROWS):
-        rows = list(map(lines.__getitem__, at[start:start + _CHUNK_ROWS].tolist()))
-        pieces.append(_parse_rows(rows, second_kind))
-    return tuple(np.concatenate(column) for column in zip(*pieces))
+    """Columns of the rows at line indices at; raises ValueError for a malformed row."""
+    dtype = _ROW_FORMS[section][1]
+    # loadtxt warns that an empty input holds no data, so an empty section skips it
+    table = (np.loadtxt(list(map(lines.__getitem__, at.tolist())), dtype=dtype, delimiter=",",
+                        comments=None, ndmin=1) if at.size else np.empty(0, dtype))
+    return tuple(table[name] for name in dtype.names)
 
 
 def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray) -> MeasurementSet:
@@ -220,14 +206,13 @@ def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray, error: Exc
         try:
             _measurement_set(lines, head[nodes], head[~nodes])
             good = mid
-        except (ValueError, OverflowError, ConfigurationError) as exc:
+        except (ValueError, ConfigurationError) as exc:
             bad, error = mid, exc
     k = int(data[bad - 1])
     if isinstance(error, ConfigurationError):
         return k, str(error)
-    what = ("id outside the int64 range" if isinstance(error, OverflowError)
-            else f"expected {_ROW_FORMS['nodes' if in_nodes[bad - 1] else 'rss'][0]}")
-    return k, f"{what}, got {lines[k]!r}"
+    form = _ROW_FORMS["nodes" if in_nodes[bad - 1] else "rss"][0]
+    return k, f"expected {form}, got {lines[k]!r}"
 
 
 def load_measurements(path) -> MeasurementSet:
@@ -248,7 +233,7 @@ def load_measurements(path) -> MeasurementSet:
     in_nodes = np.array([name == "nodes" for _, name in markers], dtype=bool)[section]
     try:
         return _measurement_set(lines, data[in_nodes], data[~in_nodes])
-    except (ValueError, OverflowError, ConfigurationError) as exc:
+    except (ValueError, ConfigurationError) as exc:
         k, reason = _first_fault(lines, data, in_nodes, exc)
     raise ConfigurationError(f"{path}:{k + 1}: {reason}")
 
@@ -276,18 +261,13 @@ def checked_ranges(params: ChannelParams, obs, subject):
     return d_rss
 
 
-def _ranks(ms: MeasurementSet, ids) -> tuple:
-    """Rank of each node id among the sorted ids, and whether the id is a node."""
-    return _locate(ms._sorted_ids, ids)
-
-
 def _adjacency(ms: MeasurementSet, threshold_dbm: float) -> tuple:
     """Every node's neighbors over links of at least threshold_dbm, as (start, keys).
 
-    keys holds r * n + s, sorted, for every node rank r (see _ranks) and
-    each neighbor rank s of it, n being the node count; the keys of rank r
-    are keys[start[r]:start[r + 1]]. Memory grows with the links, not with
-    the square of the node count.
+    keys holds r * n + s, sorted, for every node rank r (an id's place
+    among the sorted ids) and each neighbor rank s of it, n being the node
+    count; the keys of rank r are keys[start[r]:start[r + 1]]. Memory grows
+    with the links, not with the square of the node count.
     """
     n = max(ms.ids.size, 1)
     keys = ms._keys[ms.link_rss >= threshold_dbm]
@@ -355,7 +335,7 @@ def evaluate_pairs(ms: MeasurementSet, pairs, model: FdModel,
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         raise ConfigurationError("a pair references an id outside the int64 range") from None
-    ranks, known = _ranks(ms, pairs)
+    ranks, known = _locate(ms._sorted_ids, pairs)
     if not known.all():
         i, j = pairs[np.argmin(known[:, 0] & known[:, 1])].tolist()
         raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")

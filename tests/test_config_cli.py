@@ -792,6 +792,40 @@ class TestOutputPrecheck:
         assert capsys.readouterr().err == f"error: --output and --json both name {json_path}\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini", "sub"]
 
+    @pytest.mark.parametrize("command, reason", [
+        (["dataset", "--pairs", "1-2", "--input", "meas.txt", "--output", "meas.txt"],
+         "--input and --output both name meas.txt"),
+        (["dataset", "--pairs", "1-2", "--input", "meas.txt", "--output", "link.txt"],
+         "--input and --output both name link.txt"),
+        (["simulate", "--fd-table", "table.txt", "--output", "table.txt"],
+         "--fd-table and --output both name table.txt"),
+        (["simulate", "--fd-table", "table.txt", "--output", "r.csv", "--json", "./table.txt"],
+         "--fd-table and --json both name ./table.txt"),
+        (["crlb", "--mu", "20", "--fd-table", "table.txt", "--output", "sub/../table.txt"],
+         "--fd-table and --output both name sub/../table.txt"),
+        (["fd-table", "--output", "cfg.ini"], "--config and --output both name cfg.ini"),
+        (["simulate", "--output", "r.csv", "--json", "cfg.ini"],
+         "--config and --json both name cfg.ini"),
+    ], ids=["dataset-input", "dataset-input-symlink", "simulate-table", "simulate-json-table",
+            "crlb-table", "fd-table-config", "simulate-json-config"])
+    def test_output_naming_an_input(self, cfg_path, tmp_path, capsys, monkeypatch, model44,
+                                    command, reason):
+        for name in ("build_fd_model", "load_fd_model", "load_measurements", "run_experiment"):
+            monkeypatch.setattr(f"rangefuse.cli.{name}", _never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "meas.txt").write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
+        (tmp_path / "link.txt").symlink_to("meas.txt")
+        rf.save_fd_model(model44, tmp_path / "table.txt")
+        files = ("cfg.ini", "meas.txt", "table.txt")
+        before = [(tmp_path / name).read_bytes() for name in files]
+        code = main(command + ["--config", "cfg.ini"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert [(tmp_path / name).read_bytes() for name in files] == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["link.txt", "sub", *files])
+
 
 class TestModelCacheAtomic:
     def test_failed_save_leaves_no_cache_file(self, cfg_path, tmp_path, monkeypatch):
@@ -871,9 +905,14 @@ class TestAtomicOutput:
         if existing:
             assert target.read_text() == "old\n"
 
-    def test_success_replaces_with_umask_mode(self, tmp_path):
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_success_gives_the_mode_open_gives(self, tmp_path, existing):
+        # open() keeps an existing file's permission bits; a new file gets
+        # 0o666 less the umask
         target = tmp_path / "out.txt"
-        target.write_text("old\n")
+        if existing:
+            target.write_text("old\n")
+            target.chmod(0o604)
         previous = os.umask(0o027)
         try:
             with config.atomic_output(target) as partial:
@@ -881,8 +920,25 @@ class TestAtomicOutput:
         finally:
             os.umask(previous)
         assert target.read_text() == "new\n"
-        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert stat.S_IMODE(target.stat().st_mode) == (0o604 if existing else 0o640)
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_writers_keep_an_existing_files_mode(self, cfg_path, tmp_path, model44):
+        table, curve = tmp_path / "table.txt", tmp_path / "curve.csv"
+        for path in (table, curve):
+            path.write_text("old\n")
+            path.chmod(0o600)
+        previous = os.umask(0o022)
+        try:
+            rf.save_fd_model(model44, table)
+            code = main(["crlb", "--config", str(cfg_path), "--mu", "20",
+                         "--fd-table", str(table), "--output", str(curve)])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert rf.load_fd_model(table).s_mass == model44.s_mass
+        assert curve.read_text().startswith("d,crlb_variance,sqrt_crlb\n")
+        assert [stat.S_IMODE(path.stat().st_mode) for path in (table, curve)] == [0o600] * 2
 
     def test_library_writers_leave_no_torn_file(self, tmp_path, monkeypatch):
         model = rf.build_fd_model(rf.ChannelParams(

@@ -47,7 +47,7 @@ def fixture_set(fixture_path):
 
 def _counts_of(ms, i, j):
     """(M, P, Q) of the node pair (i, j), through _adjacency and _counts."""
-    (a, b), known = rf.dataset._ranks(ms, [i, j])
+    (a, b), known = rf.dataset._locate(ms._sorted_ids, [i, j])
     assert known.all()
     adjacency = rf.dataset._adjacency(ms, PARAMS_FIELD.rss_threshold_dbm)
     return [int(v[0]) for v in rf.dataset._counts(adjacency, [a], [b])]
@@ -87,7 +87,7 @@ class TestLoadMeasurements:
         # comments, blank lines, CRLF endings, spaces, several sections of each kind
         path = tmp_path / "layout.txt"
         path.write_bytes(
-            b"# header, with, commas\r\n\r\n  # NODES  \r\n 5 ,1_0.5, -2e0\r\n"
+            b"# header, with, commas\r\n\r\n  # NODES  \r\n 5 ,10.5, -2e0\r\n"
             b"# rss\r\n# nodes\r\n-3, +1, 0\r\n\t\r\n# Rss\r\n5, -3, -51\r\n"
             b"-3,5,-49.5\r\n  # comment\r\n"
         )
@@ -117,11 +117,15 @@ class TestLoadMeasurements:
             ("# nodes\n1, 0, 0\n2, 1, nan\n", 3),               # NaN coordinate
             ("# nodes\n1, 0, 0\n9223372036854775808, 1, 0\n", 3),  # id above int64
             ("# nodes\n1, 0, 0\n# rss\n1, -9223372036854775809, -50\n", 4),  # below int64
+            # numbers are ASCII: no digit separators, no other scripts' digits
+            ("# nodes\n1, 0, 0\n2, 1_0, 0\n", 3),              # underscore
+            ("# nodes\n1, 0, 0\n2, 1, 0\n# rss\n1, \u0662, -50\n", 5),  # Arabic-Indic 2
+            ("# nodes\n1.0, 0, 0\n", 2),                        # id written as a float
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, body, lineno):
         path = tmp_path / "bad.txt"
-        path.write_text(body)
+        path.write_text(body, encoding="utf-8")
         with pytest.raises(rf.ConfigurationError, match=f"^{re.escape(str(path))}:{lineno}: "):
             rf.load_measurements(path)
 
@@ -160,9 +164,8 @@ class TestLoadMeasurements:
         with pytest.raises(rf.ConfigurationError, match=":4: RSS entry references unknown node 2"):
             rf.load_measurements(path)
 
-    def test_earliest_fault_across_row_chunks(self, tmp_path, monkeypatch):
-        # four-row chunks, so the faults below sit in different chunks and sections
-        monkeypatch.setattr(rf.dataset, "_CHUNK_ROWS", 4)
+    def test_earliest_fault_across_row_chunks(self, tmp_path):
+        # the faults below sit in different sections, a parse fault below an order fault
         path = tmp_path / "chunks.txt"
 
         def first_fault(rss_rows, late_node):
@@ -174,7 +177,7 @@ class TestLoadMeasurements:
             return str(excinfo.value)
 
         rss = [f"1, {k}, -50" for k in (2, 3, 4, 5)] * 3
-        rss[9] = "1, 5, oops"  # line 17, in the third chunk
+        rss[9] = "1, 5, oops"  # line 17
         assert ":17: expected 'id_i, id_j, rss_dbm'" in first_fault(rss, "3, 0, 0")
         rss[1] = "1, 6, -50"  # line 9: node 6 is defined only on line 21
         assert ":9: RSS entry references unknown node 6" in first_fault(rss, "6, 0, 0")
@@ -298,8 +301,9 @@ _MUTATIONS = [
     # an inf or NaN reading or coordinate
     lambda draw, lines, i: _replace_field(draw, lines, [1, 2], [" inf", " -inf", " nan"]),
     lambda draw, lines, i: _replace_field(draw, lines, [2], [" inf", " nan"], below="# rss"),
-    # a malformed row, an id outside int64
-    lambda draw, lines, i: _replace_field(draw, lines, [0, 1, 2], [" x", "", " 1, 2"]),
+    # a malformed row, a digit separator or a non-ASCII digit, an id outside int64
+    lambda draw, lines, i: _replace_field(draw, lines, [0, 1, 2],
+                                          [" x", "", " 1, 2", " 1_0", " \u0663"]),
     lambda draw, lines, i: _replace_field(draw, lines, [0, 1], [str(2**63), str(-2**63 - 1)]),
     # a node defined only below the RSS rows that name it
     lambda draw, lines, i: _move_to_new_section(draw, lines),
@@ -329,11 +333,19 @@ def _mutated_files(draw):
     return "\n".join(lines) + "\n"
 
 
+def _ascii_number(kind, text):
+    """text read by kind (int or float) in the file's grammar: Python's, ASCII and no '_'."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
+
+
 def _first_bad_line(text):
     """The 1-based line of the earliest fault in a measurement file, or None.
 
     A reference for the loader: it reads the lines one at a time with
-    Python's int and float and keeps the ids defined so far in a set.
+    _ascii_number and keeps the ids defined so far in a set.
     """
     defined, section = set(), None
     for number, line in enumerate(map(str.strip, text.splitlines()), 1):
@@ -345,7 +357,8 @@ def _first_bad_line(text):
             return number
         try:
             a, b, c = line.split(",")
-            a, b, c = int(a), (float if section == "nodes" else int)(b), float(c)
+            kinds = (int, float if section == "nodes" else int, float)
+            a, b, c = map(_ascii_number, kinds, (a, b, c))
         except ValueError:
             return number
         ints = (a,) if section == "nodes" else (a, b)
@@ -364,17 +377,16 @@ class TestLoaderPathsAgree:
     """The loader names the line a per-line reference (_first_bad_line) names.
 
     A file the reference accepts must load, and any other must fail at the
-    reference's line, whatever the row chunk size.
+    reference's line.
     """
 
     @settings(max_examples=600, deadline=None)
-    @given(text=_mutated_files(), chunk=st.sampled_from([2, 2048]))
-    def test_set_or_line_numbered_error(self, text, chunk):
+    @given(text=_mutated_files())
+    def test_set_or_line_numbered_error(self, text):
         expected = _first_bad_line(text)
-        with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rf.dataset, "_CHUNK_ROWS", chunk)
+        with tempfile.TemporaryDirectory() as folder:
             path = Path(folder) / "meas.txt"
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             if expected is None:
                 assert isinstance(rf.load_measurements(path), rf.MeasurementSet)
             else:
@@ -418,7 +430,7 @@ class TestNeighborCounts:
                 near[j].add(i)
         picks = rng.integers(0, ids.size, size=(60, 2))
         pairs = [tuple(ids[k].tolist()) for k in picks] + list(ms.rss)[:40] + [(ids[0], ids[0])]
-        ranks, known = rf.dataset._ranks(ms, np.array(pairs))
+        ranks, known = rf.dataset._locate(ms._sorted_ids, np.array(pairs))
         assert known.all()
         a, b = ranks.T
         m, p, q = rf.dataset._counts(
