@@ -348,20 +348,22 @@ def _check_outputs(args) -> None:
     or the other output; paths are compared after resolving them.
     """
     named = {}  # each resolved path given so far, and the flag that gave it
-    for flag in ("--input", "--fd-table", "--config", "--output", "--json"):
-        path = getattr(args, flag[2:].replace("-", "_"), None)
+    for name in ("input", "fd_table", "config", "output", "json"):
+        path = getattr(args, name, None)
         if not path:
             continue
-        resolved = Path(path).resolve()
-        if flag in ("--output", "--json"):
+        # realpath, unlike Path.resolve, returns a looping symlink unresolved
+        resolved = Path(os.path.realpath(path))
+        if name in ("output", "json"):
             if resolved in named:
-                raise ConfigurationError(f"{named[resolved]} and {flag} both name {path}")
+                raise ConfigurationError(
+                    f"{named[resolved]} and {_flag(name)} both name {path}")
             if resolved.is_dir():
                 raise ConfigurationError(f"cannot write {path}: it is a directory")
             if not (resolved.parent.is_dir() and os.access(resolved.parent, os.W_OK)):
                 raise ConfigurationError(
                     f"cannot write {path}: {resolved.parent} is not a writable directory")
-        named.setdefault(resolved, flag)
+        named.setdefault(resolved, _flag(name))
 
 
 def main(argv=None) -> int:

@@ -826,6 +826,19 @@ class TestOutputPrecheck:
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             ["link.txt", "sub", *files])
 
+    @pytest.mark.parametrize("flag", ["--input", "--config"])
+    def test_input_that_is_a_symlink_loop(self, cfg_path, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loop.txt").symlink_to("loop.txt")
+        (tmp_path / "meas.txt").write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
+        paths = {"--input": "meas.txt", "--config": str(cfg_path), flag: "loop.txt"}
+        code = main(["dataset", "--pairs", "1-2", "--input", paths["--input"],
+                     "--config", paths["--config"], "--output", "r.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "loop.txt" in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestModelCacheAtomic:
     def test_failed_save_leaves_no_cache_file(self, cfg_path, tmp_path, monkeypatch):
