@@ -104,8 +104,8 @@ def _model_settings(args, experiment: dict) -> tuple:
         quad_tol = experiment.get("quad_tol", 1e-6)
     if n_knots < 8:
         raise ConfigurationError(f"--n-knots must be >= 8, got {n_knots}")
-    if not quad_tol > 0.0:
-        raise ConfigurationError(f"--quad-tol must be positive, got {quad_tol}")
+    if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
+        raise ConfigurationError(f"--quad-tol must be positive and finite, got {quad_tol}")
     return n_knots, quad_tol
 
 

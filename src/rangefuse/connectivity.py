@@ -14,7 +14,9 @@ Each knot of that table is one generic_f call, the module's one
 quadrature: a fixed Gauss-Legendre panel rule in polar coordinates around
 the pair midpoint, evaluated for all radial nodes at once as arrays and
 refined by doubling until two levels agree within quad_tol (no tighter
-than the rounding floor QUAD_TOL_FLOOR).
+than the rounding floor QUAD_TOL_FLOOR). The doubling starts at 2 angle
+panels: with an edge at each transition crossing, the angle rule is
+already converged there, so the levels differ by their radial rule alone.
 
 Only tabulation needs scipy: its link probability g uses scipy's erfc
 ufunc, and truncation_radius its normal quantile. Both import
@@ -177,18 +179,17 @@ def _angular_overlap(g, d, rho, n_half, r_edges):
     return 2.0 * np.sum(g(ra) * g(rb) * widths * _GL_WEIGHTS, axis=(1, 2))
 
 
-def _radial_breaks(params: ChannelParams, d: float, r_outer: float) -> np.ndarray:
+def _radial_breaks(r_edges, r_trunc: float, d: float, r_outer: float) -> np.ndarray:
     """Radii in (0, r_outer) where the angular integral has a kink.
 
-    These are where a link transition circle (or the truncation circle)
-    around A or B touches the pair axis, |r_t - d/2| and r_t + d/2, and
-    where A's transition circle r_i crosses B's r_j, at radius
-    sqrt((r_i^2 + r_j^2)/2 - d^2/4) from the midpoint: there two angle
-    edges meet.
+    These are where a link transition circle r_edges (or the truncation
+    circle r_trunc) around A or B touches the pair axis, |r_t - d/2| and
+    r_t + d/2, and where A's transition circle r_i crosses B's r_j, at
+    radius sqrt((r_i^2 + r_j^2)/2 - d^2/4) from the midpoint: there two
+    angle edges meet.
     """
-    r_edges = _transition_radii(params)
     breaks = set()
-    for r_t in (*r_edges, truncation_radius(params)):
+    for r_t in (*r_edges, r_trunc):
         breaks.update((abs(r_t - d / 2.0), r_t + d / 2.0))
     for i, r_i in enumerate(r_edges):
         for r_j in r_edges[i:]:
@@ -218,28 +219,42 @@ def _radial_rule(breaks: np.ndarray, n_radial: int):
 _CHUNK_POINTS = 1 << 13
 
 
-def _panel_rule_f(params, d, n_half, n_radial):
-    """f(d) by the panel rule with n_half angle and n_radial radial panels per interval."""
+def _panel_rule_f(params, d):
+    """The panel rule for f(d), as a function of its panel counts (n_half, n_radial).
+
+    g, the transition radii and the radial breaks depend on the channel and
+    d alone, so they are built once here and shared by every refinement
+    level; the returned function sums f(d) over n_half angle panels and
+    n_radial radial panels per interval.
+    """
     g = _link_prob_fn(params)
     r_edges = np.array(_transition_radii(params))
-    r_outer = d / 2.0 + truncation_radius(params)
-    breaks = np.concatenate([[0.0], _radial_breaks(params, d, r_outer), [r_outer]])
-    rho, weights = _radial_rule(breaks, n_radial)
-    step = max(1, _CHUNK_POINTS // (10 * (n_half + len(r_edges))))
-    total = 0.0
-    for lo in range(0, rho.size, step):
-        chunk = rho[lo:lo + step]
-        inner = _angular_overlap(g, d, chunk, n_half, r_edges)
-        total += float(np.dot(weights[lo:lo + step], 2.0 * chunk * inner))
-    return total
+    r_trunc = truncation_radius(params)
+    r_outer = d / 2.0 + r_trunc
+    breaks = np.concatenate([[0.0], _radial_breaks(r_edges, r_trunc, d, r_outer), [r_outer]])
+
+    def level(n_half, n_radial):
+        rho, weights = _radial_rule(breaks, n_radial)
+        step = max(1, _CHUNK_POINTS // (10 * (n_half + len(r_edges))))
+        total = 0.0
+        for lo in range(0, rho.size, step):
+            chunk = rho[lo:lo + step]
+            inner = _angular_overlap(g, d, chunk, n_half, r_edges)
+            total += float(np.dot(weights[lo:lo + step], 2.0 * chunk * inner))
+        return total
+    return level
 
 
 # Rounding floor for quad_tol. One level sums 1e4 to 1e6 float64 terms, so
 # its rounding error reaches about 1e-13 relative; below that, two levels
 # agree or disagree by rounding alone and the check means nothing.
 QUAD_TOL_FLOOR = 1e-12
-# Last refinement level: 512 angle panels on [0, pi/2], 64 radial panels.
-_MAX_HALF_PANELS = 512
+# Last refinement level: 128 angle panels on [0, pi/2] and 64 radial panels
+# per interval, the seventh level from (2, 1). At every knot of the 64-knot
+# p44, field and sharp tables, 2 angle panels come within 4.1e-10 relative
+# of 64 (8 panels within 5.3e-11) at any radial count, so only the radial
+# count needs to reach 64.
+_MAX_HALF_PANELS = 128
 
 
 def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
@@ -250,18 +265,21 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
     as arrays: 10-point Gauss-Legendre panels in angle (_angular_overlap)
     and in radius between the kink radii of _radial_breaks, which include
     the crossings of A's and B's transition circles (_radial_rule). The
-    rule starts at 8 angle panels on [0, pi/2] and 1 radial panel per
+    rule starts at 2 angle panels on [0, pi/2] and 1 radial panel per
     interval and doubles both until two successive levels agree within
-    quad_tol relative. Raises NumericError when that self-consistency check
-    is not met by 512 angle panels, and for any quad_tol below the rounding
-    floor QUAD_TOL_FLOOR = 1e-12, where rounding would decide the check.
-    Reduces to unit_disk_f when sigma_db = 0.
+    quad_tol relative. The angle edges at the transition crossings make 2
+    angle panels as good as 64 to 4.1e-10 relative (see _MAX_HALF_PANELS),
+    so the radial count sets each knot's level. Raises ValueError unless
+    0 < quad_tol < inf; NumericError when the self-consistency check is
+    not met by 128 angle and 64 radial panels, and for any quad_tol below
+    the rounding floor QUAD_TOL_FLOOR = 1e-12, where rounding would decide
+    the check. Reduces to unit_disk_f when sigma_db = 0.
     """
     d = float(d)
     if d < 0.0 or not math.isfinite(d):
         raise ValueError(f"d must be nonnegative and finite, got {d!r}")
-    if not quad_tol > 0.0:
-        raise ValueError(f"quad_tol must be positive, got {quad_tol!r}")
+    if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
+        raise ValueError(f"quad_tol must be positive and finite, got {quad_tol!r}")
     if params.sigma_db == 0.0:
         r = pseudo_range(params)
         return unit_disk_f(r, d) if d <= 2.0 * r else 0.0
@@ -271,11 +289,12 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
             "of the common-neighborhood rule"
         )
     floor = 1e-15 * math.pi * pseudo_range(params) ** 2
-    n_half, n_radial = 8, 1
-    current = _panel_rule_f(params, d, n_half, n_radial)
+    rule = _panel_rule_f(params, d)
+    n_half, n_radial = 2, 1
+    current = rule(n_half, n_radial)
     while n_half < _MAX_HALF_PANELS:
         n_half, n_radial = 2 * n_half, 2 * n_radial
-        previous, current = current, _panel_rule_f(params, d, n_half, n_radial)
+        previous, current = current, rule(n_half, n_radial)
         if abs(current - previous) <= quad_tol * max(abs(current), floor):
             return current
     raise NumericError(

@@ -177,6 +177,27 @@ class TestFdTableCommand:
         assert "rounding floor" in err
         assert not out.exists()
 
+    # an infinite tolerance would let any two refinement levels agree
+    @pytest.mark.parametrize("quad_tol", ["inf", "nan", "0", "-1e-6"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tolerance_not_positive_and_finite_is_usage_error(self, tmp_path, capsys,
+                                                              quad_tol, source):
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "x.fd"
+        flags = [f"--quad-tol={quad_tol}"]
+        if source == "config":
+            cfg.write_text(CFG_44 + f"quad_tol = {quad_tol}\n")
+            flags = []
+        else:
+            cfg.write_text(CFG_44)
+        code = main(["fd-table", "--config", str(cfg), "--n-knots", "8", *flags,
+                     "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: --quad-tol must be positive and finite, "
+                                f"got {float(quad_tol)}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_noise_free_run_zeroes_rss_column(self, tmp_path):

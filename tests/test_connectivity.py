@@ -152,10 +152,28 @@ class TestGenericF:
         value = rf.generic_f(PARAMS_44, 30.0, quad_tol=floor)
         assert value == pytest.approx(_adaptive_f(PARAMS_44, 30.0), rel=1e-10)
 
+    @pytest.mark.parametrize("quad_tol", [math.inf, math.nan, 0.0, -1e-6])
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_DISK], ids=["p44", "disk"])
+    def test_rejects_tolerance_not_positive_and_finite(self, params, quad_tol):
+        with pytest.raises(ValueError, match="quad_tol must be positive and finite"):
+            rf.generic_f(params, 30.0, quad_tol=quad_tol)
+
     def test_levels_that_never_agree_raise(self, monkeypatch):
-        monkeypatch.setattr(rf.connectivity, "_MAX_HALF_PANELS", 16)
+        # levels (2, 1) and (4, 2) only; they differ by about 4e-7 relative here
+        monkeypatch.setattr(rf.connectivity, "_MAX_HALF_PANELS", 4)
         with pytest.raises(rf.NumericError, match="did not converge"):
             rf.generic_f(PARAMS_SHARP, 7.0, quad_tol=1e-10)
+
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP],
+                             ids=["p44", "field", "sharp"])
+    def test_starting_angle_rule_is_converged(self, params):
+        # the premise of starting the doubling at 2 angle panels: with edges at
+        # the transition crossings, 2 panels already match 64 (worst 4.1e-10,
+        # field), so refinement only has the radial rule left to converge
+        knots = np.linspace(0.0, rf.threshold_distance(params), 64)
+        for d in knots[::4]:
+            rule = rf.connectivity._panel_rule_f(params, float(d))
+            assert rule(2, 1) == pytest.approx(rule(64, 1), rel=1e-9, abs=0.0), d
 
 
 class TestThresholdDistance:
