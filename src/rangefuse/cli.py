@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams
-from .config import atomic_output, load_config, parse_distances
+from .config import load_config, parse_distances, write_atomic
 from .connectivity import build_fd_model, load_fd_model, save_fd_model
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
@@ -193,8 +193,7 @@ def _cmd_crlb(args) -> int:
     variances = crlb_distance(model, intensity, distances).tolist()
     lines = ["d,crlb_variance,sqrt_crlb",
              *(f"{d!r},{v!r},{math.sqrt(v)!r}" for d, v in zip(distances, variances))]
-    with atomic_output(args.output) as partial:
-        partial.write_text("\n".join(lines) + "\n")
+    write_atomic(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -259,16 +258,7 @@ def _cmd_dataset(args) -> int:
     result = evaluate_pairs(ms, pairs, model, intensity=args.intensity)
     for i, j in result.pairs[~result.measured].tolist():
         print(f"warning: pair {i}-{j}: no RSS measurement for this pair", file=sys.stderr)
-    # NaN prints as 'nan', the value of every error column and of d_fused
-    # for an unmeasured pair, whose status is 'error'
-    columns = (*result.pairs.T.tolist(),
-               *(v.tolist() for v in (result.d_true, result.err_rss, result.err_conn,
-                                      result.err_fused)),
-               result.status.tolist(), result.d_fused.tolist())
-    lines = ["pair,d_true,err_rss,err_conn,err_fused,status,d_fused",
-             *map("{}-{},{!r},{!r},{!r},{!r},{},{!r}".format, *columns)]
-    with atomic_output(args.output) as partial:
-        partial.write_text("\n".join(lines) + "\n")
+    write_atomic(args.output, result.to_csv_text())
     return 0
 
 
@@ -366,9 +356,24 @@ def _check_outputs(args) -> None:
         named.setdefault(resolved, _flag(name))
 
 
+def _join_negative_values(argv) -> list:
+    """argv with '--flag value' as '--flag=value' where value starts with '-' and a digit or '.'.
+
+    argparse by itself takes -12 and -1.5 for values, but not -1e2 or the --pairs token -3-5.
+    """
+    out = []
+    for token in argv:
+        if (out and re.fullmatch(r"--[^=]+", out[-1]) and out[-1] != "--help"
+                and re.match(r"-[\d.]", token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_outputs(args)
         return args.func(args)

@@ -1,7 +1,7 @@
 """Flat key-value configuration files with [channel] and [experiment] sections.
 
-Also holds read_input and atomic_output, the one read of every input file
-of the package and the write-then-rename step of every output file.
+Also holds read_input and write_atomic, the one read of every input file
+of the package and the one write of every output file.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import configparser
 import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import MISSING, astuple, fields
 from pathlib import Path
 
@@ -21,31 +20,30 @@ from .errors import ConfigurationError
 CHANNEL_KEYS = ("p_ref_dbm", "alpha", "sigma_db", "rss_threshold_dbm", "d0_m")
 
 
-@contextmanager
-def atomic_output(path):
-    """Yield a temporary path beside path, then os.replace it onto path.
+def write_atomic(path, text: str) -> None:
+    """Write text to path as open(path, "w") would, but never leave a torn file.
 
-    The temporary file lives in the target's directory, so the rename is
-    atomic: readers see the old file or the whole new one, never a torn
-    one. If the body raises, the target stays absent or unchanged and the
-    temporary file is removed. The new file gets the mode a plain open()
-    would give it: an existing target's permission bits, else 0o666 less
-    the process umask.
+    A symlink at path is followed, as open() follows it. The text goes to a
+    temporary file in the target's directory, which os.replace then moves
+    onto the target: readers see the old file or the whole new one. If the
+    write fails, the target stays absent or unchanged and the temporary file
+    is removed. The new file gets the mode open() would give it: an existing
+    target's permission bits, else 0o666 less the process umask.
     """
-    path = Path(path)
-    handle, partial = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    target = Path(os.path.realpath(path))
+    handle, partial = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     os.close(handle)
     partial = Path(partial)
     try:
-        if path.exists():
-            mode = path.stat().st_mode & 0o777
+        if target.exists():
+            mode = target.stat().st_mode & 0o777
         else:
             umask = os.umask(0)
             os.umask(umask)
             mode = 0o666 & ~umask
         partial.chmod(mode)
-        yield partial
-        os.replace(partial, path)
+        partial.write_text(text)
+        os.replace(partial, target)
     finally:
         partial.unlink(missing_ok=True)
 
@@ -141,15 +139,3 @@ def load_config(path):
         raise ConfigurationError(f"{path}: {exc}") from exc
     return channel, experiment
 
-
-def write_config(path, params: ChannelParams, experiment: dict | None = None) -> None:
-    """Write a config file that load_config reads back as (params, experiment)."""
-    parser = configparser.ConfigParser()
-    parser["channel"] = channel_to_mapping(params)
-    if experiment:
-        parser["experiment"] = {
-            key: ", ".join(map(repr, value)) if isinstance(value, (list, tuple)) else str(value)
-            for key, value in experiment.items()
-        }
-    with atomic_output(path) as partial, open(partial, "w", newline="\n") as handle:
-        parser.write(handle)

@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import LN10, ChannelParams, link_probability, pseudo_range
-from .config import (CHANNEL_KEYS, atomic_output, channel_from_mapping, channel_to_mapping,
-                     read_input)
+from .config import (CHANNEL_KEYS, channel_from_mapping, channel_to_mapping, read_input,
+                     write_atomic)
 from .errors import ConfigurationError, ModelConstructionError, NumericError
 
 # Link probabilities below this are treated as zero when truncating the
@@ -475,8 +475,7 @@ def save_fd_model(model: FdModel, path) -> None:
     lines += [f"s_mass = {model.s_mass!r}", f"d_th = {model.d_th!r}",
               f"n_knots = {model.n_knots}", "knots:"]
     lines += [f"{float(d)!r}, {float(f_val)!r}" for d, f_val in zip(model.knots_d, model.knots_f)]
-    with atomic_output(path) as partial:
-        partial.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_fd_model(path) -> FdModel:

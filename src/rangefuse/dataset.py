@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, estimate_distance_rss, mean_rss
-from .config import atomic_output, read_input
+from .config import read_input, write_atomic
 from .connectivity import FdModel
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
@@ -242,8 +242,7 @@ def save_measurements(ms: MeasurementSet, path) -> None:
     """Write the canonical form: nodes in stored order, links sorted by (lo, hi)."""
     lines = ["# nodes", *map("{}, {!r}, {!r}".format, ms.ids.tolist(), *ms.xy.T.tolist()),
              "# rss", *map("{}, {}, {!r}".format, *ms.links.T.tolist(), ms.link_rss.tolist())]
-    with atomic_output(path) as partial:
-        partial.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def checked_ranges(params: ChannelParams, obs, subject):
@@ -306,6 +305,7 @@ class PairEvaluation(_Columns):
     Rows follow the request order; pairs is (k, 2) int64 as requested. A
     pair with no RSS entry has status NO_RSS and NaN estimates; measured
     marks the others. The err_* columns are absolute errors against d_true.
+    to_csv_text gives the dataset command's CSV table, one line per pair.
     """
 
     pairs: np.ndarray
@@ -319,6 +319,17 @@ class PairEvaluation(_Columns):
     err_rss = property(lambda self: np.abs(self.d_rss - self.d_true))
     err_conn = property(lambda self: np.abs(self.d_conn - self.d_true))
     err_fused = property(lambda self: np.abs(self.d_fused - self.d_true))
+
+    def to_csv_text(self) -> str:
+        # NaN prints as 'nan', the value of every error column and of
+        # d_fused for an unmeasured pair
+        columns = (*self.pairs.T.tolist(),
+                   *(v.tolist() for v in (self.d_true, self.err_rss, self.err_conn,
+                                          self.err_fused)),
+                   self.status.tolist(), self.d_fused.tolist())
+        lines = ["pair,d_true,err_rss,err_conn,err_fused,status,d_fused",
+                 *map("{}-{},{!r},{!r},{!r},{!r},{},{!r}".format, *columns)]
+        return "\n".join(lines) + "\n"
 
 
 def evaluate_pairs(ms: MeasurementSet, pairs, model: FdModel,

@@ -30,7 +30,7 @@ from .channel import (
     pseudo_range,
     sample_rss,
 )
-from .config import atomic_output
+from .config import write_atomic
 from .connectivity import FdModel, _model_point
 from .crlb import crlb_distance
 from .errors import ConfigurationError
@@ -113,15 +113,13 @@ class RmseReport:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with atomic_output(path) as partial:
-            partial.write_text(self.to_csv_text())
+        write_atomic(path, self.to_csv_text())
 
     def to_dict(self) -> dict:
         return {"columns": list(CSV_COLUMNS), "rows": [asdict(r) for r in self.rows]}
 
     def write_json(self, path) -> None:
-        with atomic_output(path) as partial:
-            partial.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        write_atomic(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def mu_to_lambda(mu: float, s_mass: float) -> float:

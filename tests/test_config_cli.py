@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import json
 import math
@@ -54,6 +55,19 @@ _EXPERIMENTS = st.fixed_dictionaries({}, optional={
 })
 
 
+def _write_config(path, params, experiment):
+    """Write an INI file that load_config should read back as (params, experiment)."""
+    parser = configparser.ConfigParser()
+    parser["channel"] = config.channel_to_mapping(params)
+    if experiment:
+        parser["experiment"] = {
+            key: ", ".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+            for key, value in experiment.items()
+        }
+    with open(path, "w") as handle:
+        parser.write(handle)
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     path = tmp_path / "cfg.ini"
@@ -81,7 +95,7 @@ class TestConfigFiles:
 
     def test_write_round_trip(self, tmp_path):
         path = tmp_path / "out.ini"
-        config.write_config(path, PARAMS_FIELD, {"mu": 15, "distances": "3, 6"})
+        _write_config(path, PARAMS_FIELD, {"mu": 15, "distances": "3, 6"})
         channel, experiment = config.load_config(path)
         assert channel == PARAMS_FIELD
         assert experiment["mu"] == 15.0
@@ -91,7 +105,7 @@ class TestConfigFiles:
     def test_write_load_round_trip_bit_for_bit(self, params, experiment):
         with tempfile.TemporaryDirectory() as folder:
             path = Path(folder) / "cfg.ini"
-            config.write_config(path, params, experiment)
+            _write_config(path, params, experiment)
             loaded = config.load_config(path)
         assert loaded == (params, experiment)
         # repr tells -0.0 from 0.0 and round-trips every finite double
@@ -179,11 +193,11 @@ class TestFdTableCommand:
 
     # an infinite tolerance would let any two refinement levels agree
     @pytest.mark.parametrize("quad_tol", ["inf", "nan", "0", "-1e-6"])
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "config", "flag-split"])
     def test_tolerance_not_positive_and_finite_is_usage_error(self, tmp_path, capsys,
                                                               quad_tol, source):
         cfg, out = tmp_path / "cfg.ini", tmp_path / "x.fd"
-        flags = [f"--quad-tol={quad_tol}"]
+        flags = [f"--quad-tol={quad_tol}"] if source == "flag" else ["--quad-tol", quad_tol]
         if source == "config":
             cfg.write_text(CFG_44 + f"quad_tol = {quad_tol}\n")
             flags = []
@@ -500,16 +514,18 @@ class TestDatasetCommand:
         meas.write_text("# nodes\n-5, 0.0, 0.0\n3, 3.0, 4.0\n-7, 1.0, 1.0\n"
                         "# rss\n-5, 3, -48.0\n3, -7, -47.0\n-5, -7, -42.0\n")
         out = tmp_path / "errors.csv"
-        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
-                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
-                     "--n-knots", "16", "--quad-tol", "1e-4",
-                     "--input", str(meas), f"--pairs={token}, -7:-5",
-                     "--output", str(out)])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[1].startswith(f"{pair},5.0,")
-        assert lines[2].startswith("-7--5,")
-        assert "nan" not in out.read_text()
+        # --pairs=value, and --pairs value as two tokens (argparse takes a
+        # token with a space for a value by itself)
+        for pairs in ([f"--pairs={token}, -7:-5"], ["--pairs", f"{token},-7:-5"]):
+            code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                         "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                         "--n-knots", "16", "--quad-tol", "1e-4",
+                         "--input", str(meas), *pairs, "--output", str(out)])
+            assert code == 0
+            lines = out.read_text().splitlines()
+            assert lines[1].startswith(f"{pair},5.0,")
+            assert lines[2].startswith("-7--5,")
+            assert "nan" not in out.read_text()
 
 
 class TestParser:
@@ -531,6 +547,21 @@ class TestParser:
                      "--intensity", "0.01", "--output", str(tmp_path / "c.csv")]) == 0
         assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 19
         assert cli.build_parser.cache_info().misses == 1
+
+    # argparse by itself reads only -12 and -1.5 as negative numbers
+    @pytest.mark.parametrize("value", ["-1e2", "-1E+2", "-.5e1"])
+    @pytest.mark.parametrize("flag", ["--p-ref-dbm", "--rss-threshold-dbm", "--rss"])
+    def test_negative_value_as_its_own_token(self, capsys, flag, value):
+        settings = {"--p-ref-dbm": "0", "--alpha": "4", "--sigma-db": "4",
+                    "--rss-threshold-dbm": "-110", "--rss": "-80"}
+        results = []
+        for given in ([flag, value], [f"{flag}={value}"]):
+            argv = ["estimate", *(f"{k}={v}" for k, v in settings.items() if k != flag),
+                    *given, "--n-knots", "8", "--quad-tol", "1e-3",
+                    "--m", "6", "--p", "9", "--q", "11"]
+            results.append((main(argv), capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
 
     def test_fd_table_help_describes_the_table_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -903,7 +934,8 @@ class TestEstimateExtremeReading:
         (["--rss", "13000", "--m", "5", "--p", "8", "--q", "7"], "13000.0"),
         (["--rss", "13000", "--m", "0", "--p", "0", "--q", "0"], "13000.0"),
         (["--rss=-1e308", "--m", "5", "--p", "8", "--q", "7"], "-1e+308"),
-    ], ids=["zero-range", "zero-range-zero-counts", "infinite-range"])
+        (["--rss", "-1e308", "--m", "5", "--p", "8", "--q", "7"], "-1e+308"),
+    ], ids=["zero-range", "zero-range-zero-counts", "infinite-range", "infinite-range-split"])
     def test_reading_without_finite_range(self, cfg_path, capsys, argv, reading):
         code = main(["estimate", "--config", str(cfg_path), "--n-knots", "16",
                      "--quad-tol", "1e-4", *argv])
@@ -927,14 +959,15 @@ def _half_write(monkeypatch):
 
 class TestAtomicOutput:
     @pytest.mark.parametrize("existing", [True, False])
-    def test_failure_leaves_target_unchanged_or_absent(self, tmp_path, existing):
+    def test_failure_leaves_target_unchanged_or_absent(self, tmp_path, monkeypatch,
+                                                       existing):
         target = tmp_path / "out.txt"
         if existing:
             target.write_text("old\n")
+        _half_write(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
-            with config.atomic_output(target) as partial:
-                partial.write_text("half a")
-                raise OSError("disk full")
+            config.write_atomic(target, "half a\nhalf b\n")
+        monkeypatch.undo()
         assert list(tmp_path.iterdir()) == ([target] if existing else [])
         if existing:
             assert target.read_text() == "old\n"
@@ -949,13 +982,30 @@ class TestAtomicOutput:
             target.chmod(0o604)
         previous = os.umask(0o027)
         try:
-            with config.atomic_output(target) as partial:
-                partial.write_text("new\n")
+            config.write_atomic(target, "new\n")
         finally:
             os.umask(previous)
         assert target.read_text() == "new\n"
         assert stat.S_IMODE(target.stat().st_mode) == (0o604 if existing else 0o640)
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_symlinked_output_writes_through_the_link(self, cfg_path, tmp_path):
+        # open() follows the link: it stays a link, and its target gets the
+        # text and keeps its mode
+        table, link = tmp_path / "table.txt", tmp_path / "link.csv"
+        real = tmp_path / "data" / "real.csv"
+        table.write_text(_TABLE_44_8)
+        real.parent.mkdir()
+        real.write_text("old\n")
+        real.chmod(0o604)
+        link.symlink_to(Path("data") / "real.csv")
+        assert main(["crlb", "--config", str(cfg_path), "--mu", "20", "--distances", "10",
+                     "--fd-table", str(table), "--output", str(link)]) == 0
+        assert os.readlink(link) == str(Path("data") / "real.csv")
+        assert real.read_text() == ("d,crlb_variance,sqrt_crlb\n"
+                                    "10.0,5.231405799636792,2.287226661185286\n")
+        assert stat.S_IMODE(real.stat().st_mode) == 0o604
+        assert list(real.parent.iterdir()) == [real]
 
     def test_writers_keep_an_existing_files_mode(self, cfg_path, tmp_path, model44):
         table, curve = tmp_path / "table.txt", tmp_path / "curve.csv"
@@ -1017,3 +1067,106 @@ class TestAtomicOutput:
         assert code == 2
         assert capsys.readouterr().err == "error: disk full\n"
         assert list(out.parent.iterdir()) == []
+
+
+# an 8-knot table of the PARAMS_44 channel, written out so that the outputs
+# pinned below depend on no quadrature
+_TABLE_44_8 = """\
+fdmodel v1
+p_ref_dbm = -37.47
+alpha = 4.0
+sigma_db = 4.0
+rss_threshold_dbm = -100.0
+d0_m = 1.0
+s_mass = 4674.1384697057365
+d_th = 74.52006595742904
+n_knots = 8
+knots:
+0.0, 3480.834428147445
+10.645723708204148, 3274.49568322298
+21.291447416408296, 2763.231262318726
+31.937171124612444, 2129.625235524916
+42.58289483281659, 1491.0041890358266
+53.22861854102074, 914.3076418048887
+63.87434224922489, 461.7706621135753
+74.52006595742904, 182.73567845024354
+"""
+_FLAGS_44 = ["--p-ref-dbm=-37.47", "--alpha=4.0", "--sigma-db=4.0",
+             "--rss-threshold-dbm=-100.0"]
+_REPORT = rf.RmseReport(rows=(
+    rf.RmseRow(d_true=10.0, rmse_rss=2.5, rmse_conn=3.0, rmse_fused=1.75, sqrt_crlb=1.5,
+               trials=4),
+    rf.RmseRow(d_true=0.1, rmse_rss=1e-17, rmse_conn=math.nan, rmse_fused=2.0 / 3.0,
+               sqrt_crlb=1e300, trials=1),
+))
+
+
+def _write_crlb(path, table):
+    assert main(["crlb", *_FLAGS_44, "--fd-table", str(table), "--mu", "20",
+                 "--distances", "10,40", "--output", str(path)]) == 0
+
+
+def _write_dataset(path, table):
+    # both directions of -5, 3 are averaged; 7 and 11 share no reading
+    meas = path.with_name("meas.txt")
+    meas.write_text("# nodes\n-5, 0, 0\n3, 30, 40\n7, 20, 10\n9, 10, 30\n11, 60, 80\n"
+                    "13, -20, 0\n# rss\n-5, 3, -95.5\n3, -5, -96.5\n-5, 7, -88\n7, 3, -90\n"
+                    "9, -5, -89\n3, 9, -87\n3, 11, -92\n-5, 13, -84\n")
+    assert main(["dataset", *_FLAGS_44, "--fd-table", str(table), "--input", str(meas),
+                 "--pairs=-5-3, 7:11", "--output", str(path)]) == 0
+
+
+# each writer, called with its output path and the table's path, and the
+# whole text it writes
+_PINNED = {
+    "report.csv": (
+        lambda path, table: _REPORT.write_csv(path),
+        "d_true,rmse_rss,rmse_conn,rmse_fused,sqrt_crlb,trials\n"
+        "10.0,2.5,3.0,1.75,1.5,4\n"
+        "0.1,1e-17,nan,0.6666666666666666,1e+300,1\n",
+    ),
+    "report.json": (
+        lambda path, table: _REPORT.write_json(path),
+        '{\n  "columns": [\n    "d_true",\n    "rmse_rss",\n    "rmse_conn",\n'
+        '    "rmse_fused",\n    "sqrt_crlb",\n    "trials"\n  ],\n  "rows": [\n'
+        '    {\n      "d_true": 10.0,\n      "rmse_rss": 2.5,\n      "rmse_conn": 3.0,\n'
+        '      "rmse_fused": 1.75,\n      "sqrt_crlb": 1.5,\n      "trials": 4\n    },\n'
+        '    {\n      "d_true": 0.1,\n      "rmse_rss": 1e-17,\n      "rmse_conn": NaN,\n'
+        '      "rmse_fused": 0.6666666666666666,\n      "sqrt_crlb": 1e+300,\n'
+        '      "trials": 1\n    }\n  ]\n}\n',
+    ),
+    "dataset.csv": (
+        _write_dataset,
+        "pair,d_true,err_rss,err_conn,err_fused,status,d_fused\n"
+        "-5-3,50.0,20.943051744737335,36.0559468101559,22.41655473107272,interior,"
+        "27.58344526892728\n"
+        "7-11,80.62257748298549,nan,nan,nan,error,nan\n",
+    ),
+    "crlb.csv": (
+        _write_crlb,
+        "d,crlb_variance,sqrt_crlb\n"
+        "10.0,5.231405799636792,2.287226661185286\n"
+        "40.0,34.11343123462968,5.840670443932758\n",
+    ),
+    "fd_model.txt": (
+        lambda path, table: rf.save_fd_model(rf.load_fd_model(table), path),
+        _TABLE_44_8,
+    ),
+    "measurements.txt": (
+        lambda path, table: rf.save_measurements(rf.MeasurementSet(
+            ids=[7, -5, 3], xy=[[1.5, 0.0], [0.0, 0.0], [30.0, 40.0]],
+            links=[[3, -5], [7, -5]], link_rss=[-85.25, -60.0]), path),
+        "# nodes\n7, 1.5, 0.0\n-5, 0.0, 0.0\n3, 30.0, 40.0\n"
+        "# rss\n-5, 3, -85.25\n-5, 7, -60.0\n",
+    ),
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("name", list(_PINNED))
+    def test_whole_output(self, tmp_path, capsys, name):
+        write, expected = _PINNED[name]
+        table = tmp_path / "table.txt"
+        table.write_text(_TABLE_44_8)
+        write(tmp_path / name, table)
+        assert (tmp_path / name).read_bytes() == expected.encode()
