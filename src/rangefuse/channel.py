@@ -7,6 +7,14 @@ distance estimate; the shadowing term makes that estimate lognormally
 distributed around the true distance.
 
 RSS observations are plain floats in dBm throughout this package.
+
+A link exists where the shadowed power clears the threshold, so at
+distance d it exists with probability Q(10 alpha log10(d / r) / sigma_db),
+r the pseudo range. That one law has one kernel, _link_law: scipy's erfc
+ufunc, imported where it runs, so a process that never asks for a link
+probability never loads scipy. Its relative error grows with x, mostly
+from rounding x / sqrt(2): 6.5e-16 at x = 3.09, where the 1e-3 cutoff
+reads, 7.3e-15 at x = 8 and 1.1e-13 at x = 37 (Q = 6e-300).
 """
 
 from __future__ import annotations
@@ -17,42 +25,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 LN10 = math.log(10.0)
-
-# 1/sqrt(2) = _SQRT_HALF + _SQRT_HALF_REST to about 1e-33
-_SQRT_HALF = 0.7071067811865476
-_SQRT_HALF_REST = -4.833646656726457e-17
-_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-_erfc = np.vectorize(math.erfc, otypes=[float])
-
-
-def _halves(a):
-    """a as hi + lo, each with at most 26 significant bits, so products of halves are exact."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-_SQRT_HALF_HI, _SQRT_HALF_LO = _halves(_SQRT_HALF)
-
-
-def gaussian_tail(x):
-    """Upper tail P(Z > x) of the standard normal, accurate to ~1e-15 relative.
-
-    Computed as erfc(y)/2 at y = x/sqrt(2) with libm's erfc, elementwise.
-    Rounding y alone would cost about x**2 ulps of the tail far out, so
-    the rounding error e of y is recovered exactly (Dekker's product) and
-    taken off to first order: erfc(y + e) = erfc(y) - 2 e exp(-y**2)/sqrt(pi).
-    It needs no scipy, so threshold_distance runs without loading it.
-    """
-    x = np.asarray(x, dtype=float)
-    y = x * _SQRT_HALF
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_hi, x_lo = _halves(x)
-        e = (((x_hi * _SQRT_HALF_HI - y) + x_hi * _SQRT_HALF_LO + x_lo * _SQRT_HALF_HI)
-             + x_lo * _SQRT_HALF_LO + x * _SQRT_HALF_REST)
-        # past |x| = 40 the tail is 0 or 1 in doubles; e may be nan there
-        correction = np.where(np.abs(x) < 40.0, e * np.exp(-y * y), 0.0)
-    return 0.5 * _erfc(y) - correction / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -123,10 +95,8 @@ def sample_rss(params: ChannelParams, d, rng: np.random.Generator):
     Vectorizes over d; one independent draw per element. Deterministic for
     a seeded generator.
     """
-    d = _positive_distances(d)
-    mean = params.p_ref_dbm - 10.0 * params.alpha * np.log10(d / params.d0)
-    out = mean + rng.normal(0.0, params.sigma_db, size=d.shape)
-    return _like_input(out)
+    mean = mean_rss(params, d)
+    return _like_input(mean + rng.normal(0.0, params.sigma_db, size=np.shape(mean)))
 
 
 def estimate_distance_rss(params: ChannelParams, obs):
@@ -151,19 +121,32 @@ def pseudo_range(params: ChannelParams) -> float:
     )
 
 
+def _link_law(params: ChannelParams):
+    """Vectorized g(distance), safe at distance 0: the link law for sigma_db > 0."""
+    from scipy import special  # scipy's erfc ufunc: g is much of the tabulation's time
+
+    r = pseudo_range(params)
+    scale = 10.0 * params.alpha / params.sigma_db
+
+    def g(u):
+        u = np.maximum(np.asarray(u, dtype=float), 1e-300)
+        return 0.5 * special.erfc(scale * np.log10(u / r) / math.sqrt(2.0))
+    return g
+
+
 def link_probability(params: ChannelParams, d):
     """Probability that a link exists at distance d.
 
     Equals the upper Gaussian tail of the shadowing needed to lift the mean
     power above the threshold, so it is 1/2 exactly at the pseudo range and
-    nonincreasing in d. With sigma_db = 0 it degenerates to the unit step
-    at the pseudo range.
+    nonincreasing in d. The values are those of _link_law, the kernel the
+    f(d) tabulation integrates, bit for bit (accuracy: see the module
+    docstring). With sigma_db = 0 it degenerates to the unit step at the
+    pseudo range.
     """
     d = _positive_distances(d)
-    r = pseudo_range(params)
     if params.sigma_db == 0.0:
-        out = np.where(d <= r, 1.0, 0.0)
+        out = np.where(d <= pseudo_range(params), 1.0, 0.0)
     else:
-        out = gaussian_tail(10.0 * params.alpha * np.log10(d / r) / params.sigma_db)
+        out = _link_law(params)(d)
     return _like_input(out)
-

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams
-from .config import load_config, parse_distances, write_atomic
+from .config import _real_path, load_config, parse_distances, write_atomic
 from .connectivity import build_fd_model, load_fd_model, save_fd_model
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
@@ -335,15 +335,15 @@ def _check_outputs(args) -> None:
     """Fail before any work on an output that is a directory, unwritable, or named before.
 
     An output may not name an input file (--input, --fd-table, --config)
-    or the other output; paths are compared after resolving them.
+    or the other output; paths are compared after resolving them, and a
+    looping symlink fails as open() would fail on it.
     """
     named = {}  # each resolved path given so far, and the flag that gave it
     for name in ("input", "fd_table", "config", "output", "json"):
         path = getattr(args, name, None)
         if not path:
             continue
-        # realpath, unlike Path.resolve, returns a looping symlink unresolved
-        resolved = Path(os.path.realpath(path))
+        resolved = _real_path(path)
         if name in ("output", "json"):
             if resolved in named:
                 raise ConfigurationError(

@@ -7,6 +7,7 @@ of the package and the one write of every output file.
 from __future__ import annotations
 
 import configparser
+import errno
 import os
 import tempfile
 from dataclasses import MISSING, astuple, fields
@@ -20,17 +21,30 @@ from .errors import ConfigurationError
 CHANNEL_KEYS = ("p_ref_dbm", "alpha", "sigma_db", "rss_threshold_dbm", "d0_m")
 
 
+def _real_path(path) -> Path:
+    """path with every symlink followed, as open() follows them.
+
+    os.path.realpath returns a looping symlink unresolved; this raises
+    OSError (ELOOP) on one, as open() does.
+    """
+    target = Path(os.path.realpath(path))
+    if target.is_symlink():
+        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), os.fspath(path))
+    return target
+
+
 def write_atomic(path, text: str) -> None:
     """Write text to path as open(path, "w") would, but never leave a torn file.
 
-    A symlink at path is followed, as open() follows it. The text goes to a
-    temporary file in the target's directory, which os.replace then moves
-    onto the target: readers see the old file or the whole new one. If the
-    write fails, the target stays absent or unchanged and the temporary file
-    is removed. The new file gets the mode open() would give it: an existing
+    A symlink at path is followed, as open() follows it, and a looping one
+    raises OSError (ELOOP), as open() does. The text goes to a temporary
+    file in the target's directory, which os.replace then moves onto the
+    target: readers see the old file or the whole new one. If the write
+    fails, the target stays absent or unchanged and the temporary file is
+    removed. The new file gets the mode open() would give it: an existing
     target's permission bits, else 0o666 less the process umask.
     """
-    target = Path(os.path.realpath(path))
+    target = _real_path(path)
     handle, partial = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     os.close(handle)
     partial = Path(partial)

@@ -18,11 +18,11 @@ than the rounding floor QUAD_TOL_FLOOR). The doubling starts at 2 angle
 panels: with an edge at each transition crossing, the angle rule is
 already converged there, so the levels differ by their radial rule alone.
 
-Only tabulation needs scipy: its link probability g uses scipy's erfc
-ufunc, and truncation_radius its normal quantile. Both import
-scipy.special where they run, so loading a saved table, inverting counts
-and threshold_distance (libm's erfc, via channel.gaussian_tail) leave
-scipy unloaded.
+Only tabulation needs scipy: the link law (channel._link_law, scipy's
+erfc ufunc), which the panel rule integrates and threshold_distance
+bisects through link_probability, and truncation_radius's normal
+quantile. Both import scipy.special where they run, so loading a saved
+table, inverting counts and the bound leave scipy unloaded.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import LN10, ChannelParams, link_probability, pseudo_range
+from .channel import LN10, ChannelParams, _link_law, link_probability, pseudo_range
 from .config import (CHANNEL_KEYS, channel_from_mapping, channel_to_mapping, read_input,
                      write_atomic)
 from .errors import ConfigurationError, ModelConstructionError, NumericError
@@ -108,19 +108,6 @@ def unit_disk_f(r, d):
         np.maximum(r * r - d * d / 4.0, 0.0)
     )
     return out if out.ndim else float(out)
-
-
-def _link_prob_fn(params: ChannelParams):
-    """Vectorized g(distance), safe at distance 0."""
-    from scipy import special  # scipy's erfc ufunc: g is much of the tabulation's time
-
-    r = pseudo_range(params)
-    scale = 10.0 * params.alpha / params.sigma_db
-
-    def g(u):
-        u = np.maximum(np.asarray(u, dtype=float), 1e-300)
-        return 0.5 * special.erfc(scale * np.log10(u / r) / math.sqrt(2.0))
-    return g
 
 
 def truncation_radius(params: ChannelParams) -> float:
@@ -227,7 +214,7 @@ def _panel_rule_f(params, d):
     level; the returned function sums f(d) over n_half angle panels and
     n_radial radial panels per interval.
     """
-    g = _link_prob_fn(params)
+    g = _link_law(params)
     r_edges = np.array(_transition_radii(params))
     r_trunc = truncation_radius(params)
     r_outer = d / 2.0 + r_trunc

@@ -46,7 +46,8 @@ def fim(model: FdModel, intensity, d) -> FisherInfo:
     intensity, d, f_val, slope = _model_point(model, intensity, d)
     scale = rss_fisher_scale(model.params)
     s = model.s_mass
-    i_dd = intensity * slope * slope * (1.0 / f_val + 2.0 / (s - f_val)) + scale / (d * d)
+    with np.errstate(over="ignore", divide="ignore"):  # inf RSS information as d -> 0
+        i_dd = intensity * slope * slope * (1.0 / f_val + 2.0 / (s - f_val)) + scale / (d * d)
     # No check of the result: 0 < f < S (from _model_point) and kappa = scale > 0
     # give i_ll = (2S - f)/lambda > 0 and det = f'^2 [(2S - f)(S + f)/(f (S - f)) - 1]
     # + kappa (2S - f)/(lambda d^2) > 0, since (2S - f)(S + f) - f (S - f) = 2 S^2.
@@ -65,5 +66,6 @@ def crlb_distance(model: FdModel, intensity, d):
     d = np.asarray(d, dtype=float)
     # float_power is libm's pow; numpy's SIMD ** differs from it in the last
     # bit for about one sigma_c in twenty
-    out = 1.0 / (np.float_power(sigma_c, -2.0) + rss_fisher_scale(model.params) / (d * d))
+    with np.errstate(over="ignore", divide="ignore"):  # the bound is 0 where d * d underflows
+        out = 1.0 / (np.float_power(sigma_c, -2.0) + rss_fisher_scale(model.params) / (d * d))
     return out if out.ndim else float(out)

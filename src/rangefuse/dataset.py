@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, estimate_distance_rss, mean_rss
+from .channel import ChannelParams, estimate_distance_rss, sample_rss
 from .config import read_input, write_atomic
 from .connectivity import FdModel
 from .errors import ConfigurationError
@@ -387,9 +387,7 @@ def synthesize_measurements(
         row, col = np.triu_indices(n, k=1)
         gaps = dep.nodes[row] - dep.nodes[col]
         distances = np.hypot(gaps[:, 0], gaps[:, 1])
-        values = mean_rss(channel, distances) + channel.sigma_db * rng.standard_normal(
-            distances.size
-        )
+        values = sample_rss(channel, distances, rng)
         kept = values >= channel.rss_threshold_dbm
         links = np.stack([row[kept], col[kept]], axis=1) + 1
         link_rss = values[kept]

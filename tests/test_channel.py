@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import rangefuse as rf
-from rangefuse.channel import gaussian_tail
-from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD
+from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP
 
 LN10 = math.log(10.0)
 
@@ -135,20 +134,21 @@ class TestLinkProbability:
             0.00130494902170805, rel=1e-10
         )
 
-    # Q(x) = erfc(x/sqrt(2))/2 to 20 digits, from mpmath at 50 digits
-    @pytest.mark.parametrize("x, q", [
-        (3.09, 0.0010007824766140108776),
-        (8.0, 6.2209605742717841235e-16),
-        (20.0, 2.7536241186062336951e-89),
-        (37.0, 5.7255712225245768227e-300),
-    ])
-    def test_gaussian_tail_relative_accuracy(self, x, q):
-        assert abs(gaussian_tail(x) - q) <= 1e-15 * q
+    def test_value_where_the_cutoff_reads(self):
+        # x = log10(d / r) / sigma_r rounds to exactly 3.09 here, next to the
+        # 1e-3 cutoff; Q(3.09) to 20 digits, from mpmath at 50 digits
+        d = rf.pseudo_range(PARAMS_44) * 10.0 ** (3.09 * PARAMS_44.sigma_r)
+        q = 0.0010007824766140108776
+        assert abs(rf.link_probability(PARAMS_44, d) - q) <= 1e-15 * q
 
-    def test_gaussian_tail_extremes(self):
-        # 1e308 overflows the splitting of x, which must stay silent
-        out = gaussian_tail([-np.inf, -1e308, -50.0, 0.0, 50.0, 1e308, np.inf])
-        assert out.tolist() == [1.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP],
+                             ids=["p44", "field", "sharp"])
+    def test_same_bits_as_the_tabulation_kernel(self, params):
+        # the cutoff and f(d) read one law: link_probability and the g that
+        # the panel rule integrates agree bit for bit
+        d = 3.0 * rf.threshold_distance(params) * (1.0 - np.random.default_rng(22).random(10**4))
+        g = rf.channel._link_law(params)
+        assert np.array_equal(rf.link_probability(params, d), g(d))
 
     def test_step_when_noise_free(self):
         r = rf.pseudo_range(PARAMS_DISK)

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -878,6 +879,23 @@ class TestOutputPrecheck:
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             ["link.txt", "sub", *files])
 
+    @pytest.mark.parametrize("flag", ["--output", "--json"])
+    def test_output_that_is_a_symlink_loop(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                           flag):
+        # open("loop.csv", "w") fails with ELOOP; the link must not be replaced
+        monkeypatch.setattr("rangefuse.cli.run_experiment", _never)
+        monkeypatch.setattr("rangefuse.cli.build_fd_model", _never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loop.csv").symlink_to("loop.csv")
+        paths = {"--output": "r.csv", "--json": "r.json", flag: "loop.csv"}
+        code = main(["simulate", "--config", str(cfg_path), "--output", paths["--output"],
+                     "--json", paths["--json"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "loop.csv" in err
+        assert os.readlink(tmp_path / "loop.csv") == "loop.csv"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini", "loop.csv"]
+
     @pytest.mark.parametrize("flag", ["--input", "--config"])
     def test_input_that_is_a_symlink_loop(self, cfg_path, tmp_path, capsys, monkeypatch, flag):
         monkeypatch.chdir(tmp_path)
@@ -1048,6 +1066,16 @@ class TestAtomicOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
         for name in writers:
             assert (tmp_path / name).read_text() == "old\n"
+
+    def test_library_writer_fails_on_a_symlink_loop(self, tmp_path, model44):
+        # as open() fails: the looping link stays and no file is left beside it
+        loop = tmp_path / "loop.fd"
+        loop.symlink_to("loop.fd")
+        with pytest.raises(OSError) as caught:
+            rf.save_fd_model(model44, loop)
+        assert caught.value.errno == errno.ELOOP
+        assert os.readlink(loop) == "loop.fd"
+        assert list(tmp_path.iterdir()) == [loop]
 
     @pytest.mark.parametrize("command", [
         ["crlb", "--mu", "20"],

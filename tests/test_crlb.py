@@ -112,6 +112,18 @@ class TestCrlbDistance:
             sigma_c = rf.conn_error_sigma(model44, lam, x)
             assert bound == 1.0 / (sigma_c**-2 + scale / (x * x))
 
+    def test_tiny_distances_give_the_limit_without_warnings(self, model44):
+        # below about 1e-153 the RSS information scale / d^2 overflows (or
+        # divides by a zero d^2); warnings are errors in this suite
+        lam = _intensity(model44)
+        d = np.array([1e-160, 1e-320, 5e-324])
+        assert rf.crlb_distance(model44, lam, d).tolist() == [0.0, 0.0, 0.0]
+        assert rf.fim(model44, lam, d).i_dd.tolist() == [math.inf] * 3
+        # a bound that is finite and nonzero is still the formula's value
+        scale = rf.rss_fisher_scale(PARAMS_44)
+        sigma_c = rf.conn_error_sigma(model44, lam, 1e-150)
+        assert rf.crlb_distance(model44, lam, 1e-150) == 1.0 / (sigma_c**-2 + scale / 1e-300)
+
     def test_rejects_distances_outside_the_cutoff(self, model44):
         lam = _intensity(model44)
         for bad in (0.0, math.nextafter(model44.d_th, math.inf), math.nan):

@@ -53,8 +53,10 @@ def _run_python(code: str, *args: str) -> str:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.special alone is most of a cold start; only f(d) tabulation and
-    # the exact-law enumeration load it, inside the functions that need it
+    # scipy.special alone is most of a cold start; only the link law
+    # (channel._link_law: link_probability, threshold_distance and the f(d)
+    # panel rule), truncation_radius and the exact-law enumeration load it,
+    # inside the functions that need it
     code = ("import sys, rangefuse, rangefuse.cli; "
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     assert _run_python(code) == "[]"
