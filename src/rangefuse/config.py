@@ -63,12 +63,12 @@ def write_atomic(path, text: str) -> None:
 
 
 def read_input(path, what: str) -> str:
-    """The UTF-8 text of the file at path, a what file ("config", say); errors name the path."""
+    """The UTF-8 text, less any byte-order mark, of the what file ("config", say) at path."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"{what} file not found: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     except OSError as exc:
@@ -137,13 +137,25 @@ def experiment_from_mapping(mapping) -> dict:
 
 
 def load_config(path):
-    """Read a config file; returns (ChannelParams or None, experiment dict)."""
+    """Read a config file; returns (ChannelParams or None, experiment dict).
+
+    Values are taken as written (a % is no interpolation), and a syntax
+    error is one line, path:line: reason.
+    """
     path = Path(path)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(read_input(path, "config"), source=str(path))
-    except configparser.Error as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigurationError(
+            f"{path}:{exc.lineno}: text before any [section] header") from exc
+    except configparser.ParsingError as exc:
+        raise ConfigurationError(
+            f"{path}:{exc.errors[0][0]}: not a [section] header or a key = value line") from exc
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
+        # the message reads "While reading from 'path' [line  n]: <reason>"
+        raise ConfigurationError(
+            f"{path}:{exc.lineno}: {exc.message.partition(']: ')[2]}") from exc
     try:
         channel = (channel_from_mapping(dict(parser.items("channel")))
                    if parser.has_section("channel") else None)

@@ -18,11 +18,10 @@ than the rounding floor QUAD_TOL_FLOOR). The doubling starts at 2 angle
 panels: with an edge at each transition crossing, the angle rule is
 already converged there, so the levels differ by their radial rule alone.
 
-Only tabulation needs scipy: the link law (channel._link_law, scipy's
-erfc ufunc), which the panel rule integrates and threshold_distance
-bisects through link_probability, and truncation_radius's normal
-quantile. Both import scipy.special where they run, so loading a saved
-table, inverting counts and the bound leave scipy unloaded.
+Only tabulation needs scipy, for the link law (channel._link_law, scipy's
+erfc ufunc) that the panel rule integrates and threshold_distance bisects;
+it imports scipy.special where it runs, so loading a saved table,
+inverting counts and the bound leave scipy unloaded.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ from .config import (CHANNEL_KEYS, channel_from_mapping, channel_to_mapping, rea
                      write_atomic)
 from .errors import ConfigurationError, ModelConstructionError, NumericError
 
-# Link probabilities below this are treated as zero when truncating the
-# domain of the panel rule.
-LINK_FLOOR = 1e-9
 CUTOFF_LINK_PROBABILITY = 1e-3
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -110,16 +106,8 @@ def unit_disk_f(r, d):
     return out if out.ndim else float(out)
 
 
-def truncation_radius(params: ChannelParams) -> float:
-    """Distance beyond which the link probability drops under LINK_FLOOR."""
-    from scipy import special
-
-    z = -float(special.ndtri(LINK_FLOOR))
-    return pseudo_range(params) * 10.0 ** (z * params.sigma_db / (10.0 * params.alpha))
-
-
 def _transition_radii(params: ChannelParams):
-    """Radii bracketing the band where the link probability falls 1 -> 0."""
+    """Radii where the link probability is 1 - Q(6), 1/2 and Q(6) = 9.9e-10."""
     r = pseudo_range(params)
     halfwidth = 6.0 * params.sigma_db / (10.0 * params.alpha)
     return (r * 10.0 ** -halfwidth, r, r * 10.0 ** halfwidth)
@@ -166,17 +154,16 @@ def _angular_overlap(g, d, rho, n_half, r_edges):
     return 2.0 * np.sum(g(ra) * g(rb) * widths * _GL_WEIGHTS, axis=(1, 2))
 
 
-def _radial_breaks(r_edges, r_trunc: float, d: float, r_outer: float) -> np.ndarray:
+def _radial_breaks(r_edges, d: float, r_outer: float) -> np.ndarray:
     """Radii in (0, r_outer) where the angular integral has a kink.
 
-    These are where a link transition circle r_edges (or the truncation
-    circle r_trunc) around A or B touches the pair axis, |r_t - d/2| and
-    r_t + d/2, and where A's transition circle r_i crosses B's r_j, at
-    radius sqrt((r_i^2 + r_j^2)/2 - d^2/4) from the midpoint: there two
-    angle edges meet.
+    These are where a link transition circle r_edges around A or B touches
+    the pair axis, |r_t - d/2| and r_t + d/2, and where A's transition
+    circle r_i crosses B's r_j, at radius sqrt((r_i^2 + r_j^2)/2 - d^2/4)
+    from the midpoint: there two angle edges meet.
     """
     breaks = set()
-    for r_t in (*r_edges, r_trunc):
+    for r_t in r_edges:
         breaks.update((abs(r_t - d / 2.0), r_t + d / 2.0))
     for i, r_i in enumerate(r_edges):
         for r_j in r_edges[i:]:
@@ -212,13 +199,13 @@ def _panel_rule_f(params, d):
     g, the transition radii and the radial breaks depend on the channel and
     d alone, so they are built once here and shared by every refinement
     level; the returned function sums f(d) over n_half angle panels and
-    n_radial radial panels per interval.
+    n_radial radial panels per interval. The domain ends d/2 past the outer
+    transition radius, beyond which the integrand is below Q(6)^2 < 1e-18.
     """
     g = _link_law(params)
     r_edges = np.array(_transition_radii(params))
-    r_trunc = truncation_radius(params)
-    r_outer = d / 2.0 + r_trunc
-    breaks = np.concatenate([[0.0], _radial_breaks(r_edges, r_trunc, d, r_outer), [r_outer]])
+    r_outer = d / 2.0 + r_edges[-1]
+    breaks = np.concatenate([[0.0], _radial_breaks(r_edges, d, r_outer), [r_outer]])
 
     def level(n_half, n_radial):
         rho, weights = _radial_rule(breaks, n_radial)

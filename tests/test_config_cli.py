@@ -150,6 +150,59 @@ class TestConfigFiles:
         assert list(cli._CHANNEL_FLAGS) == names
         assert len(config.CHANNEL_KEYS) == len(names)
 
+    @pytest.mark.parametrize("text, reason", [
+        # a % is a plain character, not interpolation syntax
+        (CFG_44.replace("alpha = 4.0", "alpha = 4%"), "channel key alpha is not a number: '4%'"),
+        (CFG_44.replace("mu = 20", "mu = 20%"), "bad experiment value mu='20%'"),
+        (CFG_44.replace("alpha = 4.0", "alpha = %(x)s"),
+         "channel key alpha is not a number: '%(x)s'"),
+        # syntax errors name the line
+        ("alpha = 4.0\n" + CFG_44, ":1: text before any [section] header"),
+        (CFG_44.replace("d0_m = 1.0", "junk"), ":3: not a [section] header or a key = value line"),
+        (CFG_44.replace("d0_m = 1.0", "alpha = 5.0"),
+         ":4: option 'alpha' in section 'channel' already exists"),
+        (CFG_44 + "[channel]\n", ":13: section 'channel' already exists"),
+    ], ids=["percent-channel", "percent-experiment", "interpolation", "no-header", "junk-line",
+            "repeated-key", "repeated-section"])
+    def test_bad_config_is_one_error_line(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["crlb", "--config", str(path), "--mu", "20", "--output", str(out)]) == 2
+        separator = "" if reason.startswith(":") else ": "
+        assert capsys.readouterr().err == f"error: {path}{separator}{reason}\n"
+        assert not out.exists()
+
+
+class TestByteOrderMark:
+    """Every input file loads the same with a leading UTF-8 byte-order mark as without."""
+
+    @staticmethod
+    def _load_both(tmp_path, text, load):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        return load(plain), load(marked)
+
+    def test_config(self, tmp_path):
+        plain, marked = self._load_both(tmp_path, CFG_44, config.load_config)
+        assert repr(marked) == repr(plain)
+
+    def test_measurements(self, tmp_path):
+        text = "# nodes\n1, 0.0, 0.0\n2, 3.0, 4.0\n# rss\n1, 2, -48.0\n"
+        plain, marked = self._load_both(tmp_path, text, rf.load_measurements)
+        for item in dataclasses.fields(rf.MeasurementSet):
+            np.testing.assert_array_equal(getattr(marked, item.name), getattr(plain, item.name))
+
+    def test_fd_table(self, tmp_path, model44):
+        rf.save_fd_model(model44, tmp_path / "table")
+        plain, marked = self._load_both(tmp_path, (tmp_path / "table").read_text(),
+                                        rf.load_fd_model)
+        assert marked.params == plain.params
+        assert (marked.s_mass, marked.d_th) == (plain.s_mass, plain.d_th)
+        np.testing.assert_array_equal(marked.knots_d, plain.knots_d)
+        np.testing.assert_array_equal(marked.knots_f, plain.knots_f)
+
 
 class TestFdTableCommand:
     def test_writes_deterministic_file(self, cfg_path, tmp_path, capsys):

@@ -214,7 +214,8 @@ def _adaptive_f(params, d, quad_tol=1e-10):
     r = rf.pseudo_range(params)
     halfwidth = 6.0 * params.sigma_db / (10.0 * params.alpha)
     r_edges = (r * 10.0 ** -halfwidth, r, r * 10.0 ** halfwidth)
-    r_max = rf.connectivity.truncation_radius(params)
+    # the oracle's own outer radius: where the link probability falls to 1e-9
+    r_max = r * 10.0 ** (-special.ndtri(1e-9) * params.sigma_db / (10.0 * params.alpha))
     nodes, weights = np.polynomial.legendre.leggauss(10)
     nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
 
@@ -291,6 +292,31 @@ class TestPanelRuleAccuracy:
         for k in knots:
             oracle = _adaptive_f(params, float(model.knots_d[k]))
             assert model.knots_f[k] == pytest.approx(oracle, rel=1e-8), k
+
+
+class TestOuterRadius:
+    """The outer transition radius ends the panel rule's domain with nothing left beyond."""
+
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP])
+    def test_link_probability_is_q6_there(self, params):
+        r_outer = rf.connectivity._transition_radii(params)[2]
+        g = float(rf.link_probability(params, r_outer))
+        assert g < 1e-9
+        assert g == pytest.approx(9.865876450377018e-10, rel=1e-15)
+
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP])
+    def test_doubling_the_domain_leaves_f(self, params):
+        conn = rf.connectivity
+        g = conn._link_law(params)
+        r_edges = np.array(conn._transition_radii(params))
+        for d in np.linspace(0.0, rf.threshold_distance(params), 5):
+            r_outer = d / 2.0 + r_edges[-1]
+            breaks = np.concatenate([[0.0], conn._radial_breaks(r_edges, d, r_outer),
+                                     [r_outer, d / 2.0 + 2.0 * r_edges[-1]]])
+            rho, weights = conn._radial_rule(breaks, 8)
+            wider = float(np.dot(weights, 2.0 * rho * conn._angular_overlap(g, d, rho, 16,
+                                                                             r_edges)))
+            assert wider == pytest.approx(conn._panel_rule_f(params, d)(16, 8), rel=1e-14), d
 
 
 class TestBuildFdModel:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import os
@@ -55,11 +56,35 @@ def _run_python(code: str, *args: str) -> str:
 def test_import_leaves_scipy_unloaded():
     # scipy.special alone is most of a cold start; only the link law
     # (channel._link_law: link_probability, threshold_distance and the f(d)
-    # panel rule), truncation_radius and the exact-law enumeration load it,
-    # inside the functions that need it
+    # panel rule) and the exact-law enumeration load it, inside the
+    # functions that need it (test_scipy_import_sites)
     code = ("import sys, rangefuse, rangefuse.cli; "
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     assert _run_python(code) == "[]"
+
+
+def _scipy_import_scopes(node, scope=()):
+    """The enclosing def and class names of each import of scipy under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        else:
+            names = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scipy_import_scopes(child, (*scope, child.name))
+        else:
+            yield from _scipy_import_scopes(child, scope)
+
+
+def test_scipy_import_sites():
+    # the only places the package imports scipy, so that reading a table,
+    # inverting counts and the bound never load it
+    sites = {".".join((path.stem, *scope))
+             for path in Path(rf.__file__).parent.glob("*.py")
+             for scope in _scipy_import_scopes(ast.parse(path.read_text()))}
+    assert sites == {"channel._link_law", "simulator._poisson_pmf"}
 
 
 _COMMANDS_CODE = """
