@@ -37,7 +37,8 @@ class ChannelParams:
     alpha : path loss exponent, > 0.
     sigma_db : shadowing standard deviation in dB, >= 0.
     rss_threshold_dbm : minimum power for a link to exist, dBm; must be
-        below p_ref_dbm so the pseudo transmission range exceeds d0.
+        below p_ref_dbm so the pseudo transmission range exceeds d0, and
+        that range must lie within 1e-140 to 1e140 m.
     d0 : reference distance in meters, > 0 (defaults to 1 m).
     """
 
@@ -64,6 +65,13 @@ class ChannelParams:
                 f"(got threshold {self.rss_threshold_dbm!r} vs reference "
                 f"{self.p_ref_dbm!r}); the link range would fall inside d0"
             )
+        # log10 of pseudo_range, which may overflow. The f(d) table scales as
+        # its square: past 1e150 m it overflows, below 1e-154 m it is subnormal
+        decades = (math.log10(self.d0)
+                   + (self.p_ref_dbm - self.rss_threshold_dbm) / (10.0 * self.alpha))
+        if not abs(decades) <= 140.0:
+            raise ValueError(f"the pseudo range, 10^{decades:.6g} m, lies outside "
+                             "1e-140 to 1e140 m")
 
     @property
     def sigma_r(self) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams
-from .config import _real_path, load_config, parse_distances, write_atomic
+from .config import _EXPERIMENT_TYPES, _real_path, load_config, write_atomic
 from .connectivity import build_fd_model, load_fd_model, save_fd_model
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
@@ -70,43 +70,35 @@ def _add_model_arguments(parser):
                         help="directory for content-hashed f(d) model reuse")
 
 
-def _resolve_channel(args) -> tuple:
-    """Channel parameters and the experiment settings, reading --config once.
+def _resolve_settings(args) -> tuple:
+    """Channel parameters and experiment settings: flags beat --config beat defaults.
 
-    Channel flags beat the config file's [channel] section.
+    Reads --config once. Each given flag overlays the key of its name:
+    channel flags the [channel] section, the others the [experiment] one.
+    The table settings default to 64 knots and quad_tol 1e-6.
     """
-    base, experiment = load_config(args.config) if args.config else (None, {})
-    values = {}
+    base, settings = load_config(args.config) if args.config else (None, {})
+    channel = {} if base is None else dict(zip(_CHANNEL_FLAGS, astuple(base)))
+    channel.update({name: getattr(args, name) for name in _CHANNEL_FLAGS
+                    if getattr(args, name) is not None})
+    settings.update({key: read(getattr(args, key)) for key, read in _EXPERIMENT_TYPES.items()
+                     if getattr(args, key, None) is not None})
     for item in fields(ChannelParams):
-        name = item.name
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
-        elif base is not None:
-            values[name] = getattr(base, name)
-        elif item.default is MISSING:
-            raise ConfigurationError(
-                f"channel parameter {name} missing: supply {_flag(name)} or a config file"
-            )
-    return ChannelParams(**values), experiment
+        if item.name not in channel and item.default is MISSING:
+            raise ConfigurationError(f"channel parameter {item.name} missing: "
+                                     f"supply {_flag(item.name)} or a config file")
+    params = ChannelParams(**channel)
+    n_knots, quad_tol = settings.setdefault("n_knots", 64), settings.setdefault("quad_tol", 1e-6)
+    if n_knots < 8:
+        raise ConfigurationError(f"--n-knots must be >= 8, got {n_knots}")
+    if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
+        raise ConfigurationError(f"--quad-tol must be positive and finite, got {quad_tol}")
+    return params, settings
 
 
 def _model_cache_key(params: ChannelParams, n_knots: int, quad_tol: float) -> str:
     text = "|".join(map(repr, (*astuple(params), n_knots, quad_tol)))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _model_settings(args, experiment: dict) -> tuple:
-    """Model tabulation settings: CLI flags beat the config file beat defaults."""
-    n_knots, quad_tol = args.n_knots, args.quad_tol
-    if n_knots is None:
-        n_knots = experiment.get("n_knots", 64)
-    if quad_tol is None:
-        quad_tol = experiment.get("quad_tol", 1e-6)
-    if n_knots < 8:
-        raise ConfigurationError(f"--n-knots must be >= 8, got {n_knots}")
-    if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
-        raise ConfigurationError(f"--quad-tol must be positive and finite, got {quad_tol}")
-    return n_knots, quad_tol
 
 
 def _load_model_for(path, params: ChannelParams):
@@ -117,13 +109,13 @@ def _load_model_for(path, params: ChannelParams):
     return model
 
 
-def _resolve_model(args, params: ChannelParams, experiment: dict):
+def _resolve_model(args, params: ChannelParams, settings: dict):
     """The f(d) table for the channel: loaded (--fd-table, a --cache-dir hit) or built.
 
     The library takes the channel from the table alone, so this is where
     the channel of the flags and config file is checked against a loaded one.
     """
-    n_knots, quad_tol = _model_settings(args, experiment)
+    n_knots, quad_tol = settings["n_knots"], settings["quad_tol"]
     if args.fd_table:
         return _load_model_for(args.fd_table, params)
     if args.cache_dir:
@@ -139,9 +131,8 @@ def _resolve_model(args, params: ChannelParams, experiment: dict):
 
 
 def _cmd_fd_table(args) -> int:
-    params, experiment = _resolve_channel(args)
-    n_knots, quad_tol = _model_settings(args, experiment)
-    model = build_fd_model(params, n_knots, quad_tol)
+    params, settings = _resolve_settings(args)
+    model = build_fd_model(params, settings["n_knots"], settings["quad_tol"])
     save_fd_model(model, args.output)
     print(f"s_mass = {model.s_mass!r}")
     print(f"d_th = {model.d_th!r}")
@@ -150,21 +141,16 @@ def _cmd_fd_table(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    params, experiment = _resolve_channel(args)
-    # the table settings reach _resolve_model, not the experiment config
-    settings = {key: value for key, value in experiment.items()
-                if key not in ("n_knots", "quad_tol")}
-    flags = {"mu": args.mu, "trials": args.trials, "seed": args.seed, "margin": args.margin,
-             "distances": None if args.distances is None else parse_distances(args.distances)}
-    settings.update({key: value for key, value in flags.items() if value is not None})
+    params, settings = _resolve_settings(args)
     missing = [key for key in ("mu", "distances") if key not in settings]
     if missing:
         raise ConfigurationError(
             f"experiment settings missing: {', '.join(missing)} "
             "(supply flags or an [experiment] config section)"
         )
-    cfg = ExperimentConfig(**settings)
-    model = _resolve_model(args, params, experiment)
+    cfg = ExperimentConfig(**{item.name: settings[item.name]
+                              for item in fields(ExperimentConfig) if item.name in settings})
+    model = _resolve_model(args, params, settings)
     report = run_experiment(cfg, model)
     report.write_csv(args.output)
     if args.json:
@@ -173,20 +159,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
-    params, experiment = _resolve_channel(args)
+    params, settings = _resolve_settings(args)
     if params.sigma_db == 0.0:
         raise ConfigurationError("the bound is undefined for sigma_db = 0")
-    model = _resolve_model(args, params, experiment)
-    if args.intensity is not None:
-        intensity = args.intensity
-    elif args.mu is not None:
-        intensity = mu_to_lambda(args.mu, model.s_mass)
-    else:
+    if args.intensity is None and "mu" not in settings:
         raise ConfigurationError("supply --mu or --intensity")
-    if args.distances is not None:
-        distances = parse_distances(args.distances)
-    else:
-        distances = tuple(model.d_th * k / 20.0 for k in range(1, 20))
+    model = _resolve_model(args, params, settings)
+    intensity = (mu_to_lambda(settings["mu"], model.s_mass) if args.intensity is None
+                 else args.intensity)
+    distances = settings.get("distances") or tuple(model.d_th * k / 20.0 for k in range(1, 20))
     for d in distances:
         if not 0.0 < d <= model.d_th:
             raise ConfigurationError(f"distance {d!r} outside (0, {model.d_th!r}]")
@@ -198,14 +179,14 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    params, experiment = _resolve_channel(args)
+    params, settings = _resolve_settings(args)
     if not math.isfinite(args.rss):
         raise ConfigurationError(f"--rss must be finite, got {args.rss!r}")
     for name, value in (("m", args.m), ("p", args.p), ("q", args.q)):
         if value < 0:
             raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
     d_rss = float(checked_ranges(params, [args.rss], lambda _: "the pair")[0])
-    model = _resolve_model(args, params, experiment)
+    model = _resolve_model(args, params, settings)
     usable = args.rss >= params.rss_threshold_dbm
     est = estimate_pairs(model, [d_rss if usable else math.nan],
                          [args.m], [args.p], [args.q], args.intensity)
@@ -249,12 +230,12 @@ def _parse_pair(token: str) -> tuple:
 
 
 def _cmd_dataset(args) -> int:
-    params, experiment = _resolve_channel(args)
+    params, settings = _resolve_settings(args)
     ms = load_measurements(args.input)
     pairs = [_parse_pair(token) for token in filter(None, map(str.strip, args.pairs.split(",")))]
     if not pairs:
         raise ConfigurationError("no pairs requested")
-    model = _resolve_model(args, params, experiment)
+    model = _resolve_model(args, params, settings)
     result = evaluate_pairs(ms, pairs, model, intensity=args.intensity)
     for i, j in result.pairs[~result.measured].tolist():
         print(f"warning: pair {i}-{j}: no RSS measurement for this pair", file=sys.stderr)
@@ -298,11 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_arguments(p_crlb)
     _add_model_arguments(p_crlb)
     p_crlb.add_argument("--mu", type=float, default=None,
-                        help="expected neighbor count per node")
+                        help="expected neighbor count per node (default: the config file's mu)")
     p_crlb.add_argument("--intensity", type=float, default=None,
                         help="node intensity, overrides --mu")
     p_crlb.add_argument("--distances", default=None,
-                        help="comma-separated meters in (0, d_th] (default 0.05-0.95 d_th)")
+                        help="comma-separated meters in (0, d_th] (default: the config "
+                             "file's distances, else 0.05-0.95 d_th)")
     p_crlb.add_argument("--output", required=True, help="CSV bound curve path")
     p_crlb.set_defaults(func=_cmd_crlb)
 

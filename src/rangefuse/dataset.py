@@ -338,9 +338,9 @@ def evaluate_pairs(ms: MeasurementSet, pairs, model: FdModel,
 
     The channel is the one the f(d) table was built for, model.params.
     Pairs without an RSS entry get NaN estimates and the run continues;
-    unknown ids and a reading whose RSS range estimate is 0 or infinite
-    are configuration errors. Errors are taken against the coordinate
-    distances.
+    unknown ids, a pair that names one node twice and a reading whose RSS
+    range estimate is 0 or infinite are configuration errors. Errors are
+    taken against the coordinate distances.
     """
     try:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -350,6 +350,10 @@ def evaluate_pairs(ms: MeasurementSet, pairs, model: FdModel,
     if not known.all():
         i, j = pairs[np.argmin(known[:, 0] & known[:, 1])].tolist()
         raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")
+    twice = pairs[:, 0] == pairs[:, 1]
+    if twice.any():
+        i, j = pairs[np.argmax(twice)].tolist()
+        raise ConfigurationError(f"pair ({i}, {j}) names one node twice")
     params = model.params
     link, measured = _locate(ms._keys, ranks.min(axis=1) * ms.ids.size + ranks.max(axis=1))
     rss = ms.link_rss[link[measured]]

@@ -35,6 +35,16 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             rf.ChannelParams(**base)
 
+    # the pseudo range is 10^1.563 m at d0 = 1; its log10 is checked, so no
+    # channel overflows in the check itself
+    @pytest.mark.parametrize("kwargs", [dict(alpha=1e-3), dict(d0=1e154), dict(d0=1e-160),
+                                        dict(p_ref_dbm=1e308, rss_threshold_dbm=-1e308)])
+    def test_rejects_pseudo_range_at_extreme_scale(self, kwargs):
+        base = dict(p_ref_dbm=-37.47, alpha=4.0, sigma_db=4.0, rss_threshold_dbm=-100.0)
+        with pytest.raises(ValueError, match="the pseudo range, 10\\^.* m, lies outside "
+                                             "1e-140 to 1e140 m"):
+            rf.ChannelParams(**{**base, **kwargs})
+
     def test_sigma_r(self):
         assert PARAMS_44.sigma_r == pytest.approx(0.1, rel=1e-15)
 

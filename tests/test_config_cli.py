@@ -7,11 +7,12 @@ import os
 import re
 import stat
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rangefuse as rf
@@ -41,11 +42,18 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 @st.composite
 def _channels(draw):
-    """Any channel ChannelParams accepts: finite values, threshold below reference."""
+    """Any channel ChannelParams accepts: finite values, threshold below reference,
+    pseudo range within 1e-140 to 1e140 m (here 1e-139 to 1e139 m, clear of rounding)."""
     threshold, p_ref = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))
-    return rf.ChannelParams(p_ref_dbm=p_ref, alpha=draw(_POSITIVE),
+    assume(math.isfinite(p_ref - threshold))
+    d0 = draw(st.floats(min_value=1e-139, max_value=1e138))
+    # the smallest alpha that keeps the pseudo range within 1e139 m
+    least_alpha = (p_ref - threshold) / (10.0 * (139.0 - math.log10(d0)))
+    return rf.ChannelParams(p_ref_dbm=p_ref,
+                            alpha=draw(st.floats(min_value=least_alpha, exclude_min=True,
+                                                 allow_infinity=False)),
                             sigma_db=draw(st.floats(min_value=0.0, allow_infinity=False)),
-                            rss_threshold_dbm=threshold, d0=draw(_POSITIVE))
+                            rss_threshold_dbm=threshold, d0=d0)
 
 
 # every experiment key with a value of the type load_config gives it
@@ -145,7 +153,7 @@ class TestConfigFiles:
             config.load_config(path)
 
     def test_channel_flags_are_the_channel_fields(self):
-        # a field without a flag would leave _resolve_channel short of a value
+        # a field without a flag would leave _resolve_settings short of a value
         names = [item.name for item in dataclasses.fields(rf.ChannelParams)]
         assert list(cli._CHANNEL_FLAGS) == names
         assert len(config.CHANNEL_KEYS) == len(names)
@@ -228,6 +236,31 @@ class TestFdTableCommand:
         import math
 
         assert s_mass == pytest.approx(math.pi * 100.0, rel=0.005)
+
+    # the p44 channel with one value at a scale where its f(d) table would
+    # overflow or underflow
+    @pytest.mark.parametrize("flag", ["--alpha=1e-3", "--d0=1e154", "--d0=1e-160"])
+    def test_channel_at_extreme_scale_is_usage_error(self, cfg_path, tmp_path, capsys, flag):
+        out = tmp_path / "x.fd"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fd-table", "--config", str(cfg_path), flag, "--n-knots", "8",
+                         "--quad-tol", "1e-3", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the pseudo range, 10^") and err.count("\n") == 1
+        assert caught == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d0", [1e-100, 1e100])
+    def test_channel_at_large_scale_tabulates(self, cfg_path, tmp_path, d0):
+        out = tmp_path / "x.fd"
+        assert main(["fd-table", "--config", str(cfg_path), f"--d0={d0!r}", "--n-knots", "8",
+                     "--quad-tol", "1e-3", "--output", str(out)]) == 0
+        # f scales with the square of the channel's length scale
+        unit = rf.build_fd_model(PARAMS_44, 8, 1e-3)
+        assert np.allclose(rf.load_fd_model(out).knots_f / d0**2, unit.knots_f,
+                           rtol=1e-14, atol=0.0)
 
     def test_too_few_knots_is_usage_error(self, cfg_path, tmp_path):
         code = main(["fd-table", "--config", str(cfg_path), "--n-knots", "4",
@@ -406,8 +439,18 @@ class TestCrlbCommand:
             f"error: distance {beyond!r} outside (0, {model44.d_th!r}]\n")
         assert not out.exists()
 
-    def test_requires_density(self, cfg_path, tmp_path):
-        code = main(["crlb", "--config", str(cfg_path), "--n-knots", "16",
+    def test_intensity_beats_the_files_mu(self, cfg_path, tmp_path, model44):
+        table, out = tmp_path / "fd.txt", tmp_path / "crlb.csv"
+        rf.save_fd_model(model44, table)
+        assert main(["crlb", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--intensity", "0.01", "--output", str(out)]) == 0
+        variance = float(out.read_text().splitlines()[1].split(",")[1])
+        assert variance == rf.crlb_distance(model44, 0.01, 10.0)
+
+    def test_requires_density(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(CFG_44.replace("mu = 20\n", ""))
+        code = main(["crlb", "--config", str(path), "--n-knots", "16",
                      "--quad-tol", "1e-4", "--output", str(tmp_path / "x.csv")])
         assert code == 2
 
@@ -549,6 +592,18 @@ class TestDatasetCommand:
             "which maps to no positive, finite distance\n")
         assert not out.exists()
 
+    def test_self_pair_is_usage_error(self, tmp_path, capsys):
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
+        out = tmp_path / "errors.csv"
+        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                     "--n-knots", "16", "--quad-tol", "1e-4",
+                     "--input", str(meas), "--pairs", "1-2,1-1", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: pair (1, 1) names one node twice\n"
+        assert not out.exists()
+
     def test_bad_pair_token(self, tmp_path, capsys):
         meas = tmp_path / "meas.txt"
         meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
@@ -582,6 +637,77 @@ class TestDatasetCommand:
             assert "nan" not in out.read_text()
 
 
+# the [experiment] keys each command reads, and two values of each key, the
+# config file's and a flag's, neither of them the default
+_COMMAND_KEYS = {
+    "simulate": ("mu", "distances", "trials", "seed", "margin", "n_knots", "quad_tol"),
+    "crlb": ("mu", "distances", "n_knots", "quad_tol"),
+    "fd-table": ("n_knots", "quad_tol"),
+    "estimate": ("n_knots", "quad_tol"),
+    "dataset": ("n_knots", "quad_tol"),
+}
+_FILE_AND_FLAG = {"mu": ("20", "15"), "distances": ("10, 25", "5"), "trials": ("4", "3"),
+                  "seed": ("11", "12"), "margin": ("2", "3"), "n_knots": ("8", "9"),
+                  "quad_tol": ("1e-3", "1e-4")}
+
+
+class TestSettingsOverlay:
+    @pytest.mark.parametrize("command, key", [(command, key)
+                                              for command, keys in _COMMAND_KEYS.items()
+                                              for key in keys])
+    def test_flag_beats_config_file(self, tmp_path, command, key):
+        # the file holds the key under test; the command's other keys come as flags
+        base = {"mu": "20", "distances": "10,25", "trials": "4", "seed": "11", "margin": "1.5",
+                "n_knots": "8", "quad_tol": "1e-3"}
+        file_value, flag_value = _FILE_AND_FLAG[key]
+        cfg, meas = tmp_path / "cfg.ini", tmp_path / "meas.txt"
+        cfg.write_text(CFG_44.partition("[experiment]")[0]
+                       + f"[experiment]\n{key} = {file_value}\n")
+        meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
+        others = [f"--{k.replace('_', '-')}={base[k]}" for k in _COMMAND_KEYS[command] if k != key]
+        written = []
+        for flags, value in (([], file_value), ([f"--{key.replace('_', '-')}={flag_value}"],
+                                                flag_value)):
+            run = tmp_path / f"run{len(written)}"
+            run.mkdir()
+            out, cache = run / "out", ["--cache-dir", str(run / "cache")]
+            extra = {"simulate": [*cache, "--output", str(out)],
+                     "crlb": [*cache, "--output", str(out)],
+                     "fd-table": ["--output", str(out)],
+                     "estimate": [*cache, "--rss", "-60", "--m", "5", "--p", "8", "--q", "7"],
+                     "dataset": [*cache, "--input", str(meas), "--pairs", "1-2",
+                                 "--output", str(out)]}[command]
+            assert main([command, "--config", str(cfg), *extra, *others, *flags]) == 0
+            settings = {k: config._EXPERIMENT_TYPES[k](v) for k, v in {**base, key: value}.items()}
+            written.append(self._check_used(command, run, settings))
+        assert written[0] != written[1]
+
+    @staticmethod
+    def _check_used(command, run, settings):
+        """Check that what the command wrote in run shows it used settings; return it."""
+        table_settings = settings["n_knots"], settings["quad_tol"]
+        if command == "fd-table":
+            model = rf.load_fd_model(run / "out")
+            assert np.array_equal(model.knots_f,
+                                  rf.build_fd_model(PARAMS_44, *table_settings).knots_f)
+            return (run / "out").read_text()
+        (table,) = (run / "cache").iterdir()
+        assert table.name == f"fd_{cli._model_cache_key(PARAMS_44, *table_settings)}.txt"
+        model = rf.load_fd_model(table)
+        text = (run / "out").read_text() if (run / "out").exists() else ""
+        if command == "simulate":
+            experiment = rf.ExperimentConfig(**{k: settings[k] for k in
+                                                ("mu", "distances", "trials", "seed", "margin")})
+            assert text == rf.run_experiment(experiment, model).to_csv_text()
+        if command == "crlb":
+            rows = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+            distances = settings["distances"]
+            assert [row[0] for row in rows] == list(distances)
+            assert [row[1] for row in rows] == rf.crlb_distance(
+                model, settings["mu"] / model.s_mass, distances).tolist()
+        return table.name, text
+
+
 class TestParser:
     def test_built_once_with_fresh_defaults(self, cfg_path, tmp_path, capsys):
         cli.build_parser.cache_clear()
@@ -591,15 +717,21 @@ class TestParser:
         assert main(["simulate", "--config", str(cfg_path), "--fd-table", str(table),
                      "--mu", "15", "--distances", "5", "--output", str(tmp_path / "r.csv")]) == 0
         assert cli.build_parser.cache_info().misses == 1
-        # crlb has its own --mu and --distances, unset here: no density, so a usage error
-        capsys.readouterr()
+        # crlb has its own --mu and --distances, unset here: it takes the file's
+        # mu 20 and distances 10, 25, not the 15 and 5 simulate was given
+        curve = tmp_path / "c.csv"
         assert main(["crlb", "--config", str(cfg_path), "--fd-table", str(table),
-                     "--output", str(tmp_path / "c.csv")]) == 2
-        assert capsys.readouterr().err == "error: supply --mu or --intensity\n"
-        # and the default distances, 19 of them
-        assert main(["crlb", "--config", str(cfg_path), "--fd-table", str(table),
-                     "--intensity", "0.01", "--output", str(tmp_path / "c.csv")]) == 0
-        assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 19
+                     "--output", str(curve)]) == 0
+        model = rf.load_fd_model(table)
+        rows = [line.split(",") for line in curve.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [10.0, 25.0]
+        assert float(rows[0][1]) == rf.crlb_distance(model, 20.0 / model.s_mass, 10.0)
+        # and with no distances in the file, the default 19 of them
+        bare = tmp_path / "bare.ini"
+        bare.write_text(CFG_44.replace("distances = 10, 25\n", ""))
+        assert main(["crlb", "--config", str(bare), "--fd-table", str(table),
+                     "--intensity", "0.01", "--output", str(curve)]) == 0
+        assert len(curve.read_text().splitlines()) == 1 + 19
         assert cli.build_parser.cache_info().misses == 1
 
     # argparse by itself reads only -12 and -1.5 as negative numbers

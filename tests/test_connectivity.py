@@ -293,6 +293,17 @@ class TestPanelRuleAccuracy:
             oracle = _adaptive_f(params, float(model.knots_d[k]))
             assert model.knots_f[k] == pytest.approx(oracle, rel=1e-8), k
 
+    def test_angle_doubling_converges_where_two_panels_do_not(self):
+        # sigma_r 0.469: at d_th 2 angle panels are 1.0e-6 off 64 (16 radial
+        # panels), so only the doubled angle count brings f within quad_tol
+        params = rf.ChannelParams(p_ref_dbm=-37.47, alpha=1.6, sigma_db=7.5,
+                                  rss_threshold_dbm=-49.0)
+        d_th = rf.threshold_distance(params)
+        rule = rf.connectivity._panel_rule_f(params, d_th)
+        assert rule(2, 16) != pytest.approx(rule(64, 16), rel=1e-7)
+        assert rf.generic_f(params, d_th) == pytest.approx(
+            rf.generic_f(params, d_th, quad_tol=1e-10), rel=1e-8)
+
 
 class TestOuterRadius:
     """The outer transition radius ends the panel rule's domain with nothing left beyond."""

@@ -453,6 +453,7 @@ class TestEvaluatePairs:
         xy = rng.uniform(-1e3, 1e3, size=(200, 2))
         ms = rf.MeasurementSet(np.arange(200), xy, [], [])
         pairs = rng.integers(0, 200, size=(3000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # a pair naming one node twice is an error
         result = rf.evaluate_pairs(ms, pairs, model_field)
         expected = [math.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]) for i, j in pairs]
         assert result.d_true.tolist() == expected
@@ -472,6 +473,11 @@ class TestEvaluatePairs:
             rf.evaluate_pairs(fixture_set, [(1, 99)], model_field)
         with pytest.raises(rf.ConfigurationError, match="int64"):
             rf.evaluate_pairs(fixture_set, [(1, 2**63)], model_field)
+
+    def test_self_pair_rejected(self, fixture_set, model_field):
+        # a set holds no self link, so the pair is malformed, not unmeasured
+        with pytest.raises(rf.ConfigurationError, match=r"^pair \(1, 1\) names one node twice$"):
+            rf.evaluate_pairs(fixture_set, [(1, 2), (1, 1)], model_field)
 
     def test_order_independence(self, fixture_set, model_field):
         pairs = [(1, 2), (2, 3), (3, 4)]

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import rangefuse as rf
+from rangefuse import cli, config
 
 
 class TestPublicNames:
@@ -85,6 +86,17 @@ def test_scipy_import_sites():
              for path in Path(rf.__file__).parent.glob("*.py")
              for scope in _scipy_import_scopes(ast.parse(path.read_text()))}
     assert sites == {"channel._link_law", "simulator._poisson_pmf"}
+
+
+
+def test_commands_read_experiment_settings_from_the_overlay():
+    # cli._resolve_settings overlays each flag on the config key of its name;
+    # a command that read args.mu itself would skip the config file
+    tree = ast.parse(Path(cli.__file__).read_text())
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "args" and node.attr in config._EXPERIMENT_TYPES}
+    assert reads == set()
 
 
 _COMMANDS_CODE = """
