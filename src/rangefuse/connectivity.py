@@ -21,15 +21,26 @@ converged on the test channels (p44, field, sharp), but not on all: at
 1.0e-6 off 64 panels at d_th, and quad_tol is met only as the angle count
 keeps doubling with the radial one.
 
+build_fd_model runs the knots on one thread per CPU the process may use
+(numpy's and scipy's ufunc loops release the GIL), each knot's arithmetic
+unchanged, so a table is bit for bit the one a serial loop gives. Knot
+values are read in knot order: a failing build raises the lowest failing
+knot's error, cancels the knots not yet started and leaves no thread
+behind.
+
 Only tabulation needs scipy, for the link law (channel._link_law, scipy's
 erfc ufunc) that the panel rule integrates and threshold_distance bisects;
 it imports scipy.special where it runs, so loading a saved table,
-inverting counts and the bound leave scipy unloaded.
+inverting counts and the bound leave scipy unloaded. build_fd_model
+imports its thread pool the same way.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -307,19 +318,40 @@ def threshold_distance(params: ChannelParams) -> float:
     return hi
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_fd_model(params: ChannelParams, n_knots: int = 64,
                    quad_tol: float = 1e-6) -> FdModel:
     """Tabulate f(d) at n_knots uniform points on [0, d_th] and fit chords.
 
-    The cutoff d_th comes from threshold_distance. Quadrature noise that
-    breaks the strict monotonicity of the knot values raises
-    ModelConstructionError.
+    The cutoff d_th comes from threshold_distance. The knots are generic_f
+    calls on min(usable CPUs, n_knots) threads, each in a copy of the
+    caller's contextvars context (so np.errstate applies), read in knot
+    order: values and errors are those of a serial loop, the lowest
+    failing knot's error included. On any exception, KeyboardInterrupt
+    included, the knots not yet started are cancelled and the threads
+    joined before it propagates. Raises ValueError unless n_knots is an
+    integer >= 8; quadrature noise that breaks the strict monotonicity of
+    the knot values raises ModelConstructionError.
     """
-    if n_knots < 8:
-        raise ValueError(f"n_knots must be >= 8, got {n_knots!r}")
+    if not isinstance(n_knots, numbers.Integral) or n_knots < 8:
+        raise ValueError(f"n_knots must be an integer >= 8, got {n_knots!r}")
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing rangefuse stays lean
+
     d_th = threshold_distance(params)
     knots_d = np.linspace(0.0, d_th, int(n_knots))
-    knots_f = np.array([generic_f(params, d, quad_tol) for d in knots_d])
+    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(knots_d)))
+    try:
+        futures = [pool.submit(copy_context().run, generic_f, params, d, quad_tol)
+                   for d in knots_d]
+        knots_f = np.array([future.result() for future in futures])
+    finally:
+        pool.shutdown(cancel_futures=True)
     if np.any(np.diff(knots_f) >= 0):
         raise ModelConstructionError(
             "tabulated f(d) is not strictly decreasing; quadrature noise "
