@@ -10,7 +10,7 @@ RSS observations are plain floats in dBm throughout this package.
 
 A link exists where the shadowed power clears the threshold, so at
 distance d it exists with probability Q(10 alpha log10(d / r) / sigma_db),
-r the pseudo range. That one law has one kernel, _link_law: scipy's erfc
+r the pseudo range. link_probability computes that law with scipy's erfc
 ufunc, imported where it runs, so a process that never asks for a link
 probability never loads scipy. Its relative error grows with x, mostly
 from rounding x / sqrt(2): 6.5e-16 at x = 3.09, where the 1e-3 cutoff
@@ -129,32 +129,20 @@ def pseudo_range(params: ChannelParams) -> float:
     )
 
 
-def _link_law(params: ChannelParams):
-    """Vectorized g(distance), safe at distance 0: the link law for sigma_db > 0."""
-    from scipy import special  # scipy's erfc ufunc: g is much of the tabulation's time
-
-    r = pseudo_range(params)
-    scale = 10.0 * params.alpha / params.sigma_db
-
-    def g(u):
-        u = np.maximum(np.asarray(u, dtype=float), 1e-300)
-        return 0.5 * special.erfc(scale * np.log10(u / r) / math.sqrt(2.0))
-    return g
-
-
 def link_probability(params: ChannelParams, d):
     """Probability that a link exists at distance d.
 
     Equals the upper Gaussian tail of the shadowing needed to lift the mean
     power above the threshold, so it is 1/2 exactly at the pseudo range and
-    nonincreasing in d. The values are those of _link_law, the kernel the
-    f(d) tabulation integrates, bit for bit (accuracy: see the module
-    docstring). With sigma_db = 0 it degenerates to the unit step at the
-    pseudo range.
+    nonincreasing in d (accuracy: see the module docstring). With sigma_db
+    = 0 it degenerates to the unit step at the pseudo range.
     """
     d = _positive_distances(d)
+    r = pseudo_range(params)
     if params.sigma_db == 0.0:
-        out = np.where(d <= pseudo_range(params), 1.0, 0.0)
-    else:
-        out = _link_law(params)(d)
-    return _like_input(out)
+        return _like_input(np.where(d <= r, 1.0, 0.0))
+    from scipy import special  # here, so importing rangefuse stays lean
+
+    scale = 10.0 * params.alpha / params.sigma_db
+    x = scale * np.log10(np.maximum(d, 1e-300) / r)
+    return _like_input(0.5 * special.erfc(x / math.sqrt(2.0)))

@@ -3,36 +3,40 @@
 Two nodes at separation d share common neighbors at a rate governed by
 f(d), the expected number of common neighbors per unit node intensity,
 while each node's total expected neighborhood per unit intensity is the
-mass S. Under an ideal disk channel f(d) is the lens-overlap area of two
-disks; under the log-normal shadowing channel both quantities are
-integrals of the link probability over the plane. S has a closed form
-(generic_s). The estimator observes the counts (M, P, Q) of common and
+mass S. The estimator observes the counts (M, P, Q) of common and
 exclusive neighbors, forms the overlap ratio 2M/(2M+P+Q), and inverts a
 tabulated piecewise-linear model of f.
 
-Each knot of that table is one generic_f call, the module's one
-quadrature: a fixed Gauss-Legendre panel rule in polar coordinates around
-the pair midpoint, evaluated for all radial nodes at once as arrays and
-refined by doubling until two levels agree within quad_tol (no tighter
-than the rounding floor QUAD_TOL_FLOOR). The doubling starts at 2 angle
-panels. With an edge at each transition crossing, 2 angle panels are
-converged on the test channels (p44, field, sharp), but not on all: at
-(-37.47 dBm, alpha 1.6, sigma_db 7.5, -49 dBm), sigma_r 0.469, they are
-1.0e-6 off 64 panels at d_th, and quad_tol is met only as the angle count
-keeps doubling with the radial one.
+Under the log-normal shadowing channel a node links to an endpoint when
+its distance to it is at most a link radius rho = r e^(k z), r the pseudo
+range, k = sigma_r ln 10 and z standard normal, drawn afresh for each node
+and endpoint; simulator._links draws links exactly so. A node is thus a
+neighbor of both endpoints when it lies in the lens where their two link
+disks overlap, and by Fubini f(d) = E[lens(rho_a, rho_b, d)] over the two
+independent draws, just as S = E[pi rho^2] (generic_s, in closed form).
+Under an ideal disk channel both radii are r and f is unit_disk_f.
+
+Each knot of the table is one generic_f call, the module's one quadrature:
+the closed-form lens area integrated over (z_a, z_b) by Gauss-Legendre
+panels (_lens_rule), refined by doubling until two levels agree within
+quad_tol (no tighter than the rounding floor QUAD_TOL_FLOOR). The draws
+end at z = +-9. Since lens <= pi min(rho_a, rho_b)^2, the region beyond
+z_a = 9 adds at most Q(9) S = 1.1e-19 S, and the one below z_a = -9
+less. The mass lies where phi(z) e^(2kz), the weight of E[pi rho^2],
+peaks: at z = 2k. threshold_distance, and so build_fd_model, accepts only
+sigma_r <= 0.647, so that peak lies at z < 3, between the fixed breaks.
 
 build_fd_model runs the knots on one thread per CPU the process may use
-(numpy's and scipy's ufunc loops release the GIL), each knot's arithmetic
-unchanged, so a table is bit for bit the one a serial loop gives. Knot
-values are read in knot order: a failing build raises the lowest failing
-knot's error, cancels the knots not yet started and leaves no thread
-behind.
+(numpy's ufunc loops release the GIL), each knot's arithmetic unchanged,
+so a table is bit for bit the one a serial loop gives. Knot values are
+read in knot order: a failing build raises the lowest failing knot's
+error, cancels the knots not yet started and leaves no thread behind.
 
-Only tabulation needs scipy, for the link law (channel._link_law, scipy's
-erfc ufunc) that the panel rule integrates and threshold_distance bisects;
-it imports scipy.special where it runs, so loading a saved table,
-inverting counts and the bound leave scipy unloaded. build_fd_model
-imports its thread pool the same way.
+The lens rule needs no erfc, so generic_f runs without scipy. Only the
+cutoff d_th does: threshold_distance bisects link_probability, which
+imports scipy.special where it runs, so loading a saved table, inverting
+counts and the bound leave scipy unloaded. build_fd_model imports its
+thread pool the same way.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import LN10, ChannelParams, _link_law, link_probability, pseudo_range
+from .channel import LN10, ChannelParams, link_probability, pseudo_range
 from .config import (CHANNEL_KEYS, channel_from_mapping, channel_to_mapping, read_input,
                      write_atomic)
 from .errors import ConfigurationError, ModelConstructionError, NumericError
@@ -120,149 +124,117 @@ def unit_disk_f(r, d):
     return out if out.ndim else float(out)
 
 
-def _transition_radii(params: ChannelParams):
-    """Radii where the link probability is 1 - Q(6), 1/2 and Q(6) = 9.9e-10."""
-    r = pseudo_range(params)
-    halfwidth = 6.0 * params.sigma_db / (10.0 * params.alpha)
-    return (r * 10.0 ** -halfwidth, r, r * 10.0 ** halfwidth)
-
-
 def generic_s(params: ChannelParams) -> float:
     """Expected neighborhood mass per unit intensity under the channel model.
 
-    The link probability at distance u is Q(log10(u / r) / sigma_r), with r
-    the pseudo range, so the integral of it over the plane is exactly
-    pi r^2 exp(2 (sigma_r ln 10)^2); that is the disk area pi r^2 when
-    sigma_db = 0.
+    E[pi rho^2] = pi r^2 exp(2 k^2) for the link radius rho = r e^(k z),
+    k = sigma_r ln 10 (module docstring): the integral of the link
+    probability over the plane, and the disk area pi r^2 when sigma_db = 0.
     """
     r = pseudo_range(params)
     return math.pi * r * r * math.exp(2.0 * (params.sigma_r * LN10) ** 2)
 
 
-def _angular_overlap(g, d, rho, n_half, r_edges):
-    """Integral over [0, pi] of g(dist to A) * g(dist to B) at each radius of array rho.
+def _lens(a, b, d: float):
+    """Intersection area of disks of radii a and b (arrays) whose centers are d apart.
 
-    A and B sit at (-d/2, 0) and (d/2, 0); the field point at angle theta
-    lies at distance sqrt(rho^2 + d^2/4 +- rho d cos(theta)) from them. The
-    integrand is symmetric about pi/2, so the rule covers [0, pi/2] and
-    doubles. Each row has n_half uniform panels plus one edge per link
-    transition radius r_t, at arccos|c| with c = (r_t^2 - rho^2 - d^2/4) /
-    (rho d), where the distance to A or B crosses r_t; that keeps the rule
-    accurate when the link probability is nearly a step. Edges that do not
-    exist (|c| >= 1) sit at 0, so every row has the same panel count and a
-    zero-width panel adds nothing. Each panel gets 10-point Gauss-Legendre.
+    a^2 alpha + b^2 beta - d a sin(alpha), with alpha and beta the half
+    angles that the common chord subtends at the two centers. Clipping their
+    cosines to [-1, 1] gives 0 for disjoint disks and pi min(a, b)^2 for
+    nested ones, which is every pair at d = 0.
     """
-    base = rho * rho + d * d / 4.0
-    uniform = np.broadcast_to(np.linspace(0.0, 0.5 * math.pi, n_half + 1),
-                              (rho.size, n_half + 1))
-    if d > 0.0:
-        c = (np.square(r_edges)[None, :] - base[:, None]) / (rho * d)[:, None]
-        crossing = np.arccos(np.minimum(np.abs(c), 1.0))
-    else:
-        crossing = np.zeros((rho.size, len(r_edges)))
-    edges = np.sort(np.concatenate([uniform, crossing], axis=1), axis=1)
-    widths = np.diff(edges, axis=1)[:, :, None]
-    cross = (rho * d)[:, None, None] * np.cos(edges[:, :-1, None] + widths * _GL_NODES)
-    ra = np.sqrt(base[:, None, None] + cross)
-    rb = np.sqrt(np.maximum(base[:, None, None] - cross, 0.0))
-    return 2.0 * np.sum(g(ra) * g(rb) * widths * _GL_WEIGHTS, axis=(1, 2))
+    if d == 0.0:
+        small = np.minimum(a, b)
+        return math.pi * small * small
+    a2, b2 = a * a, b * b
+    alpha = np.arccos(np.clip((d * d + a2 - b2) / (2.0 * d * a), -1.0, 1.0))
+    beta = np.arccos(np.clip((d * d + b2 - a2) / (2.0 * d * b), -1.0, 1.0))
+    return a2 * alpha + b2 * beta - d * a * np.sin(alpha)
 
 
-def _radial_breaks(r_edges, d: float, r_outer: float) -> np.ndarray:
-    """Radii in (0, r_outer) where the angular integral has a kink.
+def _smoothstep_panels(edges: np.ndarray, n: int):
+    """Nodes and weights of n 10-point Gauss-Legendre panels on each interval of edges.
 
-    These are where a link transition circle r_edges around A or B touches
-    the pair axis, |r_t - d/2| and r_t + d/2, and where A's transition
-    circle r_i crosses B's r_j, at radius sqrt((r_i^2 + r_j^2)/2 - d^2/4)
-    from the midpoint: there two angle edges meet.
+    Each row of edges (last axis, sorted) lists the breaks of its intervals;
+    a row's nodes come back along the last axis. Each interval [lo, hi] is
+    mapped by the smoothstep z = lo + (hi - lo)(3t^2 - 2t^3), whose zero
+    slope at both ends removes the kinks the integrand has at the breaks.
     """
-    breaks = set()
-    for r_t in r_edges:
-        breaks.update((abs(r_t - d / 2.0), r_t + d / 2.0))
-    for i, r_i in enumerate(r_edges):
-        for r_j in r_edges[i:]:
-            if r_j - r_i <= d <= r_i + r_j:
-                breaks.add(math.sqrt(0.5 * (r_i * r_i + r_j * r_j) - d * d / 4.0))
-    return np.array(sorted(x for x in breaks if 0.0 < x < r_outer))
+    t = ((np.arange(n)[:, None] + _GL_NODES) / n).ravel()
+    w_t = np.tile(_GL_WEIGHTS / n, n)
+    lo, width = edges[..., :-1, None], np.diff(edges)[..., None]
+    shape = (*edges.shape[:-1], -1)
+    return ((lo + width * (t * t * (3.0 - 2.0 * t))).reshape(shape),
+            (width * (6.0 * t * (1.0 - t) * w_t)).reshape(shape))
 
 
-def _radial_rule(breaks: np.ndarray, n_radial: int):
-    """Nodes and weights on [0, r_outer] split at breaks, n_radial GL panels each.
-
-    Each interval [a, b] is mapped by the smoothstep rho = a + (b - a)(3t^2 -
-    2t^3), whose zero slope at both ends removes the square-root kinks the
-    angular integral has at the breaks.
-    """
-    t = ((np.arange(n_radial)[:, None] + _GL_NODES) / n_radial).ravel()
-    w_t = np.tile(_GL_WEIGHTS / n_radial, n_radial)
-    lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
-    rho = lo + width * (t * t * (3.0 - 2.0 * t))
-    weights = width * (6.0 * t * (1.0 - t) * w_t)
-    return rho.ravel(), weights.ravel()
+def _normal_pdf(z):
+    return np.exp(-0.5 * z * z) * (1.0 / math.sqrt(2.0 * math.pi))
 
 
-# Values per temporary array in _panel_rule_f (64 KB of float64): the radial
-# nodes go through _angular_overlap in chunks of that many angle points,
-# about 40 nodes at 16 angle panels.
+# The lens rule's domain in each standard-normal draw and its fixed breaks
+# (the module docstring says why +-9 is enough)
+_Z_BREAKS = np.array([-9.0, -4.0, -2.0, 0.0, 2.0, 4.0, 9.0])
+# Values per temporary array in _lens_rule (64 KB of float64): the z_a nodes
+# go through _lens in chunks of rows of that many z_b points in all
 _CHUNK_POINTS = 1 << 13
 
 
-def _panel_rule_f(params, d):
-    """The panel rule for f(d), as a function of its panel counts (n_half, n_radial).
+def _lens_rule(params: ChannelParams, d: float, n: int) -> float:
+    """E[lens(rho_a, rho_b, d)] by n smoothstep panels per interval in z_a and z_b.
 
-    g, the transition radii and the radial breaks depend on the channel and
-    d alone, so they are built once here and shared by every refinement
-    level; the returned function sums f(d) over n_half angle panels and
-    n_radial radial panels per interval. The domain ends d/2 past the outer
-    transition radius, beyond which the integrand is below Q(6)^2 < 1e-18.
+    rho = r e^(k z), k = sigma_r ln 10, for each of the two standard-normal
+    draws z_a and z_b on the domain of _Z_BREAKS. The z_a intervals also
+    break at rho_a = d/2 and rho_a = d, and each z_a node's z_b intervals
+    where the disks touch, rho_b = |d - rho_a| and rho_a + d; breaks outside
+    the domain sit at its ends, so every row has the same panel count and a
+    zero-width interval adds nothing.
     """
-    g = _link_law(params)
-    r_edges = np.array(_transition_radii(params))
-    r_outer = d / 2.0 + r_edges[-1]
-    breaks = np.concatenate([[0.0], _radial_breaks(r_edges, d, r_outer), [r_outer]])
+    r, k = pseudo_range(params), params.sigma_r * LN10
+    z_lo, z_hi = _Z_BREAKS[0], _Z_BREAKS[-1]
 
-    def level(n_half, n_radial):
-        rho, weights = _radial_rule(breaks, n_radial)
-        step = max(1, _CHUNK_POINTS // (10 * (n_half + len(r_edges))))
-        total = 0.0
-        for lo in range(0, rho.size, step):
-            chunk = rho[lo:lo + step]
-            inner = _angular_overlap(g, d, chunk, n_half, r_edges)
-            total += float(np.dot(weights[lo:lo + step], 2.0 * chunk * inner))
-        return total
-    return level
+    def z_of(rho):
+        with np.errstate(divide="ignore"):
+            return np.clip(np.log(rho / r) / k, z_lo, z_hi)
+
+    z_a, w_a = _smoothstep_panels(np.unique(np.append(_Z_BREAKS, z_of(np.array([d / 2.0, d])))), n)
+    rho_a = r * np.exp(k * z_a)
+    w_a *= _normal_pdf(z_a)
+    step = max(1, _CHUNK_POINTS // (10 * n * (_Z_BREAKS.size + 1)))
+    total = 0.0
+    for lo in range(0, z_a.size, step):
+        rho = rho_a[lo:lo + step, None]
+        touch = z_of(np.concatenate([np.abs(d - rho), rho + d], axis=1))
+        edges = np.sort(np.concatenate(
+            [np.broadcast_to(_Z_BREAKS, (rho.shape[0], _Z_BREAKS.size)), touch], axis=1), axis=1)
+        z_b, w_b = _smoothstep_panels(edges, n)
+        w_b *= _normal_pdf(z_b)
+        w_b *= _lens(rho, r * np.exp(k * z_b), d)
+        total += float(np.dot(w_a[lo:lo + step], w_b.sum(axis=1)))
+    return total
 
 
-# Rounding floor for quad_tol. One level sums 1e4 to 1e6 float64 terms, so
+# Rounding floor for quad_tol. One level sums 6e3 to 3e7 float64 terms, so
 # its rounding error reaches about 1e-13 relative; below that, two levels
 # agree or disagree by rounding alone and the check means nothing.
 QUAD_TOL_FLOOR = 1e-12
-# Last refinement level: 128 angle panels on [0, pi/2] and 64 radial panels
-# per interval, the seventh level from (2, 1). At every knot of the 64-knot
-# p44, field and sharp tables, 2 angle panels come within 4.1e-10 relative
-# of 64 (8 panels within 5.3e-11) at any radial count, so there only the
-# radial count needs to reach 64 (not on every channel: module docstring).
-_MAX_HALF_PANELS = 128
+# Last refinement level: 64 panels per interval, the seventh level from 1
+_MAX_PANELS = 64
 
 
 def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
     """Expected common-neighbor mass per unit intensity at separation d.
 
-    2-D integral of the product of the two link probabilities, in polar
-    coordinates around the pair midpoint, by a fixed panel rule evaluated
-    as arrays: 10-point Gauss-Legendre panels in angle (_angular_overlap)
-    and in radius between the kink radii of _radial_breaks, which include
-    the crossings of A's and B's transition circles (_radial_rule). The
-    rule starts at 2 angle panels on [0, pi/2] and 1 radial panel per
-    interval and doubles both until two successive levels agree within
-    quad_tol relative. On the test channels the angle edges at the
-    transition crossings make 2 angle panels as good as 64 to 4.1e-10
-    relative (see _MAX_HALF_PANELS), so the radial count sets each knot's
-    level; not on every channel (module docstring). Raises ValueError unless
-    0 < quad_tol < inf; NumericError when the self-consistency check is
-    not met by 128 angle and 64 radial panels, and for any quad_tol below
-    the rounding floor QUAD_TOL_FLOOR = 1e-12, where rounding would decide
-    the check. Reduces to unit_disk_f when sigma_db = 0.
+    f(d) = E[lens(rho_a, rho_b, d)], the expected overlap area of the link
+    disks of the two nodes, whose radii rho = r e^(k z), k = sigma_r ln 10,
+    are independent log-normal draws (module docstring). _lens_rule
+    integrates the closed-form lens area against the two standard-normal
+    densities on [-9, 9]^2, starting at 1 panel per interval and doubling
+    until two successive levels agree within quad_tol relative. Raises
+    ValueError unless 0 < quad_tol < inf; NumericError when the check is
+    not met by 64 panels per interval, and for any quad_tol below the
+    rounding floor QUAD_TOL_FLOOR = 1e-12, where rounding would decide the
+    check. Reduces to unit_disk_f when sigma_db = 0.
     """
     d = float(d)
     if d < 0.0 or not math.isfinite(d):
@@ -278,18 +250,17 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
             "of the common-neighborhood rule"
         )
     floor = 1e-15 * math.pi * pseudo_range(params) ** 2
-    rule = _panel_rule_f(params, d)
-    n_half, n_radial = 2, 1
-    current = rule(n_half, n_radial)
-    while n_half < _MAX_HALF_PANELS:
-        n_half, n_radial = 2 * n_half, 2 * n_radial
-        previous, current = current, rule(n_half, n_radial)
+    n = 1
+    current = _lens_rule(params, d, n)
+    while n < _MAX_PANELS:
+        n *= 2
+        previous, current = current, _lens_rule(params, d, n)
         if abs(current - previous) <= quad_tol * max(abs(current), floor):
             return current
     raise NumericError(
         "panel refinement for the common-neighborhood integral did not "
         f"converge to quad_tol={quad_tol:g} at d={d!r} "
-        f"(last change {abs(current - previous):g} at {n_half} angle panels)"
+        f"(last change {abs(current - previous):g} at {n} panels per interval)"
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import rangefuse as rf
-from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP
+from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD
 
 LN10 = math.log(10.0)
 
@@ -150,15 +150,6 @@ class TestLinkProbability:
         d = rf.pseudo_range(PARAMS_44) * 10.0 ** (3.09 * PARAMS_44.sigma_r)
         q = 0.0010007824766140108776
         assert abs(rf.link_probability(PARAMS_44, d) - q) <= 1e-15 * q
-
-    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP],
-                             ids=["p44", "field", "sharp"])
-    def test_same_bits_as_the_tabulation_kernel(self, params):
-        # the cutoff and f(d) read one law: link_probability and the g that
-        # the panel rule integrates agree bit for bit
-        d = 3.0 * rf.threshold_distance(params) * (1.0 - np.random.default_rng(22).random(10**4))
-        g = rf.channel._link_law(params)
-        assert np.array_equal(rf.link_probability(params, d), g(d))
 
     def test_step_when_noise_free(self):
         r = rf.pseudo_range(PARAMS_DISK)

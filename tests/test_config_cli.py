@@ -648,7 +648,7 @@ _COMMAND_KEYS = {
 }
 _FILE_AND_FLAG = {"mu": ("20", "15"), "distances": ("10, 25", "5"), "trials": ("4", "3"),
                   "seed": ("11", "12"), "margin": ("2", "3"), "n_knots": ("8", "9"),
-                  "quad_tol": ("1e-3", "1e-4")}
+                  "quad_tol": ("1e-3", "1e-9")}
 
 
 class TestSettingsOverlay:

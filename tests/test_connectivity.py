@@ -16,6 +16,10 @@ from rangefuse.connectivity import invert_counts
 from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP, save_damaged_table
 
 LN10 = math.log(10.0)
+# wide channels: sigma_r 0.469 and 0.625
+PARAMS_WIDE = rf.ChannelParams(p_ref_dbm=-37.47, alpha=1.6, sigma_db=7.5, rss_threshold_dbm=-49.0)
+PARAMS_WIDER = rf.ChannelParams(p_ref_dbm=-37.47, alpha=2.0, sigma_db=12.5,
+                                rss_threshold_dbm=-55.0)
 
 
 def _poisson_triples(model, intensity, d, trials, seed):
@@ -94,6 +98,45 @@ class TestGenericS:
         )
 
 
+def _chord_area(a, b, d):
+    """Intersection area of two disks by adaptive quadrature over chords parallel to the axis."""
+    def width(y):
+        half_a, half_b = math.sqrt(a * a - y * y), math.sqrt(max(b * b - y * y, 0.0))
+        return max(0.0, min(half_a, d + half_b) - max(-half_a, d - half_b))
+    value, _ = integrate.quad(width, -min(a, b), min(a, b), epsabs=0.0, epsrel=1e-12,
+                              limit=200)
+    return value
+
+
+class TestLens:
+    """The closed-form disk intersection area that the lens rule integrates."""
+
+    @pytest.mark.parametrize("a, b, d", [(1.0, 1.0, 0.7), (2.0, 1.0, 2.5), (1.0, 3.0, 2.9)],
+                             ids=["equal", "wider-first", "wider-second"])
+    def test_matches_chord_quadrature(self, a, b, d):
+        lens = float(rf.connectivity._lens(np.array(a), np.array(b), d))
+        assert lens == pytest.approx(_chord_area(a, b, d), rel=1e-10)
+
+    def test_equal_radii_give_unit_disk_f(self):
+        d = np.linspace(0.0, 20.0, 41)
+        lens = [float(rf.connectivity._lens(np.array(10.0), np.array(10.0), float(x)))
+                for x in d]
+        assert lens == pytest.approx(rf.unit_disk_f(10.0, d), rel=1e-12, abs=1e-12)
+
+    def test_symmetric_in_the_radii(self):
+        rng = np.random.default_rng(26)
+        a, b = rng.uniform(0.1, 5.0, 1000), rng.uniform(0.1, 5.0, 1000)
+        lens = rf.connectivity._lens
+        assert lens(a, b, 3.0) == pytest.approx(lens(b, a, 3.0), rel=1e-12, abs=1e-12)
+
+    def test_disjoint_and_nested_disks(self):
+        a, b = np.array([1.0, 1.0, 4.0, 1.0]), np.array([1.0, 1.5, 1.0, 5.0])
+        lens = rf.connectivity._lens(a, b, 2.5)
+        assert np.array_equal(lens[:2], [0.0, 0.0])
+        assert lens[2:] == pytest.approx([math.pi, math.pi], rel=1e-15)
+        assert np.array_equal(rf.connectivity._lens(a, b, 0.0), math.pi * np.minimum(a, b) ** 2)
+
+
 class TestGenericF:
     def test_noise_free_equals_lens_area(self):
         r = rf.pseudo_range(PARAMS_DISK)
@@ -105,8 +148,9 @@ class TestGenericF:
         f0 = rf.generic_f(PARAMS_44, 0.0)
         assert f0 < rf.generic_s(PARAMS_44)
 
-    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP],
-                             ids=["p44", "field", "sharp"])
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP, PARAMS_WIDE,
+                                        PARAMS_WIDER],
+                             ids=["p44", "field", "sharp", "wide", "wider"])
     def test_coincident_nodes_match_closed_form(self, params):
         # f(0) = 2 pi r^2 int e^(2t) Q(t/beta)^2 dt = pi r^2 e^(2 beta^2) erfc(beta)
         r, beta = rf.pseudo_range(params), params.sigma_r * LN10
@@ -162,21 +206,10 @@ class TestGenericF:
             rf.generic_f(params, 30.0, quad_tol=quad_tol)
 
     def test_levels_that_never_agree_raise(self, monkeypatch):
-        # levels (2, 1) and (4, 2) only; they differ by about 4e-7 relative here
-        monkeypatch.setattr(rf.connectivity, "_MAX_HALF_PANELS", 4)
+        # levels 1 and 2 only; they differ by about 9e-8 relative here
+        monkeypatch.setattr(rf.connectivity, "_MAX_PANELS", 2)
         with pytest.raises(rf.NumericError, match="did not converge"):
             rf.generic_f(PARAMS_SHARP, 7.0, quad_tol=1e-10)
-
-    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP],
-                             ids=["p44", "field", "sharp"])
-    def test_starting_angle_rule_is_converged(self, params):
-        # the premise of starting the doubling at 2 angle panels: with edges at
-        # the transition crossings, 2 panels already match 64 (worst 4.1e-10,
-        # field), so refinement only has the radial rule left to converge
-        knots = np.linspace(0.0, rf.threshold_distance(params), 64)
-        for d in knots[::4]:
-            rule = rf.connectivity._panel_rule_f(params, float(d))
-            assert rule(2, 1) == pytest.approx(rule(64, 1), rel=1e-9, abs=0.0), d
 
 
 class TestThresholdDistance:
@@ -207,8 +240,9 @@ class TestThresholdDistance:
 
 
 def _adaptive_f(params, d, quad_tol=1e-10):
-    """Nested adaptive quadrature of f(d), an oracle independent of the panel rule.
+    """Nested adaptive quadrature of f(d), an oracle independent of the lens rule.
 
+    It integrates the product of the two link probabilities over the plane:
     scipy's adaptive quad in radius (split where a link transition circle
     touches the pair axis) around a 10-point Gauss-Legendre angle rule over
     [0, pi] with edges at the transition crossings; the angle panels double
@@ -269,7 +303,7 @@ def model_sharp():
     return rf.build_fd_model(PARAMS_SHARP)
 
 
-class TestPanelRuleAccuracy:
+class TestTableAccuracy:
     """The default 64-knot, 1e-6 tables against references and an adaptive oracle."""
 
     @pytest.mark.parametrize("fixture, name", [
@@ -296,41 +330,40 @@ class TestPanelRuleAccuracy:
             oracle = _adaptive_f(params, float(model.knots_d[k]))
             assert model.knots_f[k] == pytest.approx(oracle, rel=1e-8), k
 
-    def test_angle_doubling_converges_where_two_panels_do_not(self):
-        # sigma_r 0.469: at d_th 2 angle panels are 1.0e-6 off 64 (16 radial
-        # panels), so only the doubled angle count brings f within quad_tol
-        params = rf.ChannelParams(p_ref_dbm=-37.47, alpha=1.6, sigma_db=7.5,
-                                  rss_threshold_dbm=-49.0)
-        d_th = rf.threshold_distance(params)
-        rule = rf.connectivity._panel_rule_f(params, d_th)
-        assert rule(2, 16) != pytest.approx(rule(64, 16), rel=1e-7)
-        assert rf.generic_f(params, d_th) == pytest.approx(
-            rf.generic_f(params, d_th, quad_tol=1e-10), rel=1e-8)
+    def test_wide_channel_meets_quad_tol_at_d_th(self):
+        d_th = rf.threshold_distance(PARAMS_WIDE)
+        assert rf.generic_f(PARAMS_WIDE, d_th) == pytest.approx(
+            rf.generic_f(PARAMS_WIDE, d_th, quad_tol=1e-10), rel=1e-8)
 
 
-class TestOuterRadius:
-    """The outer transition radius ends the panel rule's domain with nothing left beyond."""
+class TestZDomain:
+    """The lens rule's standard-normal draws end at +-9 with nothing left beyond."""
 
-    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP])
-    def test_link_probability_is_q6_there(self, params):
-        r_outer = rf.connectivity._transition_radii(params)[2]
-        g = float(rf.link_probability(params, r_outer))
-        assert g < 1e-9
-        assert g == pytest.approx(9.865876450377018e-10, rel=1e-15)
-
-    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP])
-    def test_doubling_the_domain_leaves_f(self, params):
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP, PARAMS_WIDE,
+                                        PARAMS_WIDER],
+                             ids=["p44", "field", "sharp", "wide", "wider"])
+    def test_widening_the_domain_leaves_f(self, monkeypatch, params):
+        # the intervals inside [-9, 9] stay as they are, so the two sums
+        # differ by the tail beyond +-9 and by rounding
         conn = rf.connectivity
-        g = conn._link_law(params)
-        r_edges = np.array(conn._transition_radii(params))
-        for d in np.linspace(0.0, rf.threshold_distance(params), 5):
-            r_outer = d / 2.0 + r_edges[-1]
-            breaks = np.concatenate([[0.0], conn._radial_breaks(r_edges, d, r_outer),
-                                     [r_outer, d / 2.0 + 2.0 * r_edges[-1]]])
-            rho, weights = conn._radial_rule(breaks, 8)
-            wider = float(np.dot(weights, 2.0 * rho * conn._angular_overlap(g, d, rho, 16,
-                                                                             r_edges)))
-            assert wider == pytest.approx(conn._panel_rule_f(params, d)(16, 8), rel=1e-14), d
+        knots = np.linspace(0.0, rf.threshold_distance(params), 5)
+        narrow = [conn._lens_rule(params, float(d), 8) for d in knots]
+        monkeypatch.setattr(conn, "_Z_BREAKS", np.concatenate([[-12.0], conn._Z_BREAKS, [12.0]]))
+        wide = [conn._lens_rule(params, float(d), 8) for d in knots]
+        assert wide == pytest.approx(narrow, rel=1e-14, abs=0.0)
+
+    def test_accepted_channels_weigh_inside_the_domain(self):
+        # E[pi rho^2] weighs z by phi(z) e^(2kz), which peaks at z = 2k;
+        # threshold_distance accepts sigma_r up to 0.6472 (the link probability
+        # at 100 r is Q(2 / sigma_r)), so the peak lies at z < 3, six standard
+        # deviations inside the domain
+        def channel(sigma_r):
+            return rf.ChannelParams(p_ref_dbm=-37.47, alpha=2.0, sigma_db=20.0 * sigma_r,
+                                    rss_threshold_dbm=-55.0)
+        rf.threshold_distance(channel(0.647))
+        with pytest.raises(rf.ModelConstructionError):
+            rf.threshold_distance(channel(0.648))
+        assert 2.0 * 0.648 * LN10 < 3.0
 
 
 class TestBuildFdModel:

@@ -56,10 +56,19 @@ def _run_python(code: str, *args: str) -> str:
 
 def test_import_leaves_scipy_unloaded():
     # scipy.special alone is most of a cold start; only the link law
-    # (channel._link_law: link_probability, threshold_distance and the f(d)
-    # panel rule) and the exact-law enumeration load it, inside the
-    # functions that need it (test_scipy_import_sites)
+    # (link_probability, which threshold_distance bisects) and the exact-law
+    # enumeration load it, inside the functions that need it
+    # (test_scipy_import_sites)
     code = ("import sys, rangefuse, rangefuse.cli; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    assert _run_python(code) == "[]"
+
+
+def test_common_neighbor_rule_leaves_scipy_unloaded():
+    # generic_f integrates closed-form lens areas, so no erfc: only the
+    # cutoff that build_fd_model bisects needs scipy
+    code = ("import sys, rangefuse as rf; "
+            "rf.generic_f(rf.ChannelParams(-37.47, 4.0, 4.0, -100.0), 30.0); "
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     assert _run_python(code) == "[]"
 
@@ -92,7 +101,7 @@ def test_scipy_import_sites():
     sites = {".".join((path.stem, *scope))
              for path in Path(rf.__file__).parent.glob("*.py")
              for scope in _scipy_import_scopes(ast.parse(path.read_text()))}
-    assert sites == {"channel._link_law", "simulator._poisson_pmf"}
+    assert sites == {"channel.link_probability", "simulator._poisson_pmf"}
 
 
 
