@@ -26,25 +26,20 @@ less. The mass lies where phi(z) e^(2kz), the weight of E[pi rho^2],
 peaks: at z = 2k. threshold_distance, and so build_fd_model, accepts only
 sigma_r <= 0.647, so that peak lies at z < 3, between the fixed breaks.
 
-build_fd_model runs the knots on one thread per CPU the process may use
-(numpy's ufunc loops release the GIL), each knot's arithmetic unchanged,
-so a table is bit for bit the one a serial loop gives. Knot values are
-read in knot order: a failing build raises the lowest failing knot's
-error, cancels the knots not yet started and leaves no thread behind.
+build_fd_model runs the knots in one loop, in knot order, in the calling
+thread: a failing build raises the first failing knot's error and runs
+no knot after it.
 
 The lens rule needs no erfc, so generic_f runs without scipy. Only the
 cutoff d_th does: threshold_distance bisects link_probability, which
 imports scipy.special where it runs, so loading a saved table, inverting
-counts and the bound leave scipy unloaded. build_fd_model imports its
-thread pool the same way.
+counts and the bound leave scipy unloaded.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-from contextvars import copy_context
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -289,45 +284,22 @@ def threshold_distance(params: ChannelParams) -> float:
     return hi
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_fd_model(params: ChannelParams, n_knots: int = 64,
                    quad_tol: float = 1e-6) -> FdModel:
     """Tabulate f(d) at n_knots uniform points on [0, d_th] and fit chords.
 
     The cutoff d_th comes from threshold_distance. The knots are generic_f
-    calls on min(usable CPUs, n_knots) threads, each in a copy of the
-    caller's contextvars context (so np.errstate applies), read in knot
-    order: values and errors are those of a serial loop, the lowest
-    failing knot's error included. On any exception, KeyboardInterrupt
-    included, the knots not yet started are cancelled and the threads
-    joined before it propagates. Raises ValueError unless n_knots is an
-    integer >= 8; quadrature noise that breaks the strict monotonicity of
-    the knot values raises ModelConstructionError.
+    calls in one loop, in knot order, in the calling thread, so the
+    caller's np.errstate applies and the first failing knot's error
+    propagates with no later knot run. Raises ValueError unless n_knots is
+    an integer >= 8; quadrature noise that breaks the strict monotonicity
+    of the knot values raises ModelConstructionError (FdModel).
     """
     if not isinstance(n_knots, numbers.Integral) or n_knots < 8:
         raise ValueError(f"n_knots must be an integer >= 8, got {n_knots!r}")
-    from concurrent.futures import ThreadPoolExecutor  # here, so importing rangefuse stays lean
-
     d_th = threshold_distance(params)
     knots_d = np.linspace(0.0, d_th, int(n_knots))
-    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(knots_d)))
-    try:
-        futures = [pool.submit(copy_context().run, generic_f, params, d, quad_tol)
-                   for d in knots_d]
-        knots_f = np.array([future.result() for future in futures])
-    finally:
-        pool.shutdown(cancel_futures=True)
-    if np.any(np.diff(knots_f) >= 0):
-        raise ModelConstructionError(
-            "tabulated f(d) is not strictly decreasing; quadrature noise "
-            "exceeds the knot spacing (try fewer knots or tighter quad_tol)"
-        )
+    knots_f = np.array([generic_f(params, d, quad_tol) for d in knots_d])
     return FdModel(
         s_mass=generic_s(params),
         d_th=float(d_th),

@@ -278,6 +278,16 @@ class TestFdTableCommand:
         assert "rounding floor" in err
         assert not out.exists()
 
+    def test_tied_knot_values_are_numeric_error(self, cfg_path, tmp_path, capsys,
+                                                tied_generic_f):
+        out = tmp_path / "x.fd"
+        code = main(["fd-table", "--config", str(cfg_path), "--n-knots", "8",
+                     "--output", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: numeric failure: knot values must decrease strictly\n")
+        assert not out.exists()
+
     # an infinite tolerance would let any two refinement levels agree
     @pytest.mark.parametrize("quad_tol", ["inf", "nan", "0", "-1e-6"])
     @pytest.mark.parametrize("source", ["flag", "config", "flag-split"])

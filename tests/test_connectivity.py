@@ -1,8 +1,5 @@
 import math
-import os
 import tempfile
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -419,35 +416,18 @@ class TestBuildFdModel:
             rf.FdModel(params=PARAMS_44, **columns)
 
 
-class TestThreadedTabulation:
-    """build_fd_model runs its knots on a thread pool; a serial loop is the reference."""
-
-    @pytest.fixture(params=[None, 1, 4], ids=["cpus-actual", "cpus-1", "cpus-4"])
-    def cpus(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid: set(range(request.param)), raising=False)
-        return request.param
+class TestTabulationLoop:
+    """build_fd_model calls generic_f once per knot, in knot order, in the calling thread."""
 
     @pytest.mark.parametrize("params, n_knots, quad_tol", [
         (PARAMS_44, 8, 1e-3), (PARAMS_FIELD, 8, 1e-3), (PARAMS_SHARP, 8, 1e-3),
         (PARAMS_44, 64, 1e-6)], ids=["p44-8", "field-8", "sharp-8", "p44-64"])
-    def test_bit_identical_to_a_serial_loop(self, monkeypatch, cpus, params, n_knots, quad_tol):
-        threads = set()
-
-        def recording_f(*args):
-            threads.add(threading.get_ident())
-            return rf.generic_f(*args)
-
-        monkeypatch.setattr(rf.connectivity, "generic_f", recording_f)
+    def test_bit_identical_to_a_serial_loop(self, params, n_knots, quad_tol):
         model = rf.build_fd_model(params, n_knots, quad_tol)
         knots_d = np.linspace(0.0, rf.threshold_distance(params), n_knots)
         serial = np.array([rf.generic_f(params, d, quad_tol) for d in knots_d])
         assert model.knots_f.tobytes() == serial.tobytes()
         assert model.knots_d.tobytes() == knots_d.tobytes()
-        assert len(threads) <= (cpus or os.cpu_count())
-        if cpus == 1:
-            assert len(threads) == 1 and threading.get_ident() not in threads
 
     def test_callers_errstate_reaches_every_knot(self, monkeypatch):
         seen = []
@@ -463,10 +443,10 @@ class TestThreadedTabulation:
 
     @pytest.fixture
     def failing_f(self, monkeypatch):
-        """Install a generic_f that fails at the given knots, after delay_s at the others."""
+        """Install a generic_f that raises failures[k] at knot k; returns the knots called."""
         calls = []
 
-        def install(n_knots, failures, delay_s=0.0):
+        def install(n_knots, failures):
             knots_d = np.linspace(0.0, rf.threshold_distance(PARAMS_44), n_knots)
             index = {float(d): k for k, d in enumerate(knots_d)}
 
@@ -474,40 +454,36 @@ class TestThreadedTabulation:
                 k = index[float(d)]
                 calls.append(k)
                 if k in failures:
-                    time.sleep(failures[k][1])
-                    raise failures[k][0](f"knot {k} failed")
-                time.sleep(delay_s)
+                    raise failures[k](f"knot {k} failed")
                 return 1.0 / (1.0 + d)
 
             monkeypatch.setattr(rf.connectivity, "generic_f", fake_f)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                                raising=False)
             return calls
         return install
 
-    def test_lowest_failing_knot_raises(self, failing_f):
-        # knot 5 fails after knot 9 in time, yet its error is the one raised
-        failing_f(16, {5: (rf.NumericError, 0.05), 9: (rf.NumericError, 0.0)})
-        with pytest.raises(rf.NumericError, match="^knot 5 failed$"):
-            rf.build_fd_model(PARAMS_44, 16)
-
-    @pytest.mark.parametrize("error", [rf.NumericError, KeyboardInterrupt])
-    def test_failure_cancels_pending_knots_and_joins_the_pool(self, failing_f, error):
-        before = threading.active_count()
-        calls = failing_f(64, {0: (error, 0.0)}, delay_s=0.02)
-        with pytest.raises(error, match="^knot 0 failed$"):
-            rf.build_fd_model(PARAMS_44, 64)
-        assert threading.active_count() == before
-        # the knots the 4 workers had started, with room for a slow main thread;
-        # without the cancel all 64 run
-        assert len(calls) <= 16
-
-    def test_success_joins_the_pool(self, failing_f):
-        before = threading.active_count()
+    def test_knots_run_once_in_order(self, failing_f):
         calls = failing_f(16, {})
         rf.build_fd_model(PARAMS_44, 16)
-        assert threading.active_count() == before
-        assert sorted(calls) == list(range(16))
+        assert calls == list(range(16))
+
+    def test_lowest_failing_knot_raises(self, failing_f):
+        calls = failing_f(16, {5: rf.NumericError, 9: rf.NumericError})
+        with pytest.raises(rf.NumericError, match="^knot 5 failed$"):
+            rf.build_fd_model(PARAMS_44, 16)
+        assert calls == list(range(6))
+
+    @pytest.mark.parametrize("error", [rf.NumericError, KeyboardInterrupt])
+    def test_failure_runs_no_later_knot(self, failing_f, error):
+        calls = failing_f(64, {0: error})
+        with pytest.raises(error, match="^knot 0 failed$"):
+            rf.build_fd_model(PARAMS_44, 64)
+        assert calls == [0]
+
+    def test_tied_knot_values_raise(self, tied_generic_f):
+        # quadrature noise could give two knots one value; FdModel rejects the table
+        with pytest.raises(rf.ModelConstructionError,
+                           match="^knot values must decrease strictly$"):
+            rf.build_fd_model(PARAMS_44, 8)
 
 
 class TestInvertFd:

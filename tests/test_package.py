@@ -73,13 +73,6 @@ def test_common_neighbor_rule_leaves_scipy_unloaded():
     assert _run_python(code) == "[]"
 
 
-def test_import_leaves_the_thread_pool_unloaded():
-    # build_fd_model imports concurrent.futures where it tabulates, which
-    # keeps it out of every command's start-up
-    code = "import sys, rangefuse, rangefuse.cli; print('concurrent.futures' in sys.modules)"
-    assert _run_python(code) == "False"
-
-
 def _scipy_import_scopes(node, scope=()):
     """The enclosing def and class names of each import of scipy under node."""
     for child in ast.iter_child_nodes(node):
@@ -131,17 +124,17 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["crlb", "--mu", "10", "--output", out],
     ):
         codes.append(main([argv[0], *given, *argv[1:]]))
-    given_table = "scipy" in sys.modules, "concurrent.futures" in sys.modules
+    given_table = "scipy" in sys.modules
     codes.append(main(["fd-table", *channel, "--n-knots", "8", "--quad-tol", "1e-3",
                        "--output", out]))
-print(codes, given_table, "scipy.special" in sys.modules, "concurrent.futures" in sys.modules)
+print(codes, given_table, "scipy.special" in sys.modules)
 """
 
 
-def test_commands_given_a_table_leave_scipy_and_the_thread_pool_unloaded(tmp_path, model44):
+def test_commands_given_a_table_leave_scipy_unloaded(tmp_path, model44):
     table, meas = tmp_path / "fd.txt", tmp_path / "meas.txt"
     rf.save_fd_model(model44, table)
     meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
     out = _run_python(_COMMANDS_CODE, str(table), str(meas), str(tmp_path / "out"))
-    # tabulation does load both, so the checks above are not vacuous
-    assert out == "[0, 0, 0, 0, 0] (False, False) True True"
+    # tabulation does load scipy.special, so the check above is not vacuous
+    assert out == "[0, 0, 0, 0, 0] False True"
