@@ -1,5 +1,6 @@
 import math
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -421,13 +422,29 @@ class TestTabulationLoop:
 
     @pytest.mark.parametrize("params, n_knots, quad_tol", [
         (PARAMS_44, 8, 1e-3), (PARAMS_FIELD, 8, 1e-3), (PARAMS_SHARP, 8, 1e-3),
-        (PARAMS_44, 64, 1e-6)], ids=["p44-8", "field-8", "sharp-8", "p44-64"])
+        (PARAMS_WIDE, 8, 1e-3), (PARAMS_WIDER, 8, 1e-3), (PARAMS_44, 64, 1e-6),
+        (PARAMS_FIELD, 64, 1e-6), (PARAMS_SHARP, 64, 1e-6)],
+        ids=["p44-8", "field-8", "sharp-8", "wide-8", "wider-8", "p44-64", "field-64",
+             "sharp-64"])
     def test_bit_identical_to_a_serial_loop(self, params, n_knots, quad_tol):
         model = rf.build_fd_model(params, n_knots, quad_tol)
         knots_d = np.linspace(0.0, rf.threshold_distance(params), n_knots)
         serial = np.array([rf.generic_f(params, d, quad_tol) for d in knots_d])
         assert model.knots_f.tobytes() == serial.tobytes()
         assert model.knots_d.tobytes() == knots_d.tobytes()
+
+    def test_knots_run_in_the_calling_thread(self, monkeypatch):
+        seen = []
+
+        def thread_f(params, d, quad_tol):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return 1.0 / (1.0 + d)
+
+        monkeypatch.setattr(rf.connectivity, "generic_f", thread_f)
+        before = threading.active_count()
+        rf.build_fd_model(PARAMS_44, 16)
+        assert seen == [(threading.get_ident(), before)] * 16
+        assert threading.active_count() == before
 
     def test_callers_errstate_reaches_every_knot(self, monkeypatch):
         seen = []
@@ -479,8 +496,29 @@ class TestTabulationLoop:
             rf.build_fd_model(PARAMS_44, 64)
         assert calls == [0]
 
+    def test_last_knot_failure_raises(self, failing_f):
+        calls = failing_f(16, {15: rf.NumericError})
+        with pytest.raises(rf.NumericError, match="^knot 15 failed$"):
+            rf.build_fd_model(PARAMS_44, 16)
+        assert calls == list(range(16))
+
     def test_tied_knot_values_raise(self, tied_generic_f):
         # quadrature noise could give two knots one value; FdModel rejects the table
+        with pytest.raises(rf.ModelConstructionError,
+                           match="^knot values must decrease strictly$"):
+            rf.build_fd_model(PARAMS_44, 8)
+
+    # ties at the first and the last pair of knots, where an off-by-one in the
+    # check would miss one, and a rise
+    @pytest.mark.parametrize("k, value", [(1, 1.0), (7, 1.0 / 7.0), (4, 0.5)],
+                             ids=["tie-first", "tie-last", "rise"])
+    def test_knot_values_that_do_not_decrease_raise(self, monkeypatch, k, value):
+        knots_d = np.linspace(0.0, rf.threshold_distance(PARAMS_44), 8)
+        values = [1.0 / (1.0 + j) for j in range(8)]
+        values[k] = value
+        index = {float(d): j for j, d in enumerate(knots_d)}
+        monkeypatch.setattr(rf.connectivity, "generic_f",
+                            lambda params, d, quad_tol: values[index[float(d)]])
         with pytest.raises(rf.ModelConstructionError,
                            match="^knot values must decrease strictly$"):
             rf.build_fd_model(PARAMS_44, 8)
