@@ -16,19 +16,19 @@ disks overlap, and by Fubini f(d) = E[lens(rho_a, rho_b, d)] over the two
 independent draws, just as S = E[pi rho^2] (generic_s, in closed form).
 Under an ideal disk channel both radii are r and f is unit_disk_f.
 
-Each knot of the table is one generic_f call, the module's one quadrature:
-the closed-form lens area integrated over (z_a, z_b) by Gauss-Legendre
-panels (_lens_rule), refined by doubling until two levels agree within
-quad_tol (no tighter than the rounding floor QUAD_TOL_FLOOR). The draws
-end at z = +-9. Since lens <= pi min(rho_a, rho_b)^2, the region beyond
-z_a = 9 adds at most Q(9) S = 1.1e-19 S, and the one below z_a = -9
-less. The mass lies where phi(z) e^(2kz), the weight of E[pi rho^2],
-peaks: at z = 2k. threshold_distance, and so build_fd_model, accepts only
-sigma_r <= 0.647, so that peak lies at z < 3, between the fixed breaks.
-
-build_fd_model runs the knots in one loop, in knot order, in the calling
-thread: a failing build raises the first failing knot's error and runs
-no knot after it.
+The whole table is one generic_f call with the knot array, the module's
+one quadrature: the closed-form lens area integrated over (z_a, z_b) by
+Gauss-Legendre panels (_lens_rule), refined by doubling until two levels
+agree within quad_tol (no tighter than the rounding floor
+QUAD_TOL_FLOOR). Each refinement level is one array pass over the knots
+that have not yet converged, and each knot keeps its own check and its
+own sums, so a knot's value is the same, to the bit, as generic_f gives
+for its distance alone. The draws end at z = +-9. Since lens <= pi
+min(rho_a, rho_b)^2, the region beyond z_a = 9 adds at most Q(9) S =
+1.1e-19 S, and the one below z_a = -9 less. The mass lies where phi(z)
+e^(2kz), the weight of E[pi rho^2], peaks: at z = 2k.
+threshold_distance, and so build_fd_model, accepts only sigma_r <=
+0.647, so that peak lies at z < 3, between the fixed breaks.
 
 The lens rule needs no erfc, so generic_f runs without scipy. Only the
 cutoff d_th does: threshold_distance bisects link_probability, which
@@ -130,21 +130,28 @@ def generic_s(params: ChannelParams) -> float:
     return math.pi * r * r * math.exp(2.0 * (params.sigma_r * LN10) ** 2)
 
 
-def _lens(a, b, d: float):
-    """Intersection area of disks of radii a and b (arrays) whose centers are d apart.
+def _lens(a, b, d):
+    """Intersection area of disks of radii a and b whose centers are d apart; takes arrays.
 
     a^2 alpha + b^2 beta - d a sin(alpha), with alpha and beta the half
     angles that the common chord subtends at the two centers. Clipping their
     cosines to [-1, 1] gives 0 for disjoint disks and pi min(a, b)^2 for
-    nested ones, which is every pair at d = 0.
+    nested ones; the chord term takes sin(alpha) = sqrt((1 - c)(1 + c)) from
+    the clipped cosine c, which costs a fraction of a sine. At d = 0 every
+    pair is nested and the cosines are undefined, so those elements are
+    pi min(a, b)^2 outright.
     """
-    if d == 0.0:
-        small = np.minimum(a, b)
-        return math.pi * small * small
     a2, b2 = a * a, b * b
-    alpha = np.arccos(np.clip((d * d + a2 - b2) / (2.0 * d * a), -1.0, 1.0))
-    beta = np.arccos(np.clip((d * d + b2 - a2) / (2.0 * d * b), -1.0, 1.0))
-    return a2 * alpha + b2 * beta - d * a * np.sin(alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_a = np.clip((d * d + a2 - b2) / (2.0 * d * a), -1.0, 1.0)
+        cos_b = np.clip((d * d + b2 - a2) / (2.0 * d * b), -1.0, 1.0)
+    lens = (a2 * np.arccos(cos_a) + b2 * np.arccos(cos_b)
+            - d * a * np.sqrt((1.0 - cos_a) * (1.0 + cos_a)))
+    at_zero = d == 0.0
+    if np.any(at_zero):
+        small = np.minimum(a, b)
+        lens = np.where(at_zero, math.pi * small * small, lens)
+    return lens
 
 
 def _smoothstep_panels(edges: np.ndarray, n: int):
@@ -158,7 +165,7 @@ def _smoothstep_panels(edges: np.ndarray, n: int):
     t = ((np.arange(n)[:, None] + _GL_NODES) / n).ravel()
     w_t = np.tile(_GL_WEIGHTS / n, n)
     lo, width = edges[..., :-1, None], np.diff(edges)[..., None]
-    shape = (*edges.shape[:-1], -1)
+    shape = (*edges.shape[:-1], (edges.shape[-1] - 1) * t.size)
     return ((lo + width * (t * t * (3.0 - 2.0 * t))).reshape(shape),
             (width * (6.0 * t * (1.0 - t) * w_t)).reshape(shape))
 
@@ -170,43 +177,53 @@ def _normal_pdf(z):
 # The lens rule's domain in each standard-normal draw and its fixed breaks
 # (the module docstring says why +-9 is enough)
 _Z_BREAKS = np.array([-9.0, -4.0, -2.0, 0.0, 2.0, 4.0, 9.0])
-# Values per temporary array in _lens_rule (64 KB of float64): the z_a nodes
-# go through _lens in chunks of rows of that many z_b points in all
+# Values per temporary array in _lens_rule (64 KB of float64): the z_b rows
+# of all the distances of a level go through _lens in chunks of at most
+# that many points
 _CHUNK_POINTS = 1 << 13
 
 
-def _lens_rule(params: ChannelParams, d: float, n: int) -> float:
-    """E[lens(rho_a, rho_b, d)] by n smoothstep panels per interval in z_a and z_b.
+def _lens_rule(params: ChannelParams, d: np.ndarray, n: int) -> np.ndarray:
+    """E[lens(rho_a, rho_b, d)] at each distance of the 1-D array d, by n smoothstep panels.
 
     rho = r e^(k z), k = sigma_r ln 10, for each of the two standard-normal
-    draws z_a and z_b on the domain of _Z_BREAKS. The z_a intervals also
-    break at rho_a = d/2 and rho_a = d, and each z_a node's z_b intervals
-    where the disks touch, rho_b = |d - rho_a| and rho_a + d; breaks outside
-    the domain sit at its ends, so every row has the same panel count and a
-    zero-width interval adds nothing.
+    draws z_a and z_b on the domain of _Z_BREAKS, with n panels per interval.
+    The z_a intervals also break at rho_a = d/2 and rho_a = d, and each z_a
+    node's z_b intervals where the disks touch, rho_b = |d - rho_a| and
+    rho_a + d; breaks outside the domain sit at its ends, so every row has
+    the same panel count and a zero-width interval adds nothing. The z_b rows
+    of all the distances go through _lens in one pass, in chunks of at most
+    _CHUNK_POINTS points. Each row is summed on its own and each distance's
+    rows on their own, so a distance's value does not depend on which other
+    distances share the call.
     """
     r, k = pseudo_range(params), params.sigma_r * LN10
     z_lo, z_hi = _Z_BREAKS[0], _Z_BREAKS[-1]
 
-    def z_of(rho):
+    def edges(breaks):
+        """Sorted interval edges per row: _Z_BREAKS and the rows of radii breaks, as z."""
         with np.errstate(divide="ignore"):
-            return np.clip(np.log(rho / r) / k, z_lo, z_hi)
+            z = np.clip(np.log(breaks / r) / k, z_lo, z_hi)
+        fixed = np.broadcast_to(_Z_BREAKS, (z.shape[0], _Z_BREAKS.size))
+        return np.sort(np.concatenate([fixed, z], axis=1), axis=1)
 
-    z_a, w_a = _smoothstep_panels(np.unique(np.append(_Z_BREAKS, z_of(np.array([d / 2.0, d])))), n)
-    rho_a = r * np.exp(k * z_a)
+    d = d[:, None]
+    z_a, w_a = _smoothstep_panels(edges(np.concatenate([d / 2.0, d], axis=1)), n)
     w_a *= _normal_pdf(z_a)
+    # the rows of zero-width z_a intervals weigh 0, so they are not evaluated
+    rows = np.flatnonzero(w_a)
+    rho_a = r * np.exp(k * z_a.ravel()[rows, None])
+    d_a = np.repeat(d, z_a.shape[1])[rows, None]
+    sums = np.zeros(w_a.size)
     step = max(1, _CHUNK_POINTS // (10 * n * (_Z_BREAKS.size + 1)))
-    total = 0.0
-    for lo in range(0, z_a.size, step):
-        rho = rho_a[lo:lo + step, None]
-        touch = z_of(np.concatenate([np.abs(d - rho), rho + d], axis=1))
-        edges = np.sort(np.concatenate(
-            [np.broadcast_to(_Z_BREAKS, (rho.shape[0], _Z_BREAKS.size)), touch], axis=1), axis=1)
-        z_b, w_b = _smoothstep_panels(edges, n)
+    for lo in range(0, rows.size, step):
+        rho, d_row = rho_a[lo:lo + step], d_a[lo:lo + step]
+        z_b, w_b = _smoothstep_panels(edges(np.concatenate([np.abs(d_row - rho), rho + d_row],
+                                                           axis=1)), n)
         w_b *= _normal_pdf(z_b)
-        w_b *= _lens(rho, r * np.exp(k * z_b), d)
-        total += float(np.dot(w_a[lo:lo + step], w_b.sum(axis=1)))
-    return total
+        w_b *= _lens(rho, r * np.exp(k * z_b), d_row)
+        sums[rows[lo:lo + step]] = w_b.sum(axis=1)
+    return (w_a * sums.reshape(w_a.shape)).sum(axis=1)
 
 
 # Rounding floor for quad_tol. One level sums 6e3 to 3e7 float64 terms, so
@@ -217,46 +234,60 @@ QUAD_TOL_FLOOR = 1e-12
 _MAX_PANELS = 64
 
 
-def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6) -> float:
-    """Expected common-neighbor mass per unit intensity at separation d.
+def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6):
+    """Expected common-neighbor mass per unit intensity at separation d; takes arrays.
 
     f(d) = E[lens(rho_a, rho_b, d)], the expected overlap area of the link
     disks of the two nodes, whose radii rho = r e^(k z), k = sigma_r ln 10,
     are independent log-normal draws (module docstring). _lens_rule
     integrates the closed-form lens area against the two standard-normal
     densities on [-9, 9]^2, starting at 1 panel per interval and doubling
-    until two successive levels agree within quad_tol relative. Raises
-    ValueError unless 0 < quad_tol < inf; NumericError when the check is
-    not met by 64 panels per interval, and for any quad_tol below the
-    rounding floor QUAD_TOL_FLOOR = 1e-12, where rounding would decide the
-    check. Reduces to unit_disk_f when sigma_db = 0.
+    until two successive levels agree within quad_tol relative. All the
+    distances of d run each level together, and each keeps its own check,
+    so a distance gets the same value, to the bit, alone as in any array.
+    On the domain every link radius is at most r e^(9k), so f is 0 beyond
+    twice that, without the rule. A scalar d gives a float. Raises
+    ValueError unless every d is nonnegative and finite and 0 < quad_tol <
+    inf; NumericError, naming the lowest distance, when the check is not met
+    by 64 panels per interval, and for any quad_tol below the rounding floor
+    QUAD_TOL_FLOOR = 1e-12, where rounding would decide the check. Reduces
+    to unit_disk_f when sigma_db = 0.
     """
-    d = float(d)
-    if d < 0.0 or not math.isfinite(d):
-        raise ValueError(f"d must be nonnegative and finite, got {d!r}")
+    d = np.asarray(d, dtype=float)
+    _require(d, (d >= 0.0) & (d < math.inf), "d must be nonnegative and finite")
     if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
         raise ValueError(f"quad_tol must be positive and finite, got {quad_tol!r}")
+    r = pseudo_range(params)
     if params.sigma_db == 0.0:
-        r = pseudo_range(params)
-        return unit_disk_f(r, d) if d <= 2.0 * r else 0.0
+        out = np.where(d <= 2.0 * r, unit_disk_f(r, np.minimum(d, 2.0 * r)), 0.0)
+        return out if out.ndim else float(out)
     if quad_tol < QUAD_TOL_FLOOR:
         raise NumericError(
             f"quad_tol={quad_tol:g} is below the rounding floor {QUAD_TOL_FLOOR:g} "
             "of the common-neighborhood rule"
         )
-    floor = 1e-15 * math.pi * pseudo_range(params) ** 2
+    floor = 1e-15 * math.pi * r ** 2
+    flat = d.ravel()
+    out = np.zeros(flat.shape)
+    reach = 2.0 * r * math.exp(params.sigma_r * LN10 * _Z_BREAKS[-1])
+    pending = np.flatnonzero(flat <= reach)
     n = 1
-    current = _lens_rule(params, d, n)
-    while n < _MAX_PANELS:
+    current = _lens_rule(params, flat[pending], n)
+    while pending.size:
+        if n == _MAX_PANELS:
+            raise NumericError(
+                "panel refinement for the common-neighborhood integral did not "
+                f"converge to quad_tol={quad_tol:g} at d={float(flat[pending[0]])!r} "
+                f"(last change {change[0]:g} at {n} panels per interval)"
+            )
         n *= 2
-        previous, current = current, _lens_rule(params, d, n)
-        if abs(current - previous) <= quad_tol * max(abs(current), floor):
-            return current
-    raise NumericError(
-        "panel refinement for the common-neighborhood integral did not "
-        f"converge to quad_tol={quad_tol:g} at d={d!r} "
-        f"(last change {abs(current - previous):g} at {n} panels per interval)"
-    )
+        previous, current = current, _lens_rule(params, flat[pending], n)
+        change = np.abs(current - previous)
+        done = change <= quad_tol * np.maximum(np.abs(current), floor)
+        out[pending[done]] = current[done]
+        pending, current, change = pending[~done], current[~done], change[~done]
+    out = out.reshape(d.shape)
+    return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=128)
@@ -288,18 +319,19 @@ def build_fd_model(params: ChannelParams, n_knots: int = 64,
                    quad_tol: float = 1e-6) -> FdModel:
     """Tabulate f(d) at n_knots uniform points on [0, d_th] and fit chords.
 
-    The cutoff d_th comes from threshold_distance. The knots are generic_f
-    calls in one loop, in knot order, in the calling thread, so the
-    caller's np.errstate applies and the first failing knot's error
-    propagates with no later knot run. Raises ValueError unless n_knots is
-    an integer >= 8; quadrature noise that breaks the strict monotonicity
-    of the knot values raises ModelConstructionError (FdModel).
+    The cutoff d_th comes from threshold_distance. The knot values are one
+    generic_f call with the knot array, in the calling thread, so the
+    caller's np.errstate applies and a knot that does not converge raises
+    generic_f's NumericError, which names the lowest such knot. Raises
+    ValueError unless n_knots is an integer >= 8; quadrature noise that
+    breaks the strict monotonicity of the knot values raises
+    ModelConstructionError (FdModel).
     """
     if not isinstance(n_knots, numbers.Integral) or n_knots < 8:
         raise ValueError(f"n_knots must be an integer >= 8, got {n_knots!r}")
     d_th = threshold_distance(params)
     knots_d = np.linspace(0.0, d_th, int(n_knots))
-    knots_f = np.array([generic_f(params, d, quad_tol) for d in knots_d])
+    knots_f = generic_f(params, knots_d, quad_tol)
     return FdModel(
         s_mass=generic_s(params),
         d_th=float(d_th),

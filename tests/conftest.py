@@ -47,11 +47,13 @@ def save_damaged_table(model, path, damage):
 
 @pytest.fixture
 def tied_generic_f(monkeypatch):
-    """generic_f as 1/(1 + d), except that knot 5 of an 8-knot p44 table repeats knot 4."""
-    knots_d = np.linspace(0.0, rf.threshold_distance(PARAMS_44), 8)
-    tie = {float(knots_d[5]): float(knots_d[4])}
-    monkeypatch.setattr(rf.connectivity, "generic_f",
-                        lambda params, d, quad_tol: 1.0 / (1.0 + tie.get(float(d), d)))
+    """generic_f as 1/(1 + d) over the knot array, except that knot 5 repeats knot 4."""
+    def tied(params, d, quad_tol):
+        f = 1.0 / (1.0 + d)
+        f[5] = f[4]
+        return f
+
+    monkeypatch.setattr(rf.connectivity, "generic_f", tied)
 
 
 @pytest.fixture(scope="session")

@@ -97,13 +97,51 @@ class TestGenericS:
 
 
 def _chord_area(a, b, d):
-    """Intersection area of two disks by adaptive quadrature over chords parallel to the axis."""
+    """Intersection area of two disks by adaptive quadrature over chords parallel to the axis.
+
+    The widths are differences of numbers up to max(a, b, d), so each is
+    off by a few ulps of that, which caps the absolute accuracy; where the
+    circles cross, at +-h, the width has a kink, which is a break.
+    """
     def width(y):
         half_a, half_b = math.sqrt(a * a - y * y), math.sqrt(max(b * b - y * y, 0.0))
         return max(0.0, min(half_a, d + half_b) - max(-half_a, d - half_b))
-    value, _ = integrate.quad(width, -min(a, b), min(a, b), epsabs=0.0, epsrel=1e-12,
-                              limit=200)
+    x = (d * d + a * a - b * b) / (2.0 * d)
+    h = math.sqrt(max(a * a - x * x, 0.0))
+    value, _ = integrate.quad(width, -min(a, b), min(a, b), epsabs=_chord_floor(a, b, d),
+                              epsrel=1e-12, limit=200,
+                              points=[-h, h] if h < min(a, b) else None)
     return value
+
+
+def _chord_floor(a, b, d):
+    """Absolute accuracy _chord_area can reach: 4 ulps of the widest width, over the chords."""
+    return 4.0 * np.finfo(float).eps * max(a, b, d) * 2.0 * min(a, b)
+
+
+# Rounding in the closed-form lens, from the conditioning of its terms in
+# the two cosines. A cosine c = (d^2 + a^2 - b^2) / (2 d a) is formed in a
+# handful of roundings, so it is off by about _LENS_ROUNDINGS eps
+# (d^2 + a^2 + b^2) / (2 d a). An error e in c moves the angle arccos(c)
+# by e / sin and the chord term d a sqrt((1 - c)(1 + c)) by d a |c| e / sin,
+# where sin = sqrt(1 - c^2) goes to 0 as c nears +-1: there the lens is
+# only good to (a^2 + d a) e_a / sin(alpha) + b^2 e_b / sin(beta). The three
+# terms and their sum add a rounding each of their own size.
+_LENS_ROUNDINGS = 8
+
+
+def _lens_tolerance(a, b, d):
+    """Absolute rounding error of the closed-form lens, by the bound above."""
+    eps = _LENS_ROUNDINGS * np.finfo(float).eps
+    cos_a = (d * d + a * a - b * b) / (2.0 * d * a)
+    cos_b = (d * d + b * b - a * a) / (2.0 * d * b)
+    sin_a = math.sqrt((1.0 - cos_a) * (1.0 + cos_a))
+    sin_b = math.sqrt((1.0 - cos_b) * (1.0 + cos_b))
+    spread = d * d + a * a + b * b
+    angle_a = spread / (2.0 * d * a) / sin_a  # per eps of error in the cosine
+    angle_b = spread / (2.0 * d * b) / sin_b
+    terms = a * a * math.acos(cos_a) + b * b * math.acos(cos_b) + d * a * sin_a
+    return eps * ((a * a + d * a) * angle_a + b * b * angle_b + terms)
 
 
 class TestLens:
@@ -133,6 +171,32 @@ class TestLens:
         assert np.array_equal(lens[:2], [0.0, 0.0])
         assert lens[2:] == pytest.approx([math.pi, math.pi], rel=1e-15)
         assert np.array_equal(rf.connectivity._lens(a, b, 0.0), math.pi * np.minimum(a, b) ** 2)
+
+    # a cosine within 1e-12 of 1 (the disks nearly touch from outside) or of
+    # -1 (the first or the second disk nearly lies inside the other)
+    @pytest.mark.parametrize("a, b, d, cosine", [
+        (1.0, 1.0, 2.0 - 1e-12, 1.0), (1.0, 2.0, 3.0 - 1e-12, 1.0),
+        (1.0, 3.0, 2.0 + 5e-13, -1.0), (3.0, 1.0, 2.0 + 5e-13, 1.0)],
+        ids=["tangent-equal", "tangent-unequal", "nested-first", "nested-second"])
+    def test_near_tangent_and_near_nested_disks(self, a, b, d, cosine):
+        cos_a = (d * d + a * a - b * b) / (2.0 * d * a)
+        assert 0.0 < cosine * (cosine - cos_a) <= 1e-12
+        lens = float(rf.connectivity._lens(np.array(a), np.array(b), d))
+        oracle = _chord_area(a, b, d)
+        tolerance = _lens_tolerance(a, b, d) + _chord_floor(a, b, d) + 1e-12 * oracle
+        assert abs(lens - oracle) <= tolerance
+
+    def test_zero_distance_rows_in_a_batch(self):
+        rng = np.random.default_rng(28)
+        a, b = rng.uniform(0.1, 5.0, (6, 1)), rng.uniform(0.1, 5.0, (6, 50))
+        b[0, :2] = a[0, 0]  # equal radii at d = 0, where a cosine is 0/0
+        d = np.array([0.0, 2.0, 0.0, 0.5, 7.0, 0.0])[:, None]
+        lens = rf.connectivity._lens(a, b, d)
+        zero = d[:, 0] == 0.0
+        small = np.minimum(a, b)[zero]
+        assert np.array_equal(lens[zero], math.pi * small * small)
+        for i in np.flatnonzero(~zero):
+            assert np.array_equal(lens[i], rf.connectivity._lens(a[i], b[i], float(d[i, 0])))
 
 
 class TestGenericF:
@@ -184,9 +248,21 @@ class TestGenericF:
         se = area * vals.std() / math.sqrt(n)
         assert abs(value - mc) <= 3.0 * se + 1e-6 * s
 
-    def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            rf.generic_f(PARAMS_44, -1.0)
+    @pytest.mark.parametrize("d", [-1.0, math.nan, [30.0, -1.0]])
+    def test_rejects_negative_distance(self, d):
+        with pytest.raises(ValueError, match="d must be nonnegative and finite, got (-1.0|nan)$"):
+            rf.generic_f(PARAMS_44, d)
+
+    # every link radius is at most r e^(9k) on the rule's domain, so disks
+    # farther apart than twice that never meet; d * d used to overflow here
+    @pytest.mark.parametrize("far", [1e155, 1e200, 1e307, 1.7e308])
+    def test_disks_beyond_reach_give_zero(self, far):
+        assert rf.generic_f(PARAMS_44, far) == 0.0
+        knots_d = np.linspace(0.0, rf.threshold_distance(PARAMS_44), 4)
+        mixed = rf.generic_f(PARAMS_44, np.array([knots_d[0], far, knots_d[1], far, knots_d[3]]))
+        assert np.array_equal(mixed[[1, 3]], [0.0, 0.0])
+        alone = [rf.generic_f(PARAMS_44, d) for d in knots_d[[0, 1, 3]]]
+        assert mixed[[0, 2, 4]].tobytes() == np.array(alone).tobytes()
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(rf.NumericError):
@@ -345,9 +421,9 @@ class TestZDomain:
         # differ by the tail beyond +-9 and by rounding
         conn = rf.connectivity
         knots = np.linspace(0.0, rf.threshold_distance(params), 5)
-        narrow = [conn._lens_rule(params, float(d), 8) for d in knots]
+        narrow = conn._lens_rule(params, knots, 8)
         monkeypatch.setattr(conn, "_Z_BREAKS", np.concatenate([[-12.0], conn._Z_BREAKS, [12.0]]))
-        wide = [conn._lens_rule(params, float(d), 8) for d in knots]
+        wide = conn._lens_rule(params, knots, 8)
         assert wide == pytest.approx(narrow, rel=1e-14, abs=0.0)
 
     def test_accepted_channels_weigh_inside_the_domain(self):
@@ -418,7 +494,7 @@ class TestBuildFdModel:
 
 
 class TestTabulationLoop:
-    """build_fd_model calls generic_f once per knot, in knot order, in the calling thread."""
+    """build_fd_model tabulates every knot in one generic_f call, in the calling thread."""
 
     @pytest.mark.parametrize("params, n_knots, quad_tol", [
         (PARAMS_44, 8, 1e-3), (PARAMS_FIELD, 8, 1e-3), (PARAMS_SHARP, 8, 1e-3),
@@ -433,74 +509,64 @@ class TestTabulationLoop:
         assert model.knots_f.tobytes() == serial.tobytes()
         assert model.knots_d.tobytes() == knots_d.tobytes()
 
-    def test_knots_run_in_the_calling_thread(self, monkeypatch):
-        seen = []
-
-        def thread_f(params, d, quad_tol):
-            seen.append((threading.get_ident(), threading.active_count()))
-            return 1.0 / (1.0 + d)
-
-        monkeypatch.setattr(rf.connectivity, "generic_f", thread_f)
-        before = threading.active_count()
-        rf.build_fd_model(PARAMS_44, 16)
-        assert seen == [(threading.get_ident(), before)] * 16
-        assert threading.active_count() == before
-
-    def test_callers_errstate_reaches_every_knot(self, monkeypatch):
-        seen = []
-
-        def errstate_f(params, d, quad_tol):
-            seen.append(np.geterr()["divide"])
-            return 1.0 / (1.0 + d)
-
-        monkeypatch.setattr(rf.connectivity, "generic_f", errstate_f)
-        with np.errstate(divide="raise"):
-            rf.build_fd_model(PARAMS_44, 16)
-        assert seen == ["raise"] * 16
-
     @pytest.fixture
-    def failing_f(self, monkeypatch):
-        """Install a generic_f that raises failures[k] at knot k; returns the knots called."""
+    def recording_f(self, monkeypatch):
+        """Install a generic_f that records what each call sees and returns 1/(1 + d)."""
         calls = []
 
-        def install(n_knots, failures):
-            knots_d = np.linspace(0.0, rf.threshold_distance(PARAMS_44), n_knots)
-            index = {float(d): k for k, d in enumerate(knots_d)}
+        def fake_f(params, d, quad_tol):
+            calls.append({"params": params, "d": np.array(d), "quad_tol": quad_tol,
+                          "thread": (threading.get_ident(), threading.active_count()),
+                          "divide": np.geterr()["divide"]})
+            return 1.0 / (1.0 + d)
 
-            def fake_f(params, d, quad_tol):
-                k = index[float(d)]
-                calls.append(k)
-                if k in failures:
-                    raise failures[k](f"knot {k} failed")
-                return 1.0 / (1.0 + d)
+        monkeypatch.setattr(rf.connectivity, "generic_f", fake_f)
+        return calls
 
-            monkeypatch.setattr(rf.connectivity, "generic_f", fake_f)
-            return calls
-        return install
+    def test_one_call_with_the_knot_array(self, recording_f):
+        model = rf.build_fd_model(PARAMS_44, 16, 1e-5)
+        [call] = recording_f
+        knots_d = np.linspace(0.0, rf.threshold_distance(PARAMS_44), 16)
+        assert call["d"].tobytes() == knots_d.tobytes()
+        assert (call["params"], call["quad_tol"]) == (PARAMS_44, 1e-5)
+        assert np.array_equal(model.knots_f, 1.0 / (1.0 + knots_d))
 
-    def test_knots_run_once_in_order(self, failing_f):
-        calls = failing_f(16, {})
+    def test_knots_run_in_the_calling_thread(self, recording_f):
+        before = threading.active_count()
         rf.build_fd_model(PARAMS_44, 16)
-        assert calls == list(range(16))
+        assert [call["thread"] for call in recording_f] == [(threading.get_ident(), before)]
+        assert threading.active_count() == before
 
-    def test_lowest_failing_knot_raises(self, failing_f):
-        calls = failing_f(16, {5: rf.NumericError, 9: rf.NumericError})
-        with pytest.raises(rf.NumericError, match="^knot 5 failed$"):
+    def test_callers_errstate_reaches_every_knot(self, recording_f):
+        with np.errstate(divide="raise"):
             rf.build_fd_model(PARAMS_44, 16)
-        assert calls == list(range(6))
+        assert [call["divide"] for call in recording_f] == ["raise"]
 
     @pytest.mark.parametrize("error", [rf.NumericError, KeyboardInterrupt])
-    def test_failure_runs_no_later_knot(self, failing_f, error):
-        calls = failing_f(64, {0: error})
-        with pytest.raises(error, match="^knot 0 failed$"):
-            rf.build_fd_model(PARAMS_44, 64)
-        assert calls == [0]
+    def test_generic_f_errors_propagate(self, monkeypatch, error):
+        def failing_f(params, d, quad_tol):
+            raise error("no knot converged")
 
-    def test_last_knot_failure_raises(self, failing_f):
-        calls = failing_f(16, {15: rf.NumericError})
-        with pytest.raises(rf.NumericError, match="^knot 15 failed$"):
+        monkeypatch.setattr(rf.connectivity, "generic_f", failing_f)
+        with pytest.raises(error, match="^no knot converged$"):
             rf.build_fd_model(PARAMS_44, 16)
-        assert calls == list(range(16))
+
+    # sharp: levels 1 and 2 differ by about 9e-8 relative at every knot, so
+    # knot 0 fails; field: levels 2 and 4 agree within 1e-10 at knots 0-4
+    # only, so knots 5-7 fail and knot 5 is named
+    @pytest.mark.parametrize("params, max_panels, lowest", [
+        (PARAMS_SHARP, 2, 0), (PARAMS_FIELD, 4, 5)], ids=["sharp", "field"])
+    def test_lowest_unconverged_knot_raises(self, monkeypatch, params, max_panels, lowest):
+        monkeypatch.setattr(rf.connectivity, "_MAX_PANELS", max_panels)
+        knots_d = np.linspace(0.0, rf.threshold_distance(params), 8)
+        for d in knots_d[:lowest]:
+            rf.generic_f(params, d, quad_tol=1e-10)
+        with pytest.raises(rf.NumericError, match="did not converge") as alone:
+            rf.generic_f(params, knots_d[lowest], quad_tol=1e-10)
+        with pytest.raises(rf.NumericError) as built:
+            rf.build_fd_model(params, 8, 1e-10)
+        assert str(built.value) == str(alone.value)
+        assert f"at d={float(knots_d[lowest])!r} " in str(built.value)
 
     def test_tied_knot_values_raise(self, tied_generic_f):
         # quadrature noise could give two knots one value; FdModel rejects the table
@@ -513,12 +579,9 @@ class TestTabulationLoop:
     @pytest.mark.parametrize("k, value", [(1, 1.0), (7, 1.0 / 7.0), (4, 0.5)],
                              ids=["tie-first", "tie-last", "rise"])
     def test_knot_values_that_do_not_decrease_raise(self, monkeypatch, k, value):
-        knots_d = np.linspace(0.0, rf.threshold_distance(PARAMS_44), 8)
-        values = [1.0 / (1.0 + j) for j in range(8)]
+        values = np.array([1.0 / (1.0 + j) for j in range(8)])
         values[k] = value
-        index = {float(d): j for j, d in enumerate(knots_d)}
-        monkeypatch.setattr(rf.connectivity, "generic_f",
-                            lambda params, d, quad_tol: values[index[float(d)]])
+        monkeypatch.setattr(rf.connectivity, "generic_f", lambda params, d, quad_tol: values)
         with pytest.raises(rf.ModelConstructionError,
                            match="^knot values must decrease strictly$"):
             rf.build_fd_model(PARAMS_44, 8)
