@@ -17,23 +17,27 @@ independent draws, just as S = E[pi rho^2] (generic_s, in closed form).
 Under an ideal disk channel both radii are r and f is unit_disk_f.
 
 The whole table is one generic_f call with the knot array, the module's
-one quadrature: the closed-form lens area integrated over (z_a, z_b) by
-Gauss-Legendre panels (_lens_rule), refined by doubling until two levels
-agree within quad_tol (no tighter than the rounding floor
-QUAD_TOL_FLOOR). Each refinement level is one array pass over the knots
-that have not yet converged, and each knot keeps its own check and its
-own sums, so a knot's value is the same, to the bit, as generic_f gives
-for its distance alone. The draws end at z = +-9. Since lens <= pi
-min(rho_a, rho_b)^2, the region beyond z_a = 9 adds at most Q(9) S =
-1.1e-19 S, and the one below z_a = -9 less. The mass lies where phi(z)
-e^(2kz), the weight of E[pi rho^2], peaks: at z = 2k.
-threshold_distance, and so build_fd_model, accepts only sigma_r <=
-0.647, so that peak lies at z < 3, between the fixed breaks.
+one quadrature (_lens_rule). For each z_a the lens has a closed form in
+z_b outside the band where the two disks cross: pi rho_a^2 above it, and
+pi rho_b^2 or 0 below it as b is nested in a or apart from it. Those two
+tails are normal tail probabilities, and Gauss-Legendre panels integrate
+the band and z_a. The panels double until two levels agree within quad_tol
+(no tighter than the rounding floor QUAD_TOL_FLOOR). Each refinement level
+is one array pass over the knots that have not yet converged, and each
+knot keeps its own check and its own sums, so a knot's value is the same,
+to the bit, as generic_f gives for its distance alone. The tails run to
+infinity; z_a and the band end at z = +-9. Since lens <= pi min(rho_a,
+rho_b)^2, the region beyond 9 in either draw adds at most Q(9) S = 1.1e-19
+S, and the one below -9 less. The mass lies where phi(z) e^(2kz), the
+weight of E[pi rho^2], peaks: at z = 2k. threshold_distance, and so
+build_fd_model, accepts only sigma_r <= 0.647, so that peak lies at z < 3,
+between the fixed breaks.
 
-The lens rule needs no erfc, so generic_f runs without scipy. Only the
-cutoff d_th does: threshold_distance bisects link_probability, which
-imports scipy.special where it runs, so loading a saved table, inverting
-counts and the bound leave scipy unloaded.
+The tails take erfc from the standard library's math.erfc, so generic_f
+still runs without scipy. Only the cutoff d_th needs it:
+threshold_distance bisects link_probability, which imports scipy.special
+where it runs, so loading a saved table, inverting counts and the bound
+leave scipy unloaded.
 """
 
 from __future__ import annotations
@@ -154,81 +158,140 @@ def _lens(a, b, d):
     return lens
 
 
-def _smoothstep_panels(edges: np.ndarray, n: int):
-    """Nodes and weights of n 10-point Gauss-Legendre panels on each interval of edges.
+def _panel_steps(n: int):
+    """Nodes and weights of n 10-point Gauss-Legendre panels on [0, 1], mapped by the smoothstep.
 
-    Each row of edges (last axis, sorted) lists the breaks of its intervals;
-    a row's nodes come back along the last axis. Each interval [lo, hi] is
-    mapped by the smoothstep z = lo + (hi - lo)(3t^2 - 2t^3), whose zero
-    slope at both ends removes the kinks the integrand has at the breaks.
+    An interval [lo, lo + width] gets the nodes lo + width s and the weights
+    width w: s = 3t^2 - 2t^3 of the Gauss-Legendre nodes t, whose zero slope
+    at both ends removes the kinks the integrand has at the breaks, and w =
+    s'(t) times the Gauss-Legendre weights.
     """
     t = ((np.arange(n)[:, None] + _GL_NODES) / n).ravel()
-    w_t = np.tile(_GL_WEIGHTS / n, n)
-    lo, width = edges[..., :-1, None], np.diff(edges)[..., None]
-    shape = (*edges.shape[:-1], (edges.shape[-1] - 1) * t.size)
-    return ((lo + width * (t * t * (3.0 - 2.0 * t))).reshape(shape),
-            (width * (6.0 * t * (1.0 - t) * w_t)).reshape(shape))
+    return t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t) * np.tile(_GL_WEIGHTS / n, n)
 
 
 def _normal_pdf(z):
     return np.exp(-0.5 * z * z) * (1.0 / math.sqrt(2.0 * math.pi))
 
 
+def _normal_tail(x: np.ndarray) -> np.ndarray:
+    """Q(x) = erfc(x / sqrt 2) / 2 elementwise, by the standard library's erfc."""
+    return 0.5 * np.fromiter(map(math.erfc, (x / math.sqrt(2.0)).tolist()), float, x.size)
+
+
+def _column_sums(w: np.ndarray) -> np.ndarray:
+    """Sum of each column of the 2-D array w, added top to bottom.
+
+    numpy reduces a C-ordered array of two or more columns along axis 0 one
+    row after another, but a single column is contiguous and gets a pairwise
+    sum; it is folded row by row here, so a column's sum is the same in
+    whatever chunk it lands.
+    """
+    if w.shape[1] > 1:
+        return w.sum(axis=0)
+    out = w[0].copy()
+    for row in w[1:]:
+        out += row
+    return out
+
+
 # The lens rule's domain in each standard-normal draw and its fixed breaks
-# (the module docstring says why +-9 is enough)
+# (the module docstring says what lies beyond +-9)
 _Z_BREAKS = np.array([-9.0, -4.0, -2.0, 0.0, 2.0, 4.0, 9.0])
-# Values per temporary array in _lens_rule (64 KB of float64): the z_b rows
-# of all the distances of a level go through _lens in chunks of at most
+# Values per temporary array in _lens_rule (64 KB of float64): the band
+# intervals of a block of z_a rows go through _lens in chunks of at most
 # that many points
 _CHUNK_POINTS = 1 << 13
+# z_a rows per block of _lens_rule, so that the per-row arrays of a level
+# stay small whatever the number of distances
+_BLOCK_ROWS = 512
+
+
+def _band(params: ChannelParams, rho_a: np.ndarray, d: np.ndarray):
+    """Ends z_lo, z_hi of the band of z_b where the disks of radii rho_a and rho_b cross.
+
+    The band is |d - rho_a| < rho_b < rho_a + d, with rho_b = r e^(k z_b),
+    unclipped: z_lo is -inf where rho_a = d, and the band is empty at d = 0.
+    """
+    r, k = pseudo_range(params), params.sigma_r * LN10
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(d - rho_a) / r) / k, np.log((rho_a + d) / r) / k
+
+
+def _lens_tails(params: ChannelParams, rho_a: np.ndarray, d: np.ndarray, z_lo: np.ndarray,
+                z_hi: np.ndarray) -> np.ndarray:
+    """E[lens(rho_a, rho_b, d)] over the z_b outside the band (_band), in closed form, per row.
+
+    Above the band b holds a and the lens is pi rho_a^2, which weighs
+    pi rho_a^2 Q(z_hi). Below it the lens is pi rho_b^2 where rho_a > d (b
+    nested in a), which weighs pi r^2 e^(2 k^2) Q(2k - z_lo) as in
+    generic_s, and 0 otherwise (disjoint disks). Both tails run to infinity,
+    and at d = 0 they are the whole integral.
+    """
+    out = math.pi * rho_a * rho_a * _normal_tail(z_hi)
+    nested = rho_a > d
+    out[nested] += generic_s(params) * _normal_tail(2.0 * params.sigma_r * LN10 - z_lo[nested])
+    return out
 
 
 def _lens_rule(params: ChannelParams, d: np.ndarray, n: int) -> np.ndarray:
     """E[lens(rho_a, rho_b, d)] at each distance of the 1-D array d, by n smoothstep panels.
 
     rho = r e^(k z), k = sigma_r ln 10, for each of the two standard-normal
-    draws z_a and z_b on the domain of _Z_BREAKS, with n panels per interval.
-    The z_a intervals also break at rho_a = d/2 and rho_a = d, and each z_a
-    node's z_b intervals where the disks touch, rho_b = |d - rho_a| and
-    rho_a + d; breaks outside the domain sit at its ends, so every row has
-    the same panel count and a zero-width interval adds nothing. The z_b rows
-    of all the distances go through _lens in one pass, in chunks of at most
-    _CHUNK_POINTS points. Each row is summed on its own and each distance's
+    draws z_a and z_b. z_a runs over the domain of _Z_BREAKS, with n panels
+    per interval; its intervals also break at rho_a = d/2 and rho_a = d,
+    breaks outside the domain sit at its ends, and the rows of zero-width
+    intervals weigh 0 and are skipped. For each z_a row, _lens_tails gives
+    the z_b outside the band where the disks cross in closed form, and the
+    band, clipped to the domain and split at the _Z_BREAKS inside it, takes
+    n panels per interval of nonzero width. The rows go in blocks of at most
+    _BLOCK_ROWS, and each block's band intervals through _lens in chunks of
+    at most _CHUNK_POINTS points, laid out (nodes, intervals). Each interval
+    is summed on its own, each row's intervals in order and each distance's
     rows on their own, so a distance's value does not depend on which other
     distances share the call.
     """
     r, k = pseudo_range(params), params.sigma_r * LN10
-    z_lo, z_hi = _Z_BREAKS[0], _Z_BREAKS[-1]
-
-    def edges(breaks):
-        """Sorted interval edges per row: _Z_BREAKS and the rows of radii breaks, as z."""
-        with np.errstate(divide="ignore"):
-            z = np.clip(np.log(breaks / r) / k, z_lo, z_hi)
-        fixed = np.broadcast_to(_Z_BREAKS, (z.shape[0], _Z_BREAKS.size))
-        return np.sort(np.concatenate([fixed, z], axis=1), axis=1)
-
-    d = d[:, None]
-    z_a, w_a = _smoothstep_panels(edges(np.concatenate([d / 2.0, d], axis=1)), n)
-    w_a *= _normal_pdf(z_a)
-    # the rows of zero-width z_a intervals weigh 0, so they are not evaluated
+    steps, weights = _panel_steps(n)
+    with np.errstate(divide="ignore"):
+        z = np.clip(np.log(np.stack([d / 2.0, d], axis=1) / r) / k, _Z_BREAKS[0], _Z_BREAKS[-1])
+    edges = np.sort(np.concatenate([np.broadcast_to(_Z_BREAKS, (d.size, _Z_BREAKS.size)), z],
+                                   axis=1), axis=1)
+    lo, width = edges[:, :-1, None], np.diff(edges)[:, :, None]
+    shape = (d.size, (edges.shape[1] - 1) * steps.size)
+    z_a = (lo + width * steps).reshape(shape)
+    w_a = (width * weights).reshape(shape) * _normal_pdf(z_a)
     rows = np.flatnonzero(w_a)
-    rho_a = r * np.exp(k * z_a.ravel()[rows, None])
-    d_a = np.repeat(d, z_a.shape[1])[rows, None]
-    sums = np.zeros(w_a.size)
-    step = max(1, _CHUNK_POINTS // (10 * n * (_Z_BREAKS.size + 1)))
-    for lo in range(0, rows.size, step):
-        rho, d_row = rho_a[lo:lo + step], d_a[lo:lo + step]
-        z_b, w_b = _smoothstep_panels(edges(np.concatenate([np.abs(d_row - rho), rho + d_row],
-                                                           axis=1)), n)
-        w_b *= _normal_pdf(z_b)
-        w_b *= _lens(rho, r * np.exp(k * z_b), d_row)
-        sums[rows[lo:lo + step]] = w_b.sum(axis=1)
-    return (w_a * sums.reshape(w_a.shape)).sum(axis=1)
+    d_rows = np.repeat(d, z_a.shape[1])[rows]
+    rho_rows = r * np.exp(k * z_a.ravel()[rows])
+    inner = np.zeros(w_a.size)
+    chunk = max(1, _CHUNK_POINTS // steps.size)
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        rho, d_row = rho_rows[start:start + _BLOCK_ROWS], d_rows[start:start + _BLOCK_ROWS]
+        z_lo, z_hi = _band(params, rho, d_row)
+        band_lo = np.maximum(z_lo[:, None], _Z_BREAKS[:-1])
+        band_width = np.minimum(z_hi[:, None], _Z_BREAKS[1:]) - band_lo
+        # each row's intervals of nonzero width, in order
+        cells = np.flatnonzero(band_width > 0.0)
+        owner = cells // (_Z_BREAKS.size - 1)
+        band_lo, band_width = band_lo.ravel()[cells], band_width.ravel()[cells]
+        sums = np.empty(cells.size)
+        for first in range(0, cells.size, chunk):
+            cols = slice(first, first + chunk)
+            z_b = band_lo[cols] + band_width[cols] * steps[:, None]
+            w_b = band_width[cols] * weights[:, None]
+            w_b *= _normal_pdf(z_b)
+            w_b *= _lens(rho[owner[cols]], r * np.exp(k * z_b), d_row[owner[cols]])
+            sums[cols] = _column_sums(w_b)
+        inner[rows[start:start + _BLOCK_ROWS]] = (
+            _lens_tails(params, rho, d_row, z_lo, z_hi) + np.bincount(owner, sums, rho.size))
+    return (w_a * inner.reshape(w_a.shape)).sum(axis=1)
 
 
-# Rounding floor for quad_tol. One level sums 6e3 to 3e7 float64 terms, so
-# its rounding error reaches about 1e-13 relative; below that, two levels
-# agree or disagree by rounding alone and the check means nothing.
+# Rounding floor for quad_tol. One level sums 2e2 to 2e7 float64 terms per
+# distance, in sums of at most 640 terms added one after another, so its
+# rounding error reaches about 1e-13 relative; below that, two levels agree
+# or disagree by rounding alone and the check means nothing.
 QUAD_TOL_FLOOR = 1e-12
 # Last refinement level: 64 panels per interval, the seventh level from 1
 _MAX_PANELS = 64
@@ -241,17 +304,21 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6):
     disks of the two nodes, whose radii rho = r e^(k z), k = sigma_r ln 10,
     are independent log-normal draws (module docstring). _lens_rule
     integrates the closed-form lens area against the two standard-normal
-    densities on [-9, 9]^2, starting at 1 panel per interval and doubling
-    until two successive levels agree within quad_tol relative. All the
-    distances of d run each level together, and each keeps its own check,
-    so a distance gets the same value, to the bit, alone as in any array.
-    On the domain every link radius is at most r e^(9k), so f is 0 beyond
-    twice that, without the rule. A scalar d gives a float. Raises
+    densities: in z_b, the tails outside the band where the disks cross in
+    closed form and the band on [-9, 9] by panels; in z_a, panels on
+    [-9, 9]. It starts at 1 panel per interval and doubles until two
+    successive levels agree within quad_tol relative. All the distances of
+    d run each level together, and each keeps its own check, so a distance
+    gets the same value, to the bit, alone as in any array. Every z_a link
+    radius is at most r e^(9k), so beyond twice that only the tail rho_b >
+    rho_a + d is left, which weighs less than Q(9) S; f is 0 there, without
+    the rule. A scalar d gives a float. Raises
     ValueError unless every d is nonnegative and finite and 0 < quad_tol <
-    inf; NumericError, naming the lowest distance, when the check is not met
-    by 64 panels per interval, and for any quad_tol below the rounding floor
-    QUAD_TOL_FLOOR = 1e-12, where rounding would decide the check. Reduces
-    to unit_disk_f when sigma_db = 0.
+    inf; NumericError, naming the lowest distance and its last relative
+    change, when the check is not met by 64 panels per interval, and for
+    any quad_tol below the rounding floor QUAD_TOL_FLOOR = 1e-12, where
+    rounding would decide the check. Reduces to unit_disk_f when sigma_db =
+    0.
     """
     d = np.asarray(d, dtype=float)
     _require(d, (d >= 0.0) & (d < math.inf), "d must be nonnegative and finite")
@@ -278,14 +345,14 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6):
             raise NumericError(
                 "panel refinement for the common-neighborhood integral did not "
                 f"converge to quad_tol={quad_tol:g} at d={float(flat[pending[0]])!r} "
-                f"(last change {change[0]:g} at {n} panels per interval)"
+                f"(last relative change {gap[0]:g} at {n} panels per interval)"
             )
         n *= 2
         previous, current = current, _lens_rule(params, flat[pending], n)
-        change = np.abs(current - previous)
-        done = change <= quad_tol * np.maximum(np.abs(current), floor)
+        change, scale = np.abs(current - previous), np.maximum(np.abs(current), floor)
+        done = change <= quad_tol * scale
         out[pending[done]] = current[done]
-        pending, current, change = pending[~done], current[~done], change[~done]
+        pending, current, gap = pending[~done], current[~done], change[~done] / scale[~done]
     out = out.reshape(d.shape)
     return out if out.ndim else float(out)
 

@@ -1,4 +1,7 @@
+import functools
 import math
+import operator
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -280,10 +283,15 @@ class TestGenericF:
             rf.generic_f(params, 30.0, quad_tol=quad_tol)
 
     def test_levels_that_never_agree_raise(self, monkeypatch):
-        # levels 1 and 2 only; they differ by about 9e-8 relative here
+        # levels 1 and 2 only; they differ by 9.1e-8 relative here (f = 177.07),
+        # and the message quotes that relative gap, not the absolute 1.6e-5
         monkeypatch.setattr(rf.connectivity, "_MAX_PANELS", 2)
-        with pytest.raises(rf.NumericError, match="did not converge"):
+        with pytest.raises(rf.NumericError, match="did not converge") as raised:
             rf.generic_f(PARAMS_SHARP, 7.0, quad_tol=1e-10)
+        gap = re.search(r"\(last relative change (\S+) at 2 panels per interval\)$",
+                        str(raised.value))
+        assert gap is not None, str(raised.value)
+        assert 1e-10 < float(gap.group(1)) < 1e-6
 
 
 class TestThresholdDistance:
@@ -411,14 +419,15 @@ class TestTableAccuracy:
 
 
 class TestZDomain:
-    """The lens rule's standard-normal draws end at +-9 with nothing left beyond."""
+    """The lens rule's z_a draw and z_b band end at +-9 with nothing left beyond."""
 
     @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP, PARAMS_WIDE,
                                         PARAMS_WIDER],
                              ids=["p44", "field", "sharp", "wide", "wider"])
     def test_widening_the_domain_leaves_f(self, monkeypatch, params):
-        # the intervals inside [-9, 9] stay as they are, so the two sums
-        # differ by the tail beyond +-9 and by rounding
+        # the closed-form z_b tails run to infinity either way, and the z_a
+        # intervals and band intervals inside [-9, 9] stay as they are, so the
+        # two sums differ by the z_a rows and band beyond +-9 and by rounding
         conn = rf.connectivity
         knots = np.linspace(0.0, rf.threshold_distance(params), 5)
         narrow = conn._lens_rule(params, knots, 8)
@@ -438,6 +447,87 @@ class TestZDomain:
         with pytest.raises(rf.ModelConstructionError):
             rf.threshold_distance(channel(0.648))
         assert 2.0 * 0.648 * LN10 < 3.0
+
+
+def _tails_reference(params, rho, d, panels):
+    """Sum and absolute sum of phi(z) _lens(rho, r e^(k z), d) over the z outside the band.
+
+    Composite 20-point Gauss-Legendre rules on 40-wide intervals below
+    z_lo and above z_hi, with the given number of panels each; the normal
+    density is below 1e-300 beyond them.
+    """
+    r, k = rf.pseudo_range(params), params.sigma_r * LN10
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    terms = []
+    ends = [(math.log((rho + d) / r) / k, 40.0)]
+    if rho != d:
+        ends.append((math.log(abs(d - rho) / r) / k, -40.0))
+    for end, length in ends:
+        edges = np.linspace(end, end + length, panels + 1)[:, None]
+        width = np.diff(edges, axis=0)
+        z = edges[:-1] + width * 0.5 * (nodes + 1.0)
+        lens = rf.connectivity._lens(np.array(rho), r * np.exp(k * z), d)
+        terms.append((np.abs(width) * 0.5 * weights * np.exp(-0.5 * z * z)
+                      / math.sqrt(2.0 * math.pi) * lens).ravel())
+    terms = np.concatenate(terms)
+    return terms.sum(), np.abs(terms).sum()
+
+
+class TestBandRule:
+    """The z_b rule: closed-form tails outside the band, panels inside it."""
+
+    # rows as (z_a, z_lo) of the radius rho_a = r e^(k z_a) and the band's
+    # lower end r e^(k z_lo) = |d - rho_a|, so that every channel gets a band
+    # near the middle of the normal law; d = 0 is its own case
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_SHARP, PARAMS_WIDE],
+                             ids=["p44", "sharp", "wide"])
+    @pytest.mark.parametrize("case", ["nested", "disjoint", "equal", "coincident"])
+    def test_tails_match_a_dense_quadrature(self, params, case):
+        r, k = rf.pseudo_range(params), params.sigma_r * LN10
+        rho = r * math.exp(k * {"nested": 1.0, "disjoint": -0.5, "equal": 0.2,
+                                "coincident": 0.7}[case])
+        d = {"nested": rho - r * math.exp(-0.5 * k), "disjoint": rho + r * math.exp(0.3 * k),
+             "equal": rho, "coincident": 0.0}[case]
+        rho_a, d_a = np.array([rho]), np.array([d])
+        tails = rf.connectivity._lens_tails(params, rho_a, d_a,
+                                            *rf.connectivity._band(params, rho_a, d_a))
+        coarse, _ = _tails_reference(params, rho, d, 32)
+        fine, size = _tails_reference(params, rho, d, 64)
+        # the reference's own convergence, plus 100 ulps of its term sum for
+        # rounding: each term carries a few, and erfc's rounded argument x
+        # costs the closed form about x^2 ulps, with x below 5 wherever Q is
+        # not 0 here
+        tolerance = abs(fine - coarse) + 100.0 * np.finfo(float).eps * size
+        assert abs(tails[0] - fine) <= tolerance
+
+    def test_column_sums_do_not_depend_on_the_chunk(self):
+        # a column is summed top to bottom alone, in a pair and among many
+        rng = np.random.default_rng(29)
+        w = rng.random((40, 9)) * 10.0 ** rng.uniform(-8.0, 8.0, (40, 9))
+        folded = [functools.reduce(operator.add, w[:, j].tolist()) for j in range(9)]
+        assert rf.connectivity._column_sums(w).tolist() == folded
+        for j in range(9):
+            assert rf.connectivity._column_sums(w[:, j:j + 1]).tolist() == [folded[j]]
+            assert rf.connectivity._column_sums(w[:, j:j + 2]).tolist() == folded[j:j + 2]
+
+    # _lens elements that a 64-knot, 1e-6 build evaluates, counted without
+    # timing: the band rule reads 789 820 (p44) and 1 137 000 (sharp); the
+    # full-domain z_b rule before it, 10n nodes on all 8 z_b intervals of
+    # every row, read 2 000 000 and 1 540 000
+    @pytest.mark.parametrize("params, budget", [(PARAMS_44, 850_000),
+                                                (PARAMS_SHARP, 1_200_000)],
+                             ids=["p44", "sharp"])
+    def test_lens_points_of_a_build(self, monkeypatch, params, budget):
+        lens, points = rf.connectivity._lens, []
+
+        def counting_lens(a, b, d):
+            out = lens(a, b, d)
+            points.append(out.size)
+            return out
+
+        monkeypatch.setattr(rf.connectivity, "_lens", counting_lens)
+        rf.build_fd_model(params, 64, 1e-6)
+        assert 0 < sum(points) <= budget
 
 
 class TestBuildFdModel:
@@ -551,9 +641,10 @@ class TestTabulationLoop:
         with pytest.raises(error, match="^no knot converged$"):
             rf.build_fd_model(PARAMS_44, 16)
 
-    # sharp: levels 1 and 2 differ by about 9e-8 relative at every knot, so
-    # knot 0 fails; field: levels 2 and 4 agree within 1e-10 at knots 0-4
-    # only, so knots 5-7 fail and knot 5 is named
+    # sharp: levels 1 and 2 differ by 4.6e-8 relative at knot 0 and 9.1e-8 at
+    # knots 1-7, so knot 0 fails; field: levels 2 and 4 differ by at most
+    # 8e-11 at knots 0-4 and by 1.2e-10 to 1.4e-9 at knots 5-7, so knots 5-7
+    # fail and knot 5 is named
     @pytest.mark.parametrize("params, max_panels, lowest", [
         (PARAMS_SHARP, 2, 0), (PARAMS_FIELD, 4, 5)], ids=["sharp", "field"])
     def test_lowest_unconverged_knot_raises(self, monkeypatch, params, max_panels, lowest):

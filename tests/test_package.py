@@ -65,8 +65,9 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_common_neighbor_rule_leaves_scipy_unloaded():
-    # generic_f integrates closed-form lens areas, so no erfc: only the
-    # cutoff that build_fd_model bisects needs scipy
+    # generic_f integrates closed-form lens areas and takes its tail
+    # probabilities from the standard library's math.erfc: only the cutoff
+    # that build_fd_model bisects needs scipy
     code = ("import sys, rangefuse as rf; "
             "rf.generic_f(rf.ChannelParams(-37.47, 4.0, 4.0, -100.0), 30.0); "
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
