@@ -3,7 +3,9 @@
 Subcommands: fd-table (tabulate and save the common-neighborhood model),
 simulate (Monte Carlo RMSE report), crlb (variance lower-bound curve),
 estimate (one pair from an RSS reading and neighbor counts), dataset
-(evaluate measured deployments). Exit codes: 0 success, 2 usage,
+(evaluate measured deployments). The other four build the f(d) table of
+their channel, in some 0.02 s at the default size, unless --fd-table names
+one that fd-table saved. Exit codes: 0 success, 2 usage,
 configuration or file error or a run too large for memory (say, a huge
 --mu), 3 numeric failure.
 """
@@ -13,13 +15,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import math
 import os
 import re
 import sys
 from dataclasses import MISSING, astuple, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -66,8 +66,6 @@ def _add_model_arguments(parser):
     _add_table_arguments(parser)
     parser.add_argument("--fd-table", default=None,
                         help="load the f(d) model from this file instead of building it")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for content-hashed f(d) model reuse")
 
 
 def _resolve_settings(args) -> tuple:
@@ -96,38 +94,18 @@ def _resolve_settings(args) -> tuple:
     return params, settings
 
 
-def _model_cache_key(params: ChannelParams, n_knots: int, quad_tol: float) -> str:
-    text = "|".join(map(repr, (*astuple(params), n_knots, quad_tol)))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _load_model_for(path, params: ChannelParams):
-    """The f(d) table at path; a table built for another channel is an error."""
-    model = load_fd_model(path)
-    if model.params != params:
-        raise ConfigurationError(f"{path} was built for different channel parameters")
-    return model
-
-
 def _resolve_model(args, params: ChannelParams, settings: dict):
-    """The f(d) table for the channel: loaded (--fd-table, a --cache-dir hit) or built.
+    """The f(d) table for the channel: loaded from --fd-table, else built.
 
     The library takes the channel from the table alone, so this is where
     the channel of the flags and config file is checked against a loaded one.
     """
-    n_knots, quad_tol = settings["n_knots"], settings["quad_tol"]
-    if args.fd_table:
-        return _load_model_for(args.fd_table, params)
-    if args.cache_dir:
-        cache = Path(args.cache_dir)
-        cache.mkdir(parents=True, exist_ok=True)
-        path = cache / f"fd_{_model_cache_key(params, n_knots, quad_tol)}.txt"
-        if path.is_file():
-            return _load_model_for(path, params)
-        model = build_fd_model(params, n_knots, quad_tol)
-        save_fd_model(model, path)  # atomically: a cache entry appears whole or not at all
-        return model
-    return build_fd_model(params, n_knots, quad_tol)
+    if not args.fd_table:
+        return build_fd_model(params, settings["n_knots"], settings["quad_tol"])
+    model = load_fd_model(args.fd_table)
+    if model.params != params:
+        raise ConfigurationError(f"{args.fd_table} was built for different channel parameters")
+    return model
 
 
 def _cmd_fd_table(args) -> int:

@@ -33,11 +33,10 @@ weight of E[pi rho^2], peaks: at z = 2k. threshold_distance, and so
 build_fd_model, accepts only sigma_r <= 0.647, so that peak lies at z < 3,
 between the fixed breaks.
 
-The tails take erfc from the standard library's math.erfc, so generic_f
-still runs without scipy. Only the cutoff d_th needs it:
-threshold_distance bisects link_probability, which imports scipy.special
-where it runs, so loading a saved table, inverting counts and the bound
-leave scipy unloaded.
+The tails and the cutoff d_th take Q from the one normal-tail kernel,
+channel._normal_tail: _lens_tails directly, threshold_distance through the
+link probability it bisects. The module needs numpy and the standard
+library only.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import LN10, ChannelParams, link_probability, pseudo_range
+from .channel import LN10, ChannelParams, _normal_tail, link_probability, pseudo_range
 from .config import (CHANNEL_KEYS, channel_from_mapping, channel_to_mapping, read_input,
                      write_atomic)
 from .errors import ConfigurationError, ModelConstructionError, NumericError
@@ -172,11 +171,6 @@ def _panel_steps(n: int):
 
 def _normal_pdf(z):
     return np.exp(-0.5 * z * z) * (1.0 / math.sqrt(2.0 * math.pi))
-
-
-def _normal_tail(x: np.ndarray) -> np.ndarray:
-    """Q(x) = erfc(x / sqrt 2) / 2 elementwise, by the standard library's erfc."""
-    return 0.5 * np.fromiter(map(math.erfc, (x / math.sqrt(2.0)).tolist()), float, x.size)
 
 
 def _column_sums(w: np.ndarray) -> np.ndarray:
@@ -363,6 +357,8 @@ def threshold_distance(params: ChannelParams) -> float:
 
     Located by bisection between the pseudo range and 100x the pseudo
     range; distances beyond it carry no usable connectivity information.
+    Each step compares link_probability, Q(x) near x = 3.09 there and within
+    1e-15 relative of it (channel module docstring), with 1e-3.
     """
     r = pseudo_range(params)
     lo, hi = r, 100.0 * r

@@ -246,11 +246,14 @@ _HERMITE_NODES = 40
 
 
 def _poisson_pmf(mean: float) -> np.ndarray:
-    """Poisson pmf on 0..k, with k far enough out that pmf(k) is below _PMF_FLOOR."""
-    from scipy import special
+    """Poisson pmf on 0..k, with k far enough out that pmf(k) is below _PMF_FLOOR.
 
+    exp(k ln mean - mean - ln k!), ln k! by the standard library's lgamma;
+    mean > 0 (_model_point checks the intensity and f).
+    """
     k = np.arange(math.ceil(mean + 12.0 * math.sqrt(mean) + 40.0))
-    return np.exp(special.xlogy(k, mean) - mean - special.gammaln(k + 1.0))
+    log_factorial = np.fromiter(map(math.lgamma, (k + 1.0).tolist()), float, k.size)
+    return np.exp(k * math.log(mean) - mean - log_factorial)
 
 
 def expected_errors(model: FdModel, intensity: float, d: float) -> ExpectedErrors:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import rangefuse as rf
+from rangefuse.channel import _normal_tail
 from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD
 
 LN10 = math.log(10.0)
@@ -164,6 +166,32 @@ class TestLinkProbability:
     def test_nonincreasing(self, d1, d2):
         lo, hi = sorted((d1, d2))
         assert rf.link_probability(PARAMS_44, lo) >= rf.link_probability(PARAMS_44, hi)
+
+    def test_keeps_the_shape_of_d(self):
+        d = np.array([[1.0, 20.0, 36.0], [50.0, 80.0, 400.0]])
+        out = rf.link_probability(PARAMS_44, d)
+        assert out.shape == (2, 3)
+        assert out.tolist() == [[rf.link_probability(PARAMS_44, v) for v in row]
+                                for row in d.tolist()]
+        assert type(rf.link_probability(PARAMS_44, 20.0)) is float
+
+    def test_far_distance_is_zero_without_warning(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert rf.link_probability(PARAMS_44, 1e300) == 0.0
+
+
+class TestNormalTail:
+    """channel._normal_tail, the package's one Q kernel, against 50-digit mpmath values."""
+
+    @pytest.mark.parametrize("x, q", [
+        (8.0, 6.2209605742717841235e-16),
+        (20.0, 2.7536241186062336951e-89),
+        (37.0, 5.7255712225245768227e-300),
+    ])
+    def test_far_tail(self, x, q):
+        # the bound of the channel module docstring: 2.2e-16 (x^2 + 4) relative
+        assert abs(float(_normal_tail(x)) - q) <= 2.2e-16 * (x * x + 4.0) * q
 
 
 class TestRssEstimatePdf:

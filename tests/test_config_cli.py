@@ -394,30 +394,15 @@ class TestSimulateCommand:
                      "--quad-tol", "1e-3", "--output", str(tmp_path / "r.csv")]) == 0
         assert calls == [str(cfg_path)]
 
-    def test_model_cache_reused(self, cfg_path, tmp_path):
-        cache = tmp_path / "cache"
-        args = ["simulate", "--config", str(cfg_path), "--trials", "2",
-                "--n-knots", "16", "--quad-tol", "1e-4",
-                "--cache-dir", str(cache)]
-        assert main(args + ["--output", str(tmp_path / "a.csv")]) == 0
-        cached = list(cache.glob("fd_*.txt"))
-        assert len(cached) == 1
-        stamp = cached[0].stat().st_mtime_ns
-        assert main(args + ["--output", str(tmp_path / "b.csv")]) == 0
-        assert cached[0].stat().st_mtime_ns == stamp
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-
-    def test_experiment_table_settings(self, cfg_path, tmp_path):
+    def test_experiment_table_settings(self, cfg_path, tmp_path, monkeypatch):
         # n_knots and quad_tol in [experiment] still size the table
         cfg_path.write_text(CFG_44 + "n_knots = 8\nquad_tol = 1e-3\n")
-        cache = tmp_path / "cache"
-        assert main(["simulate", "--config", str(cfg_path), "--cache-dir", str(cache),
+        built = _record_builds(monkeypatch)
+        assert main(["simulate", "--config", str(cfg_path),
                      "--output", str(tmp_path / "r.csv")]) == 0
-        (cached,) = cache.iterdir()
-        # a literal: a changed key text would orphan every existing cache entry
-        assert cached.name == "fd_c9d55cabb4578486.txt"
-        assert rf.load_fd_model(cached).n_knots == 8
+        ((call, model),) = built
+        assert call == (PARAMS_44, 8, 1e-3)
+        assert model.n_knots == 8
 
 
 class TestCrlbCommand:
@@ -647,6 +632,18 @@ class TestDatasetCommand:
             assert "nan" not in out.read_text()
 
 
+def _record_builds(monkeypatch) -> list:
+    """Record each table the CLI builds, as (arguments, model), in the list returned."""
+    built = []
+
+    def build(*args):
+        built.append((args, rf.build_fd_model(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr("rangefuse.cli.build_fd_model", build)
+    return built
+
+
 # the [experiment] keys each command reads, and two values of each key, the
 # config file's and a flag's, neither of them the default
 _COMMAND_KEYS = {
@@ -665,7 +662,7 @@ class TestSettingsOverlay:
     @pytest.mark.parametrize("command, key", [(command, key)
                                               for command, keys in _COMMAND_KEYS.items()
                                               for key in keys])
-    def test_flag_beats_config_file(self, tmp_path, command, key):
+    def test_flag_beats_config_file(self, tmp_path, monkeypatch, command, key):
         # the file holds the key under test; the command's other keys come as flags
         base = {"mu": "20", "distances": "10,25", "trials": "4", "seed": "11", "margin": "1.5",
                 "n_knots": "8", "quad_tol": "1e-3"}
@@ -675,36 +672,37 @@ class TestSettingsOverlay:
                        + f"[experiment]\n{key} = {file_value}\n")
         meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
         others = [f"--{k.replace('_', '-')}={base[k]}" for k in _COMMAND_KEYS[command] if k != key]
+        built = _record_builds(monkeypatch)
         written = []
         for flags, value in (([], file_value), ([f"--{key.replace('_', '-')}={flag_value}"],
                                                 flag_value)):
             run = tmp_path / f"run{len(written)}"
             run.mkdir()
-            out, cache = run / "out", ["--cache-dir", str(run / "cache")]
-            extra = {"simulate": [*cache, "--output", str(out)],
-                     "crlb": [*cache, "--output", str(out)],
+            out = run / "out"
+            extra = {"simulate": ["--output", str(out)],
+                     "crlb": ["--output", str(out)],
                      "fd-table": ["--output", str(out)],
-                     "estimate": [*cache, "--rss", "-60", "--m", "5", "--p", "8", "--q", "7"],
-                     "dataset": [*cache, "--input", str(meas), "--pairs", "1-2",
+                     "estimate": ["--rss", "-60", "--m", "5", "--p", "8", "--q", "7"],
+                     "dataset": ["--input", str(meas), "--pairs", "1-2",
                                  "--output", str(out)]}[command]
             assert main([command, "--config", str(cfg), *extra, *others, *flags]) == 0
             settings = {k: config._EXPERIMENT_TYPES[k](v) for k, v in {**base, key: value}.items()}
-            written.append(self._check_used(command, run, settings))
+            written.append(self._check_used(command, run, settings, built.pop()))
+            assert built == []
         assert written[0] != written[1]
 
     @staticmethod
-    def _check_used(command, run, settings):
-        """Check that what the command wrote in run shows it used settings; return it."""
-        table_settings = settings["n_knots"], settings["quad_tol"]
-        if command == "fd-table":
-            model = rf.load_fd_model(run / "out")
-            assert np.array_equal(model.knots_f,
-                                  rf.build_fd_model(PARAMS_44, *table_settings).knots_f)
-            return (run / "out").read_text()
-        (table,) = (run / "cache").iterdir()
-        assert table.name == f"fd_{cli._model_cache_key(PARAMS_44, *table_settings)}.txt"
-        model = rf.load_fd_model(table)
+    def _check_used(command, run, settings, build):
+        """Check that the table build and what the command wrote in run used settings.
+
+        build is the command's one build_fd_model call, as (arguments, model).
+        Returns the arguments and the text written.
+        """
+        call, model = build
+        assert call == (PARAMS_44, settings["n_knots"], settings["quad_tol"])
         text = (run / "out").read_text() if (run / "out").exists() else ""
+        if command == "fd-table":
+            assert rf.load_fd_model(run / "out").knots_f.tolist() == model.knots_f.tolist()
         if command == "simulate":
             experiment = rf.ExperimentConfig(**{k: settings[k] for k in
                                                 ("mu", "distances", "trials", "seed", "margin")})
@@ -715,7 +713,7 @@ class TestSettingsOverlay:
             assert [row[0] for row in rows] == list(distances)
             assert [row[1] for row in rows] == rf.crlb_distance(
                 model, settings["mu"] / model.s_mass, distances).tolist()
-        return table.name, text
+        return call, text
 
 
 class TestParser:
@@ -865,20 +863,6 @@ class TestTableForAnotherChannel:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == f"error: {table} was built for different channel parameters\n"
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_cache_entry_is_usage_error(self, cfg_path, tmp_path, capsys, model_field):
-        # a cache file under this channel's key whose content names another channel
-        cache, out = tmp_path / "cache", tmp_path / "out.csv"
-        cache.mkdir()
-        entry = cache / f"fd_{cli._model_cache_key(PARAMS_44, 8, 1e-3)}.txt"
-        rf.save_fd_model(model_field, entry)
-        code = main(["simulate", "--config", str(cfg_path), "--n-knots", "8",
-                     "--quad-tol", "1e-3", "--cache-dir", str(cache), "--output", str(out)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == f"error: {entry} was built for different channel parameters\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -1103,33 +1087,6 @@ class TestOutputPrecheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "loop.txt" in err
         assert not (tmp_path / "r.csv").exists()
-
-
-class TestModelCacheAtomic:
-    def test_failed_save_leaves_no_cache_file(self, cfg_path, tmp_path, monkeypatch):
-        write_text = Path.write_text
-
-        def write_half(path, text, *args, **kwargs):
-            write_text(path, text[:len(text) // 2], *args, **kwargs)
-            raise OSError("disk full")
-
-        # the save of the table breaks halfway through its one write
-        monkeypatch.setattr(Path, "write_text", write_half)
-        cache = tmp_path / "cache"
-        code = main(["simulate", "--config", str(cfg_path), "--trials", "2",
-                     "--n-knots", "8", "--quad-tol", "1e-3", "--cache-dir", str(cache),
-                     "--output", str(tmp_path / "a.csv")])
-        assert code == 2
-        assert list(cache.iterdir()) == []
-
-    def test_cache_file_is_a_complete_model(self, cfg_path, tmp_path):
-        cache = tmp_path / "cache"
-        assert main(["crlb", "--config", str(cfg_path), "--mu", "20", "--n-knots", "8",
-                     "--quad-tol", "1e-3", "--cache-dir", str(cache),
-                     "--output", str(tmp_path / "c.csv")]) == 0
-        (cached,) = cache.iterdir()
-        assert cached.name.startswith("fd_") and cached.suffix == ".txt"
-        assert rf.load_fd_model(cached).n_knots == 8
 
 
 class TestEstimateExtremeReading:

@@ -320,6 +320,38 @@ class TestThresholdDistance:
             rf.pseudo_range(PARAMS_DISK), rel=1e-12
         )
 
+    def test_equals_a_bisection_on_scipy_erfc(self):
+        # the bisection of threshold_distance, with the link law in scipy's erfc
+        # in place of the package's math.erfc kernel: same cutoff, to the bit
+        def scipy_cutoff(params):
+            r = rf.pseudo_range(params)
+            scale = 10.0 * params.alpha / params.sigma_db
+
+            def link(d):
+                x = scale * np.log10(np.maximum(np.asarray(d), 1e-300) / r)
+                return float(0.5 * special.erfc(x / math.sqrt(2.0)))
+
+            lo, hi = r, 100.0 * r
+            assert link(hi) <= 1e-3
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if link(mid) <= 1e-3:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo <= 1e-15 * hi:
+                    break
+            return hi
+
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            alpha, sigma_r = rng.uniform(1.0, 6.0), rng.uniform(0.005, 0.647)
+            p_ref = rng.uniform(-80.0, -20.0)
+            params = rf.ChannelParams(p_ref_dbm=p_ref, alpha=alpha, sigma_db=10.0 * alpha * sigma_r,
+                                      rss_threshold_dbm=p_ref - rng.uniform(5.0, 90.0),
+                                      d0=rng.uniform(0.1, 10.0))
+            assert rf.threshold_distance(params) == scipy_cutoff(params), params
+
 
 def _adaptive_f(params, d, quad_tol=1e-10):
     """Nested adaptive quadrature of f(d), an oracle independent of the lens rule.

@@ -2,8 +2,10 @@ import ast
 import dataclasses
 import inspect
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import rangefuse as rf
@@ -55,10 +57,8 @@ def _run_python(code: str, *args: str) -> str:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.special alone is most of a cold start; only the link law
-    # (link_probability, which threshold_distance bisects) and the exact-law
-    # enumeration load it, inside the functions that need it
-    # (test_scipy_import_sites)
+    # scipy.special alone would be most of a cold start; the package needs
+    # numpy and the standard library only (test_scipy_import_sites)
     code = ("import sys, rangefuse, rangefuse.cli; "
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     assert _run_python(code) == "[]"
@@ -66,8 +66,7 @@ def test_import_leaves_scipy_unloaded():
 
 def test_common_neighbor_rule_leaves_scipy_unloaded():
     # generic_f integrates closed-form lens areas and takes its tail
-    # probabilities from the standard library's math.erfc: only the cutoff
-    # that build_fd_model bisects needs scipy
+    # probabilities from the standard library's math.erfc
     code = ("import sys, rangefuse as rf; "
             "rf.generic_f(rf.ChannelParams(-37.47, 4.0, 4.0, -100.0), 30.0); "
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
@@ -90,13 +89,19 @@ def _scipy_import_scopes(node, scope=()):
 
 
 def test_scipy_import_sites():
-    # the only places the package imports scipy, so that reading a table,
-    # inverting counts and the bound never load it
+    # the package imports scipy nowhere, not even inside a function
     sites = {".".join((path.stem, *scope))
              for path in Path(rf.__file__).parent.glob("*.py")
              for scope in _scipy_import_scopes(ast.parse(path.read_text()))}
-    assert sites == {"channel.link_probability", "simulator._poisson_pmf"}
+    assert sites == set()
 
+
+def test_runtime_dependencies_are_numpy_only():
+    # scipy serves the tests' oracles only, so it sits in the test extra
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml")
+                            .read_text())["project"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 def test_commands_read_experiment_settings_from_the_overlay():
@@ -111,31 +116,37 @@ def test_commands_read_experiment_settings_from_the_overlay():
 
 _COMMANDS_CODE = """
 import contextlib, io, sys
+import rangefuse as rf
 from rangefuse.cli import main
 table, meas, out = sys.argv[1:]
 channel = ["--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", "4",
            "--rss-threshold-dbm", "-100"]
-given = ["--fd-table", table, *channel]
 codes = []
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (
-        ["simulate", "--mu", "10", "--trials", "2", "--distances", "20", "--output", out],
-        ["dataset", "--input", meas, "--pairs", "1-2", "--output", out],
-        ["estimate", "--rss", "-80", "--m", "3", "--p", "2", "--q", "2"],
-        ["crlb", "--mu", "10", "--output", out],
-    ):
-        codes.append(main([argv[0], *given, *argv[1:]]))
-    given_table = "scipy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes.append(main(["fd-table", *channel, "--n-knots", "8", "--quad-tol", "1e-3",
                        "--output", out]))
-print(codes, given_table, "scipy.special" in sys.modules)
+    # each command given the table, then building its own
+    for given in (["--fd-table", table], ["--n-knots", "8", "--quad-tol", "1e-3"]):
+        for argv in (
+            ["simulate", "--mu", "10", "--trials", "2", "--distances", "20", "--output", out],
+            ["dataset", "--input", meas, "--pairs", "1-2", "--output", out],
+            ["estimate", "--rss", "-80", "--m", "3", "--p", "2", "--q", "2"],
+            ["crlb", "--mu", "10", "--output", out],
+        ):
+            codes.append(main([argv[0], *given, *channel, *argv[1:]]))
+model = rf.load_fd_model(table)
+rf.expected_errors(model, 10.0 / model.s_mass, 20.0)
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+import scipy.special
+print("scipy.special" in sys.modules)
 """
 
 
-def test_commands_given_a_table_leave_scipy_unloaded(tmp_path, model44):
+def test_commands_leave_scipy_unloaded(tmp_path, model44):
     table, meas = tmp_path / "fd.txt", tmp_path / "meas.txt"
     rf.save_fd_model(model44, table)
     meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
     out = _run_python(_COMMANDS_CODE, str(table), str(meas), str(tmp_path / "out"))
-    # tabulation does load scipy.special, so the check above is not vacuous
-    assert out == "[0, 0, 0, 0, 0] False True"
+    # the last line, a control import in the same process, shows that the
+    # check can see scipy
+    assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "True"]

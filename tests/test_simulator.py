@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import rangefuse as rf
+from rangefuse.simulator import _poisson_pmf
 from conftest import PARAMS_44, PARAMS_DISK
 
 DISK_R = rf.pseudo_range(PARAMS_DISK)
@@ -318,6 +319,23 @@ class TestBatchedEstimation:
         assert (m[empty] == 0).all() and (p[empty] == 0).all() and (q[empty] == 0).all()
         assert (est.intensity == rf.mu_to_lambda(cfg.mu, model44.s_mass)).all()
         assert set(est.status[empty]) <= {"interior", "boundary_clamped"}
+
+
+class TestPoissonPmf:
+    """simulator._poisson_pmf, the count law of the exact enumeration, against scipy's."""
+
+    @pytest.mark.parametrize("mean", [0.3, 20.0, 400.0])
+    def test_matches_scipy(self, mean):
+        pmf = _poisson_pmf(mean)
+        k = np.arange(pmf.size)
+        # exp turns an absolute error in its argument into the same relative
+        # one, and the argument k ln(mean) - mean - ln k! sums three terms
+        # each rounded to a few ulps of the largest of them
+        largest = max(pmf.size * abs(math.log(mean)), mean, math.lgamma(pmf.size))
+        tol = 8.0 * math.ulp(largest)
+        assert np.all(np.abs(pmf - stats.poisson.pmf(k, mean)) <= tol * pmf)
+        assert stats.poisson.sf(k[-1], mean) < 1e-14  # the tail left out
+        assert abs(pmf.sum() - 1.0) <= tol + 1e-14 + pmf.size * 2.2e-16
 
 
 class TestExpectedErrors:
