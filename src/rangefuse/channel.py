@@ -118,8 +118,9 @@ def estimate_distance_rss(params: ChannelParams, obs):
     for an extreme one.
     """
     obs = np.asarray(obs, dtype=float)
-    if not np.all(np.isfinite(obs)):
-        raise ValueError(f"RSS observation must be finite, got {obs!r}")
+    lost = obs[~np.isfinite(obs)]
+    if lost.size:
+        raise ValueError(f"RSS observation must be finite, got {float(lost.flat[0])!r}")
     with np.errstate(over="ignore"):
         out = params.d0 * 10.0 ** ((params.p_ref_dbm - obs) / (10.0 * params.alpha))
     return _like_input(out)

@@ -5,9 +5,12 @@ simulate (Monte Carlo RMSE report), crlb (variance lower-bound curve),
 estimate (one pair from an RSS reading and neighbor counts), dataset
 (evaluate measured deployments). The other four build the f(d) table of
 their channel, in some 0.02 s at the default size, unless --fd-table names
-one that fd-table saved. Exit codes: 0 success, 2 usage,
-configuration or file error or a run too large for memory (say, a huge
---mu), 3 numeric failure.
+one that fd-table saved. A command parses its arguments, prints warnings
+and writes its results; the checks of readings, counts, distances and the
+channel, and how a reading and counts become an estimate and an error bar,
+are the library's (pipeline, crlb), whose ValueError is a usage error here.
+Exit codes: 0 success, 2 usage, configuration or file error or a run too
+large for memory (say, a huge --mu), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .config import _EXPERIMENT_TYPES, _real_path, load_config, write_atomic
 from .connectivity import build_fd_model, load_fd_model, save_fd_model
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
-from .dataset import checked_ranges, evaluate_pairs, load_measurements
-from .fusion import BOUNDARY_CLAMPED, INTERIOR
-from .pipeline import CONNECTIVITY_ONLY, RSS_ONLY, clamp_to_cutoff, estimate_pairs
+from .dataset import evaluate_pairs, load_measurements
+from .pipeline import (CONNECTIVITY_ONLY, NO_INFORMATION, RSS_ONLY, estimate_readings,
+                       sqrt_bounds)
 from .simulator import ExperimentConfig, mu_to_lambda, run_experiment
 
 # the help text of each ChannelParams field's flag, in field order; the
@@ -138,17 +141,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_crlb(args) -> int:
     params, settings = _resolve_settings(args)
-    if params.sigma_db == 0.0:
-        raise ConfigurationError("the bound is undefined for sigma_db = 0")
     if args.intensity is None and "mu" not in settings:
         raise ConfigurationError("supply --mu or --intensity")
     model = _resolve_model(args, params, settings)
     intensity = (mu_to_lambda(settings["mu"], model.s_mass) if args.intensity is None
                  else args.intensity)
     distances = settings.get("distances") or tuple(model.d_th * k / 20.0 for k in range(1, 20))
-    for d in distances:
-        if not 0.0 < d <= model.d_th:
-            raise ConfigurationError(f"distance {d!r} outside (0, {model.d_th!r}]")
     variances = crlb_distance(model, intensity, distances).tolist()
     lines = ["d,crlb_variance,sqrt_crlb",
              *(f"{d!r},{v!r},{math.sqrt(v)!r}" for d, v in zip(distances, variances))]
@@ -158,24 +156,14 @@ def _cmd_crlb(args) -> int:
 
 def _cmd_estimate(args) -> int:
     params, settings = _resolve_settings(args)
-    if not math.isfinite(args.rss):
-        raise ConfigurationError(f"--rss must be finite, got {args.rss!r}")
-    for name, value in (("m", args.m), ("p", args.p), ("q", args.q)):
-        if value < 0:
-            raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
-    d_rss = float(checked_ranges(params, [args.rss], lambda _: "the pair")[0])
     model = _resolve_model(args, params, settings)
-    usable = args.rss >= params.rss_threshold_dbm
-    est = estimate_pairs(model, [d_rss if usable else math.nan],
-                         [args.m], [args.p], [args.q], args.intensity)
-    d_conn, d_fused, lam = (float(v[0]) for v in (est.d_conn, est.d_fused, est.intensity))
+    d_rss, est = estimate_readings(model, [args.rss], [args.m], [args.p], [args.q],
+                                   args.intensity, lambda _: "the pair")
+    d_rss, d_conn, d_fused, lam, sqrt_crlb = (
+        float(v[0]) for v in (d_rss, est.d_conn, est.d_fused, est.intensity,
+                              sqrt_bounds(model, est)))
     status, conn = str(est.status[0]), lam > 0.0
-    sqrt_crlb = math.nan  # the bound of the sources the estimate used
-    if d_fused > 0.0 and status == CONNECTIVITY_ONLY:
-        sqrt_crlb = float(est.sigma_c[0])  # sigma_c**2 bounds the counts alone
-    elif d_fused > 0.0 and status in (INTERIOR, BOUNDARY_CLAMPED):
-        point = clamp_to_cutoff(d_fused, model.d_th)
-        sqrt_crlb = math.sqrt(crlb_distance(model, lam, point))
+    usable = status not in (CONNECTIVITY_ONLY, NO_INFORMATION)
     for applies, note in (
         (not conn, "all-zero counts: no intensity estimate, connectivity unusable"
          if args.intensity is None else "zero intensity supplied: connectivity unusable"),

@@ -34,7 +34,7 @@ class FisherInfo(NamedTuple):
 def rss_fisher_scale(params: ChannelParams) -> float:
     """Information about distance carried by one RSS reading, times d^2."""
     if params.sigma_db == 0.0:
-        raise ValueError("RSS information diverges for sigma_db = 0")
+        raise ValueError("the bound is undefined for sigma_db = 0")
     return (10.0 * params.alpha / (params.sigma_db * LN10)) ** 2
 
 

@@ -21,8 +21,9 @@ A set holds measurements only. Evaluation takes the channel from the
 f(d) table it is given (model.params): it thresholds the links once into
 per-node neighbor lists at that channel's link threshold, counts the
 common and exclusive neighbors of every requested pair from them, and
-runs the pairs through the shared estimation pipeline as one batch; a
-reading below the link threshold counts as no reading there.
+passes the pairs' readings and counts to the shared estimation pipeline
+(pipeline.estimate_readings) as one batch, which decides what a reading
+below the link threshold means.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, estimate_distance_rss, sample_rss
+from .channel import ChannelParams, sample_rss
 from .config import read_input, write_atomic
 from .connectivity import FdModel
 from .errors import ConfigurationError
-from .pipeline import estimate_pairs
+from .pipeline import estimate_readings
 from .simulator import Deployment
 
 # Pairs counted at a time: bounds the neighbor keys expanded at once.
@@ -245,21 +246,6 @@ def save_measurements(ms: MeasurementSet, path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def checked_ranges(params: ChannelParams, obs, subject):
-    """The RSS range estimates of a 1-d array of readings, each positive and finite.
-
-    Raises ConfigurationError for the first reading whose range is 0 or
-    infinite; subject(k) names reading k in the message.
-    """
-    d_rss = estimate_distance_rss(params, obs)
-    lost = np.flatnonzero(~((d_rss > 0.0) & (d_rss < math.inf)))
-    if lost.size:
-        k = int(lost[0])
-        raise ConfigurationError(f"{subject(k)} has an RSS reading of {float(obs[k])!r} dBm, "
-                                 "which maps to no positive, finite distance")
-    return d_rss
-
-
 def _adjacency(ms: MeasurementSet, threshold_dbm: float) -> tuple:
     """Every node's neighbors over links of at least threshold_dbm, as (start, keys).
 
@@ -354,15 +340,12 @@ def evaluate_pairs(ms: MeasurementSet, pairs, model: FdModel,
     if twice.any():
         i, j = pairs[np.argmax(twice)].tolist()
         raise ConfigurationError(f"pair ({i}, {j}) names one node twice")
-    params = model.params
     link, measured = _locate(ms._keys, ranks.min(axis=1) * ms.ids.size + ranks.max(axis=1))
-    rss = ms.link_rss[link[measured]]
-    d_rss = checked_ranges(params, rss,
-                           lambda k: "pair ({}, {})".format(*pairs[measured][k].tolist()))
-    usable = np.where(rss >= params.rss_threshold_dbm, d_rss, np.nan)
     a, b = ranks[measured].T
-    counts = _counts(_adjacency(ms, params.rss_threshold_dbm), a, b)
-    est = estimate_pairs(model, usable, *counts, intensity)
+    counts = _counts(_adjacency(ms, model.params.rss_threshold_dbm), a, b)
+    d_rss, est = estimate_readings(
+        model, ms.link_rss[link[measured]], *counts, intensity,
+        lambda k: "pair ({}, {})".format(*pairs[measured][k].tolist()))
     # math.hypot, not np.hypot: they differ in the last place for some inputs
     stored = ms._stored_row[ranks]
     gap = ms.xy[stored[:, 0]] - ms.xy[stored[:, 1]]

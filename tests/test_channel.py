@@ -116,6 +116,10 @@ class TestEstimateDistanceRss:
         with pytest.raises(ValueError):
             rf.estimate_distance_rss(PARAMS_44, math.inf)
 
+    def test_non_finite_error_names_the_first_such_reading(self):
+        with pytest.raises(ValueError, match=r"^RSS observation must be finite, got -inf$"):
+            rf.estimate_distance_rss(PARAMS_44, [[-80.0, -math.inf], [math.nan, -70.0]])
+
 
 class TestPseudoRange:
     def test_simulation_calibration(self):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import rangefuse as rf
 from rangefuse import cli, config
 from rangefuse.cli import main
+from rangefuse.pipeline import estimate_readings, sqrt_bounds
 from conftest import PARAMS_44, PARAMS_FIELD, penalty, save_damaged_table
 
 CFG_44 = """\
@@ -431,7 +432,7 @@ class TestCrlbCommand:
         beyond = math.nextafter(model44.d_th, math.inf)
         assert main(argv + ["--distances", repr(beyond)]) == 2
         assert capsys.readouterr().err == (
-            f"error: distance {beyond!r} outside (0, {model44.d_th!r}]\n")
+            f"error: d must lie in (0, d_th={model44.d_th!r}], got {beyond!r}\n")
         assert not out.exists()
 
     def test_intensity_beats_the_files_mu(self, cfg_path, tmp_path, model44):
@@ -441,6 +442,15 @@ class TestCrlbCommand:
                      "--intensity", "0.01", "--output", str(out)]) == 0
         variance = float(out.read_text().splitlines()[1].split(",")[1])
         assert variance == rf.crlb_distance(model44, 0.01, 10.0)
+
+    def test_noise_free_channel_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "crlb.csv"
+        code = main(["crlb", "--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", "0",
+                     "--rss-threshold-dbm", "-77.47", "--n-knots", "16", "--quad-tol", "1e-4",
+                     "--mu", "20", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the bound is undefined for sigma_db = 0\n"
+        assert not out.exists()
 
     def test_requires_density(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -497,6 +507,46 @@ class TestEstimateCommand:
         code = main(["estimate", "--config", str(cfg_path), "--rss", "-80", *counts])
         assert code == 2
         assert capsys.readouterr().err == f"error: {name} must be a nonnegative integer, got -1\n"
+
+    def test_noise_free_channel_keeps_rss_without_a_bound(self, capsys):
+        code = main(["estimate", "--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", "0",
+                     "--rss-threshold-dbm", "-77.47", "--n-knots", "16", "--quad-tol", "1e-4",
+                     "--rss", "-60", "--m", "4", "--p", "2", "--q", "2"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: noise-free channel: the RSS estimate is exact\n"
+        assert captured.out.endswith("sqrt_crlb = nan\nstatus = rss_only\n")
+
+    @pytest.mark.parametrize("rss", ["nan", "=-inf"])
+    def test_non_finite_rss_usage_error(self, cfg_path, capsys, rss):
+        flag = ["--rss", rss] if rss == "nan" else [f"--rss{rss}"]
+        code = main(["estimate", "--config", str(cfg_path), "--n-knots", "16",
+                     "--quad-tol", "1e-4", *flag, "--m", "3", "--p", "2", "--q", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: RSS observation must be finite, got {rss.lstrip('=')}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rss, counts, intensity", [
+        (-85.0, (6, 9, 11), None),
+        (-140.0, (5, 8, 7), None),
+        (-140.0, (5, 0, 0), None),
+        (-85.0, (0, 0, 0), None),
+        (1000.0, (6, 9, 11), None),
+        (-80.0, (0, 0, 0), 0.01),
+        (-99.9, (0, 1, 0), 1e-300),
+    ])
+    def test_sqrt_crlb_is_the_pipelines_error_bar(self, cfg_path, tmp_path, capsys, model44,
+                                                 rss, counts, intensity):
+        table = tmp_path / "fd.txt"
+        rf.save_fd_model(model44, table)
+        argv = ["estimate", "--config", str(cfg_path), "--fd-table", str(table), f"--rss={rss!r}",
+                *(f"--{name}={count}" for name, count in zip("mpq", counts))]
+        assert main(argv + ([] if intensity is None else [f"--intensity={intensity!r}"])) == 0
+        out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        _, est = estimate_readings(model44, [rss], *([c] for c in counts), intensity)
+        assert out["sqrt_crlb"] == repr(float(sqrt_bounds(model44, est)[0]))
+        assert out["status"] == est.status[0]
 
     @pytest.mark.parametrize("argv, warnings, status", [
         (["--rss", "-140", "--m", "0", "--p", "0", "--q", "0"],

@@ -114,6 +114,25 @@ def test_commands_read_experiment_settings_from_the_overlay():
     assert reads == set()
 
 
+
+def test_commands_leave_readings_and_error_bars_to_the_pipeline():
+    # pipeline owns the link-threshold rule for a reading, the range check
+    # and the error-bar ladder; a command that re-derived them could drift
+    nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text())))
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    modules = set()  # each module imported, and each name imported from a module
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            modules |= {node.module or "", *(f"{node.module or ''}.{a.name}" for a in node.names)}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+    assert "rss_threshold_dbm" not in attributes
+    helpers = {"clamp_to_cutoff", "checked_ranges"}
+    assert helpers & (attributes | names | {m.rsplit(".", 1)[-1] for m in modules}) == set()
+    assert {"fusion", ".fusion", "rangefuse.fusion"} & modules == set()
+
+
 _COMMANDS_CODE = """
 import contextlib, io, sys
 import rangefuse as rf
