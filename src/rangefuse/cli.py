@@ -9,8 +9,10 @@ one that fd-table saved. A command parses its arguments, prints warnings
 and writes its results; the checks of readings, counts, distances and the
 channel, and how a reading and counts become an estimate and an error bar,
 are the library's (pipeline, crlb), whose ValueError is a usage error here.
+Every error, the parser's included, is one "error: ..." line on stderr.
 Exit codes: 0 success, 2 usage, configuration or file error or a run too
-large for memory (say, a huge --mu), 3 numeric failure.
+large for memory (say, a huge --mu), 3 numeric failure. A flag's value may
+start with '-' in either form: --rss -inf or --rss=-inf.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import MISSING, astuple, fields
 import numpy as np
 
 from .channel import ChannelParams
-from .config import _EXPERIMENT_TYPES, _real_path, load_config, write_atomic
+from .config import _EXPERIMENT_TYPES, _real_path, load_config, parse_distances, write_atomic
 from .connectivity import build_fd_model, load_fd_model, save_fd_model
 from .crlb import crlb_distance
 from .errors import ConfigurationError, NumericError
@@ -82,7 +84,7 @@ def _resolve_settings(args) -> tuple:
     channel = {} if base is None else dict(zip(_CHANNEL_FLAGS, astuple(base)))
     channel.update({name: getattr(args, name) for name in _CHANNEL_FLAGS
                     if getattr(args, name) is not None})
-    settings.update({key: read(getattr(args, key)) for key, read in _EXPERIMENT_TYPES.items()
+    settings.update({key: getattr(args, key) for key in _EXPERIMENT_TYPES
                      if getattr(args, key, None) is not None})
     for item in fields(ChannelParams):
         if item.name not in channel and item.default is MISSING:
@@ -209,10 +211,17 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and so each of its subcommands', that raises its errors."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rangefuse",
         description="Range estimation from RSS and local connectivity",
     )
@@ -233,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"Monte Carlo trials per distance (default {ExperimentConfig.trials})")
     p_sim.add_argument("--seed", type=int, default=None,
                        help=f"master random seed (default {ExperimentConfig.seed})")
-    p_sim.add_argument("--distances", default=None, help="comma-separated meters")
+    p_sim.add_argument("--distances", type=parse_distances, default=None,
+                       help="comma-separated meters")
     p_sim.add_argument("--margin", type=float, default=None,
                        help="edge margin in cutoff-distance multiples "
                             f"(default {ExperimentConfig.margin})")
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="expected neighbor count per node (default: the config file's mu)")
     p_crlb.add_argument("--intensity", type=float, default=None,
                         help="node intensity, overrides --mu")
-    p_crlb.add_argument("--distances", default=None,
+    p_crlb.add_argument("--distances", type=parse_distances, default=None,
                         help="comma-separated meters in (0, d_th] (default: the config "
                              "file's distances, else 0.05-0.95 d_th)")
     p_crlb.add_argument("--output", required=True, help="CSV bound curve path")
@@ -305,14 +315,15 @@ def _check_outputs(args) -> None:
 
 
 def _join_negative_values(argv) -> list:
-    """argv with '--flag value' as '--flag=value' where value starts with '-' and a digit or '.'.
+    """argv with '--flag value' as '--flag=value' where value starts with exactly one '-'.
 
-    argparse by itself takes -12 and -1.5 for values, but not -1e2 or the --pairs token -3-5.
+    argparse by itself takes -12 and -1.5 for values, but not -1e2, -inf or the
+    --pairs token -3-5; no flag of the parser is one '-' and a name but -h.
     """
     out = []
     for token in argv:
         if (out and re.fullmatch(r"--[^=]+", out[-1]) and out[-1] != "--help"
-                and re.match(r"-[\d.]", token)):
+                and re.match(r"-(?!-)", token) and token != "-h"):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -320,9 +331,9 @@ def _join_negative_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(
+            _join_negative_values(sys.argv[1:] if argv is None else argv))
         _check_outputs(args)
         return args.func(args)
     except (ConfigurationError, ValueError, OSError) as exc:

@@ -32,9 +32,12 @@ class FisherInfo(NamedTuple):
 
 
 def rss_fisher_scale(params: ChannelParams) -> float:
-    """Information about distance carried by one RSS reading, times d^2."""
+    """Information about distance carried by one RSS reading, times d^2.
+
+    Infinite for sigma_db = 0: an exact reading gives the distance exactly.
+    """
     if params.sigma_db == 0.0:
-        raise ValueError("the bound is undefined for sigma_db = 0")
+        return np.inf
     return (10.0 * params.alpha / (params.sigma_db * LN10)) ** 2
 
 

@@ -119,13 +119,11 @@ def sqrt_bounds(model: FdModel, est: PairEstimates) -> np.ndarray:
     sigma_c for connectivity_only; for a fused status, the root of
     crlb_distance at the estimated intensity and the fused estimate,
     clamped to [1e-9 d_th, d_th]; NaN for rss_only, no_information and
-    wherever the estimate is 0. No bound is computed when no pair is
-    fused, so a noise-free table, whose estimates are never fused, works.
+    wherever the estimate is 0.
     """
     d, status = est.d_fused, est.status
     out = np.where((status == CONNECTIVITY_ONLY) & (d > 0.0), est.sigma_c, math.nan)
     fused = ((status == INTERIOR) | (status == BOUNDARY_CLAMPED)) & (d > 0.0)
-    if fused.any():
-        out[fused] = np.sqrt(crlb_distance(model, est.intensity[fused],
-                                           clamp_to_cutoff(d[fused], model.d_th)))
+    out[fused] = np.sqrt(crlb_distance(model, est.intensity[fused],
+                                       clamp_to_cutoff(d[fused], model.d_th)))
     return out

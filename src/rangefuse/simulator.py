@@ -222,8 +222,7 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel) -> RmseReport:
               - np.array(cfg.distances)[:, None])
     rmse = np.sqrt(np.mean(errors * errors, axis=2))
 
-    sqrt_crlb = (np.zeros(n_probes) if params.sigma_db == 0.0
-                 else np.sqrt(crlb_distance(model, intensity, cfg.distances)))
+    sqrt_crlb = np.sqrt(crlb_distance(model, intensity, cfg.distances))
     return RmseReport(rows=tuple(
         RmseRow(d, *row, bound, trials)
         for d, row, bound in zip(cfg.distances, rmse.T.tolist(), sqrt_crlb.tolist())))

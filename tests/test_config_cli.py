@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import dataclasses
 import errno
@@ -443,14 +444,18 @@ class TestCrlbCommand:
         variance = float(out.read_text().splitlines()[1].split(",")[1])
         assert variance == rf.crlb_distance(model44, 0.01, 10.0)
 
-    def test_noise_free_channel_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "crlb.csv"
-        code = main(["crlb", "--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", "0",
-                     "--rss-threshold-dbm", "-77.47", "--n-knots", "16", "--quad-tol", "1e-4",
-                     "--mu", "20", "--output", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == "error: the bound is undefined for sigma_db = 0\n"
-        assert not out.exists()
+    def test_noise_free_channel_gives_simulates_zero_bound(self, tmp_path, capsys):
+        # an exact reading carries unbounded information: both commands give 0
+        curve, report = tmp_path / "crlb.csv", tmp_path / "rep.csv"
+        channel = ["--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", "0",
+                   "--rss-threshold-dbm", "-77.47", "--n-knots", "16", "--quad-tol", "1e-4",
+                   "--mu", "20", "--distances", "2,5,9.5"]
+        assert main(["crlb", *channel, "--output", str(curve)]) == 0
+        assert main(["simulate", *channel, "--trials", "2", "--output", str(report)]) == 0
+        assert capsys.readouterr() == ("", "")
+        bounds = [line.split(",")[2] for line in curve.read_text().splitlines()[1:]]
+        assert bounds == ["0.0"] * 3
+        assert [line.split(",")[4] for line in report.read_text().splitlines()[1:]] == bounds
 
     def test_requires_density(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -918,10 +923,11 @@ class TestTableForAnotherChannel:
 
 
 class TestUsageErrors:
-    def test_unknown_subcommand_exits_two(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["frobnicate"])
-        assert excinfo.value.code == 2
+    def test_unknown_subcommand_exits_two(self, capsys):
+        assert main(["frobnicate"]) == 2
+        assert capsys.readouterr() == ("", "error: argument command: invalid choice: "
+                                           "'frobnicate' (choose from 'fd-table', 'simulate', "
+                                           "'crlb', 'estimate', 'dataset')\n")
 
     def test_missing_channel_is_config_error(self, tmp_path):
         code = main(["fd-table", "--output", str(tmp_path / "x.fd")])
@@ -1001,6 +1007,98 @@ class TestUsageErrors:
         assert named in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+# each command with every flag it requires; IN and OUT stand for a
+# measurement file and an output path
+_WHOLE_COMMANDS = {
+    "fd-table": ["fd-table", "--output", "OUT"],
+    "simulate": ["simulate", "--mu", "20", "--distances", "5", "--trials", "2",
+                 "--output", "OUT"],
+    "crlb": ["crlb", "--mu", "20", "--output", "OUT"],
+    "estimate": ["estimate", "--rss", "-60", "--m", "5", "--p", "8", "--q", "7"],
+    "dataset": ["dataset", "--input", "IN", "--pairs", "1-2", "--output", "OUT"],
+}
+
+
+def _drop_flag(argv, flag):
+    k = argv.index(flag)
+    return argv[:k] + argv[k + 2:]
+
+
+# each malformed kind as a change of a whole command line
+_MALFORMED = {
+    "unknown-flag": lambda argv: [*argv, "--bogus", "1"],
+    "missing-required-flag": lambda argv: _drop_flag(
+        argv, {"estimate": "--rss", "dataset": "--pairs"}.get(argv[0], "--output")),
+    "flag-without-value": lambda argv: [*argv, "--alpha"],
+    "bad-int": lambda argv: [*argv, "--n-knots", "8.5"],
+    "bad-float": lambda argv: [*argv, "--quad-tol", "tiny"],
+}
+
+
+class TestOneErrorPath:
+    """Every malformed command line is one error line from main, as every other error is."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, argv):
+        """main's exit code and output on argv, with IN and OUT filled in.
+
+        Checks that OUT's directory is left empty.
+        """
+        meas, run = tmp_path / "meas.txt", tmp_path / "run"
+        meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
+        run.mkdir(exist_ok=True)
+        paths = {"IN": str(meas), "OUT": str(run / "out.csv")}
+        code = main([paths.get(token, token) for token in argv])
+        assert list(run.iterdir()) == []
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", _MALFORMED)
+    @pytest.mark.parametrize("command", _WHOLE_COMMANDS)
+    def test_malformed_command_line_is_one_error_line(self, cfg_path, tmp_path, capsys,
+                                                      command, kind):
+        whole = _WHOLE_COMMANDS[command] + ["--config", str(cfg_path)]
+        code, captured = self._run(tmp_path, capsys, _MALFORMED[kind](whole))
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "usage:" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: the following arguments are required: command\n"),
+        (["simulate", "--seed", "1.5"], "error: argument --seed: invalid int value: '1.5'\n"),
+        (["simulate", "--distances", "5,x"], "error: bad distance list '5,x'\n"),
+    ], ids=["no-subcommand", "bad-seed", "bad-distances"])
+    def test_parser_message_is_the_error_line(self, tmp_path, capsys, argv, message):
+        assert self._run(tmp_path, capsys, argv) == (2, ("", message))
+
+    @pytest.mark.parametrize("command", _WHOLE_COMMANDS)
+    def test_help_prints_the_whole_help(self, capsys, command):
+        (subcommands,) = (action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr() == (subcommands.choices[command].format_help(), "")
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-1e2", "-80"])
+    @pytest.mark.parametrize("flag", ["--rss", "--p-ref-dbm", "--intensity"])
+    def test_negative_token_reads_as_its_equals_form(self, cfg_path, tmp_path, capsys,
+                                                     flag, value):
+        argv = ["estimate", "--config", str(cfg_path), "--n-knots", "8", "--quad-tol", "1e-3",
+                *([] if flag == "--rss" else ["--rss=-60"]),
+                "--m", "5", "--p", "8", "--q", "7"]
+        spaced = self._run(tmp_path, capsys, [*argv, flag, value])
+        assert spaced == self._run(tmp_path, capsys, [*argv, f"{flag}={value}"])
+        assert "usage:" not in spaced[1].err
+        assert spaced[1].err.count("\n") <= 1
+
+    def test_negative_infinite_reading_names_the_reading(self, cfg_path, tmp_path, capsys):
+        argv = ["estimate", "--config", str(cfg_path), "--rss", "-inf",
+                "--m", "1", "--p", "1", "--q", "1"]
+        assert self._run(tmp_path, capsys, argv) == (
+            2, ("", "error: RSS observation must be finite, got -inf\n"))
 
 
 def _never(*args, **kwargs):

@@ -23,9 +23,9 @@ class TestRssFisherScale:
             18.8611697011614, rel=1e-12
         )
 
-    def test_rejects_noise_free(self):
-        with pytest.raises(ValueError):
-            rf.rss_fisher_scale(PARAMS_DISK)
+    def test_noise_free_is_infinite(self):
+        # an exact reading gives the distance exactly
+        assert rf.rss_fisher_scale(PARAMS_DISK) == math.inf
 
 
 class TestFim:
