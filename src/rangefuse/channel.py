@@ -18,6 +18,12 @@ x / sqrt(2), and stays below 2.2e-16 (x^2 + 4) while Q is a normal float
 (x < 37.5; past that Q loses precision to underflow). Against 50-digit
 values it is 3.7e-16 at x = 3.09, where the 1e-3 cutoff reads, 5.7e-15 at
 x = 8, 3.5e-14 at x = 20 and 9.8e-14 at x = 37 (Q = 6e-300).
+
+Also holds _require and _like_input, the one argument check and the one
+0-d rule of the package's array functions. _require raises ValueError
+"<what>, got <v>" for the first bad value v, printed as its Python scalar
+(a count stays an integer); _like_input returns a float for 0-d input and
+an array otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ class ChannelParams:
     ----------
     p_ref_dbm : mean received power at the reference distance, dBm.
     alpha : path loss exponent, > 0.
-    sigma_db : shadowing standard deviation in dB, >= 0.
+    sigma_db : shadowing standard deviation in dB: 0 (noise-free), or large
+        enough that sigma_r >= 1e-100, above which the bound and the f(d)
+        table stay within the floats.
     rss_threshold_dbm : minimum power for a link to exist, dBm; must be
         below p_ref_dbm so the pseudo transmission range exceeds d0, and
         that range must lie within 1e-140 to 1e140 m.
@@ -62,6 +70,9 @@ class ChannelParams:
             raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
         if self.sigma_db < 0:
             raise ValueError(f"sigma_db must be >= 0, got {self.sigma_db!r}")
+        if self.sigma_db > 0.0 and not self.sigma_r >= 1e-100:
+            raise ValueError("sigma_db must be 0 or give sigma_r = sigma_db / (10 alpha) "
+                             f">= 1e-100, got sigma_r = {self.sigma_r!r}")
         if self.rss_threshold_dbm >= self.p_ref_dbm:
             raise ValueError(
                 "rss_threshold_dbm must be below p_ref_dbm "
@@ -82,22 +93,28 @@ class ChannelParams:
         return self.sigma_db / (10.0 * self.alpha)
 
 
-def _positive_distances(d):
-    arr = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError(f"d must be positive and finite, got {d!r}")
-    return arr
+def _require(values, ok, what: str) -> None:
+    """Raise ValueError "<what>, got <v>" for the first v of values where the mask ok is False."""
+    if not np.all(ok):
+        bad = np.asarray(values)[np.logical_not(ok)].item(0)
+        raise ValueError(f"{what}, got {bad!r}")
 
 
 def _like_input(value):
-    return value if value.ndim else float(value)
+    """value as a float where it is 0-d, else as it is."""
+    return value if np.ndim(value) else float(value)
+
+
+def _positive_distances(d):
+    d = np.asarray(d, dtype=float)
+    _require(d, (d > 0.0) & (d < math.inf), "d must be positive and finite")
+    return d
 
 
 def mean_rss(params: ChannelParams, d):
     """Mean received power in dBm at distance d, shadowing set to zero."""
     d = _positive_distances(d)
-    out = params.p_ref_dbm - 10.0 * params.alpha * np.log10(d / params.d0)
-    return _like_input(out)
+    return _like_input(params.p_ref_dbm - 10.0 * params.alpha * np.log10(d / params.d0))
 
 
 def sample_rss(params: ChannelParams, d, rng: np.random.Generator):
@@ -118,12 +135,9 @@ def estimate_distance_rss(params: ChannelParams, obs):
     for an extreme one.
     """
     obs = np.asarray(obs, dtype=float)
-    lost = obs[~np.isfinite(obs)]
-    if lost.size:
-        raise ValueError(f"RSS observation must be finite, got {float(lost.flat[0])!r}")
+    _require(obs, np.isfinite(obs), "RSS observation must be finite")
     with np.errstate(over="ignore"):
-        out = params.d0 * 10.0 ** ((params.p_ref_dbm - obs) / (10.0 * params.alpha))
-    return _like_input(out)
+        return _like_input(params.d0 * 10.0 ** ((params.p_ref_dbm - obs) / (10.0 * params.alpha)))
 
 
 def pseudo_range(params: ChannelParams) -> float:

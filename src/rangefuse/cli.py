@@ -18,7 +18,6 @@ start with '-' in either form: --rss -inf or --rss=-inf.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import os
@@ -185,15 +184,15 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-# one --pairs token: two ids, each with an optional leading minus, joined by '-' or ':'
-_PAIR_TOKEN = re.compile(r"(-?[^-:]+)[-:](-?[^-:]+)")
+# one --pairs token: two ids joined by '-' or ':', each ASCII digits with an
+# optional sign and blanks around it, as the measurement file's reader takes them
+_PAIR_TOKEN = re.compile(r"([+-]?[0-9]+)\s*[-:]\s*([+-]?[0-9]+)")
 
 
 def _parse_pair(token: str) -> tuple:
     match = _PAIR_TOKEN.fullmatch(token)
     if match:
-        with contextlib.suppress(ValueError):
-            return int(match[1]), int(match[2])
+        return int(match[1]), int(match[2])
     raise ConfigurationError(f"bad pair {token!r}; expected 'id-id' or 'id:id' tokens")
 
 

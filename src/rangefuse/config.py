@@ -39,13 +39,14 @@ def write_atomic(path, text: str) -> None:
     A symlink at path is followed, as open() follows it, and a looping one
     raises OSError (ELOOP), as open() does. The text goes to a temporary
     file in the target's directory, which os.replace then moves onto the
-    target: readers see the old file or the whole new one. If the write
-    fails, the target stays absent or unchanged and the temporary file is
-    removed. The new file gets the mode open() would give it: an existing
+    target: readers see the old file or the whole new one. The temporary
+    file is named .rangefuse-<random>.tmp, short whatever the target's
+    name, so any name open() takes is written. If the write fails, the
+    target stays absent or unchanged and the temporary file is removed. The new file gets the mode open() would give it: an existing
     target's permission bits, else 0o666 less the process umask.
     """
     target = _real_path(path)
-    handle, partial = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    handle, partial = tempfile.mkstemp(dir=target.parent, prefix=".rangefuse-", suffix=".tmp")
     os.close(handle)
     partial = Path(partial)
     try:

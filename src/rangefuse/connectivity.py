@@ -49,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import LN10, ChannelParams, _normal_tail, link_probability, pseudo_range
+from .channel import (LN10, ChannelParams, _like_input, _normal_tail, _require,
+                      link_probability, pseudo_range)
 from .config import (CHANNEL_KEYS, channel_from_mapping, channel_to_mapping, read_input,
                      write_atomic)
 from .errors import ConfigurationError, ModelConstructionError, NumericError
@@ -85,8 +86,7 @@ class FdModel:
             raise ValueError("knots_d and knots_f must be equal-length 1-D arrays")
         if not np.isfinite(np.concatenate([[self.s_mass, self.d_th], knots_d, knots_f])).all():
             raise ValueError("s_mass, d_th and every knot must be finite")
-        if knots_d[0] != 0.0:
-            raise ValueError(f"knots must start at distance 0, got {knots_d[0]!r}")
+        _require(knots_d[0], knots_d[0] == 0.0, "knots must start at distance 0")
         if knots_d[-1] != self.d_th:
             raise ValueError("last knot must sit at d_th")
         if np.any(np.diff(knots_d) <= 0):
@@ -110,16 +110,12 @@ class FdModel:
 def unit_disk_f(r, d):
     """Lens-overlap area of two radius-r disks whose centers are d apart."""
     r = float(r)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError(f"r must be positive and finite, got {r!r}")
+    _require(r, 0.0 < r < math.inf, "r must be positive and finite")
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0.0) or np.any(d > 2.0 * r) or not np.all(np.isfinite(d)):
-        raise ValueError(f"d must lie in [0, 2r], got {d!r}")
+    _require(d, (d >= 0.0) & (d <= 2.0 * r), "d must lie in [0, 2r]")
     s = math.pi * r * r
-    out = (2.0 * s / math.pi) * np.arccos(d / (2.0 * r)) - d * np.sqrt(
-        np.maximum(r * r - d * d / 4.0, 0.0)
-    )
-    return out if out.ndim else float(out)
+    chord = d * np.sqrt(np.maximum(r * r - d * d / 4.0, 0.0))
+    return _like_input((2.0 * s / math.pi) * np.arccos(d / (2.0 * r)) - chord)
 
 
 def generic_s(params: ChannelParams) -> float:
@@ -320,8 +316,7 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6):
         raise ValueError(f"quad_tol must be positive and finite, got {quad_tol!r}")
     r = pseudo_range(params)
     if params.sigma_db == 0.0:
-        out = np.where(d <= 2.0 * r, unit_disk_f(r, np.minimum(d, 2.0 * r)), 0.0)
-        return out if out.ndim else float(out)
+        return _like_input(np.where(d <= 2.0 * r, unit_disk_f(r, np.minimum(d, 2.0 * r)), 0.0))
     if quad_tol < QUAD_TOL_FLOOR:
         raise NumericError(
             f"quad_tol={quad_tol:g} is below the rounding floor {QUAD_TOL_FLOOR:g} "
@@ -347,8 +342,7 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6):
         done = change <= quad_tol * scale
         out[pending[done]] = current[done]
         pending, current, gap = pending[~done], current[~done], change[~done] / scale[~done]
-    out = out.reshape(d.shape)
-    return out if out.ndim else float(out)
+    return _like_input(out.reshape(d.shape))
 
 
 @lru_cache(maxsize=128)
@@ -407,8 +401,7 @@ def build_fd_model(params: ChannelParams, n_knots: int = 64,
 def _in_table(model: FdModel, d) -> np.ndarray:
     """d as an array, checked to lie in [0, d_th]."""
     d = np.asarray(d, dtype=float)
-    if not np.all((d >= 0.0) & (d <= model.d_th)):
-        raise ValueError(f"d must lie in [0, d_th], got {d!r}")
+    _require(d, (d >= 0.0) & (d <= model.d_th), "d must lie in [0, d_th]")
     return d
 
 
@@ -420,14 +413,12 @@ def _segments(model: FdModel, d) -> np.ndarray:
 
 def fd_slope(model: FdModel, d):
     """Slope of the segment containing d (left segment at knots); takes arrays."""
-    out = model.slopes[_segments(model, d)]
-    return out if out.ndim else float(out)
+    return _like_input(model.slopes[_segments(model, d)])
 
 
 def eval_fd(model: FdModel, d):
     """Piecewise-linear value of f at d in [0, d_th]; exact at knots; takes arrays."""
-    out = np.interp(_in_table(model, d), model.knots_d, model.knots_f)
-    return out if out.ndim else float(out)
+    return _like_input(np.interp(_in_table(model, d), model.knots_d, model.knots_f))
 
 
 def invert_fd(model: FdModel, value):
@@ -438,10 +429,8 @@ def invert_fd(model: FdModel, value):
     knots.
     """
     value = np.asarray(value, dtype=float)
-    if np.any(np.isnan(value)):
-        raise ValueError("value must not be NaN")
-    out = np.interp(value, model.knots_f[::-1], model.knots_d[::-1])
-    return out if out.ndim else float(out)
+    _require(value, ~np.isnan(value), "value must not be NaN")
+    return _like_input(np.interp(value, model.knots_f[::-1], model.knots_d[::-1]))
 
 
 def invert_counts(model: FdModel, m, p, q):
@@ -453,15 +442,7 @@ def invert_counts(model: FdModel, m, p, q):
     m = np.asarray(m, dtype=float)
     total = 2.0 * m + p + q
     rho = np.divide(2.0 * m, total, out=np.zeros_like(total), where=total > 0)
-    out = np.where(total > 0, invert_fd(model, rho * model.s_mass), 0.0)
-    return out if out.ndim else float(out)
-
-
-def _require(values, ok, what: str) -> None:
-    """Raise ValueError naming the first of values where the mask ok is False."""
-    if not np.all(ok):
-        bad = np.asarray(values)[np.logical_not(ok)].flat[0]
-        raise ValueError(f"{what}, got {float(bad)!r}")
+    return _like_input(np.where(total > 0, invert_fd(model, rho * model.s_mass), 0.0))
 
 
 def _model_point(model: FdModel, intensity, d):
@@ -509,7 +490,7 @@ def conn_error_sigma(model: FdModel, intensity, d_plugin):
         info = 1.0 / np.square(out)
     _require(intensity, (out > 0.0) & (out < math.inf) & (info > 0.0) & (info < math.inf),
              "intensity puts the connectivity error scale sigma_c outside the positive floats")
-    return out if out.ndim else float(out)
+    return _like_input(out)
 
 
 _FD_HEADER = "fdmodel v1"

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import LN10, ChannelParams
+from .channel import LN10, ChannelParams, _like_input
 from .connectivity import FdModel, _model_point, conn_error_sigma
 
 
@@ -55,7 +55,7 @@ def fim(model: FdModel, intensity, d) -> FisherInfo:
     # give i_ll = (2S - f)/lambda > 0 and det = f'^2 [(2S - f)(S + f)/(f (S - f)) - 1]
     # + kappa (2S - f)/(lambda d^2) > 0, since (2S - f)(S + f) - f (S - f) = 2 S^2.
     entries = (i_dd, -slope, (2.0 * s - f_val) / intensity)
-    return FisherInfo(*(x if np.ndim(x) else float(x) for x in entries))
+    return FisherInfo(*map(_like_input, entries))
 
 
 def crlb_distance(model: FdModel, intensity, d):
@@ -71,4 +71,4 @@ def crlb_distance(model: FdModel, intensity, d):
     # bit for about one sigma_c in twenty
     with np.errstate(over="ignore", divide="ignore"):  # the bound is 0 where d * d underflows
         out = 1.0 / (np.float_power(sigma_c, -2.0) + rss_fisher_scale(model.params) / (d * d))
-    return out if out.ndim else float(out)
+    return _like_input(out)

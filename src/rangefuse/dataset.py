@@ -346,9 +346,11 @@ def evaluate_pairs(ms: MeasurementSet, pairs, model: FdModel,
     d_rss, est = estimate_readings(
         model, ms.link_rss[link[measured]], *counts, intensity,
         lambda k: "pair ({}, {})".format(*pairs[measured][k].tolist()))
-    # math.hypot, not np.hypot: they differ in the last place for some inputs
+    # math.hypot, not np.hypot: they differ in the last place for some inputs;
+    # a gap past the largest double is inf, as is the distance
     stored = ms._stored_row[ranks]
-    gap = ms.xy[stored[:, 0]] - ms.xy[stored[:, 1]]
+    with np.errstate(over="ignore"):
+        gap = ms.xy[stored[:, 0]] - ms.xy[stored[:, 1]]
     d_true = np.array(list(map(math.hypot, *gap.T.tolist())), dtype=float)
     estimates = np.full((3, len(pairs)), np.nan)
     estimates[:, measured] = d_rss, est.d_conn, est.d_fused

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .channel import LN10
+from .channel import LN10, _require
 
 INTERIOR = "interior"
 BOUNDARY_CLAMPED = "boundary_clamped"
@@ -97,8 +97,7 @@ def fuse_arrays(x1, x2, sigma_r, sigma_c, d_th):
     x1, x2, sigma_r, sigma_c, d_th = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (x1, x2, sigma_r, sigma_c, d_th))
     )
-    if not np.all((x1 > 0.0) & (x1 < math.inf)):
-        raise ValueError(f"x1 must be positive and finite, got {x1!r}")
+    _require(x1, (x1 > 0.0) & (x1 < math.inf), "x1 must be positive and finite")
     a = 1.0 / (sigma_r * LN10) ** 2
     b = 1.0 / sigma_c**2
     ln_x1 = np.log(x1)

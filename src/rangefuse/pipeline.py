@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import estimate_distance_rss
+from .channel import _require, estimate_distance_rss
 from .connectivity import FdModel, conn_error_sigma, invert_counts
 from .crlb import crlb_distance
 from .errors import ConfigurationError
@@ -67,16 +67,14 @@ def estimate_pairs(model: FdModel, d_rss, m, p, q, intensity=None) -> PairEstima
     """
     params, d_th = model.params, model.d_th
     for name, value in zip("mpq", map(np.asarray, (m, p, q))):
-        bad = value[~((value >= 0) & (value < math.inf) & (np.floor(value) == value))]
-        if bad.size:
-            raise ValueError(f"{name} must be a nonnegative integer, got {bad.flat[0].item()!r}")
+        _require(value, (value >= 0) & (value < math.inf) & (np.floor(value) == value),
+                 f"{name} must be a nonnegative integer")
     d_rss = np.asarray(d_rss, dtype=float)
     d_conn = np.asarray(invert_counts(model, m, p, q))
     if intensity is None:
         intensity = (2.0 * np.asarray(m) + p + q) / (2.0 * model.s_mass)
     lam = np.asarray(intensity, dtype=float)
-    if not np.all((lam >= 0.0) & (lam < math.inf)):
-        raise ValueError(f"intensity must be nonnegative and finite, got {intensity!r}")
+    _require(lam, (lam >= 0.0) & (lam < math.inf), "intensity must be nonnegative and finite")
     lam = np.broadcast_to(lam, d_conn.shape)
     rss, conn = ~np.isnan(d_rss), lam > 0.0
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 
 import rangefuse as rf
 from rangefuse.channel import _normal_tail
+from rangefuse.fusion import fuse_arrays
 from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD
 
 LN10 = math.log(10.0)
@@ -49,6 +51,76 @@ class TestChannelParams:
 
     def test_sigma_r(self):
         assert PARAMS_44.sigma_r == pytest.approx(0.1, rel=1e-15)
+
+    # sigma_r = sigma_db / 40 here; at 1e-322 dB it rounds to 0
+    @pytest.mark.parametrize("sigma_db, sigma_r", [(1e-160, "2.5e-162"), (3.9e-99, "9.75e-101"),
+                                                   (1e-322, "0.0")])
+    def test_rejects_sigma_r_below_the_floor(self, sigma_db, sigma_r):
+        with pytest.raises(ValueError, match=re.escape(
+                "sigma_db must be 0 or give sigma_r = sigma_db / (10 alpha) >= 1e-100, "
+                f"got sigma_r = {sigma_r}")):
+            rf.ChannelParams(p_ref_dbm=-37.47, alpha=4.0, sigma_db=sigma_db,
+                             rss_threshold_dbm=-100.0)
+
+    @pytest.mark.parametrize("sigma_db", [0.0, 4e-99])
+    def test_accepts_noise_free_and_the_floor(self, sigma_db):
+        params = rf.ChannelParams(p_ref_dbm=-37.47, alpha=4.0, sigma_db=sigma_db,
+                                  rss_threshold_dbm=-100.0)
+        assert params.sigma_r in (0.0, 1e-100)
+
+
+def _estimate_5000_pairs(model, **override):
+    """estimate_pairs on 5000 pairs, with the arguments in override replaced."""
+    args = {"d_rss": np.full(5000, 20.0), "m": np.full(5000, 6), "p": np.full(5000, 9),
+            "q": np.full(5000, 11), **override}
+    return rf.estimate_pairs(model, **args)
+
+
+class TestArgumentCheck:
+    """Every array argument check names the first bad value, however long the array."""
+
+    # each check's call on an array, the array's good value and a bad one
+    CASES = {
+        "mean_rss": (lambda model, v: rf.mean_rss(PARAMS_44, v), 10.0, -0.25),
+        "sample_rss": (lambda model, v: rf.sample_rss(PARAMS_44, v, np.random.default_rng(1)),
+                       10.0, math.inf),
+        "link_probability": (lambda model, v: rf.link_probability(PARAMS_44, v), 10.0, 0.0),
+        "estimate_distance_rss": (lambda model, v: rf.estimate_distance_rss(PARAMS_44, v),
+                                  -60.0, math.nan),
+        "unit_disk_f": (lambda model, v: rf.unit_disk_f(1.0, v), 0.5, 2.5),
+        "eval_fd": (lambda model, v: rf.eval_fd(model, v), 10.0, -0.5),
+        "fd_slope": (lambda model, v: rf.fd_slope(model, v), 10.0, 1e6),
+        "invert_fd": (lambda model, v: rf.invert_fd(model, v), 100.0, math.nan),
+        "fuse_arrays": (lambda model, v: fuse_arrays(v, 20.0, 0.1, 5.0, 80.0), 10.0, 0.0),
+        "estimate_pairs-count": (lambda model, v: _estimate_5000_pairs(model, p=v), 9, -3),
+        "estimate_pairs-intensity": (
+            lambda model, v: _estimate_5000_pairs(model, intensity=v), 0.01, -0.01),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_names_the_bad_entry_of_a_long_array(self, model44, name):
+        call, good, bad = self.CASES[name]
+        values = np.full(5000, good)
+        values[2500] = bad
+        with pytest.raises(ValueError, match=f", got {re.escape(repr(bad))}$"):
+            call(model44, values)
+
+    def test_count_beyond_int64(self, model44):
+        # numpy holds such a count as a Python int in an object array
+        with pytest.raises(ValueError, match=f"^m must be a nonnegative integer, "
+                                             f"got {-2**70}$"):
+            rf.estimate_pairs(model44, [20.0], [-2**70], [9], [11])
+
+    def test_scalar_radius(self):
+        with pytest.raises(ValueError, match=r"^r must be positive and finite, got -1\.0$"):
+            rf.unit_disk_f(-1, 0.5)
+
+    def test_first_knot(self, model44):
+        knots_d = model44.knots_d.copy()
+        knots_d[0] = 0.5
+        with pytest.raises(ValueError, match=r"^knots must start at distance 0, got 0\.5$"):
+            rf.FdModel(s_mass=model44.s_mass, d_th=model44.d_th, knots_d=knots_d,
+                       knots_f=model44.knots_f, params=model44.params)
 
 
 class TestMeanRss:

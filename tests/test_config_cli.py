@@ -45,16 +45,18 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @st.composite
 def _channels(draw):
     """Any channel ChannelParams accepts: finite values, threshold below reference,
-    pseudo range within 1e-140 to 1e140 m (here 1e-139 to 1e139 m, clear of rounding)."""
+    pseudo range within 1e-140 to 1e140 m (here 1e-139 to 1e139 m, clear of rounding),
+    sigma_r = sigma_db / (10 alpha) 0 or at least 1e-100 (here 2e-100)."""
     threshold, p_ref = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))
     assume(math.isfinite(p_ref - threshold))
     d0 = draw(st.floats(min_value=1e-139, max_value=1e138))
     # the smallest alpha that keeps the pseudo range within 1e139 m
     least_alpha = (p_ref - threshold) / (10.0 * (139.0 - math.log10(d0)))
-    return rf.ChannelParams(p_ref_dbm=p_ref,
-                            alpha=draw(st.floats(min_value=least_alpha, exclude_min=True,
-                                                 allow_infinity=False)),
-                            sigma_db=draw(st.floats(min_value=0.0, allow_infinity=False)),
+    alpha = draw(st.floats(min_value=least_alpha, exclude_min=True, allow_infinity=False))
+    # where 10 alpha overflows, sigma_r is 0 for every sigma_db
+    noisy = st.floats(min_value=2e-99 * alpha, allow_infinity=False)
+    sigma_db = draw(st.just(0.0) | noisy) if math.isfinite(10.0 * alpha) else 0.0
+    return rf.ChannelParams(p_ref_dbm=p_ref, alpha=alpha, sigma_db=sigma_db,
                             rss_threshold_dbm=threshold, d0=d0)
 
 
@@ -181,6 +183,15 @@ class TestConfigFiles:
         assert main(["crlb", "--config", str(path), "--mu", "20", "--output", str(out)]) == 2
         separator = "" if reason.startswith(":") else ": "
         assert capsys.readouterr().err == f"error: {path}{separator}{reason}\n"
+        assert not out.exists()
+
+    def test_zero_alpha_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(CFG_44.replace("alpha = 4.0", "alpha = 0"))
+        out = tmp_path / "out.csv"
+        assert main(["crlb", "--config", str(path), "--mu", "20", "--output", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: invalid channel parameters: alpha must be > 0, got 0.0\n")
         assert not out.exists()
 
 
@@ -313,6 +324,13 @@ class TestFdTableCommand:
 
 
 class TestSimulateCommand:
+    def test_empty_distance_list(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "rep.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--distances", ",",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: empty distance list ','\n")
+        assert not out.exists()
+
     def test_noise_free_run_zeroes_rss_column(self, tmp_path):
         out = tmp_path / "rep.csv"
         code = main([
@@ -666,6 +684,62 @@ class TestDatasetCommand:
             assert capsys.readouterr().err == (
                 f"error: bad pair {token!r}; expected 'id-id' or 'id:id' tokens\n")
 
+    @pytest.mark.parametrize("token", ["1_0-2", "\u0661-\u0662"], ids=["underscore", "arabic"])
+    def test_pair_ids_are_ascii_digits(self, tmp_path, capsys, token):
+        # the measurement file's reader takes neither form for an id
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n10, 2, 2\n# rss\n1, 2, -40\n10, 2, -40\n")
+        out = tmp_path / "x.csv"
+        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                     "--input", str(meas), f"--pairs={token}", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: bad pair {token!r}; expected 'id-id' or 'id:id' tokens\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token, pair", [("+1-2", "1-2"), ("1 - 2", "1-2"),
+                                             ("-3-5", "-3-5"), ("-5:-3", "-5--3")])
+    def test_signed_and_spaced_ids(self, tmp_path, token, pair):
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0.0, 0.0\n2, 3.0, 4.0\n-3, 1.0, 1.0\n5, 4.0, 5.0\n"
+                        "-5, -2.0, -3.0\n# rss\n1, 2, -48.0\n-3, 5, -47.0\n-5, -3, -42.0\n")
+        out = tmp_path / "errors.csv"
+        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                     "--n-knots", "8", "--quad-tol", "1e-3",
+                     "--input", str(meas), f"--pairs={token}", "--output", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith(f"{pair},5.0,")
+
+    def test_no_pairs_requested(self, tmp_path, capsys):
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
+        out = tmp_path / "x.csv"
+        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                     "--input", str(meas), "--pairs", ",", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: no pairs requested\n")
+        assert not out.exists()
+
+    def test_overflowing_coordinates_give_infinite_distance(self, tmp_path, capsys):
+        # both coordinates are finite, but their difference is not
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 1e308, 0\n2, -1e308, 0\n3, 0, 1\n"
+                        "# rss\n1, 2, -60\n1, 3, -50\n")
+        out = tmp_path / "errors.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "4",
+                         "--sigma-db", "4", "--rss-threshold-dbm", "-100",
+                         "--n-knots", "8", "--quad-tol", "1e-3",
+                         "--input", str(meas), "--pairs", "1-2", "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
+        _, d_true, *errors, _, _ = out.read_text().splitlines()[1].split(",")
+        assert [d_true, *errors] == ["inf"] * 4
+
     @pytest.mark.parametrize("token, pair", [("-5-3", "-5-3"), ("-5:3", "-5-3"),
                                              ("3--5", "3--5"), ("3:-5", "3--5")])
     def test_negative_ids(self, tmp_path, token, pair):
@@ -900,6 +974,60 @@ class TestDamagedTable:
         assert not out.exists()
 
 
+def _damage_knots(model, damage, lines):
+    """The lines of model's saved table, with one knot rule broken."""
+    first = lines.index("knots:") + 1
+    knots = [line.split(", ") for line in lines[first:]]
+    if damage == "first-knot":
+        knots[0][0] = "0.5"
+    elif damage == "last-knot":
+        knots[-1][0] = repr(0.999 * model.d_th)
+    elif damage == "out-of-order":
+        knots[2][0], knots[3][0] = knots[3][0], knots[2][0]
+    elif damage == "negative-f-at-d_th":
+        knots[-1][1] = "-1.0"
+    else:
+        knots[0][1] = repr(2.0 * model.s_mass)
+    return lines[:first] + [", ".join(knot) for knot in knots]
+
+
+class TestBrokenKnotRules:
+    """A table that breaks one rule of FdModel is one error line naming the file."""
+
+    @pytest.mark.parametrize("damage, reason", [
+        ("missing-d_th", "missing header fields ['d_th']"),
+        ("first-knot", "inconsistent model data: knots must start at distance 0, got 0.5"),
+        ("last-knot", "inconsistent model data: last knot must sit at d_th"),
+        ("out-of-order", "inconsistent model data: knot distances must increase strictly"),
+        ("negative-f-at-d_th", "inconsistent model data: f(d_th) must stay positive"),
+        ("f0-above-s", "inconsistent model data: f(0) cannot exceed the mass S"),
+    ])
+    def test_broken_table_is_one_error_line(self, cfg_path, tmp_path, capsys, model44,
+                                            damage, reason):
+        table = tmp_path / "bad.fd"
+        rf.save_fd_model(model44, table)
+        lines = table.read_text().splitlines()
+        if damage == "missing-d_th":
+            lines = [line for line in lines if not line.startswith("d_th = ")]
+        else:
+            lines = _damage_knots(model44, damage, lines)
+        table.write_text("\n".join(lines) + "\n")
+        code = main(["estimate", "--config", str(cfg_path), "--fd-table", str(table),
+                     "--rss", "-85", "--m", "6", "--p", "9", "--q", "11"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {table}: {reason}\n")
+
+    def test_blank_line_among_the_knots_loads(self, tmp_path, model44):
+        table = tmp_path / "blank.fd"
+        rf.save_fd_model(model44, table)
+        lines = table.read_text().splitlines()
+        lines.insert(lines.index("knots:") + 4, "")
+        table.write_text("\n".join(lines) + "\n")
+        loaded = rf.load_fd_model(table)
+        assert np.array_equal(loaded.knots_d, model44.knots_d)
+        assert np.array_equal(loaded.knots_f, model44.knots_f)
+
+
 class TestTableForAnotherChannel:
     """The library reads the channel from the table, so the CLI checks a loaded table's."""
 
@@ -1035,6 +1163,40 @@ _MALFORMED = {
     "bad-int": lambda argv: [*argv, "--n-knots", "8.5"],
     "bad-float": lambda argv: [*argv, "--quad-tol", "tiny"],
 }
+
+
+class TestShadowingFloor:
+    """sigma_r between 0 and 1e-100 is one error line; at the floor every command runs."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, command, sigma_db):
+        meas, out = tmp_path / "meas.txt", tmp_path / "out.csv"
+        meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
+        paths = {"IN": str(meas), "OUT": str(out)}
+        argv = [paths.get(token, token) for token in _WHOLE_COMMANDS[command]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", sigma_db,
+                         "--rss-threshold-dbm", "-100", "--n-knots", "8", "--quad-tol", "1e-3"])
+        return code, capsys.readouterr(), out
+
+    # sigma_r = sigma_db / 40: 2.5e-162, and 0 where 1e-322 / 40 rounds to 0
+    @pytest.mark.parametrize("sigma_db, sigma_r", [("1e-160", "2.5e-162"), ("1e-322", "0.0")])
+    @pytest.mark.parametrize("command", _WHOLE_COMMANDS)
+    def test_below_the_floor_is_one_error_line(self, tmp_path, capsys, command, sigma_db,
+                                               sigma_r):
+        code, captured, out = self._run(tmp_path, capsys, command, sigma_db)
+        assert code == 2
+        assert captured == ("", "error: sigma_db must be 0 or give sigma_r = sigma_db / "
+                                f"(10 alpha) >= 1e-100, got sigma_r = {sigma_r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", _WHOLE_COMMANDS)
+    def test_at_the_floor_runs_clean(self, tmp_path, capsys, command):
+        code, captured, out = self._run(tmp_path, capsys, command, "4e-99")
+        assert code == 0
+        assert captured.err == ""
+        assert out.exists() == (command != "estimate")
 
 
 class TestOneErrorPath:
@@ -1276,6 +1438,17 @@ def _half_write(monkeypatch):
 
 
 class TestAtomicOutput:
+    def test_longest_name_is_written(self, cfg_path, tmp_path):
+        # 255 bytes, the most a name may have on common file systems
+        target = tmp_path / ("x" * 251 + ".txt")
+        config.write_atomic(target, "text\n")
+        assert target.read_text() == "text\n"
+        out = tmp_path / ("y" * 251 + ".csv")
+        assert main(["crlb", "--config", str(cfg_path), "--mu", "20", "--distances", "10",
+                     "--n-knots", "8", "--quad-tol", "1e-3", "--output", str(out)]) == 0
+        assert out.read_text().startswith("d,crlb_variance,sqrt_crlb\n10.0,")
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_path, target, out])
+
     @pytest.mark.parametrize("existing", [True, False])
     def test_failure_leaves_target_unchanged_or_absent(self, tmp_path, monkeypatch,
                                                        existing):

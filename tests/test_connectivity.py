@@ -894,7 +894,8 @@ def _channels(draw):
     return rf.ChannelParams(
         p_ref_dbm=p_ref,
         alpha=draw(st.floats(min_value=0.5, max_value=8.0)),
-        sigma_db=draw(st.floats(min_value=0.0, max_value=12.0)),
+        # sigma_r = sigma_db / (10 alpha) is 0 or at least 1e-100
+        sigma_db=draw(st.just(0.0) | st.floats(min_value=1e-98, max_value=12.0)),
         rss_threshold_dbm=p_ref - draw(st.floats(min_value=0.1, max_value=100.0)),
         d0=draw(st.floats(min_value=0.1, max_value=10.0)),
     )

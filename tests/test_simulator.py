@@ -52,6 +52,12 @@ class TestDeployPoisson:
         b = rf.deploy_poisson(5.0, 1.0, np.random.default_rng(42))
         assert np.array_equal(a.nodes, b.nodes)
 
+    def test_rejects_a_node_outside_its_square(self):
+        for node in ([1.0, -0.5], [2.5, 1.0]):
+            with pytest.raises(ValueError, match="^all node positions must lie inside the "
+                                                 "region$"):
+                rf.Deployment(side=2.0, intensity=1.0, nodes=[[1.0, 1.0], node])
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             rf.deploy_poisson(0.0, 1.0, np.random.default_rng(1))
