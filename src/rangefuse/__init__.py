@@ -12,8 +12,9 @@ import numpy as np
 # Allocate and free one 2 MB block. glibc serves a block that large by mmap,
 # and freeing it raises the dynamic mmap and trim thresholds (mallopt(3),
 # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD) to its size and twice that. Without
-# it the 64 KB temporaries of the f(d) rule and the simulator's block arrays
-# would trim the heap top on every chunk and fault it back in on the next.
+# it the 128 KB temporaries of the f(d) rule and the simulator's block arrays,
+# which that 2 MB block still exceeds, would trim the heap top on every chunk
+# and fault it back in on the next.
 np.empty(1 << 18)
 
 from .channel import (

@@ -17,7 +17,9 @@ library's math.erfc. Its relative error grows with x, mostly from rounding
 x / sqrt(2), and stays below 2.2e-16 (x^2 + 4) while Q is a normal float
 (x < 37.5; past that Q loses precision to underflow). Against 50-digit
 values it is 3.7e-16 at x = 3.09, where the 1e-3 cutoff reads, 5.7e-15 at
-x = 8, 3.5e-14 at x = 20 and 9.8e-14 at x = 37 (Q = 6e-300).
+x = 8, 3.5e-14 at x = 20 and 9.8e-14 at x = 37 (Q = 6e-300). erfc(x / sqrt 2)
+is exactly 0 from x = 38.5 on, so past x = 40 the kernel returns 0.0
+without calling erfc.
 
 Also holds _require and _like_input, the one argument check and the one
 0-d rule of the package's array functions. _require raises ValueError
@@ -150,8 +152,10 @@ def pseudo_range(params: ChannelParams) -> float:
 def _normal_tail(x) -> np.ndarray:
     """Q(x) = erfc(x / sqrt 2) / 2 elementwise, in the shape of x (accuracy: module docstring)."""
     x = np.asarray(x, dtype=float)
-    erfc = np.fromiter(map(math.erfc, (x / math.sqrt(2.0)).flat), float, x.size)
-    return 0.5 * erfc.reshape(x.shape)
+    erfc = np.zeros(x.shape)
+    live = ~(x > 40.0)
+    erfc[live] = np.fromiter(map(math.erfc, x[live] / math.sqrt(2.0)), float)
+    return 0.5 * erfc
 
 
 def link_probability(params: ChannelParams, d):

@@ -42,8 +42,9 @@ def write_atomic(path, text: str) -> None:
     target: readers see the old file or the whole new one. The temporary
     file is named .rangefuse-<random>.tmp, short whatever the target's
     name, so any name open() takes is written. If the write fails, the
-    target stays absent or unchanged and the temporary file is removed. The new file gets the mode open() would give it: an existing
-    target's permission bits, else 0o666 less the process umask.
+    target stays absent or unchanged and the temporary file is removed.
+    The new file gets the mode open() would give it: an existing target's
+    permission bits, else 0o666 less the process umask.
     """
     target = _real_path(path)
     handle, partial = tempfile.mkstemp(dir=target.parent, prefix=".rangefuse-", suffix=".tmp")

@@ -138,18 +138,36 @@ def _lens(a, b, d):
     nested ones; the chord term takes sin(alpha) = sqrt((1 - c)(1 + c)) from
     the clipped cosine c, which costs a fraction of a sine. At d = 0 every
     pair is nested and the cosines are undefined, so those elements are
-    pi min(a, b)^2 outright.
+    pi min(a, b)^2 outright. The full-size passes run in place in three
+    arrays of the broadcast shape, which the area comes back in (a 0-d array
+    for scalar arguments); the arguments are left as they are.
     """
-    a2, b2 = a * a, b * b
+    a2, dd = a * a, d * d
+    shape = np.broadcast(a, b, d).shape
+    b2, cos_a, cos_b = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(b, b, out=b2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_a = np.clip((d * d + a2 - b2) / (2.0 * d * a), -1.0, 1.0)
-        cos_b = np.clip((d * d + b2 - a2) / (2.0 * d * b), -1.0, 1.0)
-    lens = (a2 * np.arccos(cos_a) + b2 * np.arccos(cos_b)
-            - d * a * np.sqrt((1.0 - cos_a) * (1.0 + cos_a)))
+        np.add(dd, b2, out=cos_b)
+        cos_b -= a2
+        cos_b /= np.multiply(2.0 * d, b, out=cos_a)
+        np.subtract(dd + a2, b2, out=cos_a)
+        cos_a /= 2.0 * d * a
+        np.clip(cos_a, -1.0, 1.0, out=cos_a)
+        np.clip(cos_b, -1.0, 1.0, out=cos_b)
+    # b2 becomes the area and cos_b the scratch array of each term after it
+    lens = b2
+    lens *= np.arccos(cos_b, out=cos_b)
+    lens += np.multiply(np.arccos(cos_a, out=cos_b), a2, out=cos_b)
+    chord = np.subtract(1.0, cos_a, out=cos_b)
+    cos_a += 1.0
+    chord *= cos_a
+    np.sqrt(chord, out=chord)
+    chord *= d * a
+    lens -= chord
     at_zero = d == 0.0
     if np.any(at_zero):
         small = np.minimum(a, b)
-        lens = np.where(at_zero, math.pi * small * small, lens)
+        np.copyto(lens, math.pi * small * small, where=at_zero)
     return lens
 
 
@@ -166,7 +184,12 @@ def _panel_steps(n: int):
 
 
 def _normal_pdf(z):
-    return np.exp(-0.5 * z * z) * (1.0 / math.sqrt(2.0 * math.pi))
+    """exp(-z^2 / 2) / sqrt(2 pi) elementwise, in one new array of the shape of z."""
+    out = np.multiply(z, -0.5)
+    out *= z
+    np.exp(out, out=out)
+    out *= 1.0 / math.sqrt(2.0 * math.pi)
+    return out
 
 
 def _column_sums(w: np.ndarray) -> np.ndarray:
@@ -188,13 +211,13 @@ def _column_sums(w: np.ndarray) -> np.ndarray:
 # The lens rule's domain in each standard-normal draw and its fixed breaks
 # (the module docstring says what lies beyond +-9)
 _Z_BREAKS = np.array([-9.0, -4.0, -2.0, 0.0, 2.0, 4.0, 9.0])
-# Values per temporary array in _lens_rule (64 KB of float64): the band
-# intervals of a block of z_a rows go through _lens in chunks of at most
-# that many points
-_CHUNK_POINTS = 1 << 13
+# Values per temporary array in _lens_rule (128 KB of float64, below the 2 MB
+# mmap threshold that rangefuse/__init__.py sets): the band intervals of a
+# block of z_a rows go through _lens in chunks of at most that many points
+_CHUNK_POINTS = 1 << 14
 # z_a rows per block of _lens_rule, so that the per-row arrays of a level
 # stay small whatever the number of distances
-_BLOCK_ROWS = 512
+_BLOCK_ROWS = 1024
 
 
 def _band(params: ChannelParams, rho_a: np.ndarray, d: np.ndarray):
@@ -236,7 +259,8 @@ def _lens_rule(params: ChannelParams, d: np.ndarray, n: int) -> np.ndarray:
     band, clipped to the domain and split at the _Z_BREAKS inside it, takes
     n panels per interval of nonzero width. The rows go in blocks of at most
     _BLOCK_ROWS, and each block's band intervals through _lens in chunks of
-    at most _CHUNK_POINTS points, laid out (nodes, intervals). Each interval
+    at most _CHUNK_POINTS points, laid out (nodes, intervals), whose passes
+    run in place in a few arrays of the chunk's size. Each interval
     is summed on its own, each row's intervals in order and each distance's
     rows on their own, so a distance's value does not depend on which other
     distances share the call.
@@ -268,10 +292,15 @@ def _lens_rule(params: ChannelParams, d: np.ndarray, n: int) -> np.ndarray:
         sums = np.empty(cells.size)
         for first in range(0, cells.size, chunk):
             cols = slice(first, first + chunk)
-            z_b = band_lo[cols] + band_width[cols] * steps[:, None]
-            w_b = band_width[cols] * weights[:, None]
+            z_b = np.multiply(band_width[cols], steps[:, None])
+            z_b += band_lo[cols]
+            w_b = np.multiply(band_width[cols], weights[:, None])
             w_b *= _normal_pdf(z_b)
-            w_b *= _lens(rho[owner[cols]], r * np.exp(k * z_b), d_row[owner[cols]])
+            # the node array becomes rho_b = r e^(k z_b)
+            z_b *= k
+            rho_b = np.exp(z_b, out=z_b)
+            rho_b *= r
+            w_b *= _lens(rho[owner[cols]], rho_b, d_row[owner[cols]])
             sums[cols] = _column_sums(w_b)
         inner[rows[start:start + _BLOCK_ROWS]] = (
             _lens_tails(params, rho, d_row, z_lo, z_hi) + np.bincount(owner, sums, rho.size))

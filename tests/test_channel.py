@@ -269,6 +269,21 @@ class TestNormalTail:
         # the bound of the channel module docstring: 2.2e-16 (x^2 + 4) relative
         assert abs(float(_normal_tail(x)) - q) <= 2.2e-16 * (x * x + 4.0) * q
 
+    def test_underflow_skip_keeps_the_bits_of_erfc(self):
+        # past x = 40 the kernel returns 0.0 without calling erfc; erfc itself
+        # is 0 from x = 38.5, so every value is the bits of the direct formula
+        x = np.concatenate([np.linspace(36.0, 44.0, 8001),
+                            [math.inf, -math.inf, math.nan, 1e300, -1e300, 40.0]])
+        direct = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in x.tolist()])
+        assert _normal_tail(x).tobytes() == direct.tobytes()
+        grid = x[-12:].reshape(3, 4)
+        assert _normal_tail(grid).shape == (3, 4)
+        assert _normal_tail(grid).tobytes() == direct[-12:].tobytes()
+        for v in (39.0, 41.0, math.inf, math.nan):
+            q = _normal_tail(v)
+            assert type(q) is np.float64
+            assert q.tobytes() == np.float64(0.5 * math.erfc(v / math.sqrt(2.0))).tobytes()
+
 
 class TestRssEstimatePdf:
     """The RSS range estimate's law: log10(estimate / d) is normal with scale sigma_r."""

@@ -147,8 +147,73 @@ def _lens_tolerance(a, b, d):
     return eps * ((a * a + d * a) * angle_a + b * b * angle_b + terms)
 
 
+def _lens_out_of_place(a, b, d):
+    """The lens area as one expression per term, with numpy's temporaries: _lens's oracle."""
+    a2, b2 = a * a, b * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_a = np.clip((d * d + a2 - b2) / (2.0 * d * a), -1.0, 1.0)
+        cos_b = np.clip((d * d + b2 - a2) / (2.0 * d * b), -1.0, 1.0)
+    lens = (a2 * np.arccos(cos_a) + b2 * np.arccos(cos_b)
+            - d * a * np.sqrt((1.0 - cos_a) * (1.0 + cos_a)))
+    at_zero = d == 0.0
+    if np.any(at_zero):
+        small = np.minimum(a, b)
+        lens = np.where(at_zero, math.pi * small * small, lens)
+    return lens
+
+
+def _lens_batch(seed, nodes=40, columns=60):
+    """Radii a (columns,), b (nodes, columns) and distances d (columns,), laid out as _lens_rule
+    lays them out, with each column nested, disjoint, near-tangent, coincident or crossing."""
+    rng = np.random.default_rng(seed)
+    u = lambda lo, hi: rng.uniform(lo, hi, (nodes, 1))
+    a = rng.uniform(0.1, 5.0, columns)
+    d = np.empty(columns)
+    b = np.empty((nodes, columns))
+    for j in range(columns):
+        kind = j % 7
+        if kind == 0:  # a inside b
+            d[j] = a[j] * rng.uniform(0.0, 1.0)
+            b[:, j:j + 1] = a[j] + d[j] + u(1e-3, 3.0)
+        elif kind == 1:  # b inside a
+            d[j] = a[j] * rng.uniform(0.0, 0.9)
+            b[:, j:j + 1] = (a[j] - d[j]) * u(0.01, 1.0)
+        elif kind == 2:  # disjoint
+            d[j] = a[j] + rng.uniform(0.5, 5.0)
+            b[:, j:j + 1] = (d[j] - a[j]) * u(0.01, 0.999)
+        elif kind == 3:  # touching from outside, within 1e-12 relative
+            d[j] = a[j] + rng.uniform(0.5, 5.0)
+            b[:, j:j + 1] = (d[j] - a[j]) * (1.0 + u(-1e-12, 1e-12))
+        elif kind == 4:  # a touching the inside of b, within 1e-12 relative
+            d[j] = a[j] * rng.uniform(0.1, 2.0)
+            b[:, j:j + 1] = (a[j] + d[j]) * (1.0 + u(-1e-12, 1e-12))
+        elif kind == 5:  # d = 0, some rows with equal radii
+            d[j] = 0.0
+            b[:, j:j + 1] = u(0.1, 5.0)
+            b[:3, j] = a[j]
+        else:  # crossing
+            d[j] = a[j] * rng.uniform(0.5, 1.5)
+            b[:, j:j + 1] = abs(d[j] - a[j]) + u(0.0, 1.0) * (d[j] + a[j] - abs(d[j] - a[j]))
+    return a, b, d
+
+
 class TestLens:
     """The closed-form disk intersection area that the lens rule integrates."""
+
+    def test_in_place_passes_keep_the_bits_of_the_formula(self):
+        a, b, d = _lens_batch(34)
+        copies = a.copy(), b.copy(), d.copy()
+        lens = rf.connectivity._lens(a, b, d)
+        assert lens.shape == b.shape
+        assert lens.tobytes() == _lens_out_of_place(a, b, d).tobytes()
+        for arg, copy in zip((a, b, d), copies):
+            assert arg.tobytes() == copy.tobytes()
+        # the other layouts TestLens calls: 2-D rows with a d column, one
+        # distance for all, and 0-d radii with a float distance
+        for args in ((a[:6, None], b[:6], d[:6, None]), (a, b[:8], 2.5),
+                     (np.array(1.0), np.array(3.0), 2.9), (np.array(2.0), np.array(2.0), 0.0)):
+            assert (np.asarray(rf.connectivity._lens(*args)).tobytes()
+                    == np.asarray(_lens_out_of_place(*args)).tobytes())
 
     @pytest.mark.parametrize("a, b, d", [(1.0, 1.0, 0.7), (2.0, 1.0, 2.5), (1.0, 3.0, 2.9)],
                              ids=["equal", "wider-first", "wider-second"])
@@ -560,6 +625,27 @@ class TestBandRule:
         monkeypatch.setattr(rf.connectivity, "_lens", counting_lens)
         rf.build_fd_model(params, 64, 1e-6)
         assert 0 < sum(points) <= budget
+
+
+class TestChunking:
+    """The lens rule's block and chunk sizes set how much goes through numpy at once, never a
+    knot's bits."""
+
+    @pytest.mark.parametrize("name, size", [
+        ("_CHUNK_POINTS", 1), ("_CHUNK_POINTS", 37), ("_CHUNK_POINTS", 1 << 20),
+        ("_BLOCK_ROWS", 1), ("_BLOCK_ROWS", 7), ("_BLOCK_ROWS", 1 << 20)])
+    @pytest.mark.parametrize("params, n_knots, quad_tol", [
+        (PARAMS_44, 8, 1e-3), (PARAMS_SHARP, 8, 1e-3), (PARAMS_44, 64, 1e-6)],
+        ids=["p44-8", "sharp-8", "p44-64"])
+    def test_knots_do_not_depend_on_the_chunking(self, monkeypatch, params, n_knots, quad_tol,
+                                                 name, size):
+        # 1, and 37 from 2 panels an interval on, give chunks of one band
+        # interval, which go through _column_sums' one-column path
+        default = rf.build_fd_model(params, n_knots, quad_tol)
+        monkeypatch.setattr(rf.connectivity, name, size)
+        model = rf.build_fd_model(params, n_knots, quad_tol)
+        assert model.knots_f.tobytes() == default.knots_f.tobytes()
+        assert model.knots_d.tobytes() == default.knots_d.tobytes()
 
 
 class TestBuildFdModel:
