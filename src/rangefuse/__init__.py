@@ -5,7 +5,14 @@ reading with the information in local connectivity (common-neighbor
 counts) via maximum likelihood, and ships the Monte Carlo machinery to
 validate both ingredients and the fused estimator against the variance
 lower bound.
+
+Importing the package loads none of its modules: each public name, and
+each module as an attribute (``rangefuse.fusion``), is imported on first
+use (PEP 562), so loading an f(d) table loads channel, config,
+connectivity and errors only.
 """
+
+import importlib
 
 import numpy as np
 
@@ -17,99 +24,45 @@ import numpy as np
 # and fault it back in on the next.
 np.empty(1 << 18)
 
-from .channel import (
-    ChannelParams,
-    estimate_distance_rss,
-    link_probability,
-    mean_rss,
-    pseudo_range,
-    sample_rss,
-)
-from .connectivity import (
-    FdModel,
-    build_fd_model,
-    conn_error_sigma,
-    eval_fd,
-    fd_slope,
-    generic_f,
-    generic_s,
-    invert_fd,
-    load_fd_model,
-    save_fd_model,
-    threshold_distance,
-    unit_disk_f,
-)
-from .crlb import FisherInfo, crlb_distance, fim, rss_fisher_scale
-from .dataset import (
-    MeasurementSet,
-    PairEvaluation,
-    evaluate_pairs,
-    load_measurements,
-    save_measurements,
-    synthesize_measurements,
-)
-from .errors import (
-    ConfigurationError,
-    ModelConstructionError,
-    NumericError,
-    RangefuseError,
-)
-from .pipeline import estimate_pairs
-from .simulator import (
-    Deployment,
-    ExperimentConfig,
-    ExpectedErrors,
-    RmseReport,
-    RmseRow,
-    deploy_poisson,
-    expected_errors,
-    mu_to_lambda,
-    run_experiment,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelParams",
-    "ConfigurationError",
-    "Deployment",
-    "ExpectedErrors",
-    "ExperimentConfig",
-    "FdModel",
-    "FisherInfo",
-    "MeasurementSet",
-    "ModelConstructionError",
-    "NumericError",
-    "PairEvaluation",
-    "RangefuseError",
-    "RmseReport",
-    "RmseRow",
-    "build_fd_model",
-    "conn_error_sigma",
-    "crlb_distance",
-    "deploy_poisson",
-    "estimate_distance_rss",
-    "estimate_pairs",
-    "eval_fd",
-    "evaluate_pairs",
-    "expected_errors",
-    "fd_slope",
-    "fim",
-    "generic_f",
-    "generic_s",
-    "invert_fd",
-    "link_probability",
-    "load_fd_model",
-    "load_measurements",
-    "mean_rss",
-    "mu_to_lambda",
-    "pseudo_range",
-    "rss_fisher_scale",
-    "run_experiment",
-    "sample_rss",
-    "save_fd_model",
-    "save_measurements",
-    "synthesize_measurements",
-    "threshold_distance",
-    "unit_disk_f",
-]
+# each public name and the module that defines it
+_HOMES = {
+    name: module
+    for module, names in {
+        "channel": ("ChannelParams", "estimate_distance_rss", "link_probability", "mean_rss",
+                    "pseudo_range", "sample_rss"),
+        "config": ("ExperimentConfig",),
+        "connectivity": ("FdModel", "build_fd_model", "conn_error_sigma", "eval_fd", "fd_slope",
+                         "generic_f", "generic_s", "invert_fd", "load_fd_model", "mu_to_lambda",
+                         "save_fd_model", "threshold_distance", "unit_disk_f"),
+        "crlb": ("FisherInfo", "crlb_distance", "fim", "rss_fisher_scale"),
+        "dataset": ("MeasurementSet", "PairEvaluation", "evaluate_pairs", "load_measurements",
+                    "save_measurements", "synthesize_measurements"),
+        "errors": ("ConfigurationError", "ModelConstructionError", "NumericError",
+                   "RangefuseError"),
+        "pipeline": ("estimate_pairs",),
+        "simulator": ("Deployment", "ExpectedErrors", "RmseReport", "RmseRow", "deploy_poisson",
+                      "expected_errors", "run_experiment"),
+    }.items()
+    for name in names
+}
+
+_MODULES = frozenset({*_HOMES.values(), "cli", "fusion"})
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        # importing a submodule binds it in the package namespace
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,7 +12,10 @@ are the library's (pipeline, crlb), whose ValueError is a usage error here.
 Every error, the parser's included, is one "error: ..." line on stderr.
 Exit codes: 0 success, 2 usage, configuration or file error or a run too
 large for memory (say, a huge --mu), 3 numeric failure. A flag's value may
-start with '-' in either form: --rss -inf or --rss=-inf.
+start with '-' in either form: --rss -inf or --rss=-inf. The module loads
+what the parser and every command share; a command imports the rest of
+what it runs when it runs, so fd-table loads no simulator, pipeline or
+dataset.
 """
 
 from __future__ import annotations
@@ -25,17 +28,11 @@ import re
 import sys
 from dataclasses import MISSING, astuple, fields
 
-import numpy as np
-
 from .channel import ChannelParams
-from .config import _EXPERIMENT_TYPES, _real_path, load_config, parse_distances, write_atomic
-from .connectivity import build_fd_model, load_fd_model, save_fd_model
-from .crlb import crlb_distance
+from .config import (_EXPERIMENT_TYPES, ExperimentConfig, _real_path, load_config,
+                     parse_distances, write_atomic)
+from .connectivity import build_fd_model, load_fd_model, mu_to_lambda, save_fd_model
 from .errors import ConfigurationError, NumericError
-from .dataset import evaluate_pairs, load_measurements
-from .pipeline import (CONNECTIVITY_ONLY, NO_INFORMATION, RSS_ONLY, estimate_readings,
-                       sqrt_bounds)
-from .simulator import ExperimentConfig, mu_to_lambda, run_experiment
 
 # the help text of each ChannelParams field's flag, in field order; the
 # flag of field p_ref_dbm is --p-ref-dbm, and so on
@@ -123,6 +120,8 @@ def _cmd_fd_table(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import run_experiment
+
     params, settings = _resolve_settings(args)
     missing = [key for key in ("mu", "distances") if key not in settings]
     if missing:
@@ -141,6 +140,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
+    from .crlb import crlb_distance
+
     params, settings = _resolve_settings(args)
     if args.intensity is None and "mu" not in settings:
         raise ConfigurationError("supply --mu or --intensity")
@@ -156,6 +157,9 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from .pipeline import (CONNECTIVITY_ONLY, NO_INFORMATION, RSS_ONLY, estimate_readings,
+                           sqrt_bounds)
+
     params, settings = _resolve_settings(args)
     model = _resolve_model(args, params, settings)
     d_rss, est = estimate_readings(model, [args.rss], [args.m], [args.p], [args.q],
@@ -197,6 +201,8 @@ def _parse_pair(token: str) -> tuple:
 
 
 def _cmd_dataset(args) -> int:
+    from .dataset import evaluate_pairs, load_measurements
+
     params, settings = _resolve_settings(args)
     ms = load_measurements(args.input)
     pairs = [_parse_pair(token) for token in filter(None, map(str.strip, args.pairs.split(",")))]

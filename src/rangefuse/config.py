@@ -1,16 +1,19 @@
 """Flat key-value configuration files with [channel] and [experiment] sections.
 
-Also holds read_input and write_atomic, the one read of every input file
-of the package and the one write of every output file.
+Also holds ExperimentConfig, the checked settings of one RMSE experiment,
+next to the experiment keys that fill it, and read_input and write_atomic,
+the one read of every input file of the package and the one write of
+every output file.
 """
 
 from __future__ import annotations
 
 import configparser
 import errno
+import math
 import os
 import tempfile
-from dataclasses import MISSING, astuple, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 
 from .channel import ChannelParams
@@ -122,6 +125,40 @@ def parse_distances(text: str) -> tuple:
 # each experiment key and the reader of its value
 _EXPERIMENT_TYPES = {"mu": float, "distances": parse_distances, "trials": int, "seed": int,
                      "margin": float, "n_knots": int, "quad_tol": float}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One RMSE experiment: density, probe distances, trial count, seed, edge margin.
+
+    The channel is not part of it: run_experiment takes it from the f(d)
+    table it is given. The pair sits at the center of a square of side
+    (2 margin + 1) d_th, so margin >= 1 and d <= d_th (run_experiment) put
+    each endpoint at least d_th from every edge, up to rounding, for any
+    channel: the endpoints need no check of their own.
+    """
+
+    mu: float
+    distances: tuple
+    trials: int = 10000
+    seed: int = 0
+    margin: float = 1.5
+
+    def __post_init__(self):
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not 1.0 <= self.margin < math.inf:
+            raise ValueError(
+                f"margin must be finite and >= 1 cutoff distance, got {self.margin!r}"
+            )
+        distances = tuple(float(d) for d in self.distances)
+        if not distances or any(not d > 0.0 for d in distances):
+            raise ValueError(f"distances must be positive, got {self.distances!r}")
+        object.__setattr__(self, "distances", distances)
 
 
 def experiment_from_mapping(mapping) -> dict:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, fields
 from itertools import compress, count
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,7 +42,9 @@ from .config import read_input, write_atomic
 from .connectivity import FdModel
 from .errors import ConfigurationError
 from .pipeline import estimate_readings
-from .simulator import Deployment
+
+if TYPE_CHECKING:  # an annotation only: loading a file needs no simulator
+    from .simulator import Deployment
 
 # Pairs counted at a time: bounds the neighbor keys expanded at once.
 _CHUNK_PAIRS = 256

@@ -21,7 +21,6 @@ from dataclasses import asdict, astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .channel import (
     LN10,
@@ -30,8 +29,8 @@ from .channel import (
     pseudo_range,
     sample_rss,
 )
-from .config import write_atomic
-from .connectivity import FdModel, _model_point
+from .config import ExperimentConfig, write_atomic
+from .connectivity import FdModel, _model_point, mu_to_lambda
 from .crlb import crlb_distance
 from .errors import ConfigurationError
 from .pipeline import estimate_pairs
@@ -55,40 +54,6 @@ class Deployment:
             raise ValueError("all node positions must lie inside the region")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One RMSE experiment: density, probe distances, trial count, seed, edge margin.
-
-    The channel is not part of it: run_experiment takes it from the f(d)
-    table it is given. The pair sits at the center of a square of side
-    (2 margin + 1) d_th, so margin >= 1 and d <= d_th (run_experiment) put
-    each endpoint at least d_th from every edge, up to rounding, for any
-    channel: the endpoints need no check of their own.
-    """
-
-    mu: float
-    distances: tuple
-    trials: int = 10000
-    seed: int = 0
-    margin: float = 1.5
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not 1.0 <= self.margin < math.inf:
-            raise ValueError(
-                f"margin must be finite and >= 1 cutoff distance, got {self.margin!r}"
-            )
-        distances = tuple(float(d) for d in self.distances)
-        if not distances or any(not d > 0.0 for d in distances):
-            raise ValueError(f"distances must be positive, got {self.distances!r}")
-        object.__setattr__(self, "distances", distances)
 
 
 @dataclass(frozen=True)
@@ -120,15 +85,6 @@ class RmseReport:
 
     def write_json(self, path) -> None:
         write_atomic(path, json.dumps(self.to_dict(), indent=2) + "\n")
-
-
-def mu_to_lambda(mu: float, s_mass: float) -> float:
-    """Node intensity that yields an expected neighbor count of mu."""
-    if not 0.0 < mu < math.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu!r}")
-    if not 0.0 < s_mass < math.inf:
-        raise ValueError(f"s_mass must be positive and finite, got {s_mass!r}")
-    return mu / s_mass
 
 
 def deploy_poisson(side: float, intensity: float, rng: np.random.Generator) -> Deployment:
@@ -273,7 +229,7 @@ def expected_errors(model: FdModel, intensity: float, d: float) -> ExpectedError
                      _poisson_pmf(2.0 * intensity * (model.s_mass - f_val)))
     m, y = np.nonzero(joint > _PMF_FLOOR)
     w_counts = joint[m, y] / joint[m, y].sum()
-    z, w_z = hermegauss(_HERMITE_NODES)
+    z, w_z = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
     # like the count pmf, the range rule keeps only nodes whose weight
     # reaches the floor (30 of 40), renormalized
     kept = w_z / w_z.sum() >= _PMF_FLOOR

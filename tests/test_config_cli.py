@@ -1273,7 +1273,7 @@ class TestOutputPrecheck:
     @pytest.mark.parametrize("flag", ["--output", "--json"])
     def test_simulate_fails_before_running(self, cfg_path, tmp_path, capsys, monkeypatch,
                                            flag):
-        monkeypatch.setattr("rangefuse.cli.run_experiment", _never)
+        monkeypatch.setattr("rangefuse.simulator.run_experiment", _never)
         monkeypatch.setattr("rangefuse.cli.build_fd_model", _never)
         paths = {"--output": tmp_path / "ok.csv", "--json": tmp_path / "ok.json"}
         paths[flag] = tmp_path / "absent" / "x"
@@ -1290,8 +1290,9 @@ class TestOutputPrecheck:
         ["fd-table"],
     ])
     def test_other_commands(self, cfg_path, tmp_path, capsys, monkeypatch, command):
-        for name in ("build_fd_model", "load_measurements", "evaluate_pairs"):
-            monkeypatch.setattr(f"rangefuse.cli.{name}", _never)
+        for target in ("cli.build_fd_model", "dataset.load_measurements",
+                       "dataset.evaluate_pairs"):
+            monkeypatch.setattr(f"rangefuse.{target}", _never)
         meas = tmp_path / "meas.txt"
         meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
         argv = [str(meas) if token == "IN" else token for token in command]
@@ -1309,7 +1310,7 @@ class TestOutputPrecheck:
     ], ids=["simulate-output", "simulate-json", "fd-table"])
     def test_output_that_is_a_directory(self, cfg_path, tmp_path, capsys, monkeypatch,
                                         command, flag):
-        monkeypatch.setattr("rangefuse.cli.run_experiment", _never)
+        monkeypatch.setattr("rangefuse.simulator.run_experiment", _never)
         monkeypatch.setattr("rangefuse.cli.build_fd_model", _never)
         folder = tmp_path / "taken"
         folder.mkdir()
@@ -1324,7 +1325,7 @@ class TestOutputPrecheck:
     @pytest.mark.parametrize("json_path", ["r.csv", "./r.csv", "sub/../r.csv"])
     def test_output_and_json_naming_one_file(self, cfg_path, tmp_path, capsys, monkeypatch,
                                              json_path):
-        monkeypatch.setattr("rangefuse.cli.run_experiment", _never)
+        monkeypatch.setattr("rangefuse.simulator.run_experiment", _never)
         monkeypatch.setattr("rangefuse.cli.build_fd_model", _never)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
@@ -1352,8 +1353,9 @@ class TestOutputPrecheck:
             "crlb-table", "fd-table-config", "simulate-json-config"])
     def test_output_naming_an_input(self, cfg_path, tmp_path, capsys, monkeypatch, model44,
                                     command, reason):
-        for name in ("build_fd_model", "load_fd_model", "load_measurements", "run_experiment"):
-            monkeypatch.setattr(f"rangefuse.cli.{name}", _never)
+        for target in ("cli.build_fd_model", "cli.load_fd_model", "dataset.load_measurements",
+                       "simulator.run_experiment"):
+            monkeypatch.setattr(f"rangefuse.{target}", _never)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         (tmp_path / "meas.txt").write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
@@ -1372,7 +1374,7 @@ class TestOutputPrecheck:
     def test_output_that_is_a_symlink_loop(self, cfg_path, tmp_path, capsys, monkeypatch,
                                            flag):
         # open("loop.csv", "w") fails with ELOOP; the link must not be replaced
-        monkeypatch.setattr("rangefuse.cli.run_experiment", _never)
+        monkeypatch.setattr("rangefuse.simulator.run_experiment", _never)
         monkeypatch.setattr("rangefuse.cli.build_fd_model", _never)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "loop.csv").symlink_to("loop.csv")

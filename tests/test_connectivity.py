@@ -597,6 +597,18 @@ class TestBandRule:
         tolerance = abs(fine - coarse) + 100.0 * np.finfo(float).eps * size
         assert abs(tails[0] - fine) <= tolerance
 
+    def test_panel_steps_are_the_legendre_rule(self):
+        # the rule made on first use keeps the bits of the 10-point
+        # Gauss-Legendre rule mapped to [0, 1] and through the smoothstep
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+        for n in (1, 2, 4, 8, 16, 32, 64):
+            t = ((np.arange(n)[:, None] + nodes) / n).ravel()
+            steps, step_weights = rf.connectivity._panel_steps(n)
+            assert steps.tobytes() == (t * t * (3.0 - 2.0 * t)).tobytes()
+            assert step_weights.tobytes() == (
+                6.0 * t * (1.0 - t) * np.tile(weights / n, n)).tobytes()
+
     def test_column_sums_do_not_depend_on_the_chunk(self):
         # a column is summed top to bottom alone, in a pair and among many
         rng = np.random.default_rng(29)

@@ -8,6 +8,8 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import rangefuse as rf
 from rangefuse import cli, config
 
@@ -26,6 +28,35 @@ class TestPublicNames:
         namespace = {}
         exec("from rangefuse import *", namespace)
         assert set(rf.__all__) <= set(namespace)
+
+    def test_dir_lists_every_name(self):
+        assert set(rf.__all__) <= set(dir(rf))
+        # also before any name has been looked up, as in a fresh interpreter
+        code = "import rangefuse as rf; print(set(rf.__all__) <= set(dir(rf)))"
+        assert _run_python(code) == "True"
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            rf.no_such_name
+
+    def test_submodules_resolve_on_first_use(self):
+        # a fresh interpreter, so no earlier import has bound them
+        code = ("import sys, rangefuse as rf; rf.fusion.fuse_arrays; rf.simulator._draw_probe\n"
+                "names = [p.stem for p in __import__('pathlib').Path(rf.__file__).parent.glob('*.py')]\n"
+                "print([n for n in names if n != '__init__'"
+                " and getattr(rf, n) is not sys.modules['rangefuse.' + n]])")
+        assert _run_python(code) == "[]"
+
+    def test_each_name_is_its_home_modules(self):
+        # the root hands out the object its defining module holds
+        for name in rf.__all__:
+            obj = getattr(rf, name)
+            assert obj.__module__.startswith("rangefuse.")
+            assert obj is getattr(sys.modules[obj.__module__], name)
+
+    def test_moved_names_stay_in_the_simulator(self):
+        from rangefuse.simulator import ExperimentConfig, mu_to_lambda
+        assert ExperimentConfig is rf.ExperimentConfig and mu_to_lambda is rf.mu_to_lambda
 
 
 class TestOneChannelSource:
@@ -169,3 +200,54 @@ def test_commands_leave_scipy_unloaded(tmp_path, model44):
     # the last line, a control import in the same process, shows that the
     # check can see scipy
     assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "True"]
+
+
+_LOADED = ('print(*sorted(name for name in sys.modules '
+           'if name.startswith(("rangefuse.", "numpy.polynomial"))))')
+
+
+def test_bare_import_loads_no_module():
+    loaded = _run_python("import sys, rangefuse\n" + _LOADED).split()
+    assert [name for name in loaded if name.startswith("rangefuse.")] == []
+
+
+def test_table_load_loads_only_what_it_reads(tmp_path, model44):
+    table = tmp_path / "fd.txt"
+    rf.save_fd_model(model44, table)
+    code = "import sys, rangefuse\nrangefuse.load_fd_model(sys.argv[1])\n" + _LOADED
+    assert _run_python(code, str(table)).split() == [
+        "rangefuse.channel", "rangefuse.config", "rangefuse.connectivity", "rangefuse.errors"]
+
+
+_COMMAND_CODE = """
+import contextlib, io, sys
+from rangefuse.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(name[10:] for name in sys.modules if name.startswith("rangefuse.")))
+"""
+
+
+@pytest.mark.parametrize("argv, runs, unloaded", [
+    (["fd-table", "--n-knots", "8", "--quad-tol", "1e-3", "--output", "OUT"], "connectivity",
+     {"dataset", "simulator", "pipeline", "fusion", "crlb"}),
+    (["estimate", "--fd-table", "TABLE", "--rss", "-80", "--m", "3", "--p", "2", "--q", "2"],
+     "pipeline", {"dataset", "simulator"}),
+    (["crlb", "--fd-table", "TABLE", "--mu", "10", "--output", "OUT"], "crlb",
+     {"dataset", "simulator"}),
+    (["dataset", "--fd-table", "TABLE", "--input", "MEAS", "--pairs", "1-2", "--output", "OUT"],
+     "dataset", {"simulator"}),
+    (["simulate", "--fd-table", "TABLE", "--mu", "10", "--trials", "2", "--distances", "20",
+      "--output", "OUT"], "simulator", {"dataset"}),
+], ids=["fd-table", "estimate", "crlb", "dataset", "simulate"])
+def test_a_command_loads_only_what_it_runs(tmp_path, model44, argv, runs, unloaded):
+    paths = {"TABLE": tmp_path / "fd.txt", "MEAS": tmp_path / "meas.txt", "OUT": tmp_path / "out"}
+    rf.save_fd_model(model44, paths["TABLE"])
+    paths["MEAS"].write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n")
+    channel = ["--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", "4",
+               "--rss-threshold-dbm", "-100"]
+    code, *loaded = _run_python(_COMMAND_CODE, argv[0], *channel,
+                                *(str(paths.get(token, token)) for token in argv[1:])).split()
+    # the module the command runs is loaded, so the check can see modules
+    assert code == "0" and runs in loaded
+    assert unloaded & set(loaded) == set()
