@@ -5,17 +5,19 @@ simulate (Monte Carlo RMSE report), crlb (variance lower-bound curve),
 estimate (one pair from an RSS reading and neighbor counts), dataset
 (evaluate measured deployments). The other four build the f(d) table of
 their channel, in some 0.02 s at the default size, unless --fd-table names
-one that fd-table saved. A command parses its arguments, prints warnings
-and writes its results; the checks of readings, counts, distances and the
-channel, and how a reading and counts become an estimate and an error bar,
-are the library's (pipeline, crlb), whose ValueError is a usage error here.
-Every error, the parser's included, is one "error: ..." line on stderr.
-Exit codes: 0 success, 2 usage, configuration or file error or a run too
-large for memory (say, a huge --mu), 3 numeric failure. A flag's value may
-start with '-' in either form: --rss -inf or --rss=-inf. The module loads
-what the parser and every command share; a command imports the rest of
-what it runs when it runs, so fd-table loads no simulator, pipeline or
-dataset.
+one that fd-table saved; that table then supplies the channel, which the
+flags and config file may leave out, or state whole and equal. dataset
+evaluates every link of its file unless --pairs names some. A command
+parses its arguments, prints warnings and writes its results; the checks of
+readings, counts, distances and the channel, and how a reading and counts
+become an estimate and an error bar, are the library's (pipeline, crlb),
+whose ValueError is a usage error here. Every error, the parser's included,
+is one "error: ..." line on stderr. Exit codes: 0 success, 2 usage,
+configuration or file error or a run too large for memory (say, a huge
+--mu), 3 numeric failure. A flag's value may start with '-' in either form:
+--rss -inf or --rss=-inf. The module loads what the parser and every
+command share; a command imports the rest of what it runs when it runs, so
+fd-table loads no simulator, pipeline or dataset.
 """
 
 from __future__ import annotations
@@ -49,22 +51,24 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _add_channel_arguments(parser):
+def _add_channel_arguments(parser, note=""):
     parser.add_argument("--config", help="config file with [channel] and [experiment] "
                                          "sections; flags beat its settings")
     for name, help_text in _CHANNEL_FLAGS.items():
-        parser.add_argument(_flag(name), type=float, default=None, help=help_text)
+        parser.add_argument(_flag(name), type=float, default=None, help=help_text + note)
 
 
-def _add_table_arguments(parser):
+def _add_table_arguments(parser, knots_note="", tol_note=""):
     parser.add_argument("--n-knots", type=int, default=None,
-                        help="table size for the f(d) model (>= 8, default 64)")
+                        help=f"table size for the f(d) model (>= 8, default 64{knots_note})")
     parser.add_argument("--quad-tol", type=float, default=None,
-                        help="relative quadrature tolerance (default 1e-6)")
+                        help=f"relative quadrature tolerance (default 1e-6{tol_note})")
 
 
 def _add_model_arguments(parser):
-    _add_table_arguments(parser)
+    """The channel, table and --fd-table flags of a command that may load its table."""
+    _add_channel_arguments(parser, "; taken from --fd-table when no channel is given")
+    _add_table_arguments(parser, "; must equal --fd-table's", "; unused with --fd-table")
     parser.add_argument("--fd-table", default=None,
                         help="load the f(d) model from this file instead of building it")
 
@@ -74,44 +78,55 @@ def _resolve_settings(args) -> tuple:
 
     Reads --config once. Each given flag overlays the key of its name:
     channel flags the [channel] section, the others the [experiment] one.
-    The table settings default to 64 knots and quad_tol 1e-6.
+    With --fd-table and no channel stated, the channel is None: the table
+    supplies it. The table settings default to 64 knots and quad_tol 1e-6,
+    which only a table built here takes; a loaded one holds its own.
     """
+    table = getattr(args, "fd_table", None)
     base, settings = load_config(args.config) if args.config else (None, {})
     channel = {} if base is None else dict(zip(_CHANNEL_FLAGS, astuple(base)))
     channel.update({name: getattr(args, name) for name in _CHANNEL_FLAGS
                     if getattr(args, name) is not None})
     settings.update({key: getattr(args, key) for key in _EXPERIMENT_TYPES
                      if getattr(args, key, None) is not None})
-    for item in fields(ChannelParams):
-        if item.name not in channel and item.default is MISSING:
-            raise ConfigurationError(f"channel parameter {item.name} missing: "
-                                     f"supply {_flag(item.name)} or a config file")
-    params = ChannelParams(**channel)
-    n_knots, quad_tol = settings.setdefault("n_knots", 64), settings.setdefault("quad_tol", 1e-6)
+    params = None  # the table's, when it is given and no channel is stated
+    if channel or not table:
+        for item in fields(ChannelParams):
+            if item.name not in channel and item.default is MISSING:
+                raise ConfigurationError(f"channel parameter {item.name} missing: "
+                                         f"supply {_flag(item.name)} or a config file")
+        params = ChannelParams(**channel)
+    n_knots, quad_tol = settings.get("n_knots", 64), settings.get("quad_tol", 1e-6)
     if n_knots < 8:
         raise ConfigurationError(f"--n-knots must be >= 8, got {n_knots}")
     if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
         raise ConfigurationError(f"--quad-tol must be positive and finite, got {quad_tol}")
+    if not table:
+        settings.update(n_knots=n_knots, quad_tol=quad_tol)
     return params, settings
 
 
-def _resolve_model(args, params: ChannelParams, settings: dict):
-    """The f(d) table for the channel: loaded from --fd-table, else built.
+def _resolve_model(args, params, settings: dict):
+    """The f(d) table: loaded from --fd-table, else built for params.
 
-    The library takes the channel from the table alone, so this is where
-    the channel of the flags and config file is checked against a loaded one.
+    The library takes the channel from the table alone, so this is where a
+    loaded table meets the flags and config file: a stated channel (params
+    not None) and a stated knot count must be the table's.
     """
-    if not args.fd_table:
+    table = getattr(args, "fd_table", None)
+    if not table:
         return build_fd_model(params, settings["n_knots"], settings["quad_tol"])
-    model = load_fd_model(args.fd_table)
-    if model.params != params:
-        raise ConfigurationError(f"{args.fd_table} was built for different channel parameters")
+    model = load_fd_model(table)
+    if params not in (None, model.params):
+        raise ConfigurationError(f"{table} was built for different channel parameters")
+    if settings.get("n_knots", model.n_knots) != model.n_knots:
+        raise ConfigurationError(
+            f"{table} has {model.n_knots} knots, not the {settings['n_knots']} stated")
     return model
 
 
 def _cmd_fd_table(args) -> int:
-    params, settings = _resolve_settings(args)
-    model = build_fd_model(params, settings["n_knots"], settings["quad_tol"])
+    model = _resolve_model(args, *_resolve_settings(args))
     save_fd_model(model, args.output)
     print(f"s_mass = {model.s_mass!r}")
     print(f"d_th = {model.d_th!r}")
@@ -173,7 +188,7 @@ def _cmd_estimate(args) -> int:
         (not conn, "all-zero counts: no intensity estimate, connectivity unusable"
          if args.intensity is None else "zero intensity supplied: connectivity unusable"),
         (not usable, "RSS below the link threshold: treated as uninformative"),
-        (status == RSS_ONLY and params.sigma_db == 0.0,
+        (status == RSS_ONLY and model.params.sigma_db == 0.0,
          "noise-free channel: the RSS estimate is exact"),
         (status == CONNECTIVITY_ONLY and d_conn == 0.0,
          "zero connectivity estimate with no usable RSS"),
@@ -205,9 +220,11 @@ def _cmd_dataset(args) -> int:
 
     params, settings = _resolve_settings(args)
     ms = load_measurements(args.input)
-    pairs = [_parse_pair(token) for token in filter(None, map(str.strip, args.pairs.split(",")))]
-    if not pairs:
-        raise ConfigurationError("no pairs requested")
+    pairs = ms.links if args.pairs is None else [
+        _parse_pair(token) for token in filter(None, map(str.strip, args.pairs.split(",")))]
+    if not len(pairs):
+        raise ConfigurationError("no pairs requested" if args.pairs is not None
+                                 else f"no links in {args.input}")
     model = _resolve_model(args, params, settings)
     result = evaluate_pairs(ms, pairs, model, intensity=args.intensity)
     for i, j in result.pairs[~result.measured].tolist():
@@ -239,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fd.set_defaults(func=_cmd_fd_table)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo RMSE experiment")
-    _add_channel_arguments(p_sim)
     _add_model_arguments(p_sim)
     p_sim.add_argument("--mu", type=float, default=None,
                        help="expected neighbor count per node")
@@ -257,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_crlb = sub.add_parser("crlb", help="variance lower-bound curve as CSV")
-    _add_channel_arguments(p_crlb)
     _add_model_arguments(p_crlb)
     p_crlb.add_argument("--mu", type=float, default=None,
                         help="expected neighbor count per node (default: the config file's mu)")
@@ -270,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crlb.set_defaults(func=_cmd_crlb)
 
     p_est = sub.add_parser("estimate", help="estimate one pair's distance")
-    _add_channel_arguments(p_est)
     _add_model_arguments(p_est)
     p_est.add_argument("--rss", type=float, required=True, help="measured RSS, dBm")
     p_est.add_argument("--m", type=int, required=True, help="common neighbors")
@@ -281,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=_cmd_estimate)
 
     p_data = sub.add_parser("dataset", help="evaluate a measured deployment")
-    _add_channel_arguments(p_data)
     _add_model_arguments(p_data)
     p_data.add_argument("--input", required=True, help="measurement file")
-    p_data.add_argument("--pairs", required=True,
-                        help="comma-separated id pairs, e.g. 24-25,15-23")
+    p_data.add_argument("--pairs", default=None,
+                        help="comma-separated id pairs, e.g. 24-25,15-23 "
+                             "(default: every link in the file)")
     p_data.add_argument("--intensity", type=float, default=None,
                         help="node intensity; estimated from each pair's counts when omitted")
     p_data.add_argument("--output", required=True, help="CSV error table path")

@@ -20,7 +20,7 @@ import rangefuse as rf
 from rangefuse import cli, config
 from rangefuse.cli import main
 from rangefuse.pipeline import estimate_readings, sqrt_bounds
-from conftest import PARAMS_44, PARAMS_FIELD, penalty, save_damaged_table
+from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, penalty, save_damaged_table
 
 CFG_44 = """\
 [channel]
@@ -723,6 +723,35 @@ class TestDatasetCommand:
         assert capsys.readouterr() == ("", "error: no pairs requested\n")
         assert not out.exists()
 
+    def test_every_link_when_no_pairs_are_given(self, tmp_path, capsys, model_field):
+        rng = np.random.default_rng(36)
+        dep = rf.deploy_poisson(3.0 * model_field.d_th, 14.0 / model_field.s_mass, rng)
+        ms = rf.synthesize_measurements(dep, PARAMS_FIELD, rng)
+        meas, table = tmp_path / "meas.txt", tmp_path / "field.fd"
+        rf.save_measurements(ms, meas)
+        rf.save_fd_model(model_field, table)
+        every = ",".join(f"{lo}-{hi}" for lo, hi in ms.links.tolist())
+        written = []
+        for pairs in ([], [f"--pairs={every}"]):
+            out = tmp_path / f"errors{len(written)}.csv"
+            assert main(["dataset", "--fd-table", str(table), "--input", str(meas), *pairs,
+                         "--output", str(out)]) == 0
+            assert capsys.readouterr() == ("", "")
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 1 + len(ms.links) > 20
+
+    def test_file_without_links_and_no_pairs(self, tmp_path, capsys):
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n")
+        out = tmp_path / "x.csv"
+        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                     "--input", str(meas), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: no links in {meas}\n")
+        assert not out.exists()
+
     def test_overflowing_coordinates_give_infinite_distance(self, tmp_path, capsys):
         # both coordinates are finite, but their difference is not
         meas = tmp_path / "meas.txt"
@@ -1034,6 +1063,8 @@ class TestTableForAnotherChannel:
     @pytest.mark.parametrize("command", [
         ["simulate"],
         ["dataset", "--input", "IN", "--pairs", "1-2"],
+        ["crlb"],
+        ["estimate", "--rss", "-60", "--m", "5", "--p", "8", "--q", "7"],
     ])
     def test_fd_table_is_usage_error(self, cfg_path, tmp_path, capsys, model_field, command):
         table, out = tmp_path / "field.fd", tmp_path / "out.csv"
@@ -1042,7 +1073,7 @@ class TestTableForAnotherChannel:
         meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
         argv = [str(meas) if token == "IN" else token for token in command]
         code = main(argv + ["--config", str(cfg_path), "--fd-table", str(table),
-                            "--output", str(out)])
+                            *(["--output", str(out)] if command[0] != "estimate" else [])])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == f"error: {table} was built for different channel parameters\n"
@@ -1158,7 +1189,7 @@ def _drop_flag(argv, flag):
 _MALFORMED = {
     "unknown-flag": lambda argv: [*argv, "--bogus", "1"],
     "missing-required-flag": lambda argv: _drop_flag(
-        argv, {"estimate": "--rss", "dataset": "--pairs"}.get(argv[0], "--output")),
+        argv, {"estimate": "--rss", "dataset": "--input"}.get(argv[0], "--output")),
     "flag-without-value": lambda argv: [*argv, "--alpha"],
     "bad-int": lambda argv: [*argv, "--n-knots", "8.5"],
     "bad-float": lambda argv: [*argv, "--quad-tol", "tiny"],
@@ -1261,6 +1292,81 @@ class TestOneErrorPath:
                 "--m", "1", "--p", "1", "--q", "1"]
         assert self._run(tmp_path, capsys, argv) == (
             2, ("", "error: RSS observation must be finite, got -inf\n"))
+
+
+# the channel flags of PARAMS_44, every one stated
+_CHANNEL_44 = [f"{cli._flag(name)}={value!r}"
+               for name, value in zip(cli._CHANNEL_FLAGS, dataclasses.astuple(PARAMS_44))]
+
+
+class TestTableSuppliesTheChannel:
+    """With --fd-table and no channel stated, a command takes the table's channel."""
+
+    MISSING = "error: channel parameter p_ref_dbm missing: supply --p-ref-dbm or a config file\n"
+
+    @staticmethod
+    def _run(tmp_path, capsys, argv, model=PARAMS_44):
+        """main's exit code and output on argv, and the bytes of each file it wrote.
+
+        A run writes into a directory of its own. IN stands for a three-node
+        measurement file, TABLE for the 8-knot table of model's channel, OUT
+        and JSON for output paths.
+        """
+        meas, table = tmp_path / "meas.txt", tmp_path / "table.fd"
+        meas.write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n1, 3, -50\n")
+        rf.save_fd_model(rf.build_fd_model(model, 8, 1e-3), table)
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        paths = {"IN": str(meas), "TABLE": str(table), "OUT": str(run / "out"),
+                 "JSON": str(run / "out.json")}
+        code = main([paths.get(token, token) for token in argv])
+        return code, capsys.readouterr(), {path.name: path.read_bytes()
+                                           for path in sorted(run.iterdir())}
+
+    @pytest.mark.parametrize("experiment", [None, "[experiment]\nseed = 5\nmu = 20\n"],
+                             ids=["flags", "experiment-config"])
+    @pytest.mark.parametrize("command", ["simulate", "crlb", "estimate", "dataset"])
+    def test_same_bytes_as_the_whole_channel(self, tmp_path, capsys, command, experiment):
+        argv = [*_WHOLE_COMMANDS[command], "--fd-table", "TABLE",
+                *(["--json", "JSON"] if command == "simulate" else [])]
+        if experiment:
+            cfg = tmp_path / "experiment.ini"
+            cfg.write_text(experiment)
+            argv += ["--config", str(cfg)]
+        whole = self._run(tmp_path, capsys, argv + _CHANNEL_44)
+        assert whole[0] == 0
+        assert sorted(whole[2]) == {"simulate": ["out", "out.json"],
+                                    "estimate": []}.get(command, ["out"])
+        assert self._run(tmp_path, capsys, argv) == whole
+
+    def test_noise_free_note_reads_the_tables_channel(self, tmp_path, capsys):
+        argv = ["estimate", "--fd-table", "TABLE", "--rss", "-60", "--m", "4", "--p", "2",
+                "--q", "2"]
+        code, captured, _ = self._run(tmp_path, capsys, argv, PARAMS_DISK)
+        assert code == 0
+        assert captured.err == "warning: noise-free channel: the RSS estimate is exact\n"
+        assert captured.out.endswith("sqrt_crlb = nan\nstatus = rss_only\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "crlb", "estimate", "dataset"])
+    def test_partial_channel_is_one_error_line(self, tmp_path, capsys, command):
+        argv = [*_WHOLE_COMMANDS[command], "--fd-table", "TABLE", "--alpha", "4"]
+        assert self._run(tmp_path, capsys, argv) == (2, ("", self.MISSING), {})
+
+    def test_fd_table_command_needs_a_channel(self, tmp_path, capsys):
+        argv = _WHOLE_COMMANDS["fd-table"]
+        assert self._run(tmp_path, capsys, argv) == (2, ("", self.MISSING), {})
+
+    @pytest.mark.parametrize("stated", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "crlb", "estimate", "dataset"])
+    def test_knot_count_other_than_the_tables(self, tmp_path, capsys, command, stated):
+        cfg = tmp_path / "knots.ini"
+        cfg.write_text("[experiment]\nn_knots = 9\n")
+        given = ["--n-knots", "9"] if stated == "flag" else ["--config", str(cfg)]
+        argv = [*_WHOLE_COMMANDS[command], "--fd-table", "TABLE"]
+        assert self._run(tmp_path, capsys, argv + given) == (
+            2, ("", f"error: {tmp_path / 'table.fd'} has 8 knots, not the 9 stated\n"), {})
+        # the table's own count, and no count at all (the default 64 is not checked)
+        for agreed in (["--n-knots", "8"], []):
+            assert self._run(tmp_path, capsys, argv + agreed)[0] == 0
 
 
 def _never(*args, **kwargs):
