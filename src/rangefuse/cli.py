@@ -97,10 +97,13 @@ def _resolve_settings(args) -> tuple:
                                          f"supply {_flag(item.name)} or a config file")
         params = ChannelParams(**channel)
     n_knots, quad_tol = settings.get("n_knots", 64), settings.get("quad_tol", 1e-6)
-    if n_knots < 8:
-        raise ConfigurationError(f"--n-knots must be >= 8, got {n_knots}")
-    if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
-        raise ConfigurationError(f"--quad-tol must be positive and finite, got {quad_tol}")
+    for key, ok, rule in (("n_knots", n_knots >= 8, "must be >= 8"),
+                          ("quad_tol", quad_tol > 0.0 and math.isfinite(quad_tol),
+                           "must be positive and finite")):
+        if not ok:  # the defaults pass, so the flag or the config file gave the value
+            source = (_flag(key) if getattr(args, key) is not None
+                      else f"{args.config}: [experiment] {key}")
+            raise ConfigurationError(f"{source} {rule}, got {settings[key]}")
     if not table:
         settings.update(n_knots=n_knots, quad_tol=quad_tol)
     return params, settings

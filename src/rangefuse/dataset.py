@@ -8,7 +8,13 @@ as symmetric: when both directions of a pair appear, their mean is used.
 A MeasurementSet holds a deployment as columns: the node ids (int64) in
 file order, their (n, 2) coordinates, the unique links as (lo, hi) node-id
 pairs sorted by (lo, hi), and each link's mean RSS; constructing one checks
-it. The loader reads each section with numpy's text reader, whose numbers
+it. Node ids may be any distinct int64 values. Wherever an id is looked
+up, _rank_ids turns it into its rank among the sorted ids: by its offset
+from the first when the ids are consecutive integers (1..n, say), by
+binary search otherwise. Link and neighbor keys are found by binary
+search (_locate).
+
+The loader reads each section with numpy's text reader, whose numbers
 are ASCII only (no '_' separators, no other scripts' digits), checks the
 one rule a set cannot see (both ends of every RSS row are defined on an
 earlier line), averages both directions of each link and builds the set;
@@ -30,8 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import compress, count
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,6 +63,36 @@ def _locate(sorted_values: np.ndarray, values) -> tuple:
     if sorted_values.size == 0:
         return at, np.zeros(at.shape, dtype=bool)
     return at, sorted_values[np.minimum(at, sorted_values.size - 1)] == values
+
+
+def _rank_ids(sorted_ids: np.ndarray, ids) -> tuple:
+    """_locate for int64 node ids among the strictly increasing sorted_ids.
+
+    Where sorted_ids are consecutive integers (1..n, say), an id's
+    insertion point is its offset from the first, clipped to [0, size], and
+    no search is made; the span is taken in Python ints and the offset after
+    clipping, so neither wraps at the int64 ends.
+    """
+    size, ids = sorted_ids.size, np.asarray(ids)
+    if size:
+        first, last = sorted_ids[[0, -1]].tolist()
+        if last - first == size - 1:
+            at = np.clip(ids, first, last)
+            known = at == ids
+            at -= first
+            at += ids > last
+            return at, known
+    return _locate(sorted_ids, ids)
+
+
+def _sort_ids(ids: np.ndarray) -> tuple:
+    """The stable sorting order of the node ids and the ids sorted; a repeated id raises."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    twice = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+    if twice.size:
+        raise ConfigurationError(f"duplicate node id {sorted_ids[twice[0]]}")
+    return order, sorted_ids
 
 
 class _Columns:
@@ -106,15 +140,11 @@ class MeasurementSet(_Columns):
         lo_hi = np.stack([np.minimum(*ends), np.maximum(*ends)])
         links = lo_hi.T
         link_rss = np.asarray(self.link_rss, dtype=float).reshape(len(links))
-        rows = np.argsort(ids, kind="stable")
-        sorted_ids = ids[rows]
-        twice = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
-        if twice.size:
-            raise ConfigurationError(f"duplicate node id {sorted_ids[twice[0]]}")
+        rows, sorted_ids = _sort_ids(ids)
         bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
         if bad.size:
             raise ConfigurationError(f"node {ids[bad[0]]} has non-finite coordinates")
-        ranks, known = _locate(sorted_ids, lo_hi)
+        ranks, known = _rank_ids(sorted_ids, lo_hi)
         for bad, what in ((~(known[0] & known[1]), "references an unknown node"),
                           (links[:, 0] == links[:, 1], "links a node to itself"),
                           (~np.isfinite(link_rss), "has a non-finite reading")):
@@ -145,7 +175,6 @@ _ROW_FORMS = {
     "rss": ("'id_i, id_j, rss_dbm'",
             np.dtype([("id_i", np.int64), ("id_j", np.int64), ("rss_dbm", float)])),
 }
-_FIRST_CHAR = itemgetter(slice(None, 1))
 
 
 def _parse_section(lines: list, at: np.ndarray, section: str) -> tuple:
@@ -167,11 +196,10 @@ def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray) -> Me
     """
     ids, x, y = _parse_section(lines, node_at, "nodes")
     first, second, value = _parse_section(lines, rss_at, "rss")
-    # the stable sort keeps an id's rows in file order, so each end's rank is its first row
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
+    # _rank_ids needs the ids unique, so a repeated id fails here as in MeasurementSet
+    order, sorted_ids = _sort_ids(ids)
     ends = np.stack([first, second])
-    ranks, known = _locate(sorted_ids, ends)
+    ranks, known = _rank_ids(sorted_ids, ends)
     # an unknown end may have rank n; the appended row keeps the lookup in range
     defined = known & (np.append(node_at[order], 0)[ranks] < rss_at)
     if not defined.all():
@@ -223,9 +251,8 @@ def load_measurements(path) -> MeasurementSet:
     """Parse a measurement file; a fault is reported at its earliest line."""
     path = Path(path)
     lines = list(map(str.strip, read_input(path, "measurement").splitlines()))
-    # blank and '#' lines hold no data (their first character, '' or '#', is
-    # in '#'); the markers among them open sections
-    skipped = list(compress(count(), map("#".__contains__, map(_FIRST_CHAR, lines))))
+    # blank and '#' lines hold no data; the markers among them open sections
+    skipped = [k for k, line in enumerate(lines) if not line or line[0] == "#"]
     markers = [(k, name) for k in skipped
                if (name := lines[k][1:].strip().lower()) in _ROW_FORMS]
     data = np.delete(np.arange(len(lines)), skipped)
@@ -335,7 +362,7 @@ def evaluate_pairs(ms: MeasurementSet, pairs, model: FdModel,
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         raise ConfigurationError("a pair references an id outside the int64 range") from None
-    ranks, known = _locate(ms._sorted_ids, pairs)
+    ranks, known = _rank_ids(ms._sorted_ids, pairs)
     if not known.all():
         i, j = pairs[np.argmin(known[:, 0] & known[:, 1])].tolist()
         raise ConfigurationError(f"pair ({i}, {j}) references an unknown node id")

@@ -316,11 +316,36 @@ class TestFdTableCommand:
         code = main(["fd-table", "--config", str(cfg), "--n-knots", "8", *flags,
                      "--output", str(out)])
         captured = capsys.readouterr()
+        source = f"{cfg}: [experiment] quad_tol" if source == "config" else "--quad-tol"
         assert code == 2
-        assert captured.err == ("error: --quad-tol must be positive and finite, "
+        assert captured.err == (f"error: {source} must be positive and finite, "
                                 f"got {float(quad_tol)}\n")
         assert captured.out == ""
         assert not out.exists()
+
+    # the error names what gave the value: the flag, or the config file and its key
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["fd-table", "crlb"])
+    def test_too_few_knots_names_their_source(self, tmp_path, capsys, model44, source,
+                                              command):
+        cfg, table, out = tmp_path / "cfg.ini", tmp_path / "fd.txt", tmp_path / "x.out"
+        cfg.write_text(CFG_44 + ("n_knots = 4\n" if source == "config" else ""))
+        rf.save_fd_model(model44, table)
+        flags = ["--n-knots", "4"] if source == "flag" else []
+        if command == "crlb":
+            flags += ["--fd-table", str(table)]
+        code = main([command, "--config", str(cfg), *flags, "--output", str(out)])
+        source = f"{cfg}: [experiment] n_knots" if source == "config" else "--n-knots"
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {source} must be >= 8, got 4\n")
+        assert not out.exists()
+
+    def test_flag_beats_a_bad_config_value(self, tmp_path):
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "x.fd"
+        cfg.write_text(CFG_44 + "n_knots = 4\nquad_tol = 0\n")
+        assert main(["fd-table", "--config", str(cfg), "--n-knots", "8", "--quad-tol", "1e-3",
+                     "--output", str(out)]) == 0
+        assert rf.load_fd_model(out).n_knots == 8
 
 
 class TestSimulateCommand:
@@ -740,6 +765,58 @@ class TestDatasetCommand:
             written.append(out.read_bytes())
         assert written[0] == written[1]
         assert len(written[0].splitlines()) == 1 + len(ms.links) > 20
+
+    @pytest.mark.parametrize("token", ["9223372036854775808-1", "1:-9223372036854775809"])
+    def test_pair_id_outside_int64(self, tmp_path, capsys, token):
+        meas = tmp_path / "meas.txt"
+        meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
+        out = tmp_path / "x.csv"
+        code = main(["dataset", "--p-ref-dbm", "-37.47", "--alpha", "2.3",
+                     "--sigma-db", "3.92", "--rss-threshold-dbm", "-55",
+                     "--n-knots", "8", "--quad-tol", "1e-3",
+                     "--input", str(meas), f"--pairs={token}", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: a pair references an id outside the int64 range\n")
+        assert not out.exists()
+
+    def test_ids_numbered_or_not_give_one_table(self, tmp_path, capsys, model_field):
+        # ids 1..n take _rank_ids's offset path, and the same field relabelled
+        # to ids with gaps, both signs and both int64 ends takes its search;
+        # the relabelling keeps the ids' order, so only the pair column differs
+        rng = np.random.default_rng(37)
+        dep = rf.deploy_poisson(3.0 * model_field.d_th, 14.0 / model_field.s_mass, rng)
+        ms = rf.synthesize_measurements(dep, PARAMS_FIELD, rng)
+        n = ms.ids.size
+        inner = np.cumsum(rng.integers(1, 40, n - 2)) - 10 * n
+        labels = np.concatenate([[-2**63], inner, [2**63 - 1]])
+        relabel = dict(zip(ms.ids.tolist(), labels.tolist()))
+        relabelled = rf.MeasurementSet(labels, ms.xy, labels[ms.links - 1], ms.link_rss)
+        assert n > 20 and (inner < 0).any() and (inner > 0).any()
+        table = tmp_path / "field.fd"
+        rf.save_fd_model(model_field, table)
+        # every fifth link, both ways round, and random pairs, most of them unlinked
+        picks = [*ms.links[::5].tolist(), *ms.links[::5, ::-1].tolist(),
+                 *(pair for pair in (rng.integers(1, n + 1, 2).tolist() for _ in range(30))
+                   if pair[0] != pair[1])]
+        for listed in (False, True):
+            results = []
+            for field, label in ((ms, str), (relabelled, relabel.__getitem__)):
+                meas, out = tmp_path / "meas.txt", tmp_path / "errors.csv"
+                rf.save_measurements(field, meas)
+                listing = ",".join(f"{label(i)}-{label(j)}" for i, j in picks)
+                argv = ["dataset", "--fd-table", str(table), "--input", str(meas),
+                        "--output", str(out)]
+                assert main(argv + ([f"--pairs={listing}"] if listed else [])) == 0
+                results.append((capsys.readouterr().err.count("\n"),
+                                [row.split(",", 1) for row in out.read_text().splitlines()]))
+            (warned, numbered), (warned_too, renamed) = results
+            assert warned == warned_too and (warned > 0) == listed
+            assert [rest for _, rest in numbered] == [rest for _, rest in renamed]
+            assert [renamed_pair for renamed_pair, _ in renamed[1:]] == [
+                "{}-{}".format(*map(relabel.__getitem__, map(int, pair.split("-"))))
+                for pair, _ in numbered[1:]]
+            assert len(numbered) == 1 + (len(picks) if listed else len(ms.links))
 
     def test_file_without_links_and_no_pairs(self, tmp_path, capsys):
         meas = tmp_path / "meas.txt"

@@ -150,6 +150,9 @@ class TestLoadMeasurements:
             ("# nodes\n1, 0, 0\n# rss\n1, 1, nan\n", 4, "RSS entry (1, 1) links a node to itself"),
             ("# nodes\n1, 0, 0\n1, inf, 0\n", 3, "duplicate node id 1"),
             ("# rss\n1, 2, -50\n", 2, "RSS entry references unknown node 1"),  # no nodes at all
+            # ids 1, 1, 2, 4 span as much as 4 consecutive ids: a repeat, not a run
+            ("# nodes\n1, 0, 0\n2, 1, 0\n4, 2, 0\n# rss\n1, 2, -50\n# nodes\n1, 3, 0\n", 8,
+             "duplicate node id 1"),
         ],
     )
     def test_two_faults_report_the_earlier_line(self, tmp_path, body, lineno, reason):
@@ -393,6 +396,44 @@ class TestLoaderPathsAgree:
                 with pytest.raises(rf.ConfigurationError,
                                    match=f"^{re.escape(str(path))}:{expected}: "):
                     rf.load_measurements(path)
+
+
+_LOWEST, _HIGHEST = -2**63, 2**63 - 1
+
+
+@st.composite
+def _increasing_int64(draw):
+    """Strictly increasing int64 arrays: empty, one value, consecutive or with gaps."""
+    size = draw(st.integers(0, 12))
+    if draw(st.booleans()):  # consecutive, often against an int64 end
+        first = draw(st.sampled_from([_LOWEST, _HIGHEST - size + 1, -size // 2, 1])
+                     | st.integers(_LOWEST, _HIGHEST - size + 1))
+        return np.array(range(first, first + size), dtype=np.int64)
+    ends = st.sampled_from([_LOWEST, _LOWEST + 1, -1, 0, 1, _HIGHEST - 1, _HIGHEST])
+    values = draw(st.lists(st.integers(_LOWEST, _HIGHEST) | st.integers(-20, 20) | ends,
+                           max_size=size, unique=True))
+    return np.array(sorted(values), dtype=np.int64)
+
+
+class TestRankIds:
+    """_rank_ids gives searchsorted's insertion points and membership, offset path or not."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), sorted_values=_increasing_int64())
+    def test_matches_searchsorted(self, data, sorted_values):
+        # values inside, just outside and far outside the array, and at the int64 ends
+        near = (st.integers(max(int(sorted_values[0]) - 2, _LOWEST),
+                            min(int(sorted_values[-1]) + 2, _HIGHEST))
+                if sorted_values.size else st.integers(-3, 3))
+        value = near | st.sampled_from([_LOWEST, _LOWEST + 1, _HIGHEST - 1, _HIGHEST]) \
+            | st.integers(_LOWEST, _HIGHEST)
+        values = np.array(data.draw(st.lists(st.tuples(value, value), max_size=8)),
+                          dtype=np.int64).reshape(-1, 2)
+        for shaped in (values, values.T, values.ravel()):
+            at, known = rf.dataset._rank_ids(sorted_values, shaped)
+            assert at.shape == known.shape == shaped.shape
+            assert np.array_equal(at, np.searchsorted(sorted_values, shaped))
+            assert np.array_equal(known, np.isin(shaped, sorted_values))
 
 
 class TestNeighborCounts:
