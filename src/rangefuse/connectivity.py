@@ -10,10 +10,12 @@ tabulated piecewise-linear model of f.
 Under the log-normal shadowing channel a node links to an endpoint when
 its distance to it is at most a link radius rho = r e^(k z), r the pseudo
 range, k = sigma_r ln 10 and z standard normal, drawn afresh for each node
-and endpoint; simulator._links draws links exactly so. A node is thus a
-neighbor of both endpoints when it lies in the lens where their two link
-disks overlap, and by Fubini f(d) = E[lens(rho_a, rho_b, d)] over the two
-independent draws, just as S = E[pi rho^2] (generic_s, in closed form).
+and endpoint; simulator._draw_probe draws links exactly so, one
+simulator._links pass testing a block's nodes against both endpoints,
+each with its own draw. A node is thus a neighbor of both endpoints when
+it lies in the lens where their two link disks overlap, and by Fubini
+f(d) = E[lens(rho_a, rho_b, d)] over the two independent draws, just as
+S = E[pi rho^2] (generic_s, in closed form).
 Under an ideal disk channel both radii are r and f is unit_disk_f.
 
 The whole table is one generic_f call with the knot array, the module's

@@ -98,22 +98,36 @@ def deploy_poisson(side: float, intensity: float, rng: np.random.Generator) -> D
     return Deployment(side=side, intensity=intensity, nodes=nodes)
 
 
-def _links(params: ChannelParams, xy: np.ndarray, end, z: np.ndarray) -> np.ndarray:
-    """Which nodes at xy link to the endpoint, given one shadowing draw z per node.
+def _links(xy: np.ndarray, ends_x: np.ndarray, y: float, r: float, spread: float,
+           z: np.ndarray) -> np.ndarray:
+    """Which nodes at xy link to each of two endpoints, shape (2, n): a's row, then b's.
 
-    The draw sets the node's effective link radius r_eff = r exp(sigma_r
-    ln10 z) around the pseudo range r; the node links when its squared
-    distance is at most r_eff^2.
+    The endpoints sit at (ends_x[0, 0], y) and (ends_x[1, 0], y); ends_x
+    is a (2, 1) column. z holds one shadowing draw per endpoint and node,
+    shape (2, n). A draw sets the node's effective link radius r_eff =
+    r exp(spread z) around the pseudo range r, spread = sigma_r ln10; the
+    node links when its squared distance is at most r_eff^2. z is
+    overwritten with r_eff^2.
     """
-    r_eff = pseudo_range(params) * np.exp(params.sigma_r * LN10 * z)
-    d2 = (xy[:, 0] - float(end[0])) ** 2 + (xy[:, 1] - float(end[1])) ** 2
-    return d2 <= r_eff * r_eff
+    z *= spread
+    np.exp(z, out=z)
+    z *= r
+    z *= z
+    d2 = xy[:, 0] - ends_x
+    d2 *= d2
+    dy = xy[:, 1] - y
+    dy *= dy
+    d2 += dy
+    return d2 <= z
 
 
 # trials per block of a probe's stream: large enough to amortize the numpy
 # calls per block, small enough that the block's node arrays keep the peak
 # memory flat
 _BLOCK_TRIALS = 16
+# numpy's largest Poisson mean, int64 max - 10 sqrt(int64 max): the most
+# nodes per trial a deployment can expect
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _draw_probe(params: ChannelParams, side: float, intensity: float, d: float,
@@ -124,22 +138,24 @@ def _draw_probe(params: ChannelParams, side: float, intensity: float, d: float,
     drawn from rng in blocks of _BLOCK_TRIALS (the last one shorter); each
     block takes, in this order, its node counts, all its node positions,
     both endpoints' shadowing draws for all its nodes (a's row, then b's)
-    and its RSS readings. A trial's counts are sums over its own nodes.
+    and its RSS readings. One _links call tests a block's nodes against
+    both endpoints. A trial's counts are sums over its own nodes.
     """
-    a = ((side - d) / 2.0, side / 2.0)
-    b = ((side + d) / 2.0, side / 2.0)
+    r, spread = pseudo_range(params), params.sigma_r * LN10
+    ends_x = np.array([[(side - d) / 2.0], [(side + d) / 2.0]])
     counts = np.empty((3, trials), dtype=np.int64)
     obs = np.empty(trials)
     for start in range(0, trials, _BLOCK_TRIALS):
         k = min(_BLOCK_TRIALS, trials - start)
         n = rng.poisson(intensity * side * side, k)
-        xy = rng.random((int(n.sum()), 2)) * side
+        xy = rng.random((int(n.sum()), 2))
+        xy *= side
         z = rng.standard_normal((2, xy.shape[0]))
         obs[start:start + k] = sample_rss(params, np.full(k, d), rng)
         # bincount over each linked node's trial index: trials without
         # nodes or links get 0
         trial = np.repeat(np.arange(k), n)
-        link_a, link_b = _links(params, xy, a, z[0]), _links(params, xy, b, z[1])
+        link_a, link_b = _links(xy, ends_x, side / 2.0, r, spread, z)
         m = np.bincount(trial[link_a & link_b], minlength=k)
         counts[:, start:start + k] = (m, np.bincount(trial[link_a], minlength=k) - m,
                                       np.bincount(trial[link_b], minlength=k) - m)
@@ -153,7 +169,8 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel) -> RmseReport:
     table was built for, model.params. Probe i_d draws its trials from
     default_rng((seed, i_d)) in fixed blocks (see _draw_probe), so a
     probe's results do not depend on the other probes. Probing beyond the
-    model's cutoff is a configuration error.
+    model's cutoff is a configuration error, and so is an expected node
+    count per trial beyond numpy's Poisson limit (or not finite).
     """
     params, d_th = model.params, model.d_th
     for d in cfg.distances:
@@ -163,6 +180,12 @@ def run_experiment(cfg: ExperimentConfig, model: FdModel) -> RmseReport:
             )
     intensity = mu_to_lambda(cfg.mu, model.s_mass)
     side = (2.0 * cfg.margin + 1.0) * d_th
+    nodes = intensity * side * side
+    if not nodes <= _POISSON_LAM_MAX:
+        raise ConfigurationError(
+            f"mu {cfg.mu!r} and margin {cfg.margin!r} expect {nodes!r} nodes per trial, "
+            f"beyond the {_POISSON_LAM_MAX!r} a Poisson draw can take"
+        )
 
     n_probes, trials = len(cfg.distances), cfg.trials
     counts = np.empty((3, n_probes, trials), dtype=np.int64)

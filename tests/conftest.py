@@ -67,6 +67,11 @@ def model_field():
 
 
 @pytest.fixture(scope="session")
+def model_sharp():
+    return rf.build_fd_model(PARAMS_SHARP)
+
+
+@pytest.fixture(scope="session")
 def big_report(model44):
     """5000-trial, 8-probe run shared by the acceptance and trend tests."""
     fracs = np.linspace(0.1, 1.0, 8)

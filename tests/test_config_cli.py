@@ -402,6 +402,23 @@ class TestSimulateCommand:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--mu", "1e300"], ["--margin", "1e10"],
+                                       ["--mu", "1e300", "--margin", "1e10"]],
+                             ids=["mu", "margin", "overflow"])
+    def test_node_count_beyond_poisson_limit(self, tmp_path, capsys, model44, flags):
+        # numpy's Poisson draw takes means up to about 9.22e18; past that, and
+        # where the count overflows to inf, the run stops before any draw
+        table, out, report = tmp_path / "fd.txt", tmp_path / "x.csv", tmp_path / "x.json"
+        rf.save_fd_model(model44, table)
+        code = main(["simulate", "--mu", "20", "--trials", "1", "--distances", "20", *flags,
+                     "--fd-table", str(table), "--output", str(out), "--json", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: mu ")
+        assert " and margin " in captured.err and " nodes per trial, beyond the " in captured.err
+        assert not out.exists() and not report.exists()
+
     def test_margin_one_probe_at_the_cutoff(self, tmp_path):
         # on this channel the endpoint's distance to the edge, (3 d_th - d_th) / 2,
         # rounds to one ulp below d_th

@@ -477,11 +477,6 @@ def _adaptive_f(params, d, quad_tol=1e-10):
 REF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "ref"
 
 
-@pytest.fixture(scope="module")
-def model_sharp():
-    return rf.build_fd_model(PARAMS_SHARP)
-
-
 class TestTableAccuracy:
     """The default 64-knot, 1e-6 tables against references and an adaptive oracle."""
 

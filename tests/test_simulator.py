@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import rangefuse as rf
+from rangefuse.channel import LN10
 from rangefuse.simulator import _poisson_pmf
 from conftest import PARAMS_44, PARAMS_DISK
 
@@ -75,8 +77,9 @@ class TestLinks:
         only_b = (27.0 + 9.9, 24.0)
         xy = np.array([near_both, far_both, only_a, only_b])
         z = np.random.default_rng(4).standard_normal((2, len(xy)))
-        assert rf.simulator._links(PARAMS_DISK, xy, a, z[0]).tolist() == [True, False, True, False]
-        assert rf.simulator._links(PARAMS_DISK, xy, b, z[1]).tolist() == [True, False, False, True]
+        ends_x = np.array([[a[0]], [b[0]]])
+        links = rf.simulator._links(xy, ends_x, a[1], DISK_R, PARAMS_DISK.sigma_r * LN10, z)
+        assert links.tolist() == [[True, False, True, False], [True, False, False, True]]
 
 
 def _counts_by_sets(xy, a, b, reff_a, reff_b):
@@ -117,6 +120,23 @@ class TestExperimentConfig:
         cfg = rf.ExperimentConfig(mu=20.0, distances=(model44.d_th * 1.01,), trials=1, seed=0)
         with pytest.raises(rf.ConfigurationError):
             rf.run_experiment(cfg, model44)
+
+    @pytest.mark.parametrize("mu, margin", [(1e300, 1.5), (20.0, 1e10), (1e300, 1e10)],
+                             ids=["mu", "margin", "overflow"])
+    def test_node_count_beyond_poisson_limit_rejected(self, model44, monkeypatch, mu, margin):
+        # finite counts above numpy's Poisson limit, and one that overflows to inf
+        monkeypatch.setattr(rf.simulator, "_draw_probe", _never_drawn)
+        cfg = rf.ExperimentConfig(mu=mu, distances=(10.0,), trials=1, seed=0, margin=margin)
+        side = (2.0 * margin + 1.0) * model44.d_th
+        nodes = rf.mu_to_lambda(mu, model44.s_mass) * side * side
+        with pytest.raises(rf.ConfigurationError, match="^" + re.escape(
+                f"mu {mu!r} and margin {margin!r} expect {nodes!r} nodes per trial, beyond "
+                "the 9.223372006484771e+18 a Poisson draw can take") + "$"):
+            rf.run_experiment(cfg, model44)
+
+
+def _never_drawn(*args):
+    raise AssertionError("run_experiment drew a probe")
 
 
 class TestRunExperiment:
@@ -281,14 +301,16 @@ class TestBatchedEstimation:
             got = [row.rmse_rss, row.rmse_conn, row.rmse_fused]
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
-    def test_block_counts_match_set_arithmetic(self, model44):
+    @pytest.mark.parametrize("fixture", ["model44", "model_field", "model_sharp"])
+    def test_block_counts_match_set_arithmetic(self, request, fixture):
+        model = request.getfixturevalue(fixture)
         cfg = rf.ExperimentConfig(mu=20.0, trials=BLOCK_TRIALS, seed=606,
-                                  distances=(0.4 * model44.d_th,))
-        side, intensity, a, b, trials = _probe_stream(cfg, model44, 0)
-        got, _ = rf.simulator._draw_probe(PARAMS_44, side, intensity, cfg.distances[0],
+                                  distances=(0.4 * model.d_th,))
+        side, intensity, a, b, trials = _probe_stream(cfg, model, 0)
+        got, _ = rf.simulator._draw_probe(model.params, side, intensity, cfg.distances[0],
                                           cfg.trials, np.random.default_rng((cfg.seed, 0)))
-        r = rf.pseudo_range(PARAMS_44)
-        spread = PARAMS_44.sigma_r * math.log(10.0)
+        r = rf.pseudo_range(model.params)
+        spread = model.params.sigma_r * math.log(10.0)
         expected = [_counts_by_sets(xy, a, b, *(r * np.exp(spread * z)))
                     for _, xy, z, _ in trials]
         assert [tuple(c) for c in got.T] == expected
@@ -325,6 +347,80 @@ class TestBatchedEstimation:
         assert (m[empty] == 0).all() and (p[empty] == 0).all() and (q[empty] == 0).all()
         assert (est.intensity == rf.mu_to_lambda(cfg.mu, model44.s_mass)).all()
         assert set(est.status[empty]) <= {"interior", "boundary_clamped"}
+
+
+def _links_out_of_place(params, xy, end, z):
+    """One endpoint's link test with numpy's temporaries, as _links ran before it
+    went in place: _links's oracle."""
+    r_eff = rf.pseudo_range(params) * np.exp(params.sigma_r * LN10 * z)
+    d2 = (xy[:, 0] - float(end[0])) ** 2 + (xy[:, 1] - float(end[1])) ** 2
+    return d2 <= r_eff * r_eff
+
+
+def _draw_probe_out_of_place(params, side, intensity, d, trials, rng):
+    """_draw_probe with one out-of-place link test per endpoint: its bit-for-bit oracle."""
+    a = ((side - d) / 2.0, side / 2.0)
+    b = ((side + d) / 2.0, side / 2.0)
+    counts = np.empty((3, trials), dtype=np.int64)
+    obs = np.empty(trials)
+    for start in range(0, trials, BLOCK_TRIALS):
+        k = min(BLOCK_TRIALS, trials - start)
+        n = rng.poisson(intensity * side * side, k)
+        xy = rng.random((int(n.sum()), 2)) * side
+        z = rng.standard_normal((2, xy.shape[0]))
+        obs[start:start + k] = rf.sample_rss(params, np.full(k, d), rng)
+        trial = np.repeat(np.arange(k), n)
+        link_a = _links_out_of_place(params, xy, a, z[0])
+        link_b = _links_out_of_place(params, xy, b, z[1])
+        m = np.bincount(trial[link_a & link_b], minlength=k)
+        counts[:, start:start + k] = (m, np.bincount(trial[link_a], minlength=k) - m,
+                                      np.bincount(trial[link_b], minlength=k) - m)
+    return counts, obs
+
+
+@pytest.fixture(scope="module")
+def model_disk8():
+    return rf.build_fd_model(PARAMS_DISK, n_knots=8)
+
+
+# the three smooth-to-step channels and a noise-free one, where sigma_r ln10 z is 0
+_CHANNELS = ["model44", "model_field", "model_sharp", "model_disk8"]
+
+
+class TestInPlaceLinks:
+    """_links and _draw_probe against the out-of-place arithmetic they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("fixture", _CHANNELS)
+    def test_radii_and_masks_keep_the_bits(self, request, fixture):
+        params = request.getfixturevalue(fixture).params
+        rng = np.random.default_rng(39)
+        xy = rng.random((500, 2)) * 80.0
+        z = rng.standard_normal((2, 500))
+        a, b = (31.0, 40.0), (49.0, 40.0)
+        want = [_links_out_of_place(params, xy, end, row) for end, row in zip((a, b), z)]
+        r_eff = rf.pseudo_range(params) * np.exp(params.sigma_r * LN10 * z)
+        links = rf.simulator._links(xy, np.array([[a[0]], [b[0]]]), 40.0,
+                                    rf.pseudo_range(params), params.sigma_r * LN10, z)
+        assert links.tobytes() == np.stack(want).tobytes()
+        # the draws were overwritten with r_eff^2
+        assert z.tobytes() == (r_eff * r_eff).tobytes()
+
+    @pytest.mark.parametrize("fixture", _CHANNELS)
+    @pytest.mark.parametrize("trials", [1, 15, 16, 17, 100])
+    def test_draw_probe_keeps_the_bits(self, request, fixture, trials):
+        model = request.getfixturevalue(fixture)
+        side = 4.0 * model.d_th  # the default margin, 1.5
+        # mu 0.05 leaves most trials without a node
+        for mu in (0.05, 20.0):
+            intensity = rf.mu_to_lambda(mu, model.s_mass)
+            for frac in (0.05, 0.5, 1.0):
+                args = (model.params, side, intensity, frac * model.d_th, trials)
+                counts, obs = rf.simulator._draw_probe(*args, np.random.default_rng((39, trials)))
+                want_counts, want_obs = _draw_probe_out_of_place(
+                    *args, np.random.default_rng((39, trials)))
+                assert counts.tobytes() == want_counts.tobytes()
+                assert obs.tobytes() == want_obs.tobytes()
+        assert counts.sum() > 0
 
 
 class TestPoissonPmf:
