@@ -28,7 +28,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import MISSING, astuple, fields
+from dataclasses import MISSING, fields, replace
 
 from .channel import ChannelParams
 from .config import (_EXPERIMENT_TYPES, ExperimentConfig, _real_path, load_config,
@@ -53,7 +53,9 @@ def _flag(name: str) -> str:
 
 def _add_channel_arguments(parser, note=""):
     parser.add_argument("--config", help="config file with [channel] and [experiment] "
-                                         "sections; flags beat its settings")
+                                         "sections; flags beat its settings, and a [channel] "
+                                         "section must be whole (d0_m may be left out): "
+                                         "flags then replace its keys one by one")
     for name, help_text in _CHANNEL_FLAGS.items():
         parser.add_argument(_flag(name), type=float, default=None, help=help_text + note)
 
@@ -76,36 +78,33 @@ def _add_model_arguments(parser):
 def _resolve_settings(args) -> tuple:
     """Channel parameters and experiment settings: flags beat --config beat defaults.
 
-    Reads --config once. Each given flag overlays the key of its name:
-    channel flags the [channel] section, the others the [experiment] one.
-    With --fd-table and no channel stated, the channel is None: the table
-    supplies it. The table settings default to 64 knots and quad_tol 1e-6,
-    which only a table built here takes; a loaded one holds its own.
+    Reads --config once. Each given flag replaces the key of its name in a
+    whole [channel] section or in [experiment]. With --fd-table and no
+    channel stated, the channel is None: the table supplies it. Only the
+    table settings given are checked: build_fd_model holds their defaults.
     """
     table = getattr(args, "fd_table", None)
     base, settings = load_config(args.config) if args.config else (None, {})
-    channel = {} if base is None else dict(zip(_CHANNEL_FLAGS, astuple(base)))
-    channel.update({name: getattr(args, name) for name in _CHANNEL_FLAGS
-                    if getattr(args, name) is not None})
+    given = {name: getattr(args, name) for name in _CHANNEL_FLAGS
+             if getattr(args, name) is not None}
     settings.update({key: getattr(args, key) for key in _EXPERIMENT_TYPES
                      if getattr(args, key, None) is not None})
     params = None  # the table's, when it is given and no channel is stated
-    if channel or not table:
+    if base is not None:
+        params = replace(base, **given)
+    elif given or not table:
         for item in fields(ChannelParams):
-            if item.name not in channel and item.default is MISSING:
+            if item.name not in given and item.default is MISSING:
                 raise ConfigurationError(f"channel parameter {item.name} missing: "
                                          f"supply {_flag(item.name)} or a config file")
-        params = ChannelParams(**channel)
-    n_knots, quad_tol = settings.get("n_knots", 64), settings.get("quad_tol", 1e-6)
-    for key, ok, rule in (("n_knots", n_knots >= 8, "must be >= 8"),
-                          ("quad_tol", quad_tol > 0.0 and math.isfinite(quad_tol),
+        params = ChannelParams(**given)
+    for key, ok, rule in (("n_knots", lambda v: v >= 8, "must be >= 8"),
+                          ("quad_tol", lambda v: v > 0.0 and math.isfinite(v),
                            "must be positive and finite")):
-        if not ok:  # the defaults pass, so the flag or the config file gave the value
+        if key in settings and not ok(settings[key]):
             source = (_flag(key) if getattr(args, key) is not None
                       else f"{args.config}: [experiment] {key}")
             raise ConfigurationError(f"{source} {rule}, got {settings[key]}")
-    if not table:
-        settings.update(n_knots=n_knots, quad_tol=quad_tol)
     return params, settings
 
 
@@ -118,7 +117,8 @@ def _resolve_model(args, params, settings: dict):
     """
     table = getattr(args, "fd_table", None)
     if not table:
-        return build_fd_model(params, settings["n_knots"], settings["quad_tol"])
+        return build_fd_model(params, **{key: settings[key] for key in ("n_knots", "quad_tol")
+                                         if key in settings})
     model = load_fd_model(table)
     if params not in (None, model.params):
         raise ConfigurationError(f"{table} was built for different channel parameters")
@@ -151,9 +151,9 @@ def _cmd_simulate(args) -> int:
                               for item in fields(ExperimentConfig) if item.name in settings})
     model = _resolve_model(args, params, settings)
     report = run_experiment(cfg, model)
-    report.write_csv(args.output)
+    write_atomic(args.output, report.to_csv_text())
     if args.json:
-        report.write_json(args.json)
+        write_atomic(args.json, report.to_json_text())
     return 0
 
 

@@ -29,7 +29,7 @@ from .channel import (
     pseudo_range,
     sample_rss,
 )
-from .config import ExperimentConfig, write_atomic
+from .config import ExperimentConfig
 from .connectivity import FdModel, _model_point, mu_to_lambda
 from .crlb import crlb_distance
 from .errors import ConfigurationError
@@ -77,14 +77,9 @@ class RmseReport:
         lines = [",".join(CSV_COLUMNS), *(",".join(map(repr, astuple(row))) for row in self.rows)]
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        write_atomic(path, self.to_csv_text())
-
-    def to_dict(self) -> dict:
-        return {"columns": list(CSV_COLUMNS), "rows": [asdict(r) for r in self.rows]}
-
-    def write_json(self, path) -> None:
-        write_atomic(path, json.dumps(self.to_dict(), indent=2) + "\n")
+    def to_json_text(self) -> str:
+        payload = {"columns": list(CSV_COLUMNS), "rows": [asdict(row) for row in self.rows]}
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def deploy_poisson(side: float, intensity: float, rng: np.random.Generator) -> Deployment:

@@ -2,6 +2,7 @@ import argparse
 import configparser
 import dataclasses
 import errno
+import inspect
 import json
 import math
 import os
@@ -157,7 +158,9 @@ class TestConfigFiles:
             config.load_config(path)
 
     def test_channel_flags_are_the_channel_fields(self):
-        # a field without a flag would leave _resolve_settings short of a value
+        # a field without a flag could be set from no command line;
+        # _resolve_settings overlays the flags by name, so their order only
+        # sets the order --help lists them in
         names = [item.name for item in dataclasses.fields(rf.ChannelParams)]
         assert list(cli._CHANNEL_FLAGS) == names
         assert len(config.CHANNEL_KEYS) == len(names)
@@ -183,6 +186,20 @@ class TestConfigFiles:
         assert main(["crlb", "--config", str(path), "--mu", "20", "--output", str(out)]) == 2
         separator = "" if reason.startswith(":") else ": "
         assert capsys.readouterr().err == f"error: {path}{separator}{reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--rss-threshold-dbm=-100"]],
+                             ids=["no-flag", "flag-for-the-missing-key"])
+    def test_incomplete_channel_section(self, tmp_path, capsys, flags):
+        # a [channel] section must be whole: a flag replaces one of its keys
+        # but does not fill a key it lacks
+        path = tmp_path / "part.ini"
+        path.write_text(CFG_44.replace("rss_threshold_dbm = -100.0\n", ""))
+        out = tmp_path / "out.csv"
+        assert main(["crlb", "--config", str(path), *flags, "--mu", "20",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: channel section is missing keys: rss_threshold_dbm\n")
         assert not out.exists()
 
     def test_zero_alpha_is_one_error_line(self, tmp_path, capsys):
@@ -885,11 +902,16 @@ class TestDatasetCommand:
 
 
 def _record_builds(monkeypatch) -> list:
-    """Record each table the CLI builds, as (arguments, model), in the list returned."""
+    """Record each table the CLI builds, as (arguments, model), in the list returned.
+
+    The arguments are build_fd_model's three, its defaults filled in.
+    """
     built = []
 
-    def build(*args):
-        built.append((args, rf.build_fd_model(*args)))
+    def build(*args, **kwargs):
+        call = inspect.signature(rf.build_fd_model).bind(*args, **kwargs)
+        call.apply_defaults()
+        built.append((tuple(call.arguments.values()), rf.build_fd_model(*args, **kwargs)))
         return built[-1][1]
 
     monkeypatch.setattr("rangefuse.cli.build_fd_model", build)
@@ -911,6 +933,17 @@ _FILE_AND_FLAG = {"mu": ("20", "15"), "distances": ("10, 25", "5"), "trials": ("
 
 
 class TestSettingsOverlay:
+    # each channel flag with a value that differs from CFG_44's
+    @pytest.mark.parametrize("name, value", [
+        ("p_ref_dbm", -40.0), ("alpha", 3.5), ("sigma_db", 6.0), ("rss_threshold_dbm", -95.0),
+        ("d0", 2.0),
+    ])
+    def test_channel_flag_replaces_one_key(self, cfg_path, tmp_path, name, value):
+        out = tmp_path / "x.fd"
+        assert main(["fd-table", "--config", str(cfg_path), f"--{name.replace('_', '-')}={value}",
+                     "--n-knots", "8", "--quad-tol", "1e-3", "--output", str(out)]) == 0
+        assert rf.load_fd_model(out).params == dataclasses.replace(PARAMS_44, **{name: value})
+
     @pytest.mark.parametrize("command, key", [(command, key)
                                               for command, keys in _COMMAND_KEYS.items()
                                               for key in keys])
@@ -1628,11 +1661,16 @@ class TestEstimateExtremeReading:
         assert captured.out == ""
 
 
-def _half_write(monkeypatch):
-    """Make every Path.write_text write half its text, then fail like a full disk."""
+def _half_write(monkeypatch, whole=0):
+    """Make every Path.write_text after the first whole ones write half its text,
+    then fail like a full disk."""
     original = Path.write_text
+    calls = []
 
     def half_write(self, text, *args, **kwargs):
+        calls.append(self)
+        if len(calls) <= whole:
+            return original(self, text, *args, **kwargs)
         original(self, text[: len(text) // 2], *args, **kwargs)
         raise OSError("disk full")
 
@@ -1727,8 +1765,8 @@ class TestAtomicOutput:
                                  link_rss=[-48.0])
         writers = {
             "model.fd": lambda path: rf.save_fd_model(model, path),
-            "report.csv": report.write_csv,
-            "report.json": report.write_json,
+            "report.csv": lambda path: config.write_atomic(path, report.to_csv_text()),
+            "report.json": lambda path: config.write_atomic(path, report.to_json_text()),
             "meas.txt": lambda path: rf.save_measurements(meas, path),
         }
         for name in writers:
@@ -1752,24 +1790,29 @@ class TestAtomicOutput:
         assert os.readlink(loop) == "loop.fd"
         assert list(tmp_path.iterdir()) == [loop]
 
-    @pytest.mark.parametrize("command", [
-        ["crlb", "--mu", "20"],
-        ["dataset", "--input", "IN", "--pairs", "1-2"],
-        ["fd-table"],
+    @pytest.mark.parametrize("command, whole", [
+        (["crlb", "--mu", "20"], 0),
+        (["dataset", "--input", "IN", "--pairs", "1-2"], 0),
+        (["fd-table"], 0),
+        # the CSV report is written whole, then the JSON report's write fails
+        (["simulate", "--json", "JSON"], 1),
     ])
     def test_cli_outputs_leave_no_torn_file(self, cfg_path, tmp_path, monkeypatch, capsys,
-                                            command):
+                                            command, whole):
         meas = tmp_path / "meas.txt"
         meas.write_text("# nodes\n1, 0, 0\n2, 1, 1\n# rss\n1, 2, -40\n")
         out = tmp_path / "out" / "x.csv"
         out.parent.mkdir()
-        _half_write(monkeypatch)
-        argv = [str(meas) if token == "IN" else token for token in command]
+        _half_write(monkeypatch, whole)
+        paths = {"IN": str(meas), "JSON": str(out.with_suffix(".json"))}
+        argv = [paths.get(token, token) for token in command]
         code = main(argv + ["--config", str(cfg_path), "--n-knots", "8",
                             "--quad-tol", "1e-3", "--output", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error: disk full\n"
-        assert list(out.parent.iterdir()) == []
+        assert list(out.parent.iterdir()) == [out][:whole]
+        if whole:  # the config file's two distances, after the header
+            assert len(out.read_text().splitlines()) == 3
 
 
 # an 8-knot table of the PARAMS_44 channel, written out so that the outputs
@@ -1823,13 +1866,13 @@ def _write_dataset(path, table):
 # whole text it writes
 _PINNED = {
     "report.csv": (
-        lambda path, table: _REPORT.write_csv(path),
+        lambda path, table: config.write_atomic(path, _REPORT.to_csv_text()),
         "d_true,rmse_rss,rmse_conn,rmse_fused,sqrt_crlb,trials\n"
         "10.0,2.5,3.0,1.75,1.5,4\n"
         "0.1,1e-17,nan,0.6666666666666666,1e+300,1\n",
     ),
     "report.json": (
-        lambda path, table: _REPORT.write_json(path),
+        lambda path, table: config.write_atomic(path, _REPORT.to_json_text()),
         '{\n  "columns": [\n    "d_true",\n    "rmse_rss",\n    "rmse_conn",\n'
         '    "rmse_fused",\n    "sqrt_crlb",\n    "trials"\n  ],\n  "rows": [\n'
         '    {\n      "d_true": 10.0,\n      "rmse_rss": 2.5,\n      "rmse_conn": 3.0,\n'

@@ -527,6 +527,13 @@ class TestEvaluatePairs:
         assert forward == rf.PairEvaluation(*(getattr(backward, f.name)[::-1]
                                               for f in dataclasses.fields(backward)))
 
+    def test_not_equal_to_another_type(self, fixture_set, model_field):
+        # each side answers NotImplemented, so Python falls back to identity
+        result = rf.evaluate_pairs(fixture_set, [(1, 2)], model_field)
+        for one, other in ((fixture_set, result), (fixture_set, (1, 2)), (result, (1, 2))):
+            assert (one == other) is False and (other == one) is False
+            assert (one != other) is True and (other != one) is True
+
     def test_below_threshold_rss_goes_connectivity_only(self, fixture_set, model_field):
         result = rf.evaluate_pairs(fixture_set, [(1, 5)], model_field)
         assert result.status[0] == "connectivity_only"

@@ -79,12 +79,32 @@ class TestOneChannelSource:
             assert "channel" not in {f.name for f in dataclasses.fields(cls)}
 
 
+def _run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """The outcome of a fresh interpreter that imports this package, run with argv."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rf.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 def _run_python(code: str, *args: str) -> str:
     """stdout of code run in a fresh interpreter that imports this package."""
-    env = {**os.environ, "PYTHONPATH": str(Path(rf.__file__).resolve().parents[1])}
-    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                            capture_output=True, text=True, check=True)
+    result = _run_fresh("-c", code, *args)
+    result.check_returncode()
     return result.stdout.strip()
+
+
+class TestModuleEntryPoint:
+    """python -m rangefuse.cli runs the program the rangefuse command runs."""
+
+    def test_help_exits_zero(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")  # the same width here and in the fresh run
+        result = _run_fresh("-m", "rangefuse.cli", "--help")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == cli.build_parser().format_help()
+
+    def test_usage_error_is_one_line(self):
+        result = _run_fresh("-m", "rangefuse.cli", "crlb", "--mu", "20")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: the following arguments are required: --output\n"
 
 
 def test_import_leaves_scipy_unloaded():

@@ -7,6 +7,7 @@ from scipy import stats
 
 import rangefuse as rf
 from rangefuse.channel import LN10
+from rangefuse.config import write_atomic
 from rangefuse.simulator import _poisson_pmf
 from conftest import PARAMS_44, PARAMS_DISK
 
@@ -186,12 +187,12 @@ class TestRmseReport:
         cfg = rf.ExperimentConfig(mu=15.0, distances=(2.0, 4.0, 6.0), trials=2, seed=9)
         report = rf.run_experiment(cfg, rf.build_fd_model(PARAMS_DISK))
         path = tmp_path / "report.csv"
-        report.write_csv(path)
+        write_atomic(path, report.to_csv_text())
         lines = path.read_text().splitlines()
         assert lines[0] == "d_true,rmse_rss,rmse_conn,rmse_fused,sqrt_crlb,trials"
         assert len(lines) == 1 + len(cfg.distances)
         json_path = tmp_path / "report.json"
-        report.write_json(json_path)
+        write_atomic(json_path, report.to_json_text())
         import json
 
         payload = json.loads(json_path.read_text())
