@@ -8,8 +8,8 @@ lower bound.
 
 Importing the package loads none of its modules: each public name, and
 each module as an attribute (``rangefuse.fusion``), is imported on first
-use (PEP 562), so loading an f(d) table loads channel, config,
-connectivity and errors only.
+use (PEP 562), so a table load loads channel, config, errors and fdtable
+only: no quadrature (connectivity) and no configparser.
 """
 
 import importlib
@@ -33,14 +33,15 @@ _HOMES = {
         "channel": ("ChannelParams", "estimate_distance_rss", "link_probability", "mean_rss",
                     "pseudo_range", "sample_rss"),
         "config": ("ExperimentConfig",),
-        "connectivity": ("FdModel", "build_fd_model", "conn_error_sigma", "eval_fd", "fd_slope",
-                         "generic_f", "generic_s", "invert_fd", "load_fd_model", "mu_to_lambda",
-                         "save_fd_model", "threshold_distance", "unit_disk_f"),
+        "connectivity": ("build_fd_model", "generic_f", "generic_s", "threshold_distance",
+                         "unit_disk_f"),
         "crlb": ("FisherInfo", "crlb_distance", "fim", "rss_fisher_scale"),
         "dataset": ("MeasurementSet", "PairEvaluation", "evaluate_pairs", "load_measurements",
                     "save_measurements", "synthesize_measurements"),
         "errors": ("ConfigurationError", "ModelConstructionError", "NumericError",
                    "RangefuseError"),
+        "fdtable": ("FdModel", "conn_error_sigma", "eval_fd", "fd_slope", "invert_fd",
+                    "load_fd_model", "mu_to_lambda", "save_fd_model"),
         "pipeline": ("estimate_pairs",),
         "simulator": ("Deployment", "ExpectedErrors", "RmseReport", "RmseRow", "deploy_poisson",
                       "expected_errors", "run_experiment"),

@@ -17,7 +17,8 @@ configuration or file error or a run too large for memory (say, a huge
 --mu), 3 numeric failure. A flag's value may start with '-' in either form:
 --rss -inf or --rss=-inf. The module loads what the parser and every
 command share; a command imports the rest of what it runs when it runs, so
-fd-table loads no simulator, pipeline or dataset.
+fd-table loads no simulator, pipeline or dataset, and a command given
+--fd-table loads no quadrature (connectivity).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import MISSING, fields, replace
 from .channel import ChannelParams
 from .config import (_EXPERIMENT_TYPES, ExperimentConfig, _real_path, load_config,
                      parse_distances, write_atomic)
-from .connectivity import build_fd_model, load_fd_model, mu_to_lambda, save_fd_model
 from .errors import ConfigurationError, NumericError
+from .fdtable import load_fd_model, mu_to_lambda, save_fd_model
 
 # the help text of each ChannelParams field's flag, in field order; the
 # flag of field p_ref_dbm is --p-ref-dbm, and so on
@@ -106,6 +107,13 @@ def _resolve_settings(args) -> tuple:
                       else f"{args.config}: [experiment] {key}")
             raise ConfigurationError(f"{source} {rule}, got {settings[key]}")
     return params, settings
+
+
+def build_fd_model(*args, **kwargs):
+    """connectivity.build_fd_model, imported on the first call: a loaded table needs none."""
+    from .connectivity import build_fd_model
+
+    return build_fd_model(*args, **kwargs)
 
 
 def _resolve_model(args, params, settings: dict):

@@ -8,7 +8,6 @@ every output file.
 
 from __future__ import annotations
 
-import configparser
 import errno
 import math
 import os
@@ -179,8 +178,11 @@ def load_config(path):
     """Read a config file; returns (ChannelParams or None, experiment dict).
 
     Values are taken as written (a % is no interpolation), and a syntax
-    error is one line, path:line: reason.
+    error is one line, path:line: reason. configparser is imported here, so
+    that only a command given --config loads it.
     """
+    import configparser
+
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
     try:

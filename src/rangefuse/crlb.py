@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import LN10, ChannelParams, _like_input
-from .connectivity import FdModel, _model_point, conn_error_sigma
+from .fdtable import FdModel, _model_point, conn_error_sigma
 
 
 class FisherInfo(NamedTuple):

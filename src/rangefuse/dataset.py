@@ -43,8 +43,8 @@ import numpy as np
 
 from .channel import ChannelParams, sample_rss
 from .config import read_input, write_atomic
-from .connectivity import FdModel
 from .errors import ConfigurationError
+from .fdtable import FdModel
 from .pipeline import estimate_readings
 
 if TYPE_CHECKING:  # an annotation only: loading a file needs no simulator

@@ -21,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import _require, estimate_distance_rss
-from .connectivity import FdModel, conn_error_sigma, invert_counts
 from .crlb import crlb_distance
 from .errors import ConfigurationError
+from .fdtable import FdModel, conn_error_sigma, invert_counts
 from .fusion import BOUNDARY_CLAMPED, INTERIOR, fuse_arrays
 
 RSS_ONLY = "rss_only"

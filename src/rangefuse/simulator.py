@@ -15,7 +15,6 @@ errors that the Monte Carlo estimates, by enumeration instead of draws.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import NamedTuple
@@ -30,9 +29,9 @@ from .channel import (
     sample_rss,
 )
 from .config import ExperimentConfig
-from .connectivity import FdModel, _model_point, mu_to_lambda
 from .crlb import crlb_distance
 from .errors import ConfigurationError
+from .fdtable import FdModel, _model_point, mu_to_lambda
 from .pipeline import estimate_pairs
 
 
@@ -78,6 +77,8 @@ class RmseReport:
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
+        import json  # here, so that simulate without --json loads no json
+
         payload = {"columns": list(CSV_COLUMNS), "rows": [asdict(row) for row in self.rows]}
         return json.dumps(payload, indent=2) + "\n"
 

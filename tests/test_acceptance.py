@@ -148,7 +148,7 @@ def test_criterion_6_poisson_statistics(model44):
     m = rng.poisson(lam * f_model, trials)
     p = rng.poisson(lam * (model44.s_mass - f_model), trials)
     q = rng.poisson(lam * (model44.s_mass - f_model), trials)
-    estimates = rf.connectivity.invert_counts(model44, m, p, q)
+    estimates = rf.fdtable.invert_counts(model44, m, p, q)
     spread = float((estimates - d).std())
     predicted = rf.conn_error_sigma(model44, lam, d)
     dev_sigma = abs(spread - predicted) / predicted

@@ -570,7 +570,7 @@ class TestEstimateCommand:
         )
         lam = (2 * 6 + 9 + 11) / (2.0 * model44.s_mass)
         x1 = rf.estimate_distance_rss(PARAMS_44, -85.0)
-        x2 = rf.connectivity.invert_counts(model44, 6, 9, 11)
+        x2 = rf.fdtable.invert_counts(model44, 6, 9, 11)
         n = 10**6
         grid = np.linspace(model44.d_th / n, model44.d_th, n)
         # two passes: sigma_c at the connectivity estimate, then at the

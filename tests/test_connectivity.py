@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import rangefuse as rf
-from rangefuse.connectivity import invert_counts
+from rangefuse.fdtable import invert_counts
 from conftest import PARAMS_44, PARAMS_DISK, PARAMS_FIELD, PARAMS_SHARP, save_damaged_table
 
 LN10 = math.log(10.0)
@@ -836,7 +836,7 @@ class TestInvertFd:
 
 
 class TestEstimateDistanceConn:
-    """The connectivity range estimate, connectivity.invert_counts."""
+    """The connectivity range estimate, fdtable.invert_counts."""
 
     def test_all_zero_counts(self, model44):
         assert invert_counts(model44, 0, 0, 0) == 0.0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangefuse as rf
-from rangefuse.connectivity import invert_counts
+from rangefuse.fdtable import invert_counts
 from conftest import PARAMS_FIELD
 
 FIXTURE = """\

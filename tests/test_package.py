@@ -232,11 +232,14 @@ def test_bare_import_loads_no_module():
 
 
 def test_table_load_loads_only_what_it_reads(tmp_path, model44):
+    # no quadrature (connectivity) and no configparser, which only --config needs
     table = tmp_path / "fd.txt"
     rf.save_fd_model(model44, table)
-    code = "import sys, rangefuse\nrangefuse.load_fd_model(sys.argv[1])\n" + _LOADED
+    code = ("import sys, rangefuse\nrangefuse.load_fd_model(sys.argv[1])\n" + _LOADED
+            + "\nprint('configparser' in sys.modules)")
     assert _run_python(code, str(table)).split() == [
-        "rangefuse.channel", "rangefuse.config", "rangefuse.connectivity", "rangefuse.errors"]
+        "rangefuse.channel", "rangefuse.config", "rangefuse.errors", "rangefuse.fdtable",
+        "False"]
 
 
 _COMMAND_CODE = """
@@ -244,26 +247,35 @@ import contextlib, io, sys
 from rangefuse.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(name[10:] for name in sys.modules if name.startswith("rangefuse.")))
+print(code, *sorted(name.removeprefix("rangefuse.") for name in sys.modules
+                   if name.startswith("rangefuse.") or name in ("configparser", "json")))
 """
 
 
+# a command given --fd-table loads no quadrature (connectivity); the last two
+# cases show that the check sees the standard library's json and configparser
 @pytest.mark.parametrize("argv, runs, unloaded", [
     (["fd-table", "--n-knots", "8", "--quad-tol", "1e-3", "--output", "OUT"], "connectivity",
-     {"dataset", "simulator", "pipeline", "fusion", "crlb"}),
+     {"dataset", "simulator", "pipeline", "fusion", "crlb", "configparser", "json"}),
     (["estimate", "--fd-table", "TABLE", "--rss", "-80", "--m", "3", "--p", "2", "--q", "2"],
-     "pipeline", {"dataset", "simulator"}),
+     "pipeline", {"dataset", "simulator", "connectivity", "configparser", "json"}),
     (["crlb", "--fd-table", "TABLE", "--mu", "10", "--output", "OUT"], "crlb",
-     {"dataset", "simulator"}),
+     {"dataset", "simulator", "connectivity", "configparser", "json"}),
     (["dataset", "--fd-table", "TABLE", "--input", "MEAS", "--pairs", "1-2", "--output", "OUT"],
-     "dataset", {"simulator"}),
+     "dataset", {"simulator", "connectivity", "configparser", "json"}),
     (["simulate", "--fd-table", "TABLE", "--mu", "10", "--trials", "2", "--distances", "20",
-      "--output", "OUT"], "simulator", {"dataset"}),
-], ids=["fd-table", "estimate", "crlb", "dataset", "simulate"])
+      "--output", "OUT"], "simulator", {"dataset", "connectivity", "configparser", "json"}),
+    (["simulate", "--fd-table", "TABLE", "--mu", "10", "--trials", "2", "--distances", "20",
+      "--output", "OUT", "--json", "JSON"], "json", {"dataset", "connectivity", "configparser"}),
+    (["crlb", "--fd-table", "TABLE", "--config", "CONFIG", "--output", "OUT"], "configparser",
+     {"dataset", "simulator", "connectivity", "json"}),
+], ids=["fd-table", "estimate", "crlb", "dataset", "simulate", "simulate-json", "crlb-config"])
 def test_a_command_loads_only_what_it_runs(tmp_path, model44, argv, runs, unloaded):
-    paths = {"TABLE": tmp_path / "fd.txt", "MEAS": tmp_path / "meas.txt", "OUT": tmp_path / "out"}
+    paths = {"TABLE": tmp_path / "fd.txt", "MEAS": tmp_path / "meas.txt", "OUT": tmp_path / "out",
+             "JSON": tmp_path / "out.json", "CONFIG": tmp_path / "cfg.ini"}
     rf.save_fd_model(model44, paths["TABLE"])
     paths["MEAS"].write_text("# nodes\n1, 0, 0\n2, 3, 4\n3, 1, 1\n# rss\n1, 2, -60\n")
+    paths["CONFIG"].write_text("[experiment]\nmu = 10\n")
     channel = ["--p-ref-dbm", "-37.47", "--alpha", "4", "--sigma-db", "4",
                "--rss-threshold-dbm", "-100"]
     code, *loaded = _run_python(_COMMAND_CODE, argv[0], *channel,

@@ -248,7 +248,7 @@ def _per_trial_oracle(cfg, model):
         for _, xy, z, obs in trials:
             m, p, q = _counts_by_sets(xy, a, b, *(r * np.exp(spread * z)))
             d_rss = rf.estimate_distance_rss(params, obs)
-            d_conn = rf.connectivity.invert_counts(model, m, p, q)
+            d_conn = rf.fdtable.invert_counts(model, m, p, q)
             d_fused = d_conn
             for _ in range(2):
                 plug = min(max(d_fused, 1e-9 * d_th), d_th)
