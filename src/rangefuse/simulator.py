@@ -25,8 +25,8 @@ from .channel import (
     LN10,
     ChannelParams,
     estimate_distance_rss,
+    mean_rss,
     pseudo_range,
-    sample_rss,
 )
 from .config import ExperimentConfig
 from .crlb import crlb_distance
@@ -95,15 +95,16 @@ def deploy_poisson(side: float, intensity: float, rng: np.random.Generator) -> D
 
 
 def _links(xy: np.ndarray, ends_x: np.ndarray, y: float, r: float, spread: float,
-           z: np.ndarray) -> np.ndarray:
-    """Which nodes at xy link to each of two endpoints, shape (2, n): a's row, then b's.
+           z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Which nodes at xy link to each of two endpoints, into out: a's row, then b's.
 
     The endpoints sit at (ends_x[0, 0], y) and (ends_x[1, 0], y); ends_x
     is a (2, 1) column. z holds one shadowing draw per endpoint and node,
     shape (2, n). A draw sets the node's effective link radius r_eff =
     r exp(spread z) around the pseudo range r, spread = sigma_r ln10; the
     node links when its squared distance is at most r_eff^2. z is
-    overwritten with r_eff^2.
+    overwritten with r_eff^2, and out, a (2, n) boolean array, with the
+    mask, which is returned.
     """
     z *= spread
     np.exp(z, out=z)
@@ -114,7 +115,7 @@ def _links(xy: np.ndarray, ends_x: np.ndarray, y: float, r: float, spread: float
     dy = xy[:, 1] - y
     dy *= dy
     d2 += dy
-    return d2 <= z
+    return np.less_equal(d2, z, out=out)
 
 
 # trials per block of a probe's stream: large enough to amortize the numpy
@@ -134,27 +135,34 @@ def _draw_probe(params: ChannelParams, side: float, intensity: float, d: float,
     drawn from rng in blocks of _BLOCK_TRIALS (the last one shorter); each
     block takes, in this order, its node counts, all its node positions,
     both endpoints' shadowing draws for all its nodes (a's row, then b's)
-    and its RSS readings. One _links call tests a block's nodes against
-    both endpoints. A trial's counts are sums over its own nodes.
+    and its RSS readings. A reading is sample_rss's mean plus shadowing,
+    its mean taken once per probe. One _links call tests a block's nodes
+    against both endpoints; with the nodes linked to both, that fills a
+    (3, n) mask whose rows one np.add.reduceat sums per trial, at the
+    starts of the trials that have nodes. A trial without nodes counts 0.
     """
     r, spread = pseudo_range(params), params.sigma_r * LN10
     ends_x = np.array([[(side - d) / 2.0], [(side + d) / 2.0]])
-    counts = np.empty((3, trials), dtype=np.int64)
+    counts = np.zeros((3, trials), dtype=np.int64)
     obs = np.empty(trials)
+    mean = mean_rss(params, np.full(min(trials, _BLOCK_TRIALS), d))
     for start in range(0, trials, _BLOCK_TRIALS):
         k = min(_BLOCK_TRIALS, trials - start)
         n = rng.poisson(intensity * side * side, k)
         xy = rng.random((int(n.sum()), 2))
         xy *= side
         z = rng.standard_normal((2, xy.shape[0]))
-        obs[start:start + k] = sample_rss(params, np.full(k, d), rng)
-        # bincount over each linked node's trial index: trials without
-        # nodes or links get 0
-        trial = np.repeat(np.arange(k), n)
-        link_a, link_b = _links(xy, ends_x, side / 2.0, r, spread, z)
-        m = np.bincount(trial[link_a & link_b], minlength=k)
-        counts[:, start:start + k] = (m, np.bincount(trial[link_a], minlength=k) - m,
-                                      np.bincount(trial[link_b], minlength=k) - m)
+        obs[start:start + k] = mean[:k] + rng.normal(0.0, params.sigma_db, size=k)
+        if xy.shape[0]:
+            # rows: linked to both, to a, to b; reduceat takes no empty
+            # segment, so only the trials with nodes give it a start
+            mask = np.empty((3, xy.shape[0]), dtype=bool)
+            _links(xy, ends_x, side / 2.0, r, spread, z, mask[1:])
+            np.logical_and(mask[1], mask[2], out=mask[0])
+            block, full = counts[:, start:start + k], n > 0
+            block[:, full] = np.add.reduceat(mask, (np.cumsum(n) - n)[full], axis=1,
+                                             dtype=np.int64)
+            block[1:] -= block[0]
     return counts, obs
 
 

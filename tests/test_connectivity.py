@@ -592,9 +592,16 @@ class TestBandRule:
         tolerance = abs(fine - coarse) + 100.0 * np.finfo(float).eps * size
         assert abs(tails[0] - fine) <= tolerance
 
+    def test_legendre_literals_are_numpys_rule(self):
+        # the stored nodes and weights are leggauss(10) mapped to [0, 1], to the bit
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        stored = rf.connectivity._gauss_legendre()
+        assert stored[0].tobytes() == (0.5 * (nodes + 1.0)).tobytes()
+        assert stored[1].tobytes() == (0.5 * weights).tobytes()
+
     def test_panel_steps_are_the_legendre_rule(self):
-        # the rule made on first use keeps the bits of the 10-point
-        # Gauss-Legendre rule mapped to [0, 1] and through the smoothstep
+        # the stored rule keeps the bits of the 10-point Gauss-Legendre
+        # rule mapped to [0, 1] and through the smoothstep
         nodes, weights = np.polynomial.legendre.leggauss(10)
         nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
         for n in (1, 2, 4, 8, 16, 32, 64):

@@ -248,15 +248,18 @@ from rangefuse.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, *sorted(name.removeprefix("rangefuse.") for name in sys.modules
-                   if name.startswith("rangefuse.") or name in ("configparser", "json")))
+                   if name.startswith("rangefuse.")
+                   or name in ("configparser", "json", "numpy.polynomial")))
 """
 
 
-# a command given --fd-table loads no quadrature (connectivity); the last two
-# cases show that the check sees the standard library's json and configparser
+# a command given --fd-table loads no quadrature (connectivity), and a table
+# build no numpy.polynomial; the last two cases show that the check sees the
+# standard library's json and configparser
 @pytest.mark.parametrize("argv, runs, unloaded", [
     (["fd-table", "--n-knots", "8", "--quad-tol", "1e-3", "--output", "OUT"], "connectivity",
-     {"dataset", "simulator", "pipeline", "fusion", "crlb", "configparser", "json"}),
+     {"dataset", "simulator", "pipeline", "fusion", "crlb", "configparser", "json",
+      "numpy.polynomial"}),
     (["estimate", "--fd-table", "TABLE", "--rss", "-80", "--m", "3", "--p", "2", "--q", "2"],
      "pipeline", {"dataset", "simulator", "connectivity", "configparser", "json"}),
     (["crlb", "--fd-table", "TABLE", "--mu", "10", "--output", "OUT"], "crlb",

@@ -79,7 +79,8 @@ class TestLinks:
         xy = np.array([near_both, far_both, only_a, only_b])
         z = np.random.default_rng(4).standard_normal((2, len(xy)))
         ends_x = np.array([[a[0]], [b[0]]])
-        links = rf.simulator._links(xy, ends_x, a[1], DISK_R, PARAMS_DISK.sigma_r * LN10, z)
+        links = rf.simulator._links(xy, ends_x, a[1], DISK_R, PARAMS_DISK.sigma_r * LN10, z,
+                                    np.empty((2, len(xy)), dtype=bool))
         assert links.tolist() == [[True, False, True, False], [True, False, False, True]]
 
 
@@ -400,19 +401,20 @@ class TestInPlaceLinks:
         a, b = (31.0, 40.0), (49.0, 40.0)
         want = [_links_out_of_place(params, xy, end, row) for end, row in zip((a, b), z)]
         r_eff = rf.pseudo_range(params) * np.exp(params.sigma_r * LN10 * z)
+        out = np.empty((2, 500), dtype=bool)
         links = rf.simulator._links(xy, np.array([[a[0]], [b[0]]]), 40.0,
-                                    rf.pseudo_range(params), params.sigma_r * LN10, z)
-        assert links.tobytes() == np.stack(want).tobytes()
+                                    rf.pseudo_range(params), params.sigma_r * LN10, z, out)
+        assert links is out and links.tobytes() == np.stack(want).tobytes()
         # the draws were overwritten with r_eff^2
         assert z.tobytes() == (r_eff * r_eff).tobytes()
 
     @pytest.mark.parametrize("fixture", _CHANNELS)
-    @pytest.mark.parametrize("trials", [1, 15, 16, 17, 100])
+    @pytest.mark.parametrize("trials", [1, 15, 16, 17, 33, 100])
     def test_draw_probe_keeps_the_bits(self, request, fixture, trials):
         model = request.getfixturevalue(fixture)
         side = 4.0 * model.d_th  # the default margin, 1.5
-        # mu 0.05 leaves most trials without a node
-        for mu in (0.05, 20.0):
+        # mu 1e-9 leaves every block without a node, mu 0.05 most trials
+        for mu in (1e-9, 0.05, 20.0):
             intensity = rf.mu_to_lambda(mu, model.s_mass)
             for frac in (0.05, 0.5, 1.0):
                 args = (model.params, side, intensity, frac * model.d_th, trials)
@@ -421,6 +423,8 @@ class TestInPlaceLinks:
                     *args, np.random.default_rng((39, trials)))
                 assert counts.tobytes() == want_counts.tobytes()
                 assert obs.tobytes() == want_obs.tobytes()
+                if mu == 1e-9:
+                    assert not counts.any()
         assert counts.sum() > 0
 
 
