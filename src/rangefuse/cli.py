@@ -4,7 +4,7 @@ Subcommands: fd-table (tabulate and save the common-neighborhood model),
 simulate (Monte Carlo RMSE report), crlb (variance lower-bound curve),
 estimate (one pair from an RSS reading and neighbor counts), dataset
 (evaluate measured deployments). The other four build the f(d) table of
-their channel, in some 0.02 s at the default size, unless --fd-table names
+their channel, in 0.01 to 0.02 s at the default size, unless --fd-table names
 one that fd-table saved; that table then supplies the channel, which the
 flags and config file may leave out, or state whole and equal. dataset
 evaluates every link of its file unless --pairs names some. A command

@@ -19,23 +19,27 @@ S = E[pi rho^2] (generic_s, in closed form).
 Under an ideal disk channel both radii are r and f is unit_disk_f.
 
 The whole table is one generic_f call with the knot array, the module's
-one quadrature (_lens_rule). For each z_a the lens has a closed form in
-z_b outside the band where the two disks cross: pi rho_a^2 above it, and
-pi rho_b^2 or 0 below it as b is nested in a or apart from it. Those two
-tails are normal tail probabilities, and Gauss-Legendre panels integrate
-the band and z_a. The panels double until two levels agree within quad_tol
-(no tighter than the rounding floor QUAD_TOL_FLOOR). Each refinement level
-is one array pass over the knots that have not yet converged, and each
-knot keeps its own check and its own sums, so a knot's value is the same,
-to the bit, as generic_f gives for its distance alone. The tails run to
-infinity; z_a and the band end at z = +-9. Since lens <= pi min(rho_a,
-rho_b)^2, the region beyond 9 in either draw adds at most Q(9) S = 1.1e-19
-S, and the one below -9 less. The mass lies where phi(z) e^(2kz), the
-weight of E[pi rho^2], peaks: at z = 2k. threshold_distance, and so
-build_fd_model, accepts only sigma_r <= 0.647, so that peak lies at z < 3,
-between the fixed breaks.
+one quadrature (_lens_rule). The lens area is symmetric in its two radii,
+so the rule integrates the half-plane z_b >= z_a, where rho_b >= rho_a,
+and doubles the sum. For each z_a the lens has a closed form in z_b outside
+the band where the two disks cross: above it b holds a and the lens is
+pi rho_a^2, and below it, within the half-plane, the disks are apart and
+the lens is 0 (b nested in a needs rho_b < rho_a). The one tail is a
+normal tail probability, and Gauss-Legendre panels integrate the band and
+z_a. The panels double until two levels agree within quad_tol (no tighter
+than the rounding floor QUAD_TOL_FLOOR). Each refinement level is one
+array pass over the knots that have not yet converged, and each knot keeps
+its own check and its own sums, so a knot's value is the same, to the bit,
+as generic_f gives for its distance alone. The tail runs to infinity; z_a
+and the band end at z = +-9. Since lens <= pi rho_a^2 on the half-plane,
+the part of it beyond 9 in z_b, which holds all of it beyond 9 in z_a,
+adds at most Q(9) S, doubled 2 Q(9) S = 2.3e-19 S, and the part below -9
+in z_a less. The mass lies where phi(z) e^(2kz), the weight of E[pi
+rho^2], peaks: at z = 2k. threshold_distance, and so build_fd_model,
+accepts only sigma_r <= 0.647, so that peak lies at z < 3, between the
+fixed breaks.
 
-The tails and the cutoff d_th take Q from the one normal-tail kernel,
+The tail and the cutoff d_th take Q from the one normal-tail kernel,
 channel._normal_tail: _lens_tails directly, threshold_distance through the
 link probability it bisects. The module needs numpy and the standard
 library only.
@@ -200,39 +204,39 @@ def _band(params: ChannelParams, rho_a: np.ndarray, d: np.ndarray):
         return np.log(np.abs(d - rho_a) / r) / k, np.log((rho_a + d) / r) / k
 
 
-def _lens_tails(params: ChannelParams, rho_a: np.ndarray, d: np.ndarray, z_lo: np.ndarray,
-                z_hi: np.ndarray) -> np.ndarray:
-    """E[lens(rho_a, rho_b, d)] over the z_b outside the band (_band), in closed form, per row.
+def _lens_tails(rho_a: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+    """E[lens(rho_a, rho_b, d)] over the z_b above the band (_band), in closed form, per row.
 
     Above the band b holds a and the lens is pi rho_a^2, which weighs
-    pi rho_a^2 Q(z_hi). Below it the lens is pi rho_b^2 where rho_a > d (b
-    nested in a), which weighs pi r^2 e^(2 k^2) Q(2k - z_lo) as in
-    generic_s, and 0 otherwise (disjoint disks). Both tails run to infinity,
-    and at d = 0 they are the whole integral.
+    pi rho_a^2 Q(z_hi). This is the one tail of the half-plane z_b >= z_a
+    that _lens_rule integrates: below the band rho_b <= |d - rho_a|, which
+    there means the disks are apart (0) or b is nested in a, and nested
+    radii rho_b < rho_a lie in the other half. The tail runs to infinity,
+    and at d = 0 it is the whole integral.
     """
-    out = math.pi * rho_a * rho_a * _normal_tail(z_hi)
-    nested = rho_a > d
-    out[nested] += generic_s(params) * _normal_tail(2.0 * params.sigma_r * LN10 - z_lo[nested])
-    return out
+    return math.pi * rho_a * rho_a * _normal_tail(z_hi)
 
 
 def _lens_rule(params: ChannelParams, d: np.ndarray, n: int) -> np.ndarray:
     """E[lens(rho_a, rho_b, d)] at each distance of the 1-D array d, by n smoothstep panels.
 
     rho = r e^(k z), k = sigma_r ln 10, for each of the two standard-normal
-    draws z_a and z_b. z_a runs over the domain of _Z_BREAKS, with n panels
-    per interval; its intervals also break at rho_a = d/2 and rho_a = d,
-    breaks outside the domain sit at its ends, and the rows of zero-width
-    intervals weigh 0 and are skipped. For each z_a row, _lens_tails gives
-    the z_b outside the band where the disks cross in closed form, and the
-    band, clipped to the domain and split at the _Z_BREAKS inside it, takes
-    n panels per interval of nonzero width. The rows go in blocks of at most
-    _BLOCK_ROWS, and each block's band intervals through _lens in chunks of
-    at most _CHUNK_POINTS points, laid out (nodes, intervals), whose passes
-    run in place in a few arrays of the chunk's size. Each interval
-    is summed on its own, each row's intervals in order and each distance's
-    rows on their own, so a distance's value does not depend on which other
-    distances share the call.
+    draws z_a and z_b. The lens area is symmetric in its two radii, so the
+    rule integrates the half-plane z_b >= z_a and doubles the sum. z_a runs
+    over the domain of _Z_BREAKS, with n panels per interval; its intervals
+    also break at rho_a = d/2, where the band's lower end crosses z_a, and
+    at rho_a = d, breaks outside the domain sit at its ends, and the rows of
+    zero-width intervals weigh 0 and are skipped. For each z_a row,
+    _lens_tails gives the z_b above the band where the disks cross in
+    closed form, and the band, from max(z_lo, z_a) up, clipped to the
+    domain and split at the _Z_BREAKS inside it, takes n panels per
+    interval of nonzero width. The rows go in blocks of at most _BLOCK_ROWS,
+    and each block's band intervals through _lens in chunks of at most
+    _CHUNK_POINTS points, laid out (nodes, intervals), whose passes run in
+    place in a few arrays of the chunk's size. Each interval is summed on
+    its own, each row's intervals in order and each distance's rows on their
+    own, so a distance's value does not depend on which other distances
+    share the call.
     """
     r, k = pseudo_range(params), params.sigma_r * LN10
     steps, weights = _panel_steps(n)
@@ -246,13 +250,15 @@ def _lens_rule(params: ChannelParams, d: np.ndarray, n: int) -> np.ndarray:
     w_a = (width * weights).reshape(shape) * _normal_pdf(z_a)
     rows = np.flatnonzero(w_a)
     d_rows = np.repeat(d, z_a.shape[1])[rows]
-    rho_rows = r * np.exp(k * z_a.ravel()[rows])
+    z_rows = z_a.ravel()[rows]
+    rho_rows = r * np.exp(k * z_rows)
     inner = np.zeros(w_a.size)
     chunk = max(1, _CHUNK_POINTS // steps.size)
     for start in range(0, rows.size, _BLOCK_ROWS):
-        rho, d_row = rho_rows[start:start + _BLOCK_ROWS], d_rows[start:start + _BLOCK_ROWS]
+        block = slice(start, start + _BLOCK_ROWS)
+        rho, d_row = rho_rows[block], d_rows[block]
         z_lo, z_hi = _band(params, rho, d_row)
-        band_lo = np.maximum(z_lo[:, None], _Z_BREAKS[:-1])
+        band_lo = np.maximum(np.maximum(z_lo, z_rows[block])[:, None], _Z_BREAKS[:-1])
         band_width = np.minimum(z_hi[:, None], _Z_BREAKS[1:]) - band_lo
         # each row's intervals of nonzero width, in order
         cells = np.flatnonzero(band_width > 0.0)
@@ -271,9 +277,8 @@ def _lens_rule(params: ChannelParams, d: np.ndarray, n: int) -> np.ndarray:
             rho_b *= r
             w_b *= _lens(rho[owner[cols]], rho_b, d_row[owner[cols]])
             sums[cols] = _column_sums(w_b)
-        inner[rows[start:start + _BLOCK_ROWS]] = (
-            _lens_tails(params, rho, d_row, z_lo, z_hi) + np.bincount(owner, sums, rho.size))
-    return (w_a * inner.reshape(w_a.shape)).sum(axis=1)
+        inner[rows[block]] = _lens_tails(rho, z_hi) + np.bincount(owner, sums, rho.size)
+    return 2.0 * (w_a * inner.reshape(w_a.shape)).sum(axis=1)
 
 
 # Rounding floor for quad_tol. One level sums 2e2 to 2e7 float64 terms per
@@ -292,15 +297,16 @@ def generic_f(params: ChannelParams, d, quad_tol: float = 1e-6):
     disks of the two nodes, whose radii rho = r e^(k z), k = sigma_r ln 10,
     are independent log-normal draws (module docstring). _lens_rule
     integrates the closed-form lens area against the two standard-normal
-    densities: in z_b, the tails outside the band where the disks cross in
-    closed form and the band on [-9, 9] by panels; in z_a, panels on
-    [-9, 9]. It starts at 1 panel per interval and doubles until two
-    successive levels agree within quad_tol relative. All the distances of
-    d run each level together, and each keeps its own check, so a distance
-    gets the same value, to the bit, alone as in any array. Every z_a link
-    radius is at most r e^(9k), so beyond twice that only the tail rho_b >
-    rho_a + d is left, which weighs less than Q(9) S; f is 0 there, without
-    the rule. A scalar d gives a float. Raises
+    densities on the half-plane z_b >= z_a and doubles the sum, the lens
+    being symmetric in the two radii: in z_b, the tail above the band where
+    the disks cross in closed form and the band on [-9, 9] by panels; in
+    z_a, panels on [-9, 9]. It starts at 1 panel per interval and doubles
+    until two successive levels agree within quad_tol relative. All the
+    distances of d run each level together, and each keeps its own check,
+    so a distance gets the same value, to the bit, alone as in any array.
+    Every z_a link radius is at most r e^(9k), so beyond twice that only
+    the tail rho_b > rho_a + d is left, which, doubled, weighs less than
+    2 Q(9) S; f is 0 there, without the rule. A scalar d gives a float. Raises
     ValueError unless every d is nonnegative and finite and 0 < quad_tol <
     inf; NumericError, naming the lowest distance and its last relative
     change, when the check is not met by 64 panels per interval, and for

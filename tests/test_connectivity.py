@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -348,8 +348,8 @@ class TestGenericF:
             rf.generic_f(params, 30.0, quad_tol=quad_tol)
 
     def test_levels_that_never_agree_raise(self, monkeypatch):
-        # levels 1 and 2 only; they differ by 9.1e-8 relative here (f = 177.07),
-        # and the message quotes that relative gap, not the absolute 1.6e-5
+        # levels 1 and 2 only; they differ by 7.9e-8 relative here (f = 177.07),
+        # and the message quotes that relative gap, not the absolute 1.4e-5
         monkeypatch.setattr(rf.connectivity, "_MAX_PANELS", 2)
         with pytest.raises(rf.NumericError, match="did not converge") as raised:
             rf.generic_f(PARAMS_SHARP, 7.0, quad_tol=1e-10)
@@ -477,6 +477,11 @@ def _adaptive_f(params, d, quad_tol=1e-10):
 REF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "ref"
 
 
+@pytest.fixture(scope="module")
+def model_wide():
+    return rf.build_fd_model(PARAMS_WIDE)
+
+
 class TestTableAccuracy:
     """The default 64-knot, 1e-6 tables against references and an adaptive oracle."""
 
@@ -497,6 +502,8 @@ class TestTableAccuracy:
         ("model_field", PARAMS_FIELD, (0, 16, 40)),
         # the reference table is 6e-7 off the oracle at sharp knot 10
         ("model_sharp", PARAMS_SHARP, (0, 10, 40)),
+        # 2.3e-9 off at knot 63, the widest gap of the four channels
+        ("model_wide", PARAMS_WIDE, (0, 27, 63)),
     ])
     def test_knots_match_adaptive_oracle(self, request, fixture, params, knots):
         model = request.getfixturevalue(fixture)
@@ -517,7 +524,7 @@ class TestZDomain:
                                         PARAMS_WIDER],
                              ids=["p44", "field", "sharp", "wide", "wider"])
     def test_widening_the_domain_leaves_f(self, monkeypatch, params):
-        # the closed-form z_b tails run to infinity either way, and the z_a
+        # the closed-form z_b tail runs to infinity either way, and the z_a
         # intervals and band intervals inside [-9, 9] stay as they are, so the
         # two sums differ by the z_a rows and band beyond +-9 and by rounding
         conn = rf.connectivity
@@ -541,21 +548,93 @@ class TestZDomain:
         assert 2.0 * 0.648 * LN10 < 3.0
 
 
-def _tails_reference(params, rho, d, panels):
-    """Sum and absolute sum of phi(z) _lens(rho, r e^(k z), d) over the z outside the band.
+def _full_plane_lens_rule(params, d, n):
+    """_lens_rule over the whole (z_a, z_b) plane, with both closed-form z_b tails: its oracle.
 
-    Composite 20-point Gauss-Legendre rules on 40-wide intervals below
-    z_lo and above z_hi, with the given number of panels each; the normal
-    density is below 1e-300 beyond them.
+    The same z_a grid and band panels, but each row's band starts at z_lo,
+    not at max(z_lo, z_a), and below the band the lens is pi rho_b^2 where b
+    is nested in a, which weighs S Q(2k - z_lo). It computes every crossing
+    pair of disks once in each order, and the sum is not doubled.
+    """
+    conn = rf.connectivity
+    r, k = rf.pseudo_range(params), params.sigma_r * LN10
+    steps, weights = conn._panel_steps(n)
+    with np.errstate(divide="ignore"):
+        z = np.clip(np.log(np.stack([d / 2.0, d], axis=1) / r) / k,
+                    conn._Z_BREAKS[0], conn._Z_BREAKS[-1])
+    edges = np.sort(np.concatenate(
+        [np.broadcast_to(conn._Z_BREAKS, (d.size, conn._Z_BREAKS.size)), z], axis=1), axis=1)
+    lo, width = edges[:, :-1, None], np.diff(edges)[:, :, None]
+    shape = (d.size, (edges.shape[1] - 1) * steps.size)
+    z_a = (lo + width * steps).reshape(shape)
+    w_a = (width * weights).reshape(shape) * conn._normal_pdf(z_a)
+    rows = np.flatnonzero(w_a)
+    d_rows = np.repeat(d, z_a.shape[1])[rows]
+    rho_rows = r * np.exp(k * z_a.ravel()[rows])
+    inner = np.zeros(w_a.size)
+    for start in range(0, rows.size, conn._BLOCK_ROWS):
+        rho = rho_rows[start:start + conn._BLOCK_ROWS]
+        d_row = d_rows[start:start + conn._BLOCK_ROWS]
+        z_lo, z_hi = conn._band(params, rho, d_row)
+        band_lo = np.maximum(z_lo[:, None], conn._Z_BREAKS[:-1])
+        band_width = np.minimum(z_hi[:, None], conn._Z_BREAKS[1:]) - band_lo
+        cells = np.flatnonzero(band_width > 0.0)
+        owner = cells // (conn._Z_BREAKS.size - 1)
+        band_lo, band_width = band_lo.ravel()[cells], band_width.ravel()[cells]
+        z_b = band_lo + band_width * steps[:, None]
+        w_b = band_width * weights[:, None] * conn._normal_pdf(z_b)
+        sums = conn._column_sums(w_b * conn._lens(rho[owner], r * np.exp(k * z_b), d_row[owner]))
+        tails = math.pi * rho * rho * conn._normal_tail(z_hi)
+        nested = rho > d_row
+        tails[nested] += rf.generic_s(params) * conn._normal_tail(2.0 * k - z_lo[nested])
+        inner[rows[start:start + conn._BLOCK_ROWS]] = tails + np.bincount(owner, sums, rho.size)
+    return (w_a * inner.reshape(w_a.shape)).sum(axis=1)
+
+
+class TestHalfPlaneRule:
+    """The lens rule integrates z_b >= z_a and doubles; the full-plane rule is its oracle."""
+
+    # largest relative gap of a default table's knots to the full-plane
+    # rule's: p44 3.9e-10, field 1.2e-9, sharp 2e-14, wide 1.7e-9
+    @pytest.mark.parametrize("fixture, params", [
+        ("model44", PARAMS_44), ("model_field", PARAMS_FIELD), ("model_sharp", PARAMS_SHARP),
+        ("model_wide", PARAMS_WIDE)], ids=["p44", "field", "sharp", "wide"])
+    def test_knots_match_the_full_plane_rule(self, request, monkeypatch, fixture, params):
+        model = request.getfixturevalue(fixture)
+        monkeypatch.setattr(rf.connectivity, "_lens_rule", _full_plane_lens_rule)
+        oracle = rf.build_fd_model(params)
+        assert model.knots_f == pytest.approx(oracle.knots_f, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_FIELD, PARAMS_SHARP, PARAMS_WIDE,
+                                        PARAMS_WIDER],
+                             ids=["p44", "field", "sharp", "wide", "wider"])
+    def test_one_level_matches_the_full_plane_rule(self, params):
+        # at 16 panels per interval both rules have converged to within
+        # 1e-14 relative (7.6e-15 on wider), so they differ by rounding
+        knots = np.linspace(0.0, rf.threshold_distance(params), 9)
+        half = rf.connectivity._lens_rule(params, knots, 16)
+        assert half == pytest.approx(_full_plane_lens_rule(params, knots, 16), rel=1e-13, abs=0.0)
+
+
+def _tails_reference(params, rho, d, panels):
+    """Sum and absolute sum of phi(z) _lens(rho, r e^(k z), d) over the z > z_a outside the band.
+
+    z_a = ln(rho / r) / k. Composite 20-point Gauss-Legendre rules, with
+    the given number of panels each, on the 40-wide interval above z_hi
+    (the normal density is below 1e-300 beyond it) and, where the band
+    starts above z_a, on [z_a, z_lo].
     """
     r, k = rf.pseudo_range(params), params.sigma_r * LN10
     nodes, weights = np.polynomial.legendre.leggauss(20)
     terms = []
-    ends = [(math.log((rho + d) / r) / k, 40.0)]
+    z_hi = math.log((rho + d) / r) / k
+    spans = [(z_hi, z_hi + 40.0)]
     if rho != d:
-        ends.append((math.log(abs(d - rho) / r) / k, -40.0))
-    for end, length in ends:
-        edges = np.linspace(end, end + length, panels + 1)[:, None]
+        z_a, z_lo = math.log(rho / r) / k, math.log(abs(d - rho) / r) / k
+        if z_lo > z_a:
+            spans.append((z_a, z_lo))
+    for start, stop in spans:
+        edges = np.linspace(start, stop, panels + 1)[:, None]
         width = np.diff(edges, axis=0)
         z = edges[:-1] + width * 0.5 * (nodes + 1.0)
         lens = rf.connectivity._lens(np.array(rho), r * np.exp(k * z), d)
@@ -566,11 +645,13 @@ def _tails_reference(params, rho, d, panels):
 
 
 class TestBandRule:
-    """The z_b rule: closed-form tails outside the band, panels inside it."""
+    """The z_b rule on z_b >= z_a: a closed-form tail above the band, panels inside it."""
 
     # rows as (z_a, z_lo) of the radius rho_a = r e^(k z_a) and the band's
     # lower end r e^(k z_lo) = |d - rho_a|, so that every channel gets a band
-    # near the middle of the normal law; d = 0 is its own case
+    # near the middle of the normal law; d = 0 is its own case. Nested and
+    # equal rows have z_lo < z_a, so the half-plane has no z_b below the
+    # band; the disjoint row's [z_a, z_lo] is there and weighs 0
     @pytest.mark.parametrize("params", [PARAMS_44, PARAMS_SHARP, PARAMS_WIDE],
                              ids=["p44", "sharp", "wide"])
     @pytest.mark.parametrize("case", ["nested", "disjoint", "equal", "coincident"])
@@ -581,8 +662,8 @@ class TestBandRule:
         d = {"nested": rho - r * math.exp(-0.5 * k), "disjoint": rho + r * math.exp(0.3 * k),
              "equal": rho, "coincident": 0.0}[case]
         rho_a, d_a = np.array([rho]), np.array([d])
-        tails = rf.connectivity._lens_tails(params, rho_a, d_a,
-                                            *rf.connectivity._band(params, rho_a, d_a))
+        _, z_hi = rf.connectivity._band(params, rho_a, d_a)
+        tails = rf.connectivity._lens_tails(rho_a, z_hi)
         coarse, _ = _tails_reference(params, rho, d, 32)
         fine, size = _tails_reference(params, rho, d, 64)
         # the reference's own convergence, plus 100 ulps of its term sum for
@@ -622,11 +703,12 @@ class TestBandRule:
             assert rf.connectivity._column_sums(w[:, j:j + 2]).tolist() == folded[j:j + 2]
 
     # _lens elements that a 64-knot, 1e-6 build evaluates, counted without
-    # timing: the band rule reads 789 820 (p44) and 1 137 000 (sharp); the
-    # full-domain z_b rule before it, 10n nodes on all 8 z_b intervals of
-    # every row, read 2 000 000 and 1 540 000
-    @pytest.mark.parametrize("params, budget", [(PARAMS_44, 850_000),
-                                                (PARAMS_SHARP, 1_200_000)],
+    # timing: the band rule on the half-plane z_b >= z_a reads 540 730 (p44)
+    # and 662 500 (sharp); on the whole plane it read 789 820 and 1 137 000,
+    # and the full-domain z_b rule before that, 10n nodes on all 8 z_b
+    # intervals of every row, 2 000 000 and 1 540 000
+    @pytest.mark.parametrize("params, budget", [(PARAMS_44, 600_000),
+                                                (PARAMS_SHARP, 720_000)],
                              ids=["p44", "sharp"])
     def test_lens_points_of_a_build(self, monkeypatch, params, budget):
         lens, points = rf.connectivity._lens, []
@@ -773,21 +855,24 @@ class TestTabulationLoop:
         with pytest.raises(error, match="^no knot converged$"):
             rf.build_fd_model(PARAMS_44, 16)
 
-    # sharp: levels 1 and 2 differ by 4.6e-8 relative at knot 0 and 9.1e-8 at
-    # knots 1-7, so knot 0 fails; field: levels 2 and 4 differ by at most
-    # 8e-11 at knots 0-4 and by 1.2e-10 to 1.4e-9 at knots 5-7, so knots 5-7
-    # fail and knot 5 is named
-    @pytest.mark.parametrize("params, max_panels, lowest", [
-        (PARAMS_SHARP, 2, 0), (PARAMS_FIELD, 4, 5)], ids=["sharp", "field"])
-    def test_lowest_unconverged_knot_raises(self, monkeypatch, params, max_panels, lowest):
+    # at quad_tol 1e-11, sharp: levels 1 and 2 differ by 4.6e-8 relative at
+    # knot 0 and 7.9e-8 at knots 1-7, so knot 0 fails; field: levels 2 and 4
+    # differ by 3.1e-13 to 2.3e-12 at knots 0-3, 3.8e-11 at knot 4, 1.7e-12 at
+    # knot 5 and 1.3e-11 at knots 6-7, so knots 4, 6 and 7 fail and knot 4 is
+    # named
+    @pytest.mark.parametrize("params, max_panels, lowest, converged", [
+        (PARAMS_SHARP, 2, 0, ()), (PARAMS_FIELD, 4, 4, (0, 1, 2, 3, 5))],
+        ids=["sharp", "field"])
+    def test_lowest_unconverged_knot_raises(self, monkeypatch, params, max_panels, lowest,
+                                            converged):
         monkeypatch.setattr(rf.connectivity, "_MAX_PANELS", max_panels)
         knots_d = np.linspace(0.0, rf.threshold_distance(params), 8)
-        for d in knots_d[:lowest]:
-            rf.generic_f(params, d, quad_tol=1e-10)
+        for k in converged:
+            rf.generic_f(params, knots_d[k], quad_tol=1e-11)
         with pytest.raises(rf.NumericError, match="did not converge") as alone:
-            rf.generic_f(params, knots_d[lowest], quad_tol=1e-10)
+            rf.generic_f(params, knots_d[lowest], quad_tol=1e-11)
         with pytest.raises(rf.NumericError) as built:
-            rf.build_fd_model(params, 8, 1e-10)
+            rf.build_fd_model(params, 8, 1e-11)
         assert str(built.value) == str(alone.value)
         assert f"at d={float(knots_d[lowest])!r} " in str(built.value)
 
@@ -1015,6 +1100,46 @@ def _fd_models(draw):
         knots_f=knots_f,
         params=draw(_channels()),
     )
+
+
+# p44's sigma_r, 4 / 40 = 2.5 / 25 = 0.1, at the pseudo range 15.85 m for p44's 36.58 m
+PARAMS_44_RESCALED = rf.ChannelParams(p_ref_dbm=-40.0, alpha=2.5, sigma_db=2.5,
+                                      rss_threshold_dbm=-70.0)
+
+
+def _in_units_of_r(model):
+    """d_th / r, S / r^2, knots_d / r and knots_f / r^2 of a table, r its pseudo range."""
+    r = rf.pseudo_range(model.params)
+    return model.d_th / r, model.s_mass / (r * r), model.knots_d / r, model.knots_f / (r * r)
+
+
+class TestSigmaRInvariance:
+    """A link exists with probability Q(log10(d / r) / sigma_r), so a table is r^2 F(d / r;
+    sigma_r): channels of one sigma_r give one table in units of r."""
+
+    def test_p44_at_another_pseudo_range(self, model44):
+        d_th, s, knots_d, knots_f = _in_units_of_r(rf.build_fd_model(PARAMS_44_RESCALED))
+        d_th44, s44, knots_d44, knots_f44 = _in_units_of_r(model44)
+        assert d_th == d_th44
+        assert s == pytest.approx(s44, rel=1e-13, abs=0.0)
+        assert knots_d == pytest.approx(knots_d44, rel=1e-15, abs=0.0)
+        assert knots_f == pytest.approx(knots_f44, rel=1e-13, abs=0.0)
+
+    # threshold_distance's bisection stops within 1e-15 relative, so for a
+    # drawn r the cutoff in units of r may move by an ulp or two
+    @settings(max_examples=25, deadline=None)
+    @given(r=st.floats(min_value=1.5, max_value=1e4),
+           alpha=st.floats(min_value=1.0, max_value=8.0))
+    def test_drawn_pseudo_range_and_exponent(self, model44, r, alpha):
+        params = rf.ChannelParams(p_ref_dbm=-40.0, alpha=alpha, sigma_db=alpha,
+                                  rss_threshold_dbm=-40.0 - 10.0 * alpha * math.log10(r))
+        assume(params.sigma_r == PARAMS_44.sigma_r)
+        d_th, s, knots_d, knots_f = _in_units_of_r(rf.build_fd_model(params))
+        d_th44, s44, knots_d44, knots_f44 = _in_units_of_r(model44)
+        assert d_th == pytest.approx(d_th44, rel=1e-15, abs=0.0)
+        assert s == pytest.approx(s44, rel=1e-13, abs=0.0)
+        assert knots_d == pytest.approx(knots_d44, rel=1e-14, abs=0.0)
+        assert knots_f == pytest.approx(knots_f44, rel=1e-13, abs=0.0)
 
 
 class TestModelRoundTrip:
