@@ -1,16 +1,14 @@
 """Fisher information and the variance lower bound for fused ranging.
 
-The pair observation consists of the three neighbor counts (Poisson with
-means driven by f(d) and S) and one RSS reading (normal in dB around the
+The pair observation consists of the neighbor counts, under
+fdtable.count_law, and one RSS reading (normal in dB around the
 log-distance path loss). Distance d and node intensity are estimated
 jointly, so the bound on d is the (d, d) entry of the inverse of the 2x2
 Fisher information matrix. Eliminating the intensity leaves the counts
 1/sigma_c^2 of information about d, with sigma_c from conn_error_sigma.
-f and its slope come from the tabulated piecewise-linear model; knots
-resolve to the left segment. fim and crlb_distance both take broadcastable
-arrays on the domain (0, d_th] of conn_error_sigma and share its argument
-check: 0 < intensity < inf, d in (0, d_th] and 0 < f(d) < S. The channel,
-which sets the RSS term, is the one the model was built for (model.params).
+fim and crlb_distance take broadcastable arrays and share count_law's
+argument check. The channel, which sets the RSS term, is the one the
+model was built for (model.params).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import LN10, ChannelParams, _like_input
-from .fdtable import FdModel, _model_point, conn_error_sigma
+from .fdtable import FdModel, conn_error_sigma, count_law
 
 
 class FisherInfo(NamedTuple):
@@ -44,18 +42,17 @@ def rss_fisher_scale(params: ChannelParams) -> float:
 def fim(model: FdModel, intensity, d) -> FisherInfo:
     """Fisher information matrix at distance d and the given node intensity; takes arrays.
 
-    Entries come back as arrays of the broadcast shape, or floats for 0-d input.
+    The Poisson information of the two counts of count_law, each of mean
+    lambda m(d): lambda m'^2/m, m' and m/lambda summed over the counts, plus
+    the RSS reading's information about d. Entries come back as arrays of
+    the broadcast shape, or floats for 0-d input.
     """
-    intensity, d, f_val, slope = _model_point(model, intensity, d)
-    scale = rss_fisher_scale(model.params)
-    s = model.s_mass
+    intensity, d, means, slopes = count_law(model, intensity, d)
     with np.errstate(over="ignore", divide="ignore"):  # inf RSS information as d -> 0
-        i_dd = intensity * slope * slope * (1.0 / f_val + 2.0 / (s - f_val)) + scale / (d * d)
-    # No check of the result: 0 < f < S (from _model_point) and kappa = scale > 0
-    # give i_ll = (2S - f)/lambda > 0 and det = f'^2 [(2S - f)(S + f)/(f (S - f)) - 1]
-    # + kappa (2S - f)/(lambda d^2) > 0, since (2S - f)(S + f) - f (S - f) = 2 S^2.
-    entries = (i_dd, -slope, (2.0 * s - f_val) / intensity)
-    return FisherInfo(*map(_like_input, entries))
+        i_dd = (intensity * sum(g * g / m for m, g in zip(means, slopes))
+                + rss_fisher_scale(model.params) / (d * d))
+    # unchecked: knots decrease strictly, so f' < 0 and the two counts' scores are never parallel
+    return FisherInfo(*map(_like_input, (i_dd, sum(slopes), sum(means) / intensity)))
 
 
 def crlb_distance(model: FdModel, intensity, d):

@@ -1,13 +1,13 @@
 """The tabulated f(d) model and the connectivity-based range estimator that reads it.
 
-Two nodes at separation d share common neighbors at a rate governed by
-f(d), the expected number of common neighbors per unit node intensity,
-while each node's total expected neighborhood per unit intensity is the
-mass S. An FdModel holds f as a piecewise-linear table of knots on
-[0, d_th] next to S and the channel it was built for. The estimator
-observes the counts (M, P, Q) of common and exclusive neighbors, forms the
-overlap ratio 2M/(2M+P+Q), and inverts the table (invert_counts);
-conn_error_sigma is the spread of that estimate.
+f(d) is the expected number of common neighbors of two nodes d apart per
+unit node intensity, and the mass S each node's expected neighborhood per
+unit intensity; count_law states the law of the neighbor counts in them.
+An FdModel holds f as a piecewise-linear table of knots on [0, d_th] next
+to S and the channel it was built for. The estimator observes the counts
+(M, P, Q) of common and exclusive neighbors, forms the overlap ratio
+2M/(2M+P+Q), and inverts the table (invert_counts); conn_error_sigma is
+the spread of that estimate.
 
 A table is written to and read from a versioned flat text file
 (save_fd_model, load_fd_model). Building one is connectivity's
@@ -129,13 +129,16 @@ def invert_counts(model: FdModel, m, p, q):
     return _like_input(np.where(total > 0, invert_fd(model, rho * model.s_mass), 0.0))
 
 
-def _model_point(model: FdModel, intensity, d):
-    """Checked (intensity, d, f(d), f'(d)) at points of the model; takes arrays.
+def count_law(model: FdModel, intensity, d):
+    """The law of the neighbor counts at points of the model; takes arrays.
 
-    The one argument check of every function of a model point: 0 <
-    intensity < inf, d in (0, d_th] and 0 < f(d) < S. intensity and d come
-    back as arrays broadcast to one shape, f and its slope (left segment at
-    knots) as eval_fd and fd_slope give them.
+    Two nodes d apart have M ~ Poi(lambda f) common and Y = P + Q ~
+    Poi(2 lambda (S - f)) exclusive neighbors; E[2M + P + Q] = 2 lambda S
+    at every d, which invert_counts and the moment intensity use. Returns
+    intensity and d broadcast to one shape, the means per unit intensity
+    (f, 2 (S - f)) of M and Y and their d-slopes (f', -2 f'), f' the left
+    segment's at knots. The one check of a model point: 0 < intensity < inf,
+    d in (0, d_th] and 0 < f(d) < S.
     """
     intensity, d = np.broadcast_arrays(np.asarray(intensity, dtype=float),
                                        np.asarray(d, dtype=float))
@@ -145,14 +148,15 @@ def _model_point(model: FdModel, intensity, d):
     f_val = eval_fd(model, d)
     _require(f_val, (f_val > 0.0) & (f_val < model.s_mass),
              f"f(d) must lie in (0, S={model.s_mass!r}); degenerate model")
-    return intensity, d, f_val, fd_slope(model, d)
+    slope = fd_slope(model, d)
+    return intensity, d, (f_val, 2.0 * (model.s_mass - f_val)), (slope, -2.0 * slope)
 
 
 def conn_error_sigma(model: FdModel, intensity, d_plugin):
     """Standard deviation of the connectivity estimate's error near d_plugin.
 
-    With M ~ Poi(lambda f) and P, Q ~ Poi(lambda (S - f)), the delta method
-    gives the overlap ratio rho = 2M/(2M+P+Q) the variance
+    Under count_law, the delta method gives the overlap ratio rho =
+    2M/(2M+P+Q) the variance
 
         Var(rho) = f (S - f) (2S - f) / (2 lambda S^4),
 
@@ -161,15 +165,14 @@ def conn_error_sigma(model: FdModel, intensity, d_plugin):
     sigma_c^2 equals the connectivity-only Cramer-Rao bound, the inverse
     of the Schur complement of the count information over (d, intensity),
     so the overlap-ratio estimator is asymptotically efficient. The
-    arguments broadcast and are checked by _model_point, the check the
-    bound shares: 0 < intensity < inf, d_plugin in (0, d_th], 0 < f < S.
+    arguments broadcast and are checked by count_law, as the bound's are.
     Raises ValueError also where an extreme intensity puts sigma_c or
     1/sigma_c^2 outside the positive floats.
     """
-    intensity, _, f_val, slope = _model_point(model, intensity, d_plugin)
+    intensity, _, (f_val, y_mean), (slope, _) = count_law(model, intensity, d_plugin)
     s = model.s_mass
     with np.errstate(all="ignore"):
-        var_rho = f_val * (s - f_val) * (2.0 * s - f_val) / (2.0 * intensity * s**4)
+        var_rho = f_val * (0.5 * y_mean) * (2.0 * s - f_val) / (2.0 * intensity * s**4)
         out = s * np.sqrt(var_rho) / np.abs(slope)
         info = 1.0 / np.square(out)
     _require(intensity, (out > 0.0) & (out < math.inf) & (info > 0.0) & (info < math.inf),

@@ -31,7 +31,7 @@ from .channel import (
 from .config import ExperimentConfig
 from .crlb import crlb_distance
 from .errors import ConfigurationError
-from .fdtable import FdModel, _model_point, mu_to_lambda
+from .fdtable import FdModel, count_law, mu_to_lambda
 from .pipeline import estimate_pairs
 
 
@@ -231,7 +231,7 @@ def _poisson_pmf(mean: float) -> np.ndarray:
     """Poisson pmf on 0..k, with k far enough out that pmf(k) is below _PMF_FLOOR.
 
     exp(k ln mean - mean - ln k!), ln k! by the standard library's lgamma;
-    mean > 0 (_model_point checks the intensity and f).
+    mean > 0 (count_law checks the intensity and f).
     """
     k = np.arange(math.ceil(mean + 12.0 * math.sqrt(mean) + 40.0))
     log_factorial = np.fromiter(map(math.lgamma, (k + 1.0).tolist()), float, k.size)
@@ -243,23 +243,23 @@ def expected_errors(model: FdModel, intensity: float, d: float) -> ExpectedError
 
     Computed with no random draws, under the model that run_experiment
     samples, with the intensity known. The estimators see the counts only
-    through M ~ Poi(lambda f) and Y = P + Q ~ Poi(2 lambda (S - f)), so the
-    expectation over the counts is a sum over every (M, Y) whose joint pmf
-    exceeds 1e-14, renormalized to the mass kept. The RSS range is
+    through M and Y = P + Q of count_law, so the expectation over the
+    counts is a sum over every (M, Y) whose joint pmf exceeds 1e-14,
+    renormalized to the mass kept. The RSS range is
     d 10^(sigma_r z) with z standard normal, taken on the 30 of 40
     probabilists' Gauss-Hermite nodes whose normalized weight exceeds
     1e-14, renormalized likewise. The whole grid goes through
     estimate_pairs as one batch. The channel is model.params.
     """
-    intensity, d, f_val, _ = (float(x) for x in _model_point(model, intensity, d))
-    joint = np.outer(_poisson_pmf(intensity * f_val),
-                     _poisson_pmf(2.0 * intensity * (model.s_mass - f_val)))
+    intensity, d, means, _ = count_law(model, intensity, d)
+    intensity, d = float(intensity), float(d)
+    joint = np.outer(*(_poisson_pmf(intensity * mean) for mean in means))
     m, y = np.nonzero(joint > _PMF_FLOOR)
     w_counts = joint[m, y] / joint[m, y].sum()
     z, w_z = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
     # like the count pmf, the range rule keeps only nodes whose weight
-    # reaches the floor (30 of 40), renormalized
-    kept = w_z / w_z.sum() >= _PMF_FLOOR
+    # exceeds the floor (30 of 40), renormalized
+    kept = w_z / w_z.sum() > _PMF_FLOOR
     z, w_z = z[kept], w_z[kept] / w_z[kept].sum()
     d_rss = d * 10.0 ** (model.params.sigma_r * z)
     est = estimate_pairs(model, np.tile(d_rss, m.size), np.repeat(m, z.size),

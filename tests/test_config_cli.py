@@ -1,8 +1,10 @@
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import errno
 import inspect
+import io
 import json
 import math
 import os
@@ -1862,6 +1864,20 @@ def _write_dataset(path, table):
                  "--pairs=-5-3, 7:11", "--output", str(path)]) == 0
 
 
+def _write_simulate(path, table):
+    assert main(["simulate", *_FLAGS_44, "--fd-table", str(table), "--mu", "20",
+                 "--distances", "10,40", "--seed", "1", "--trials", "17",
+                 "--output", str(path)]) == 0
+
+
+def _write_estimate(path, table):
+    # the estimate's stdout, an interior fusion of one reading and the counts
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["estimate", *_FLAGS_44, "--fd-table", str(table), "--rss", "-80",
+                     "--m", "6", "--p", "9", "--q", "11"]) == 0
+    path.write_text(out.getvalue())
+
+
 # each writer, called with its output path and the table's path, and the
 # whole text it writes
 _PINNED = {
@@ -1893,6 +1909,17 @@ _PINNED = {
         "d,crlb_variance,sqrt_crlb\n"
         "10.0,5.231405799636792,2.287226661185286\n"
         "40.0,34.11343123462968,5.840670443932758\n",
+    ),
+    "simulate.csv": (
+        _write_simulate,
+        "d_true,rmse_rss,rmse_conn,rmse_fused,sqrt_crlb,trials\n"
+        "10.0,2.1228243601524777,8.432808379839608,2.2521495548465937,2.287226661185286,17\n"
+        "40.0,10.384081985154241,5.253459021300881,4.550812712288088,5.840670443932758,17\n",
+    ),
+    "estimate.txt": (
+        _write_estimate,
+        "d_rss = 11.567779454822\nd_conn = 38.21876309622185\n"
+        "d_fused = 14.147935522671247\nsqrt_crlb = 3.0776267114409075\nstatus = interior\n",
     ),
     "fd_model.txt": (
         lambda path, table: rf.save_fd_model(rf.load_fd_model(table), path),

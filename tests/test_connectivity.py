@@ -1141,6 +1141,20 @@ class TestSigmaRInvariance:
         assert knots_d == pytest.approx(knots_d44, rel=1e-14, abs=0.0)
         assert knots_f == pytest.approx(knots_f44, rel=1e-13, abs=0.0)
 
+    # at one mu and d / d_th, an error over r and a bound over r^2 depend on sigma_r alone
+    @pytest.mark.parametrize("mu", [10.0, 20.0])
+    def test_exact_errors_and_bound_in_units_of_r(self, model44, mu):
+        rescaled = rf.build_fd_model(PARAMS_44_RESCALED)
+        fracs = np.array([0.1, 0.5, 0.9])
+        errors, bounds = [], []
+        for model in (model44, rescaled):
+            r, lam = rf.pseudo_range(model.params), rf.mu_to_lambda(mu, model.s_mass)
+            d = fracs * model.d_th
+            errors.append([np.array(rf.expected_errors(model, lam, float(x))) / r for x in d])
+            bounds.append(rf.crlb_distance(model, lam, d) / (r * r))
+        assert np.array(errors[1]) == pytest.approx(np.array(errors[0]), rel=1e-12, abs=0.0)
+        assert bounds[1] == pytest.approx(bounds[0], rel=1e-12, abs=0.0)
+
 
 class TestModelRoundTrip:
     @settings(max_examples=60, deadline=None)

@@ -28,6 +28,20 @@ class TestRssFisherScale:
         assert rf.rss_fisher_scale(PARAMS_DISK) == math.inf
 
 
+def _closed_form_fim(model, lam, d):
+    """The information matrix's entries in closed form, the oracle of fim's generic sum.
+
+    i_dd = lambda f'^2 (1/f + 2/(S - f)) + kappa/d^2, i_dl = -f' and
+    i_ll = (2S - f)/lambda; positive definite, since 0 < f < S and
+    (2S - f)(S + f) - f (S - f) = 2 S^2 give det = f'^2 [(2S - f)(S + f)/(f (S - f)) - 1]
+    + kappa (2S - f)/(lambda d^2) > 0.
+    """
+    f_val, slope, s = rf.eval_fd(model, d), rf.fd_slope(model, d), model.s_mass
+    i_dd = (lam * slope * slope * (1.0 / f_val + 2.0 / (s - f_val))
+            + rf.rss_fisher_scale(model.params) / (d * d))
+    return i_dd, -slope, (2.0 * s - f_val) / lam
+
+
 class TestFim:
     def test_off_diagonal_is_negative_segment_slope(self, model44):
         lam = _intensity(model44)
@@ -58,6 +72,21 @@ class TestFim:
         info = rf.fim(model44, _intensity(model44), d)
         assert np.all(info.i_dd > 0) and np.all(info.i_ll > 0)
         assert np.all(info.i_dd * info.i_ll - info.i_dl**2 > 0)
+
+    # fim sums the Poisson information of the two counts; the closed forms it
+    # replaced agree to rounding, and i_dl = f' - 2 f' = -f' to the bit
+    @pytest.mark.parametrize("name", ["model44", "model_field", "model_sharp"])
+    @pytest.mark.parametrize("mu", [0.05, 3.0, 20.0, 400.0])
+    def test_matches_the_closed_forms(self, request, name, mu):
+        model = request.getfixturevalue(name)
+        mids = 0.5 * (model.knots_d[:-1] + model.knots_d[1:])
+        d = np.concatenate([model.knots_d[1:], mids, [1e-9 * model.d_th, model.d_th]])
+        lam = _intensity(model, mu)
+        info = rf.fim(model, lam, d)
+        i_dd, i_dl, i_ll = _closed_form_fim(model, lam, d)
+        assert np.array_equal(info.i_dl, i_dl)
+        assert info.i_dd == pytest.approx(i_dd, rel=1e-15, abs=0.0)
+        assert info.i_ll == pytest.approx(i_ll, rel=1e-15, abs=0.0)
 
     def test_domain_errors(self, model44):
         # the domain of the bound: d in (0, d_th], 0 < intensity < inf

@@ -184,6 +184,24 @@ def test_commands_leave_readings_and_error_bars_to_the_pipeline():
     assert {"fusion", ".fusion", "rangefuse.fusion"} & modules == set()
 
 
+def test_count_law_is_read_not_restated():
+    # fdtable.count_law forms the counts' means and slopes from f and S; the
+    # bound and the exact law read them there, and S only to turn mu into an
+    # intensity
+    for module in (rf.crlb, rf.simulator):
+        nodes = list(ast.walk(ast.parse(Path(module.__file__).read_text())))
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+                  for node in nodes if isinstance(node, ast.Call)
+                  and isinstance(node.func, (ast.Attribute, ast.Name))}
+        assert called & {"eval_fd", "fd_slope"} == set(), module.__name__
+        to_lambda = {id(arg) for node in nodes if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id == "mu_to_lambda"
+                     for arg in node.args}
+        stray = [node.lineno for node in nodes if isinstance(node, ast.Attribute)
+                 and node.attr == "s_mass" and id(node) not in to_lambda]
+        assert stray == [], module.__name__
+
+
 _COMMANDS_CODE = """
 import contextlib, io, sys
 import rangefuse as rf
