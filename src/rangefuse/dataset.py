@@ -2,13 +2,15 @@
 
 The file format is a plain-text table with two sections introduced by the
 marker lines '# nodes' (id, x, y per line) and '# rss' (id_i, id_j,
-mean dBm per line); other '#' lines are comments. The RSS map is treated
-as symmetric: when both directions of a pair appear, their mean is used.
+mean dBm per line); other '#' lines are comments.
 
 A MeasurementSet holds a deployment as columns: the node ids (int64) in
 file order, their (n, 2) coordinates, the unique links as (lo, hi) node-id
 pairs sorted by (lo, hi), and each link's mean RSS; constructing one checks
-it. Node ids may be any distinct int64 values. Wherever an id is looked
+it. The set owns the link rule: the RSS map is symmetric, and a link given
+more than once, in either direction, gets the mean of its readings, summed
+in the given order and, where that sum overflows, as shares of the mean.
+Node ids may be any distinct int64 values. Wherever an id is looked
 up, _rank_ids turns it into its rank among the sorted ids: by its offset
 from the first when the ids are consecutive integers (1..n, say), by
 binary search otherwise. Link and neighbor keys are found by binary
@@ -17,11 +19,10 @@ search (_locate).
 The loader reads each section with numpy's text reader, whose numbers
 are ASCII only (no '_' separators, no other scripts' digits), checks the
 one rule a set cannot see (both ends of every RSS row are defined on an
-earlier line), averages both directions of each link and builds the set;
-those checks and the set's own are the only statement of the file's
-rules. If one fails, the loader bisects the data lines for the shortest
-prefix that still fails and reports its last line, the earliest that
-holds a fault.
+earlier line) and builds the set from the file's rows as they stand. If
+that check or the set's own fails, the loader bisects the data lines for
+the shortest prefix that still fails and reports its last line, the
+earliest that holds a fault.
 
 A set holds measurements only. Evaluation takes the channel from the
 f(d) table it is given (model.params): it thresholds the links once into
@@ -116,9 +117,11 @@ class MeasurementSet(_Columns):
     ids: (n,) int64 node ids in stored order; xy: (n, 2) coordinates in the
     same order; links: (k, 2) int64 node-id pairs (lo, hi) with lo < hi,
     unique and sorted by (lo, hi); link_rss: (k,) mean RSS of each link,
-    dBm. Construction takes array-likes of those shapes, orients each link
-    and sorts the links. It rejects duplicate ids, non-finite values, links
-    to unknown nodes, self links and a link given twice.
+    dBm. Construction takes array-likes of those shapes, any number of
+    readings per link in either direction, orients each link, sorts the
+    links and gives each the mean of its readings (a lone -0.0 becomes
+    0.0). It rejects duplicate ids, non-finite values, links to unknown
+    nodes and self links.
     """
 
     ids: np.ndarray
@@ -139,7 +142,7 @@ class MeasurementSet(_Columns):
         # two contiguous rows of ends search about twice as fast as (lo, hi) pairs
         lo_hi = np.stack([np.minimum(*ends), np.maximum(*ends)])
         links = lo_hi.T
-        link_rss = np.asarray(self.link_rss, dtype=float).reshape(len(links))
+        readings = np.asarray(self.link_rss, dtype=float).reshape(len(links))
         rows, sorted_ids = _sort_ids(ids)
         bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
         if bad.size:
@@ -147,19 +150,30 @@ class MeasurementSet(_Columns):
         ranks, known = _rank_ids(sorted_ids, lo_hi)
         for bad, what in ((~(known[0] & known[1]), "references an unknown node"),
                           (links[:, 0] == links[:, 1], "links a node to itself"),
-                          (~np.isfinite(link_rss), "has a non-finite reading")):
+                          (~np.isfinite(readings), "has a non-finite reading")):
             if bad.any():
                 i, j = links[bad][0].tolist()
                 raise ConfigurationError(f"RSS entry ({i}, {j}) {what}")
-        keys = ranks[0] * ids.size + ranks[1]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        twice = np.flatnonzero(keys[1:] == keys[:-1])
-        if twice.size:
-            i, j = links[order[twice[0]]].tolist()
-            raise ConfigurationError(f"RSS entry ({i}, {j}) given twice")
-        for name, value in (("ids", ids), ("xy", xy), ("links", links[order]),
-                            ("link_rss", link_rss[order]), ("_sorted_ids", sorted_ids),
+        # every row of a link shares one key; bincount sums each key's
+        # readings in the given order, as a running sum from 0.0 would. Where
+        # finite readings near the largest double overflow that sum, each
+        # reading's share of the mean is summed instead (only there: shares
+        # of subnormal readings lose bits), clamped into the readings' range
+        # if it overflows
+        keys, first, slot = np.unique(ranks[0] * ids.size + ranks[1],
+                                      return_index=True, return_inverse=True)
+        count = np.bincount(slot)
+        link_rss = np.bincount(slot, weights=readings) / count
+        over = np.isinf(link_rss)
+        if over.any():
+            shares = np.bincount(slot, weights=readings / count[slot])
+            low, high = np.full(keys.size, math.inf), np.full(keys.size, -math.inf)
+            np.fmin.at(low, slot, readings)
+            np.fmax.at(high, slot, readings)
+            shares = np.where(np.isinf(shares), np.clip(shares, low, high), shares)
+            link_rss = np.where(over, shares, link_rss)
+        for name, value in (("ids", ids), ("xy", xy), ("links", links[first]),
+                            ("link_rss", link_rss), ("_sorted_ids", sorted_ids),
                             ("_stored_row", rows), ("_keys", keys)):
             object.__setattr__(self, name, value)
 
@@ -204,25 +218,7 @@ def _measurement_set(lines: list, node_at: np.ndarray, rss_at: np.ndarray) -> Me
     defined = known & (np.append(node_at[order], 0)[ranks] < rss_at)
     if not defined.all():
         raise ConfigurationError(f"RSS entry references unknown node {ends.T[~defined.T][0]}")
-    # both directions of a pair share one key; bincount sums each key's
-    # readings in file order, as a running sum from 0.0 would. Where finite
-    # readings near the largest double overflow that sum, each reading's
-    # share of the mean is summed instead (only there: shares of subnormal
-    # readings lose bits), clamped into the readings' range if it overflows
-    n = sorted_ids.size
-    keys, slot = np.unique(np.minimum(*ranks) * n + np.maximum(*ranks), return_inverse=True)
-    count = np.bincount(slot)
-    link_rss = np.bincount(slot, weights=value) / count
-    over = np.isinf(link_rss)
-    if over.any():
-        shares = np.bincount(slot, weights=value / count[slot])
-        low, high = np.full(keys.size, math.inf), np.full(keys.size, -math.inf)
-        np.fmin.at(low, slot, value)
-        np.fmax.at(high, slot, value)
-        shares = np.where(np.isinf(shares), np.clip(shares, low, high), shares)
-        link_rss = np.where(over, shares, link_rss)
-    links = sorted_ids[np.stack(np.divmod(keys, max(n, 1)))].T
-    return MeasurementSet(ids, np.stack([x, y], axis=1), links, link_rss)
+    return MeasurementSet(ids, np.stack([x, y], axis=1), ends.T, value)
 
 
 def _first_fault(lines: list, data: np.ndarray, in_nodes: np.ndarray, error: Exception) -> tuple:

@@ -79,6 +79,8 @@ def mu_to_lambda(mu: float, s_mass: float) -> float:
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
     if not 0.0 < s_mass < math.inf:
         raise ValueError(f"s_mass must be positive and finite, got {s_mass!r}")
+    if mu / s_mass == 0.0:
+        raise ValueError(f"mu {mu!r} over s_mass {s_mass!r} gives an intensity of 0.0")
     return mu / s_mass
 
 

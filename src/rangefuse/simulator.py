@@ -145,14 +145,14 @@ def _draw_probe(params: ChannelParams, side: float, intensity: float, d: float,
     ends_x = np.array([[(side - d) / 2.0], [(side + d) / 2.0]])
     counts = np.zeros((3, trials), dtype=np.int64)
     obs = np.empty(trials)
-    mean = mean_rss(params, np.full(min(trials, _BLOCK_TRIALS), d))
+    mean = mean_rss(params, d)
     for start in range(0, trials, _BLOCK_TRIALS):
         k = min(_BLOCK_TRIALS, trials - start)
         n = rng.poisson(intensity * side * side, k)
         xy = rng.random((int(n.sum()), 2))
         xy *= side
         z = rng.standard_normal((2, xy.shape[0]))
-        obs[start:start + k] = mean[:k] + rng.normal(0.0, params.sigma_db, size=k)
+        obs[start:start + k] = mean + rng.normal(0.0, params.sigma_db, size=k)
         if xy.shape[0]:
             # rows: linked to both, to a, to b; reduceat takes no empty
             # segment, so only the trials with nodes give it a start

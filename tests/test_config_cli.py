@@ -1057,6 +1057,21 @@ class TestParser:
                      "multiples (default 1.5)", "reference distance, m (default 1.0)"):
             assert text in out
 
+    def test_table_help_names_the_builders_defaults(self):
+        # build_fd_model holds the table defaults; the help texts restate them
+        from rangefuse.connectivity import build_fd_model, generic_f
+
+        defaults = inspect.signature(build_fd_model).parameters
+        (subcommands,) = (action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        stated = [(action.dest, float(re.search(r"default ([^;)]+)", action.help)[1]))
+                  for parser in subcommands.choices.values() for action in parser._actions
+                  if action.dest in ("n_knots", "quad_tol")]
+        assert len(stated) == 2 * len(subcommands.choices)
+        assert all(value == defaults[name].default for name, value in stated)
+        assert (inspect.signature(generic_f).parameters["quad_tol"].default
+                == defaults["quad_tol"].default)
+
 
 class TestDamagedTable:
     @pytest.mark.parametrize("damage", ["knot", "s_mass", "d_th"])
@@ -1277,10 +1292,13 @@ class TestUsageErrors:
           "--output", "OUT"], "intensity"),
         (["crlb", "--intensity", "1e308", "--output", "OUT"], "intensity"),
         (["crlb", "--intensity", "1e-320", "--output", "OUT"], "intensity"),
+        # mu / S rounds to an intensity of 0
+        (["simulate", "--mu", "1e-320", "--output", "OUT"], "mu"),
+        (["crlb", "--mu", "1e-320", "--output", "OUT"], "mu"),
     ], ids=["estimate-negative", "estimate-nan", "estimate-inf", "dataset-negative",
             "dataset-nan", "crlb-intensity-inf", "crlb-mu-inf", "simulate-margin-inf",
             "estimate-1e308", "estimate-1e-320", "dataset-1e308", "dataset-1e-320",
-            "crlb-1e308", "crlb-1e-320"])
+            "crlb-1e308", "crlb-1e-320", "simulate-mu-1e-320", "crlb-mu-1e-320"])
     def test_bad_density_or_margin_is_usage_error(self, cfg_path, tmp_path, capsys,
                                                   command, named):
         meas = tmp_path / "meas.txt"
@@ -1292,7 +1310,7 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert named in captured.err
+        assert re.search(rf"\b{named}\b", captured.err)  # a word: "must" names no mu
         assert captured.out == ""
         assert not out.exists()
 

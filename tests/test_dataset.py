@@ -203,12 +203,16 @@ class TestMeasurementSet:
             ([1, 2], [[1, 3]], [-50.0], "references an unknown node"),
             ([1, 2], [[2, 2]], [-50.0], "links a node to itself"),
             ([1, 2], [[1, 2]], [math.inf], "non-finite reading"),
-            ([1, 2], [[1, 2], [2, 1]], [-50.0, -40.0], r"\(1, 2\) given twice"),
         ],
     )
     def test_rejects_bad_columns(self, ids, links, readings, reason):
         with pytest.raises(rf.ConfigurationError, match=reason):
             rf.MeasurementSet(ids, [[0.0, 0.0]] * len(ids), links, readings)
+
+    def test_link_given_twice_is_averaged(self):
+        ms = rf.MeasurementSet([1, 2], [[0.0, 0.0]] * 2, [[1, 2], [2, 1]], [-50.0, -40.0])
+        assert ms.links.tolist() == [[1, 2]]
+        assert ms.link_rss.tolist() == [-45.0]
 
     def test_orients_and_sorts_links(self):
         ms = rf.MeasurementSet([9, -2, 4], [[0, 0], [1, 0], [2, 0]],
@@ -216,6 +220,72 @@ class TestMeasurementSet:
         assert ms.links.tolist() == [[-2, 4], [-2, 9], [4, 9]]
         assert ms.link_rss.tolist() == [-42.0, -43.0, -41.0]
         assert ms.ids.tolist() == [9, -2, 4]
+
+
+def _raw_rows(text):
+    """MeasurementSet's arguments from a valid file's data rows, read line by line."""
+    nodes, rss, section = [], [], None
+    for line in map(str.strip, text.splitlines()):
+        if line.startswith("#"):
+            section = line[1:].strip().lower()
+        elif line:
+            a, b, c = line.split(",")
+            if section == "nodes":
+                nodes.append((int(a), float(b), float(c)))
+            else:
+                rss.append((int(a), int(b), float(c)))
+    ids, x, y = zip(*nodes)
+    links = [row[:2] for row in rss]
+    return list(ids), list(zip(x, y)), links, [row[2] for row in rss]
+
+
+@st.composite
+def _repeated_link_files(draw):
+    """Valid files whose sections interleave and whose links repeat.
+
+    Each node opens a '# nodes' section and a '# rss' section of rows among
+    the nodes so far; a link is listed 1-3 times, each row in either
+    direction with its own reading, some of them 1.7e308.
+    """
+    ids = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=7, unique=True))
+    coordinate = st.floats(-1e3, 1e3)
+    reading = st.floats(-100.0, -20.0) | st.just(1.7e308)
+    lines = []
+    for k, i in enumerate(ids):
+        lines += ["# nodes", f"{i}, {draw(coordinate)!r}, {draw(coordinate)!r}", "# rss"]
+        for _ in range(draw(st.integers(0, 3)) if k else 0):
+            pair = draw(st.lists(st.sampled_from(ids[:k + 1]), min_size=2, max_size=2,
+                                 unique=True))
+            for _ in range(draw(st.integers(1, 3))):
+                a, b = pair[::-1] if draw(st.booleans()) else pair
+                lines.append(f"{a}, {b}, {draw(reading)!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestOneLinkRule:
+    """A loaded file is the set built from its rows as they stand: one rule for repeats."""
+
+    FILE = ("# nodes\n-7, 0, 0\n30, 3, 4\n# rss\n30, -7, -50.5\n# nodes\n10, 1, 1\n"
+            "# rss\n-7, 30, -40.25\n10, -7, 1.7e308\n-7, 10, 1.7e308\n30, -7, -61.0\n"
+            "30, 10, -0.0\n")
+
+    def _check(self, text):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "meas.txt"
+            path.write_text(text)
+            loaded = rf.load_measurements(path)
+        assert loaded == rf.MeasurementSet(*_raw_rows(text))
+        return loaded
+
+    def test_fixed_file(self):
+        ms = self._check(self.FILE)
+        assert ms.links.tolist() == [[-7, 10], [-7, 30], [10, 30]]
+        assert ms.link_rss.tolist() == [1.7e308, (-50.5 + -40.25 + -61.0) / 3, 0.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_repeated_link_files())
+    def test_load_is_the_set_of_the_raw_rows(self, text):
+        self._check(text)
 
 
 class TestSaveMeasurements:

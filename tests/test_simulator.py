@@ -30,6 +30,10 @@ class TestMuToLambda:
         with pytest.raises(ValueError):
             rf.mu_to_lambda(math.inf, 10.0)
 
+    def test_rejects_an_intensity_that_rounds_to_zero(self):
+        with pytest.raises(ValueError, match=r"^mu 1e-320 .* intensity of 0\.0"):
+            rf.mu_to_lambda(1e-320, 4674.0)
+
 
 class TestDeployPoisson:
     def test_vanishing_intensity_gives_empty_field(self):
